@@ -20,7 +20,7 @@ from .errors import (
     ToricstabError,
 )
 from .fans import Cone, Fan
-from .lattice import cone_coordinates, primitivize, solve_linear
+from .lattice import primitivize, solve_linear
 from .piecewise import PiecewisePolynomial
 from .polytopes import RationalPolytope
 from .valuations import (
@@ -77,7 +77,6 @@ __all__ = [
     "center_codim",
     "certify_equality_case",
     "certify_extremal_volume",
-    "cone_coordinates",
     "export_volume_csv",
     "integrated_volume",
     "is_lc_torus_pair",

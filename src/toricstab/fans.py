@@ -5,30 +5,29 @@ as ray index sets.  Validation enforces, eagerly and exactly:
 
   * primitive, nonzero, pairwise distinct rays, each used by some cone;
   * every maximal cone simplicial and full-dimensional;
-  * completeness, via the wall condition (every facet of a maximal cone is
-    shared by exactly two) plus a seeded battery of point-location probes
-    that also catches overlapping cones.
+  * completeness: every wall (facet of a maximal cone) is shared by exactly
+    two cones lying on opposite sides of it, and an interior point of the
+    first cone lies in no other cone.  Crossing a wall then never changes
+    how many cones cover a generic point, so that number is 1 everywhere:
+    the cones cover R^n without overlapping.
 
-The anticanonical polytope is { u : <u, v_i> >= -1 for all rays v_i };
-its lattice points at dilation k index the degree-k anticanonical sections.
+The anticanonical polytope is { u : <u, v_i> >= -1 for all rays v_i }; it is
+built only for Q-Fano fans, where the support function of -K is strictly
+convex.  Its lattice points at dilation k index the degree-k anticanonical
+sections.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
 from .errors import InvariantViolation
-from .lattice import LatticeVec, RatVec, det, matrix_inverse, primitivize
+from .lattice import LatticeVec, RatVec, adjugate, dot, primitivize
 from .polytopes import RationalPolytope
-
-PROBE_SEED = 271828
-PROBE_COUNT = 1000
-PROBE_BOX = 10**6
 
 
 @dataclass(frozen=True)
@@ -47,8 +46,6 @@ class Fan:
         rays: Sequence[Sequence[int]],
         max_cones: Sequence[Sequence[int]],
         name: str = "",
-        *,
-        trusted: bool = False,
     ):
         self.dimension = int(dimension)
         self.name = name
@@ -56,18 +53,20 @@ class Fan:
         self.max_cones: tuple[Cone, ...] = tuple(
             Cone(tuple(sorted(int(i) for i in c))) for c in max_cones
         )
-        # per-cone integer adjugates: adj = det * inverse of the ray-column
-        # matrix, so sign tests on adj . w (times sign det) decide membership
-        # without any rational arithmetic
+        # per cone, the multiplicity |det| and |det| * inverse of the
+        # ray-column matrix, from one kernel call: adj . w is w's cone
+        # coordinates times |det|, so sign tests decide membership without
+        # any rational arithmetic
         self._cone_adjugates: list[tuple[tuple[int, ...], ...]] = []
-        self._cone_dets: list[int] = []
+        self._cone_mults: list[int] = []
+        self._walls: list[tuple[frozenset, int, int]] = []
         self._ray_lookup = {ray: i for i, ray in enumerate(self.rays)}
         self._polytope: Optional[RationalPolytope] = None
-        self._validate(probe=not trusted)
+        self._validate()
 
     # -- validation ---------------------------------------------------------
 
-    def _validate(self, probe: bool) -> None:
+    def _validate(self) -> None:
         n = self.dimension
         if n < 1:
             raise InvariantViolation("dimension must be at least 1")
@@ -91,111 +90,102 @@ class Fan:
                 )
             if any(i < 0 or i >= len(self.rays) for i in cone.ray_indices):
                 raise InvariantViolation(f"maximal cone {ci} references a missing ray")
-            mat = [self.rays[i] for i in cone.ray_indices]
-            cols = [[mat[j][i] for j in range(n)] for i in range(n)]
-            inv = matrix_inverse(cols)
-            if inv is None:
+            cols = [[self.rays[j][i] for j in cone.ray_indices] for i in range(n)]
+            solved = adjugate(cols)
+            if solved is None:
                 raise InvariantViolation(f"maximal cone {ci} is not simplicial")
-            d = int(det(cols))
-            self._cone_dets.append(d)
+            d, adj = solved
+            self._cone_mults.append(abs(d))
             self._cone_adjugates.append(
-                tuple(tuple(int(x * d) for x in row) for row in inv)
+                tuple(tuple(x if d > 0 else -x for x in row) for row in adj)
             )
             used.update(cone.ray_indices)
         if used != set(range(len(self.rays))):
             unused = sorted(set(range(len(self.rays))) - used)
             raise InvariantViolation(f"rays {unused} appear in no maximal cone")
-        self._check_walls()
-        if probe:
-            self._probe_coverage()
+        self._check_complete()
 
-    def _check_walls(self) -> None:
+    def _check_complete(self) -> None:
         n = self.dimension
-        if n == 1:
-            if sorted(self.rays) != [(-1,), (1,)] or len(self.max_cones) != 2:
-                raise InvariantViolation("fan not complete")
-            return
-        wall_count: dict[frozenset, int] = {}
-        for cone in self.max_cones:
+        by_facet: dict[frozenset, list[int]] = {}
+        for ci, cone in enumerate(self.max_cones):
             for facet in combinations(cone.ray_indices, n - 1):
-                key = frozenset(facet)
-                wall_count[key] = wall_count.get(key, 0) + 1
-        bad = {k: v for k, v in wall_count.items() if v != 2}
-        if bad:
+                by_facet.setdefault(frozenset(facet), []).append(ci)
+        if not by_facet or any(len(pair) != 2 for pair in by_facet.values()):
             raise InvariantViolation("fan not complete")
-
-    def _probe_coverage(self) -> None:
-        rng = random.Random(PROBE_SEED)
-        n = self.dimension
-        for _ in range(PROBE_COUNT):
-            point = tuple(rng.randint(-PROBE_BOX, PROBE_BOX) for _ in range(n))
-            if all(x == 0 for x in point):
-                continue
-            interior_hits = 0
-            any_hit = False
-            for ci in range(len(self.max_cones)):
-                signs = self._coord_signs(ci, point)
-                if all(s >= 0 for s in signs):
-                    any_hit = True
-                    if all(s > 0 for s in signs):
-                        interior_hits += 1
-            if not any_hit:
-                raise InvariantViolation("fan not complete")
-            if interior_hits > 1:
+        self._walls = sorted(
+            ((key, ci, cj) for key, (ci, cj) in by_facet.items()),
+            key=lambda wall: sorted(wall[0]),
+        )
+        for shared, ci, cj in self._walls:
+            # the ray of cj off the wall must lie beyond the wall, seen from ci
+            cone = self.max_cones[ci].ray_indices
+            pos = next(p for p, i in enumerate(cone) if i not in shared)
+            opposite = next(i for i in self.max_cones[cj].ray_indices if i not in shared)
+            if self._scaled_coords(ci, self.rays[opposite])[pos] >= 0:
+                raise InvariantViolation("overlapping maximal cones")
+        inner = [sum(col) for col in zip(*(self.rays[i] for i in self.max_cones[0].ray_indices))]
+        for ci in range(1, len(self.max_cones)):
+            if all(s >= 0 for s in self._scaled_coords(ci, inner)):
                 raise InvariantViolation("overlapping maximal cones")
 
     # -- cone queries ---------------------------------------------------------
 
-    def _coord_signs(self, cone_index: int, w: Sequence[int]) -> tuple[int, ...]:
-        """Integer vector with the signs of w's cone coordinates (fast path)."""
+    def _scaled_coords(self, cone_index: int, w: Sequence) -> tuple:
+        """w's coordinates in the cone's ray basis, times the cone's |det|."""
         adj = self._cone_adjugates[cone_index]
-        sign = 1 if self._cone_dets[cone_index] > 0 else -1
-        return tuple(sign * sum(a * x for a, x in zip(row, w)) for row in adj)
-
-    def _coords_in_cone(self, cone_index: int, w: Sequence) -> RatVec:
-        adj = self._cone_adjugates[cone_index]
-        d = self._cone_dets[cone_index]
-        return tuple(Fraction(sum(a * x for a, x in zip(row, w)), d) for row in adj)
+        return tuple(sum(a * x for a, x in zip(row, w)) for row in adj)
 
     def containing_cone(self, w: Sequence[int]) -> int:
         """Index of a maximal cone containing w (complete fans always have one)."""
         for ci in range(len(self.max_cones)):
-            if all(s >= 0 for s in self._coord_signs(ci, w)):
+            if all(s >= 0 for s in self._scaled_coords(ci, w)):
                 return ci
         raise AssertionError(f"complete fan has no cone containing {tuple(w)}")
 
     def cone_coordinates(self, w: Sequence[int]) -> tuple[int, RatVec]:
         """(cone index, nonnegative coordinates of w in that cone)."""
         ci = self.containing_cone(w)
-        return ci, self._coords_in_cone(ci, w)
+        mult = self._cone_mults[ci]
+        return ci, tuple(Fraction(x, mult) for x in self._scaled_coords(ci, w))
 
     def minimal_cone_dimension(self, w: Sequence[int]) -> int:
         """Dimension of the smallest fan cone containing w."""
         ci = self.containing_cone(w)
-        return sum(1 for s in self._coord_signs(ci, w) if s > 0)
+        return sum(1 for s in self._scaled_coords(ci, w) if s > 0)
 
     def ray_index(self, v: Sequence[int]) -> Optional[int]:
         return self._ray_lookup.get(tuple(int(x) for x in v))
 
     def is_smooth(self) -> bool:
         """True iff every maximal cone's rays form a lattice basis (|det| = 1)."""
-        return all(abs(d) == 1 for d in self._cone_dets)
+        return all(d == 1 for d in self._cone_mults)
+
+    def linear_form(self, cone_index: int, values: Sequence) -> RatVec:
+        """The m with <m, v> = values[k] on the k-th ray v of the cone: adj^T values / |det|."""
+        adj = self._cone_adjugates[cone_index]
+        mult = self._cone_mults[cone_index]
+        return tuple(
+            Fraction(sum(row[k] * h for row, h in zip(adj, values)), mult)
+            for k in range(self.dimension)
+        )
 
     # -- derived geometry -------------------------------------------------------
 
     def anticanonical_polytope(self) -> RationalPolytope:
-        """The polytope { u : <u, v_i> >= -1 }, computed once and cached."""
+        """The polytope { u : <u, v_i> >= -1 }, computed once and cached.
+
+        Requires Q-Fano, i.e. -K ample: for each maximal cone, the m with
+        <m, v> = -1 on its rays must satisfy <m, v_j> > -1 at every other ray.
+        """
         if self._polytope is None:
+            for ci, cone in enumerate(self.max_cones):
+                m = self.linear_form(ci, [-1] * self.dimension)
+                outside = (v for j, v in enumerate(self.rays) if j not in cone.ray_indices)
+                if any(dot(m, v) <= -1 for v in outside):
+                    raise InvariantViolation(f"not Q-Fano: -K is not ample on maximal cone {ci}")
             halfspaces = [(ray, Fraction(-1)) for ray in self.rays]
-            try:
-                poly = RationalPolytope(halfspaces, self.dimension)
-            except InvariantViolation as exc:
-                raise InvariantViolation("fan not complete / not Fano") from exc
-            if not poly.contains((0,) * self.dimension, strict=True):
-                raise InvariantViolation("not Q-Fano")
-            if not poly.is_full_dimensional():
-                raise InvariantViolation("not Q-Fano")
-            self._polytope = poly
+            self._polytope = RationalPolytope(halfspaces, self.dimension)
         return self._polytope
 
     def degree(self) -> Fraction:
@@ -204,16 +194,7 @@ class Fan:
 
     def walls(self) -> list[tuple[frozenset, int, int]]:
         """All walls as (shared ray index set, cone index, adjacent cone index)."""
-        n = self.dimension
-        if n == 1:
-            return [(frozenset(), 0, 1)]
-        by_facet: dict[frozenset, list[int]] = {}
-        for ci, cone in enumerate(self.max_cones):
-            for facet in combinations(cone.ray_indices, n - 1):
-                by_facet.setdefault(frozenset(facet), []).append(ci)
-        return [(key, pair[0], pair[1]) for key, pair in sorted(
-            ((k, v) for k, v in by_facet.items()), key=lambda kv: sorted(kv[0])
-        )]
+        return list(self._walls)
 
     def star_subdivision(self, w: Sequence[int]) -> "Fan":
         """The stellar refinement inserting the primitive ray w.
@@ -231,12 +212,12 @@ class Fan:
         w_index = len(self.rays)
         new_cones: list[tuple[int, ...]] = []
         for ci, cone in enumerate(self.max_cones):
-            coords = self._coords_in_cone(ci, w)
-            if any(c < 0 for c in coords):
+            signs = self._scaled_coords(ci, w)
+            if any(s < 0 for s in signs):
                 new_cones.append(cone.ray_indices)
                 continue
-            for pos, coeff in enumerate(coords):
-                if coeff > 0:
+            for pos, s in enumerate(signs):
+                if s > 0:
                     replaced = list(cone.ray_indices)
                     replaced[pos] = w_index
                     new_cones.append(tuple(sorted(replaced)))
@@ -245,7 +226,6 @@ class Fan:
             new_rays,
             new_cones,
             name=f"{self.name}*{w}" if self.name else f"star{w}",
-            trusted=True,
         )
 
     def __repr__(self) -> str:

@@ -4,6 +4,12 @@ Rational scalars are ``fractions.Fraction`` throughout (always in lowest
 terms, positive denominator, exact arithmetic).  Lattice vectors are plain
 tuples of ints, dual/rational vectors are tuples of Fractions.  Everything
 here is a pure function; no floating point is used anywhere.
+
+Every determinant, rank, solve, inverse, adjugate and kernel vector goes
+through one routine, `echelon`: forward fraction-free elimination on integer
+rows (Bareiss, Math. Comp. 22, 1968).  Rational input is scaled to integers
+one row at a time first, and solves finish with integer back-substitution,
+so no elimination ever runs over Fractions.
 """
 
 from __future__ import annotations
@@ -12,7 +18,6 @@ import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
-Rat = Fraction
 LatticeVec = tuple[int, ...]
 RatVec = tuple[Fraction, ...]
 
@@ -24,16 +29,8 @@ def dot(u: Sequence, v: Sequence):
     return sum(a * b for a, b in zip(u, v))
 
 
-def vec_add(u: Sequence, v: Sequence) -> tuple:
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def vec_sub(u: Sequence, v: Sequence) -> tuple:
     return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(c, u: Sequence) -> tuple:
-    return tuple(c * a for a in u)
 
 
 def gcd_vec(v: Sequence[int]) -> int:
@@ -54,172 +51,173 @@ def primitivize(v: LatticeVec) -> LatticeVec:
     return tuple(a // g for a in v)
 
 
+# -- the elimination kernel ---------------------------------------------------
+
+
+def integer_rows(rows: Sequence[Sequence]) -> tuple[list[list[int]], int]:
+    """Each row times the lcm of its denominators, and the product of those factors."""
+    out = []
+    scale = 1
+    for row in rows:
+        mult = math.lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (mult // x.denominator) for x in row])
+        scale *= mult
+    return out, scale
+
+
+def echelon(
+    rows: Sequence[Sequence[int]], ncols: Optional[int] = None
+) -> tuple[list[int], list[list[int]], int]:
+    """Forward fraction-free (Bareiss) elimination of integer rows.
+
+    Pivots are searched in the first `ncols` columns (default: all); a column
+    without a pivot is skipped, so rank-deficient and non-square input is
+    fine.  Returns (pivot columns, echelon rows, signed last pivot).  Every
+    entry on or right of a row's pivot is a minor of the row-swapped input,
+    so every division is exact, and for square input of full rank the signed
+    last pivot is the determinant.  With no pivot at all it is 1.
+    """
+    m = [list(row) for row in rows]
+    nrows = len(m)
+    width = len(m[0]) if m else 0
+    if ncols is None:
+        ncols = width
+    pivots: list[int] = []
+    sign = 1
+    prev = 1
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        top = m[r]
+        if top[c] == 0:
+            piv = next((i for i in range(r + 1, nrows) if m[i][c] != 0), None)
+            if piv is None:
+                continue
+            m[r], m[piv] = m[piv], top
+            top = m[r]
+            sign = -sign
+        p = top[c]
+        cols = range(c + 1, width)
+        for row in m[r + 1 :]:
+            f = row[c]
+            row[c] = 0
+            for j in cols:
+                row[j] = (row[j] * p - f * top[j]) // prev
+        prev = p
+        pivots.append(c)
+        r += 1
+    return pivots, m, sign * prev
+
+
+def _back_substitute(
+    m: list[list[int]], pivots: list[int], y: list[int], rhs: list[int]
+) -> list[int]:
+    """Fill y at the pivot columns so that echelon row i times y equals rhs[i].
+
+    The caller presets y off the pivots and scales rhs so that every
+    division is exact (y = d * x with d the last pivot).
+    """
+    for i in range(len(pivots) - 1, -1, -1):
+        row, p = m[i], pivots[i]
+        y[p] = (rhs[i] - sum(row[c] * y[c] for c in range(p + 1, len(y)))) // row[p]
+    return y
+
+
+def _solve_columns(
+    rows: Sequence[Sequence], rhs_columns: Sequence[Sequence]
+) -> Optional[tuple[int, list[list[int]]]]:
+    """(d, ys) with A x_k = b_k and ys[k] = d * x_k in integers; None if A is singular.
+
+    A is square with int or rational entries; d is its determinant after
+    the rows of [A | b] were scaled to integers, so d * x_k is a Cramer
+    numerator.
+    """
+    n = len(rows)
+    aug, _ = integer_rows([list(row) + [b[i] for b in rhs_columns] for i, row in enumerate(rows)])
+    pivots, m, d = echelon(aug, n)
+    if len(pivots) < n:
+        return None
+    return d, [
+        _back_substitute(m, pivots, [0] * n, [d * row[col] for row in m])
+        for col in range(n, n + len(rhs_columns))
+    ]
+
+
+# -- public operations ----------------------------------------------------------
+
+
+def solve_or_none(rows: Sequence[Sequence], rhs: Sequence) -> Optional[RatVec]:
+    """The unique solution of the square system (rows)x = rhs, or None if singular."""
+    solved = _solve_columns(rows, [rhs])
+    if solved is None:
+        return None
+    d, (y,) = solved
+    return tuple(Fraction(v, d) for v in y)
+
+
 def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> RatVec:
-    """Solve the square system (rows)x = rhs exactly by Gaussian elimination.
+    """Solve the square system (rows)x = rhs exactly.
 
     Raises ValueError("singular system") when the matrix has no inverse.
     """
     n = len(rows)
     if any(len(r) != n for r in rows) or len(rhs) != n:
         raise ValueError("solve_linear expects a square system")
-    # augmented matrix in Fractions
-    m = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular system")
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-    return tuple(m[i][n] for i in range(n))
+    x = solve_or_none(rows, rhs)
+    if x is None:
+        raise ValueError("singular system")
+    return x
 
 
 def det_int(rows: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of an integer matrix by fraction-free Bareiss elimination."""
-    n = len(rows)
-    m = [list(row) for row in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            piv = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
-            if piv is None:
-                return 0
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            row_i = m[i]
-            row_k = m[k]
-            factor = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - factor * row_k[j]) // prev
-        prev = pivot
-    return sign * m[n - 1][n - 1]
+    """Exact determinant of a square integer matrix."""
+    pivots, _, d = echelon(rows)
+    return d if len(pivots) == len(rows) else 0
 
 
 def det(rows: Sequence[Sequence]) -> Fraction:
-    """Exact determinant via fraction Gaussian elimination."""
+    """Exact determinant of a square int or rational matrix."""
+    ints, scale = integer_rows(rows)
+    return Fraction(det_int(ints), scale)
+
+
+def adjugate(rows: Sequence[Sequence]) -> Optional[tuple[int, tuple[LatticeVec, ...]]]:
+    """(d, d * inverse) of a square matrix, or None when singular.
+
+    For integer rows d is the determinant and d * inverse the adjugate.
+    """
     n = len(rows)
-    m = [[Fraction(x) for x in row] for row in rows]
-    result = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            result = -result
-        result *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                f = m[r][col] * inv
-                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-    return result
+    solved = _solve_columns(rows, [[int(i == j) for i in range(n)] for j in range(n)])
+    if solved is None:
+        return None
+    d, ys = solved
+    return d, tuple(zip(*ys))
 
 
 def matrix_inverse(rows: Sequence[Sequence]) -> Optional[tuple[RatVec, ...]]:
     """Exact inverse of a square matrix, or None when singular."""
-    n = len(rows)
-    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(rows)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return None
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-    return tuple(tuple(m[i][n:]) for i in range(n))
+    scaled = adjugate(rows)
+    if scaled is None:
+        return None
+    d, adj = scaled
+    return tuple(tuple(Fraction(v, d) for v in row) for row in adj)
 
 
 def matrix_rank(rows: Sequence[Sequence]) -> int:
     """Exact rank (row space dimension)."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    ncols = len(m[0]) if m else 0
-    row = 0
-    for col in range(ncols):
-        piv = next((r for r in range(row, len(m)) if m[r][col] != 0), None)
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        inv = 1 / m[row][col]
-        m[row] = [x * inv for x in m[row]]
-        for r in range(len(m)):
-            if r != row and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[row])]
-        row += 1
-        rank += 1
-        if row == len(m):
-            break
-    return rank
+    return len(echelon(integer_rows(rows)[0])[0])
 
 
-def cone_coordinates(w: Sequence, generators: Sequence[Sequence]) -> Optional[RatVec]:
-    """Coordinates of w in the simplicial cone spanned by `generators`.
+def kernel_vector(rows: Sequence[Sequence], dim: int) -> Optional[LatticeVec]:
+    """A nonzero integer vector orthogonal to all rows, None if they have rank dim.
 
-    Solves w = sum a_i v_i for the linearly independent generator set and
-    returns the coefficient tuple when all a_i >= 0, or None when w lies
-    outside the cone (some coefficient negative, or w not in the span for
-    lower-dimensional cones).
-
-    Raises ValueError("non-simplicial cone") when the generators are
-    linearly dependent.
+    Its first non-pivot coordinate is positive and its later ones are 0.
     """
-    k = len(generators)
-    if k == 0:
-        raise ValueError("non-simplicial cone")
-    n = len(generators[0])
-    if len(w) != n:
-        raise ValueError(f"dimension mismatch: {len(w)} vs {n}")
-    if matrix_rank(generators) != k:
-        raise ValueError("non-simplicial cone")
-    if k == n:
-        cols = [[generators[j][i] for j in range(n)] for i in range(n)]
-        sol = solve_linear(cols, w)  # full rank checked above
-    else:
-        # lower-dimensional cone: least-structure solve via augmented elimination
-        sol = _solve_in_span(w, generators)
-        if sol is None:
-            return None  # w not in the linear span
-    return sol if all(a >= 0 for a in sol) else None
-
-
-def _solve_in_span(w: Sequence, generators: Sequence[Sequence]) -> Optional[RatVec]:
-    """Express w in the span of independent generators, None if impossible."""
-    k = len(generators)
-    n = len(generators[0])
-    # solve the n x k overdetermined system column-major by elimination
-    m = [[Fraction(generators[j][i]) for j in range(k)] + [Fraction(w[i])]
-         for i in range(n)]
-    pivots = []
-    row = 0
-    for col in range(k):
-        piv = next((r for r in range(row, n) if m[r][col] != 0), None)
-        if piv is None:
-            return None  # dependent, caller already checked rank
-        m[row], m[piv] = m[piv], m[row]
-        inv = 1 / m[row][col]
-        m[row] = [x * inv for x in m[row]]
-        for r in range(n):
-            if r != row and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[row])]
-        pivots.append(col)
-        row += 1
-    # consistency: remaining rows must be all zero
-    for r in range(row, n):
-        if any(x != 0 for x in m[r]):
-            return None
-    return tuple(m[i][k] for i in range(k))
+    pivots, m, d = echelon(integer_rows(rows)[0], dim)
+    free = next((c for c in range(dim) if c not in pivots), None)
+    if free is None:
+        return None
+    y = [0] * dim
+    y[free] = abs(d)
+    return tuple(_back_substitute(m, pivots, y, [0] * len(pivots)))

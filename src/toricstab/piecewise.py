@@ -192,9 +192,6 @@ class PiecewisePolynomial:
                     out.append(piece)
         return out
 
-    def max_degree(self) -> int:
-        return max(len(p) - 1 for p in self.pieces)
-
 
 # -- exact m-th root comparison -------------------------------------------------
 

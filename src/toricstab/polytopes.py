@@ -9,7 +9,9 @@ sees (< 20).
 
 Volume and centroid come from a fan-out triangulation anchored at a chosen
 interior point; facets are triangulated recursively by projecting out one
-coordinate, which keeps every determinant rational.
+coordinate.  Every solve, rank, determinant and kernel vector here goes
+through the fraction-free elimination kernel in `lattice`; simplex
+determinants are `det_int` of the edge vectors scaled to integers.
 """
 
 from __future__ import annotations
@@ -22,7 +24,17 @@ from itertools import combinations, product
 from typing import Iterable, Optional, Sequence
 
 from .errors import BudgetExceeded, InvariantViolation
-from .lattice import RatVec, det_int, dot, gcd_vec, matrix_rank, vec_sub
+from .lattice import (
+    RatVec,
+    det_int,
+    dot,
+    gcd_vec,
+    integer_rows,
+    kernel_vector,
+    matrix_rank,
+    solve_or_none,
+    vec_sub,
+)
 
 HalfSpace = tuple[tuple[int, ...], Fraction]  # (normal a, offset b): <u, a> >= b
 
@@ -34,34 +46,13 @@ def enumerate_vertices(halfspaces: Sequence[HalfSpace], dim: int) -> list[RatVec
     hyperplanes that satisfies every remaining constraint.
     """
     seen: dict[RatVec, None] = {}
-    for subset in combinations(range(len(halfspaces)), dim):
-        rows = [halfspaces[i][0] for i in subset]
-        rhs = [halfspaces[i][1] for i in subset]
-        point = _solve_integer_rows(rows, rhs, dim)
+    for subset in combinations(halfspaces, dim):
+        point = solve_or_none([a for a, _ in subset], [b for _, b in subset])
         if point is None:
             continue
         if all(dot(point, a) >= b for a, b in halfspaces):
             seen.setdefault(point)
     return sorted(seen)
-
-
-def _solve_integer_rows(
-    rows: Sequence[Sequence[int]], rhs: Sequence[Fraction], dim: int
-) -> Optional[RatVec]:
-    """Cramer solve of an integer-row system with rational right-hand side."""
-    d = det_int(rows)
-    if d == 0:
-        return None
-    mult = math.lcm(*(Fraction(b).denominator for b in rhs))
-    b_int = [int(b * mult) for b in rhs]
-    out = []
-    for col in range(dim):
-        replaced = [
-            [b_int[r] if c == col else rows[r][c] for c in range(dim)]
-            for r in range(dim)
-        ]
-        out.append(Fraction(det_int(replaced), d * mult))
-    return tuple(out)
 
 
 def recession_direction(normals: Sequence[Sequence[int]], dim: int) -> Optional[tuple]:
@@ -70,100 +61,19 @@ def recession_direction(normals: Sequence[Sequence[int]], dim: int) -> Optional[
     None means the recession cone is trivial, i.e. the polyhedron with these
     normals is bounded.
     """
-    if dim == 0:
-        return None
-    if not normals or matrix_rank(normals) < dim:
+    line = kernel_vector(normals, dim)
+    if line is not None:
         # the constraints fix fewer than dim directions: a full line remains
-        return _kernel_vector(normals, dim)
-    if dim == 1:
-        for cand in ((1,), (-1,)):
-            if all(dot(cand, a) >= 0 for a in normals):
-                return cand
-        return None
+        return line
     # pointed cone: any nonzero element lies on a face, so scanning the
-    # candidate extreme rays (intersections of dim-1 active constraints)
-    # finds a direction whenever one exists
-    for subset in combinations(range(len(normals)), dim - 1):
-        rows = [normals[i] for i in subset]
-        if matrix_rank(rows) != dim - 1:
-            continue
-        direction = _kernel_vector(rows, dim)
-        if direction is None:
-            continue
+    # candidate extreme rays (kernels of dim-1 active constraints) finds a
+    # direction whenever one exists
+    for rows in combinations(normals, dim - 1):
+        direction = kernel_vector(rows, dim)
         for cand in (direction, tuple(-x for x in direction)):
             if all(dot(cand, a) >= 0 for a in normals):
                 return cand
     return None
-
-
-def _kernel_vector(rows: Sequence[Sequence], dim: int) -> Optional[tuple]:
-    """Any nonzero rational vector orthogonal to all rows, None if full rank."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    pivots: dict[int, int] = {}  # column -> row index in reduced form
-    row = 0
-    for col in range(dim):
-        piv = next((r for r in range(row, len(m)) if m[r][col] != 0), None)
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        inv = 1 / m[row][col]
-        m[row] = [x * inv for x in m[row]]
-        for r in range(len(m)):
-            if r != row and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[row])]
-        pivots[col] = row
-        row += 1
-    free = next((c for c in range(dim) if c not in pivots), None)
-    if free is None:
-        return None
-    vec = [Fraction(0)] * dim
-    vec[free] = Fraction(1)
-    for col, r in pivots.items():
-        vec[col] = -m[r][free]
-    return tuple(vec)
-
-
-def hull_facets(points: Sequence[RatVec], dim: int) -> list[HalfSpace]:
-    """Facet half-spaces of the convex hull of full-dimensional `points`.
-
-    Brute force: every dim-subset spanning a hyperplane with all points on
-    one side contributes its (primitive-integer-normal) half-space, oriented
-    so the hull satisfies <u, a> >= b.
-    """
-    facets: dict[HalfSpace, None] = {}
-    for subset in combinations(points, dim):
-        plane = _hyperplane_through(subset, dim)
-        if plane is None:
-            continue
-        a, b = plane
-        side = [dot(p, a) - b for p in points]
-        if all(s >= 0 for s in side):
-            facets.setdefault((a, b))
-        elif all(s <= 0 for s in side):
-            facets.setdefault((tuple(-x for x in a), -b))
-    return sorted(facets)
-
-
-def _hyperplane_through(points: Sequence[RatVec], dim: int) -> Optional[HalfSpace]:
-    """The unique hyperplane through dim affinely independent points.
-
-    Returns (primitive integer normal, rational offset) or None when the
-    points do not span a hyperplane.
-    """
-    base = points[0]
-    rows = [vec_sub(p, base) for p in points[1:]]
-    if matrix_rank(rows) != dim - 1:
-        return None
-    normal = _kernel_vector(rows, dim)
-    if normal is None:
-        return None
-    # scale to a primitive integer vector
-    denom_lcm = math.lcm(*(x.denominator for x in normal))
-    ints = [int(x * denom_lcm) for x in normal]
-    g = gcd_vec(ints)
-    ints = tuple(v // g for v in ints)
-    return ints, dot(base, ints)
 
 
 def _affine_rank(points: Sequence[RatVec]) -> int:
@@ -174,16 +84,9 @@ def _affine_rank(points: Sequence[RatVec]) -> int:
 
 
 def _det_cols(vectors: Sequence[RatVec]) -> Fraction:
-    """Determinant with the given columns: denominators cleared column-wise,
-    then fraction-free integer elimination."""
-    scale = 1
-    cols = []
-    for v in vectors:
-        mult = math.lcm(*(Fraction(x).denominator for x in v))
-        cols.append([int(x * mult) for x in v])
-        scale *= mult
-    n = len(vectors)
-    return Fraction(det_int([[cols[j][i] for j in range(n)] for i in range(n)]), scale)
+    """Determinant with the given columns (equal to the one with them as rows)."""
+    rows, scale = integer_rows(vectors)
+    return Fraction(det_int(rows), scale)
 
 
 def triangulate(
@@ -255,10 +158,9 @@ def _project_constraints(
         rhs = Fraction(d) - cj * b
         if all(x == 0 for x in new):
             continue  # constraint has no content on this facet
-        denom_lcm = math.lcm(*(x.denominator for x in new))
-        ints = [int(x * denom_lcm) for x in new]
+        (ints,), scale = integer_rows([new])
         g = gcd_vec(ints)
-        out.append((tuple(v // g for v in ints), rhs * denom_lcm / g))
+        out.append((tuple(v // g for v in ints), rhs * scale / g))
     return out
 
 
@@ -333,9 +235,6 @@ class RationalPolytope:
         """Exact maximum of <., w> over the polytope (attained at a vertex)."""
         return max(dot(v, w) for v in self.vertices)
 
-    def min_linear_functional(self, w: Sequence) -> Fraction:
-        return min(dot(v, w) for v in self.vertices)
-
     # -- volume and centroid ----------------------------------------------
 
     def _volume_data(self, base_point: Optional[RatVec] = None) -> tuple[Fraction, RatVec]:
@@ -374,10 +273,6 @@ class RationalPolytope:
         return self._volume_data()[1]
 
     # -- derived structure -------------------------------------------------
-
-    def facets_from_vertices(self) -> list[HalfSpace]:
-        """Recompute the irredundant facet list from the vertex set alone."""
-        return hull_facets(self.vertices, self.dim)
 
     def sliced(self, normal: Sequence[int], offset: Fraction) -> "RationalPolytope":
         """The sub-polytope {u : <u, normal> >= offset} (bounded by construction)."""

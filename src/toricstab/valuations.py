@@ -30,7 +30,7 @@ from functools import lru_cache
 
 from .errors import InvariantViolation
 from .fans import Fan
-from .lattice import LatticeVec, dot, gcd_vec, primitivize, solve_linear
+from .lattice import LatticeVec, dot, gcd_vec, primitivize
 from .piecewise import PiecewisePolynomial, lagrange_interpolate
 
 
@@ -188,10 +188,9 @@ def nef_threshold(val: ToricValuation) -> Fraction:
     h0, h1 = support(Fraction(0)), support(Fraction(1))
     bounds: list[Fraction] = []
     for shared, ci, cj in model.walls():
-        cone = model.max_cones[ci]
-        rows = [model.rays[i] for i in cone.ray_indices]
-        m_at_0 = solve_linear(rows, [h0[i] for i in cone.ray_indices])
-        m_at_1 = solve_linear(rows, [h1[i] for i in cone.ray_indices])
+        cone = model.max_cones[ci].ray_indices
+        m_at_0 = model.linear_form(ci, [h0[i] for i in cone])
+        m_at_1 = model.linear_form(ci, [h1[i] for i in cone])
         opposite = next(
             i for i in model.max_cones[cj].ray_indices if i not in shared
         )

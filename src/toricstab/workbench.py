@@ -66,14 +66,15 @@ def parse_fan_spec(document: dict, name_fallback: str = "") -> Fan:
         cones = document["cones"]
     except KeyError as exc:
         raise ParseError(f"fan spec is missing required field {exc.args[0]!r}") from exc
-    if not isinstance(dim, int):
+    # exact type checks: JSON true/false load as bool, a subclass of int
+    if type(dim) is not int:
         raise ParseError("field 'dim' must be an integer")
     if not isinstance(rays, list) or not all(
-        isinstance(r, list) and all(isinstance(x, int) for x in r) for r in rays
+        isinstance(r, list) and all(type(x) is int for x in r) for r in rays
     ):
         raise ParseError("field 'rays' must be a list of integer vectors")
     if not isinstance(cones, list) or not all(
-        isinstance(c, list) and all(isinstance(i, int) for i in c) for c in cones
+        isinstance(c, list) and all(type(i) is int for i in c) for c in cones
     ):
         raise ParseError("field 'cones' must be a list of ray index lists")
     return Fan(dim, rays, cones, name=str(name))

@@ -1,11 +1,13 @@
 """Fan validation, smoothness, anticanonical polytopes, star subdivision."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from toricstab.errors import InvariantViolation
 from toricstab.fans import Fan
+from toricstab.lattice import matrix_inverse
 from toricstab.workbench import load_builtin_fan
 
 
@@ -33,6 +35,57 @@ def test_fan_rejects_gap():
     # missing the third quadrant cone
     with pytest.raises(InvariantViolation, match="fan not complete"):
         Fan(2, [[1, 0], [0, 1], [-1, 0], [0, -1]], [[0, 1], [1, 2], [3, 0]])
+    with pytest.raises(InvariantViolation, match="fan not complete"):
+        Fan(2, [], [])
+
+
+def test_fan_rejects_double_cover():
+    # six cones winding twice around the origin: every ray lies in exactly two
+    # cones and every wall separates its two cones, but the cover is double
+    rays = [[1, 0], [-1, 2], [-1, -2], [1, 1], [-1, 0], [1, -2]]
+    cones = [[i, (i + 1) % 6] for i in range(6)]
+    assert all(sum(i in c for c in cones) == 2 for i in range(6))
+    with pytest.raises(InvariantViolation, match="overlapping maximal cones"):
+        Fan(2, rays, cones)
+
+
+def test_fan_rejects_cones_on_one_side_of_a_wall():
+    # a cycle of cones that folds back at (-1,-2) and again at (-1,0): every
+    # ray lies in two cones and cone 0's interior in no other cone, but the
+    # cones {1,2} and {2,3} lie on the same side of the wall through (-1,-2)
+    rays = [[1, 0], [-1, 2], [-1, -2], [-1, 0], [1, -2]]
+    with pytest.raises(InvariantViolation, match="overlapping maximal cones"):
+        Fan(2, rays, [[0, 1], [1, 2], [2, 3], [3, 4], [4, 0]])
+
+
+def test_probe_cross_check_on_corpus(corpus_fans):
+    """1000 seeded random points per corpus fan: each lies in some closed
+    maximal cone and in the interior of at most one."""
+    rng = random.Random(271828)
+    for fan in corpus_fans:
+        n = fan.dimension
+        inverses = [
+            matrix_inverse([[fan.rays[j][i] for j in cone.ray_indices] for i in range(n)])
+            for cone in fan.max_cones
+        ]
+        for _ in range(1000):
+            point = tuple(rng.randint(-10**6, 10**6) for _ in range(n))
+            if not any(point):
+                continue
+            coords = [[sum(a * x for a, x in zip(row, point)) for row in inv]
+                      for inv in inverses]
+            assert any(all(c >= 0 for c in cs) for cs in coords), (fan.name, point)
+            assert sum(all(c > 0 for c in cs) for cs in coords) <= 1, (fan.name, point)
+
+
+def test_anticanonical_polytope_requires_fano():
+    cones = [[0, 1], [1, 2], [2, 3], [3, 0]]
+    f1 = Fan(2, [[1, 0], [0, 1], [-1, 1], [0, -1]], cones)
+    assert f1.degree() == 8
+    for a in (2, 3):
+        fan = Fan(2, [[1, 0], [0, 1], [-1, a], [0, -1]], cones)
+        with pytest.raises(InvariantViolation, match="not Q-Fano"):
+            fan.anticanonical_polytope()
 
 
 def test_fan_rejects_non_simplicial():

@@ -1,19 +1,65 @@
-"""Exact arithmetic and lattice linear algebra."""
+"""Exact arithmetic and lattice linear algebra.
+
+The elimination kernel is checked against independent oracles written here:
+Laplace expansion for determinants and minors, and substitution for solves,
+inverses and kernel vectors.
+"""
 
 import random
 from fractions import Fraction as F
+from itertools import combinations, permutations
 
 import pytest
 
 from toricstab.lattice import (
-    cone_coordinates,
+    adjugate,
     det,
     det_int,
+    kernel_vector,
     matrix_inverse,
     matrix_rank,
     primitivize,
     solve_linear,
 )
+from toricstab.workbench import load_builtin_fan
+
+
+def laplace_det(m):
+    """Determinant by cofactor expansion along the first row."""
+    if not m:
+        return 1
+    return sum(
+        (-1) ** j * m[0][j] * laplace_det([row[:j] + row[j + 1 :] for row in m[1:]])
+        for j in range(len(m))
+        if m[0][j] != 0
+    )
+
+
+def laplace_rank(m):
+    """Size of the largest nonzero minor."""
+    rows, cols = len(m), len(m[0]) if m else 0
+    for size in range(min(rows, cols), 0, -1):
+        for rs in combinations(range(rows), size):
+            for cs in combinations(range(cols), size):
+                if laplace_det([[m[r][c] for c in cs] for r in rs]) != 0:
+                    return size
+    return 0
+
+
+def random_matrix(rng, rows, cols, rational):
+    """A random matrix of rank at most a random r, as a product B C."""
+    def entry():
+        x = rng.randint(-4, 4)
+        return F(x, rng.randint(1, 5)) if rational else x
+
+    r = rng.randint(0, min(rows, cols))
+    b = [[entry() for _ in range(r)] for _ in range(rows)]
+    c = [[entry() for _ in range(cols)] for _ in range(r)]
+    if r == min(rows, cols) and rng.random() < 0.5:
+        # also plain random entries, which are full rank far more often
+        return [[entry() for _ in range(cols)] for _ in range(rows)]
+    return [[sum((b[i][k] * c[k][j] for k in range(r)), 0) for j in range(cols)]
+            for i in range(rows)]
 
 
 def test_primitivize_examples():
@@ -50,53 +96,65 @@ def test_solve_linear_singular():
         solve_linear([[1, 2], [2, 4]], [1, 1])
 
 
-def test_cone_coordinates_examples():
-    assert cone_coordinates((-1, 0), [(0, 1), (-2, -3)]) == (F(3, 2), F(1, 2))
+def test_solve_linear_random():
+    """A x = b holds after substitution; singular exactly when det = 0."""
+    rng = random.Random(17)
+    for trial in range(300):
+        n = rng.randint(1, 6)
+        m = random_matrix(rng, n, n, rational=trial % 2 == 1)
+        b = [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
+        if laplace_det(m) == 0:
+            with pytest.raises(ValueError, match="singular system"):
+                solve_linear(m, b)
+            continue
+        x = solve_linear(m, b)
+        assert all(isinstance(v, F) for v in x)
+        assert [sum(a * v for a, v in zip(row, x)) for row in m] == b
+
+
+def test_cone_coordinates_examples(p123):
+    ci, coords = p123.cone_coordinates((-1, 0))
+    assert coords == (F(3, 2), F(1, 2))
+    assert [p123.rays[i] for i in p123.max_cones[ci].ray_indices] == [(0, 1), (-2, -3)]
     # sum of coordinates is the log discrepancy 2 of that valuation
-    assert sum(cone_coordinates((-1, 0), [(0, 1), (-2, -3)])) == 2
-    assert cone_coordinates((0, 1), [(0, 1), (-2, -3)]) == (F(1), F(0))
-    assert cone_coordinates((1, 1), [(1, 0), (0, 1)]) == (F(1), F(1))
+    assert sum(coords) == 2
+    assert p123.cone_coordinates((0, 1)) == (0, (F(0), F(1)))
+    assert load_builtin_fan("P1xP1").cone_coordinates((1, 1)) == (0, (F(1), F(1)))
+    assert solve_linear([[0, -2], [1, -3]], [0, 1]) == (F(1), F(0))
 
 
-def test_cone_coordinates_outside():
-    assert cone_coordinates((-1, -1), [(1, 0), (0, 1)]) is None
+def test_cone_coordinates_outside(p2):
+    # (-1, -1) lies outside the first quadrant cone: a coordinate is negative
+    assert solve_linear([[1, 0], [0, 1]], [-1, -1]) == (F(-1), F(-1))
+    ci, coords = p2.cone_coordinates((-1, -1))
+    assert (-1, -1) in [p2.rays[i] for i in p2.max_cones[ci].ray_indices]
+    assert sorted(coords) == [0, 1]
 
 
-def test_cone_coordinates_dependent_generators():
-    with pytest.raises(ValueError, match="non-simplicial cone"):
-        cone_coordinates((1, 1), [(1, 0), (2, 0)])
-
-
-def test_cone_coordinates_lower_dimensional_cone():
-    # 1-dim cone inside Z^2: on-span vs off-span
-    assert cone_coordinates((2, 4), [(1, 2)]) == (F(2),)
-    assert cone_coordinates((1, 0), [(1, 2)]) is None
-    assert cone_coordinates((-1, -2), [(1, 2)]) is None
-
-
-def test_cone_coordinates_random_reconstruction():
-    """1000 random (w, simplicial cone) pairs in dims 2..5 reconstruct exactly."""
+def test_cone_coordinates_random_reconstruction(corpus_fans):
+    """1000 random (w, simplicial cone) pairs in dims 2..5 reconstruct exactly,
+    and every fan puts random w in a cone with nonnegative coordinates."""
     rng = random.Random(20240817)
     done = 0
     while done < 1000:
         n = rng.randint(2, 5)
         gens = [tuple(rng.randint(-6, 6) for _ in range(n)) for _ in range(n)]
-        if det([list(g) for g in gens]) == 0:
+        if laplace_det([list(g) for g in gens]) == 0:
             continue
         w = tuple(rng.randint(-30, 30) for _ in range(n))
-        coords = cone_coordinates(w, gens)
-        if coords is None:
-            # verify the verdict: solve without the sign filter
-            raw = solve_linear(
-                [[g[i] for g in gens] for i in range(n)], list(w)
-            )
-            assert any(c < 0 for c in raw)
-        else:
-            rebuilt = tuple(
-                sum(c * g[i] for c, g in zip(coords, gens)) for i in range(n)
-            )
-            assert rebuilt == w
+        coords = solve_linear([[g[i] for g in gens] for i in range(n)], list(w))
+        rebuilt = tuple(sum(c * g[i] for c, g in zip(coords, gens)) for i in range(n))
+        assert rebuilt == w
         done += 1
+    for fan in corpus_fans:
+        for _ in range(50):
+            w = tuple(rng.randint(-30, 30) for _ in range(fan.dimension))
+            ci, coords = fan.cone_coordinates(w)
+            assert all(c >= 0 for c in coords)
+            gens = [fan.rays[i] for i in fan.max_cones[ci].ray_indices]
+            rebuilt = tuple(sum(c * g[i] for c, g in zip(coords, gens))
+                            for i in range(fan.dimension))
+            assert rebuilt == w
 
 
 def test_rational_arithmetic_is_exact():
@@ -116,21 +174,45 @@ def test_rat_invariants_lowest_terms():
     assert x.denominator > 0 and abs(x.numerator) == 3 and x.denominator == 2
 
 
-def test_det_int_matches_fraction_det():
+def test_det_matches_laplace():
     rng = random.Random(11)
+    for trial in range(300):
+        n = rng.randint(1, 6)
+        m = random_matrix(rng, n, n, rational=trial % 2 == 1)
+        expected = laplace_det(m)
+        assert det(m) == expected
+        if trial % 2 == 0:
+            assert det_int(m) == expected
+    # permutation matrices exercise the row swaps
+    for perm in permutations(range(4)):
+        m = [[int(perm[i] == j) for j in range(4)] for i in range(4)]
+        assert det_int(m) == laplace_det(m)
+
+
+def test_adjugate_is_det_times_inverse():
+    rng = random.Random(19)
     for _ in range(200):
-        n = rng.randint(1, 5)
-        m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-        assert det_int(m) == det(m)
+        n = rng.randint(1, 6)
+        m = random_matrix(rng, n, n, rational=False)
+        d = laplace_det(m)
+        result = adjugate(m)
+        if d == 0:
+            assert result is None
+            continue
+        got_det, adj = result
+        assert got_det == d
+        for i in range(n):
+            for j in range(n):
+                assert sum(adj[i][k] * m[k][j] for k in range(n)) == (d if i == j else 0)
 
 
 def test_matrix_inverse_round_trip():
     rng = random.Random(13)
-    for _ in range(100):
-        n = rng.randint(1, 4)
-        m = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+    for trial in range(300):
+        n = rng.randint(1, 6)
+        m = random_matrix(rng, n, n, rational=trial % 2 == 1)
         inv = matrix_inverse(m)
-        if det(m) == 0:
+        if laplace_det(m) == 0:
             assert inv is None
             continue
         for i in range(n):
@@ -143,3 +225,32 @@ def test_matrix_rank():
     assert matrix_rank([[1, 2], [2, 4]]) == 1
     assert matrix_rank([[1, 0], [0, 1]]) == 2
     assert matrix_rank([[0, 0], [0, 0]]) == 0
+    rng = random.Random(23)
+    for trial in range(300):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+        m = random_matrix(rng, rows, cols, rational=trial % 2 == 1)
+        assert matrix_rank(m) == laplace_rank(m)
+
+
+def test_kernel_vector():
+    assert kernel_vector([[1, 1]], 2) == (-1, 1)
+    assert kernel_vector([], 3) == (1, 0, 0)
+    assert kernel_vector([[1, 0], [0, 1]], 2) is None
+    rng = random.Random(29)
+    for trial in range(300):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        m = random_matrix(rng, rows, cols, rational=trial % 2 == 1)
+        k = kernel_vector(m, cols)
+        full_column_rank = any(
+            laplace_det([m[r] for r in rs]) != 0 for rs in combinations(range(rows), cols)
+        )
+        assert (k is None) == full_column_rank
+        if k is None:
+            continue
+        assert all(isinstance(x, int) for x in k) and any(k)
+        assert all(sum(a * x for a, x in zip(row, k)) == 0 for row in m)
+        if max(rows, cols) <= 4:
+            # the first column dependent on the ones before it gets a positive entry
+            ranks = [laplace_rank([row[:c] for row in m]) for c in range(cols + 1)]
+            free = next(c for c in range(cols) if ranks[c + 1] == ranks[c])
+            assert k[free] > 0

@@ -277,6 +277,31 @@ def test_cli_analyze_and_exit_codes(tmp_path, capsys):
     assert main(["analyze", nonfano]) == 3
 
 
+
+def test_json_booleans_rejected(tmp_path, capsys):
+    # bool is an int subclass; true/false must not pass as integers
+    for spec in (
+        {"dim": True, "rays": [[1], [-1]], "cones": [[0], [1]]},
+        {"dim": 1, "rays": [[True], [-1]], "cones": [[0], [1]]},
+        {"dim": 1, "rays": [[1], [-1]], "cones": [[False], [1]]},
+    ):
+        with pytest.raises(ParseError):
+            parse_fan_spec(spec)
+    path = write_spec(tmp_path, {"dim": True, "rays": [[True], [-1]], "cones": [[0], [1]]})
+    assert main(["analyze", path, "--radius", "1"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_cli_rejects_non_fano_hirzebruch(tmp_path, capsys):
+    # F_a has rays (1,0), (0,1), (-1,a), (0,-1); only F_0 and F_1 are Fano
+    for a in (2, 3):
+        spec = {"name": f"F{a}", "dim": 2, "rays": [[1, 0], [0, 1], [-1, a], [0, -1]],
+                "cones": [[0, 1], [1, 2], [2, 3], [3, 0]]}
+        path = write_spec(tmp_path, spec, f"F{a}.json")
+        assert main(["beta", path, "--w", "-1,0"]) == 3
+        assert "not Q-Fano" in capsys.readouterr().err
+        assert main(["analyze", path, "--radius", "1"]) == 3
+
 def test_cli_beta_output(tmp_path, capsys):
     path = write_spec(tmp_path, P123_SPEC)
     assert main(["beta", path, "--w", "-1,0"]) == 0
