@@ -1,8 +1,10 @@
 """Command-line interface.
 
 Commands: analyze, beta, alpha, volfn, screen, verify.
-Exit codes: 0 success, 1 verification mismatch, 2 parse error,
-3 invariant violation, 4 budget exceeded.
+Exit codes: 0 success, 1 verification mismatch, 2 parse error or an
+unreadable input / unwritable output file, 3 invariant violation, 4 budget
+exceeded, 5 internal error (a failed internal consistency check).  Every
+failure is one line on stderr.
 """
 
 from __future__ import annotations
@@ -31,6 +33,15 @@ def _parse_vector(raw: str) -> tuple[int, ...]:
         return tuple(int(part.strip()) for part in raw.split(","))
     except ValueError as exc:
         raise ParseError(f"bad vector {raw!r}: expected comma-separated integers") from exc
+
+
+def _write_file(path: str, write) -> None:
+    """Call write(fh) on `path` opened for text output; ParseError if it cannot be written."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            write(fh)
+    except OSError as exc:
+        raise ParseError(f"cannot write {path!r}: {exc}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,8 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_analyze(args) -> int:
     report = report_json(analyze(load_fan(args.fanspec), radius=args.radius))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(report)
+        _write_file(args.out, lambda fh: fh.write(report))
     else:
         sys.stdout.write(report)
     return 0
@@ -114,8 +124,7 @@ def _cmd_volfn(args) -> int:
         coeffs = ", ".join(rat_str(c) for c in piece)
         print(f"piece[{i}] = [{coeffs}]  (ascending powers of x)")
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            export_volume_csv(fan, val.w, args.samples, fh)
+        _write_file(args.csv, lambda fh: export_volume_csv(fan, val.w, args.samples, fh))
         print(f"wrote {args.samples} samples to {args.csv}")
     return 0
 
@@ -163,6 +172,9 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except AssertionError as exc:
+        print(f"internal error: {exc or 'assertion failed'}", file=sys.stderr)
+        return 5
 
 
 def entry() -> None:

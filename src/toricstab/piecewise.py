@@ -87,7 +87,62 @@ def poly_linear_power(coeffs: Poly, m: int) -> tuple[Fraction, Fraction] | None:
     return (c, r) if expect == cs else None
 
 
+def poly_from_shifted(coeffs: Sequence[Fraction], shift: Fraction) -> Poly:
+    """Ascending coefficients of sum_j coeffs[j] * (x - shift)^j."""
+    acc: list[Fraction] = []
+    for c in reversed(coeffs):
+        # acc <- acc * (x - shift) + c
+        nxt = [Fraction(0)] * (len(acc) + 1)
+        for k, a in enumerate(acc):
+            nxt[k + 1] += a
+            nxt[k] -= shift * a
+        nxt[0] += c
+        acc = nxt
+    return poly_trim(acc)
 
+
+def spline_cdf_jumps(knots: Sequence[Fraction]) -> dict[Fraction, list[Fraction]]:
+    """The B-spline distribution function of `knots`, as one jump per distinct knot.
+
+    For n + 1 knots t_i (repeats allowed, not all equal) let F be the
+    distribution of <u, w> for u uniform on a simplex whose vertices have
+    values t_i (Curry-Schoenberg).  F is a piecewise polynomial of degree n;
+    for distinct knots F(x) = sum_i (x - t_i)_+^n / prod_{j!=i} (t_j - t_i).
+    In general F(x) = sum over distinct knots tau <= x of
+    sum_j jumps[tau][j] * (x - tau)^j, where the jump at tau is the exact
+    confluent divided difference: with m the multiplicity of tau, it is
+    (-1)^n times the residue at z = tau of (x - z)^n / prod_i (z - t_i),
+    i.e. the coefficient of h^(m-1) in the Taylor product
+    (x - tau - h)^n * prod_{t_i != tau} (tau - t_i + h)^-1.
+    """
+    n = len(knots) - 1
+    counts: dict[Fraction, int] = {}
+    for t in knots:
+        counts[t] = counts.get(t, 0) + 1
+    if len(counts) < 2:
+        raise ValueError("spline knots must not all coincide")
+    jumps = {}
+    for tau, m in counts.items():
+        # series[l]: coefficient of h^l in the product over the other knots
+        # sigma, of multiplicity mu, of (d + h)^-mu with d = tau - sigma
+        series = [Fraction(1)] + [Fraction(0)] * (m - 1)
+        for sigma, mu in counts.items():
+            if sigma == tau:
+                continue
+            inv = 1 / (tau - sigma)
+            # (d + h)^-mu = d^-mu * sum_l C(mu + l - 1, l) (-h/d)^l
+            factor = [inv**mu * math.comb(mu + l - 1, l) * (-inv) ** l for l in range(m)]
+            series = [
+                sum((series[i] * factor[l - i] for i in range(l + 1)), Fraction(0))
+                for l in range(m)
+            ]
+        # (x - tau - h)^n = sum_k C(n, k) (-h)^k (x - tau)^(n-k)
+        jump = [Fraction(0)] * (n + 1)
+        for k in range(m):
+            sign = -1 if (n + k) % 2 else 1
+            jump[n - k] = sign * math.comb(n, k) * series[m - 1 - k]
+        jumps[tau] = jump
+    return jumps
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,12 @@ exhaustive n-subset intersection of facet hyperplanes with feasibility
 filtering: exact and perfectly adequate at the facet counts this package
 sees (< 20).
 
-Volume and centroid come from a fan-out triangulation anchored at a chosen
-interior point; facets are triangulated recursively by projecting out one
-coordinate.  Every solve, rank, determinant and kernel vector here goes
+Each polytope triangulates itself once, lazily, on first use: a fan-out
+from its first vertex over a recursive triangulation of the facets that
+avoid it, each facet triangulated by projecting out one coordinate.  So
+every simplex vertex is a vertex of the polytope.  Volume, centroid and
+the closed-form volume functions in `valuations` all read that cached
+triangulation.  Every solve, rank, determinant and kernel vector here goes
 through the fraction-free elimination kernel in `lattice`; simplex
 determinants are `det_int` of the edge vectors scaled to integers.
 """
@@ -20,6 +23,7 @@ import math
 import os
 import warnings
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product
 from typing import Iterable, Optional, Sequence
 
@@ -98,8 +102,9 @@ def triangulate(
     """Triangulate a full-dimensional polytope into rational simplices.
 
     The triangulation fans out from `apex` (default: the vertex average,
-    which lies in the interior) over a recursive triangulation of each
-    facet.  Every returned simplex is a (dim+1)-tuple of points.
+    which lies in the interior; any point of the polytope will do) over a
+    recursive triangulation of each facet that does not contain the apex.
+    Every returned simplex is a nondegenerate (dim+1)-tuple of points.
     """
     if not vertices:
         return []
@@ -108,21 +113,17 @@ def triangulate(
         return [(lo, hi)] if lo != hi else []
     if apex is None:
         apex = _average(vertices)
-    simplices = []
-    for boundary in _boundary_triangulation(halfspaces, vertices, dim):
-        simplex = (apex,) + boundary
-        edges = [vec_sub(p, apex) for p in boundary]
-        if _det_cols(edges) != 0:
-            simplices.append(simplex)
-    return simplices
+    return [(apex,) + boundary for boundary in _boundary_triangulation(halfspaces, vertices, dim, apex)]
 
 
 def _boundary_triangulation(
-    halfspaces: Sequence[HalfSpace], vertices: Sequence[RatVec], dim: int
+    halfspaces: Sequence[HalfSpace], vertices: Sequence[RatVec], dim: int, apex: RatVec
 ) -> Iterable[tuple[RatVec, ...]]:
-    """(dim-1)-simplices covering the boundary of the polytope."""
+    """(dim-1)-simplices covering the facets that do not contain `apex`."""
     canonical = _dedupe(halfspaces)
     for a, b in canonical:
+        if dot(apex, a) == b:
+            continue
         on_facet = [v for v in vertices if dot(v, a) == b]
         if _affine_rank(on_facet) != dim - 1:
             continue
@@ -196,7 +197,7 @@ class RationalPolytope:
 
     Constructed from half-spaces; vertices are enumerated exactly on
     construction.  Instances are immutable in use (nothing mutates after
-    construction) and cache their volume data.
+    construction) and cache their triangulation and volume data.
     """
 
     def __init__(
@@ -219,7 +220,6 @@ class RationalPolytope:
             [a for a, _ in self.halfspaces], dim
         ) is not None:
             raise InvariantViolation("unbounded polyhedron")
-        self._vol_cache: dict = {}
 
     # -- basic queries ----------------------------------------------------
 
@@ -237,40 +237,41 @@ class RationalPolytope:
 
     # -- volume and centroid ----------------------------------------------
 
-    def _volume_data(self, base_point: Optional[RatVec] = None) -> tuple[Fraction, RatVec]:
-        if not self.is_full_dimensional():
-            warnings.warn("lower-dimensional polytope: volume 0", stacklevel=3)
-            return Fraction(0), _average(self.vertices)
-        key = base_point if base_point is not None else ("default",)
-        if key not in self._vol_cache:
-            simplices = triangulate(self.halfspaces, self.vertices, self.dim, apex=base_point)
-            total = Fraction(0)
-            weighted = [Fraction(0)] * self.dim
-            fact = math.factorial(self.dim)
-            for simplex in simplices:
-                edges = [vec_sub(p, simplex[0]) for p in simplex[1:]]
-                vol = abs(_det_cols(edges)) / fact
-                if vol == 0:
-                    continue
-                total += vol
-                centroid = _average(simplex)
-                for i in range(self.dim):
-                    weighted[i] += vol * centroid[i]
-            centroid = tuple(
-                w / total if total else c for w, c in zip(weighted, _average(self.vertices))
-            )
-            self._vol_cache[key] = (total, centroid)
-        return self._vol_cache[key]
+    @cached_property
+    def triangulation(self) -> tuple[tuple[tuple[RatVec, ...], Fraction], ...]:
+        """Simplices covering the polytope, each with dim! times its volume.
 
-    def volume(self, base_point: Optional[RatVec] = None) -> Fraction:
-        """Exact Euclidean volume via fan-out triangulation from an interior point."""
-        return self._volume_data(base_point)[0]
+        The fan-out apex is the first vertex, so every simplex vertex is a
+        vertex of the polytope.  Built once, on first use.
+        """
+        return tuple(
+            (simplex, abs(_det_cols([vec_sub(p, simplex[0]) for p in simplex[1:]])))
+            for simplex in triangulate(self.halfspaces, self.vertices, self.dim, apex=self.vertices[0])
+        )
+
+    @cached_property
+    def _volume_data(self) -> tuple[Fraction, RatVec]:
+        if not self.is_full_dimensional():
+            warnings.warn("lower-dimensional polytope: volume 0", stacklevel=4)
+            return Fraction(0), _average(self.vertices)
+        total = Fraction(0)
+        weighted = [Fraction(0)] * self.dim
+        for simplex, mass in self.triangulation:
+            total += mass
+            centroid = _average(simplex)
+            for i in range(self.dim):
+                weighted[i] += mass * centroid[i]
+        return total / math.factorial(self.dim), tuple(w / total for w in weighted)
+
+    def volume(self) -> Fraction:
+        """Exact Euclidean volume: the sum over the cached triangulation."""
+        return self._volume_data[0]
 
     def barycenter(self) -> RatVec:
-        """Exact centroid: volume-weighted average of triangulation simplex centroids."""
+        """Exact centroid: volume-weighted average of the cached simplices' centroids."""
         if not self.is_full_dimensional():
             raise InvariantViolation("barycenter of a degenerate polytope")
-        return self._volume_data()[1]
+        return self._volume_data[1]
 
     # -- derived structure -------------------------------------------------
 

@@ -16,9 +16,16 @@ exact polytope computation:
                        walls of the star subdivision at w.
 
 The volume function is piecewise polynomial with breakpoints exactly at the
-values A(w) + <vertex, w>; each closed piece is recovered by exact Lagrange
-interpolation of sliced-polytope volumes, so every coefficient is an exact
-rational number.
+values A(w) + <vertex, w>.  It is read in closed form from the triangulation
+of P cached on the polytope (Lawrence, Math. Comp. 57, 1991): pushed
+forward along u -> A(w) + <u, w>, the uniform measure on a simplex S has a
+B-spline density whose knots are the values at the vertices of S
+(Curry-Schoenberg, 1966).  Every simplex vertex is a vertex of P, so every
+knot is a breakpoint, and on each piece vol is dim! * sum_S vol(S) *
+(1 - F_S(x)), where F_S is the exact confluent divided difference of
+(x - t)^n over the knots of S at or below the piece's left end
+(`piecewise.spline_cdf_jumps`).  Repeated knots are handled exactly, with
+no perturbation, so every coefficient is an exact rational number.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from functools import lru_cache
 from .errors import InvariantViolation
 from .fans import Fan
 from .lattice import LatticeVec, dot, gcd_vec, primitivize
-from .piecewise import PiecewisePolynomial, lagrange_interpolate
+from .piecewise import PiecewisePolynomial, poly_from_shifted, spline_cdf_jumps
 
 
 @dataclass(frozen=True)
@@ -87,27 +94,37 @@ def pseff_threshold(val: ToricValuation) -> Fraction:
 
 @lru_cache(maxsize=None)
 def volume_function(val: ToricValuation) -> PiecewisePolynomial:
-    """Exact piecewise polynomial x -> vol(-K - x w) on [0, tau]."""
+    """Exact piecewise polynomial x -> vol(-K - x w) on [0, tau].
+
+    Each simplex S of the cached triangulation of P contributes
+    dim! vol(S) * (1 - F_S(x)), with F_S the spline distribution function of
+    its knots A(w) + <v, w>.  The knots are breakpoints, so each piece is the
+    degree minus the jumps of every F_S at the breakpoints up to its left end.
+    """
     fan = val.fan
     n = fan.dimension
     poly = fan.anticanonical_polytope()
     a_disc = log_discrepancy(val)
-    values = sorted({a_disc + dot(v, val.w) for v in poly.vertices})
+    at = {v: a_disc + dot(v, val.w) for v in poly.vertices}
+    values = sorted(set(at.values()))
     if values[0] != 0:
         raise AssertionError("volume function must start at x = 0")
-    nfact = math.factorial(n)
+    # shifted[t][j]: coefficient of (x - t)^j in the total jump at breakpoint t
+    shifted = {t: [Fraction(0)] * (n + 1) for t in values[:-1]}
+    for simplex, mass in poly.triangulation:
+        for t, jump in spline_cdf_jumps([at[v] for v in simplex]).items():
+            if t in shifted:
+                total = shifted[t]
+                for j, c in enumerate(jump):
+                    total[j] += mass * c
+    degree = math.factorial(n) * poly.volume()
+    current = [degree] + [Fraction(0)] * n
     pieces = []
-    for left, right in zip(values, values[1:]):
-        span = right - left
-        points = []
-        for i in range(n + 1):
-            # n+1 interior sample points determine the degree-<=n piece
-            x = left + span * Fraction(i + 1, n + 2)
-            sliced = poly.sliced(val.w, x - a_disc)
-            points.append((x, nfact * sliced.volume()))
-        pieces.append(lagrange_interpolate(points))
+    for left in values[:-1]:
+        for j, c in enumerate(poly_from_shifted(shifted[left], left)):
+            current[j] -= c
+        pieces.append(tuple(current))
     result = PiecewisePolynomial(tuple(values), tuple(pieces))
-    degree = nfact * poly.volume()
     if result(0) != degree or result(values[-1]) != 0:
         raise AssertionError("volume function endpoint values are wrong")
     if not result.is_c1():

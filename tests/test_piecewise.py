@@ -1,5 +1,7 @@
 """Polynomial pieces: interpolation, calculus, root comparisons."""
 
+import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -13,8 +15,10 @@ from toricstab.piecewise import (
     poly_antiderivative,
     poly_derivative,
     poly_eval,
+    poly_from_shifted,
     poly_linear_power,
     poly_trim,
+    spline_cdf_jumps,
 )
 
 
@@ -127,3 +131,53 @@ def test_midpoint_root_concave_rejects_negative():
     fn = PiecewisePolynomial((F(0), F(4)), ((F(-1), F(1)),))
     with pytest.raises(ValueError, match="nonnegative"):
         midpoint_root_concave(fn, 2, F(0), F(2))
+
+
+def cdf_on_piece(knots, left):
+    """Ascending coefficients of the spline distribution function just above `left`."""
+    total = [F(0)] * len(knots)
+    for tau, jump in spline_cdf_jumps(knots).items():
+        if tau <= left:
+            for k, c in enumerate(poly_from_shifted(jump, tau)):
+                total[k] += c
+    return poly_trim(total)
+
+
+def test_poly_from_shifted():
+    assert poly_from_shifted([F(1), F(2), F(3)], F(1)) == (F(2), F(-4), F(3))
+    assert poly_from_shifted([F(0), F(0), F(1)], F(-2)) == (F(4), F(4), F(1))
+    assert poly_from_shifted([F(5)], F(7)) == (F(5),)
+
+
+def test_spline_cdf_repeated_knots():
+    """Confluent divided differences on (0, 1), where the knots 0 lie below x."""
+    assert cdf_on_piece([F(0), F(1)], F(0)) == (F(0), F(1))
+    # 1 - (1 - x)^2
+    assert cdf_on_piece([F(0), F(0), F(1)], F(0)) == (F(0), F(2), F(-1))
+    assert cdf_on_piece([F(0), F(1), F(1)], F(0)) == (F(0), F(0), F(1))
+    assert cdf_on_piece([F(0), F(0), F(1), F(1)], F(0)) == (F(0), F(0), F(3), F(-2))
+    # every knot at or below x: the whole mass
+    for knots in ([F(0), F(0), F(1)], [F(0), F(1), F(1)], [F(0), F(0), F(1), F(1)]):
+        assert cdf_on_piece(knots, F(1)) == (F(1),)
+    with pytest.raises(ValueError, match="coincide"):
+        spline_cdf_jumps([F(2), F(2), F(2)])
+
+
+def test_spline_cdf_distinct_knots_random():
+    """Distinct knots: the jumps sum to sum_i (x - t_i)^n / prod_{j!=i} (t_j - t_i)."""
+    rng = random.Random(2024)
+    for trial in range(40):
+        n = 1 + trial % 5
+        knots = sorted(F(rng.randint(-40, 40), rng.randint(1, 6)) for _ in range(n + 1))
+        if len(set(knots)) != n + 1:
+            continue
+        rng.shuffle(knots)
+        for left in sorted(knots)[:-1]:
+            expected = [F(0)] * (n + 1)
+            for i, ti in enumerate(knots):
+                if ti > left:
+                    continue
+                denom = math.prod(tj - ti for j, tj in enumerate(knots) if j != i)
+                for k in range(n + 1):
+                    expected[k] += math.comb(n, k) * (-ti) ** (n - k) / denom
+            assert cdf_on_piece(knots, left) == poly_trim(expected)

@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 from toricstab.errors import BudgetExceeded, InvariantViolation
-from toricstab.lattice import kernel_vector, matrix_rank, primitivize
+from toricstab.lattice import det, kernel_vector, matrix_rank, primitivize
 from toricstab.polytopes import (
     RationalPolytope,
     enumerate_vertices,
@@ -128,18 +128,22 @@ def _random_bounded_polytope(rng, dim):
 
 
 def test_volume_triangulation_independent():
-    """Fan-out volumes from two different interior base points agree exactly,
-    for 50 random polytopes in dims 2..4."""
+    """Fan-out simplices from an interior apex sum to the volume read from the
+    cached vertex-apex triangulation, for 50 random polytopes in dims 2..4."""
     rng = random.Random(555)
     for trial in range(50):
         dim = 2 + trial % 3
         poly = _random_bounded_polytope(rng, dim)
-        default_base = poly.volume()
         k = len(poly.vertices)
         average = tuple(sum(col, F(0)) / k for col in zip(*poly.vertices))
         shifted = tuple((a + v) / 2 for a, v in zip(average, poly.vertices[0]))
         assert poly.contains(shifted, strict=True)
-        assert poly.volume(base_point=shifted) == default_base
+        total = F(0)
+        for simplex in triangulate(poly.halfspaces, poly.vertices, dim, apex=shifted):
+            edges = [[p - q for p, q in zip(point, simplex[0])] for point in simplex[1:]]
+            total += abs(det(edges)) / math.factorial(dim)
+        assert total == poly.volume()
+        assert sum(mass for _, mass in poly.triangulation) == math.factorial(dim) * total
 
 
 def test_triangulate_simplex_count():

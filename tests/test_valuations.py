@@ -6,7 +6,9 @@ from fractions import Fraction as F
 import pytest
 
 from toricstab.errors import InvariantViolation
+from toricstab.corpus import builtin_fan_specs
 from toricstab.lattice import dot
+from toricstab.piecewise import PiecewisePolynomial, lagrange_interpolate
 from toricstab.valuations import (
     ToricValuation,
     beta_invariant,
@@ -104,6 +106,43 @@ def test_volume_function_is_c1_and_monotone(square, cube, dp8):
             samples = [tau * F(i, 23) for i in range(24)]
             values = [fn(x) for x in samples]
             assert all(a >= b for a, b in zip(values, values[1:]))
+
+
+def sliced_volume_function(v):
+    """The slice-and-interpolate volume function, kept as an independent oracle.
+
+    Each piece is the Lagrange interpolant of n + 1 exact volumes of P cut
+    by <u, w> >= x - A(w) at interior points x of the piece.
+    """
+    n = v.fan.dimension
+    poly = v.fan.anticanonical_polytope()
+    a_disc = log_discrepancy(v)
+    values = sorted({a_disc + dot(u, v.w) for u in poly.vertices})
+    pieces = []
+    for left, right in zip(values, values[1:]):
+        points = []
+        for i in range(n + 1):
+            x = left + (right - left) * F(i + 1, n + 2)
+            points.append((x, math.factorial(n) * poly.sliced(v.w, x - a_disc).volume()))
+        pieces.append(lagrange_interpolate(points))
+    return PiecewisePolynomial(tuple(values), tuple(pieces))
+
+
+def test_volume_function_matches_sliced_oracle():
+    """Closed-form pieces equal the slice-and-interpolate ones exactly.
+
+    Every corpus fan of dimension <= 3 at radius 1, and P4 at w orthogonal
+    to edges of P, where simplices have repeated low and high knots.
+    """
+    cases = []
+    for name in builtin_fan_specs():
+        fan = load_builtin_fan(name)
+        if fan.dimension <= 3:
+            cases.extend(valuation_battery(fan, 1))
+    p4 = load_builtin_fan("P4")
+    cases.extend(val(p4, w) for w in ((1, 0, 0, 0), (1, 1, 0, 0), (1, -1, 0, 0)))
+    for v in cases:
+        assert volume_function(v) == sliced_volume_function(v), (v.fan.name, v.w)
 
 
 def test_section_count_oracle(p123):

@@ -1,5 +1,6 @@
 """Fan documents, batteries, reports, screening, CSV, CLI exit codes."""
 
+import hashlib
 import io
 import json
 from fractions import Fraction as F
@@ -209,6 +210,30 @@ def test_report_determinism(tmp_path, p123):
     assert any("dreaminess" in a for a in parsed["assumptions"])
 
 
+# SHA-256 of whole reports, recorded from the slice-and-interpolate volume
+# function; any change to a report byte is a change of behaviour
+REPORT_DIGESTS = {
+    ("P(1,2,3)", 4): "3c1d8920ef02f2cd139cc20dcd6702bfa122d3359d1e4763a0b64d71542ede8e",
+    ("dP6", 2): "211ba1e50fdcbf569aef6bff8582b3add7d9ddf28e36fec56ffd1ee618d4e958",
+    ("P3", 1): "fe41b848bf03bd91b00507e8d1ee9e7725b266e66ae29f5655fe0c1a8d71b086",
+    ("P1xP1xP1", 1): "9ff83f8c82713fc6b8d0096a2e506bd27f1b2234c04be2ec769cc453b938d960",
+}
+VOLFN_DIGEST = "abd3974c4f1fbaaff7203bd2d3840d8dfac8a555cfcde8eed11504a1c782400e"
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_report_bytes_pinned(tmp_path, capsys):
+    for (name, radius), digest in REPORT_DIGESTS.items():
+        text = report_json(analyze(load_builtin_fan(name), radius))
+        assert sha256(text) == digest, (name, radius)
+    path = write_spec(tmp_path, P123_SPEC)
+    assert main(["volfn", path, "--w", "-1,0"]) == 0
+    assert sha256(capsys.readouterr().out) == VOLFN_DIGEST
+
+
 def test_report_rats_in_lowest_terms(p123):
     report = json.loads(report_json(analyze(p123, radius=1)))
 
@@ -326,6 +351,29 @@ def test_cli_screen(tmp_path, capsys):
     assert main(["screen", path, "--radius", "2"]) == 0
     parsed = json.loads(capsys.readouterr().out)
     assert parsed["verdict"].startswith("singular counterexample")
+
+
+def test_cli_unwritable_output_exit_code(tmp_path, capsys):
+    path = write_spec(tmp_path, P123_SPEC)
+    missing = tmp_path / "no-such-dir" / "out"
+    assert main(["analyze", path, "--radius", "1", "--out", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write") and err.count("\n") == 1
+    assert main(["volfn", path, "--w", "-1,0", "--csv", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write") and err.count("\n") == 1
+
+
+def test_cli_internal_error_exit_code(monkeypatch, tmp_path, capsys):
+    path = write_spec(tmp_path, P123_SPEC)
+
+    def failed_check(val):
+        raise AssertionError("nef threshold is unbounded, fan cannot be complete")
+
+    monkeypatch.setattr("toricstab.valuations.nef_threshold", failed_check)
+    assert main(["beta", path, "--w", "-1,0"]) == 5
+    err = capsys.readouterr().err
+    assert err == "internal error: nef threshold is unbounded, fan cannot be complete\n"
 
 
 def test_cli_budget_exit_code(monkeypatch, tmp_path):
