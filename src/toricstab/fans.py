@@ -3,6 +3,7 @@
 A fan is given by primitive integer ray generators and maximal cones listed
 as ray index sets.  Validation enforces, eagerly and exactly:
 
+  * a dimension, ray coordinates and cone indices of exact type int;
   * primitive, nonzero, pairwise distinct rays, each used by some cone;
   * every maximal cone simplicial and full-dimensional;
   * completeness: every wall (facet of a maximal cone) is shared by exactly
@@ -47,12 +48,19 @@ class Fan:
         max_cones: Sequence[Sequence[int]],
         name: str = "",
     ):
-        self.dimension = int(dimension)
+        rays = tuple(tuple(r) for r in rays)
+        max_cones = tuple(tuple(c) for c in max_cones)
+        # exact types, as for FanSpec documents: never truncate a float or bool
+        if type(dimension) is not int:
+            raise InvariantViolation(f"dimension {dimension!r} is not an int")
+        if any(type(x) is not int for r in rays for x in r):
+            raise InvariantViolation("ray coordinates must be ints")
+        if any(type(i) is not int for c in max_cones for i in c):
+            raise InvariantViolation("cone ray indices must be ints")
+        self.dimension = dimension
         self.name = name
-        self.rays: tuple[LatticeVec, ...] = tuple(tuple(int(x) for x in r) for r in rays)
-        self.max_cones: tuple[Cone, ...] = tuple(
-            Cone(tuple(sorted(int(i) for i in c))) for c in max_cones
-        )
+        self.rays: tuple[LatticeVec, ...] = rays
+        self.max_cones: tuple[Cone, ...] = tuple(Cone(tuple(sorted(c))) for c in max_cones)
         # per cone, the multiplicity |det| and |det| * inverse of the
         # ray-column matrix, from one kernel call: adj . w is w's cone
         # coordinates times |det|, so sign tests decide membership without

@@ -12,8 +12,9 @@ exact polytope computation:
   * volume function    vol(x) = n! * vol(P cut to {<u, w> >= x - A(w)});
   * pseudo-effective threshold  tau(w) = A(w) + max_P <u, w>;
   * beta invariant     beta(w) = A(w) * degree - integral of vol over [0, tau];
-  * nef threshold      eps(w), from support-function convexity across the
-                       walls of the star subdivision at w.
+  * nef threshold      eps(w) = A(w) + the second-smallest distinct value of
+                       <v, w> over the vertices v of P, the first positive
+                       knot of vol.
 
 The volume function is piecewise polynomial with breakpoints exactly at the
 values A(w) + <vertex, w>.  It is read in closed form from the triangulation
@@ -33,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import InvariantViolation
 from .fans import Fan
@@ -53,7 +54,9 @@ class ToricValuation:
     w: LatticeVec
 
     def __post_init__(self):
-        object.__setattr__(self, "w", tuple(int(x) for x in self.w))
+        object.__setattr__(self, "w", tuple(self.w))
+        if any(type(x) is not int for x in self.w):
+            raise InvariantViolation(f"valuation vector {self.w} must have int entries")
         if len(self.w) != self.fan.dimension:
             raise InvariantViolation(
                 f"valuation vector length {len(self.w)} != fan dimension {self.fan.dimension}"
@@ -72,6 +75,11 @@ class ToricValuation:
     def primitivized(self) -> "ToricValuation":
         return ToricValuation(self.fan, primitivize(self.w))
 
+    @cached_property
+    def _cone_coordinates(self) -> tuple[int, tuple[Fraction, ...]]:
+        """(index of a maximal cone containing w, w's coordinates in it), located once."""
+        return self.fan.cone_coordinates(self.w)
+
 
 def log_discrepancy(val: ToricValuation) -> Fraction:
     """Sum of the cone coordinates of w in a containing maximal cone.
@@ -79,7 +87,7 @@ def log_discrepancy(val: ToricValuation) -> Fraction:
     Well-defined on shared faces: coordinates on rays outside the minimal
     containing cone vanish.
     """
-    _, coords = val.fan.cone_coordinates(val.w)
+    _, coords = val._cone_coordinates
     total = sum(coords, Fraction(0))
     if total <= 0:
         raise AssertionError(f"log discrepancy of {val.w} not positive")
@@ -175,54 +183,22 @@ def center_codim(val: ToricValuation) -> int:
 
 @lru_cache(maxsize=None)
 def nef_threshold(val: ToricValuation) -> Fraction:
-    """Largest eps with (pullback of -K) - eps*F nef on the extraction model.
+    """Largest eps with (pullback of -K) - eps*E nef on the extraction model.
 
-    For primitive w not a fan ray the model is the star subdivision at w;
-    the divisor has support value 1 on original rays and A(w) - eps at w,
-    and nefness is convexity of that support function across every wall.
-    Each wall gives one affine inequality in eps; the threshold is the least
-    upper bound.  Ray multiples are handled on the original fan (the divisor
-    already lives on X) and non-primitive w scales linearly.
+    This is A(w) plus the second-smallest distinct value of <v, w> over the
+    vertices v of P: the first positive knot of the volume function.  On a
+    complete toric variety D is nef exactly when it is basepoint free, i.e.
+    when every Cartier datum m_sigma lies in the polytope of D
+    (Cox-Little-Schenck, *Toric Varieties*, Thms 6.1.7 and 6.3.12).  For D_x = pi*(-K) - x*E that
+    polytope is P cut to {<u, w> >= x - A(w)}.  A cone not containing w has
+    m_sigma a vertex of P off the face minimising <., w>; a cone containing
+    w has m_sigma on that face at x = 0, sliding along an edge of P towards
+    a vertex off it as x grows.  So nefness ends at the first such vertex.
+    The formula is homogeneous in w, so non-primitive w and ray multiples
+    need no special case.
     """
-    mult = val.multiplicity
-    w0 = primitivize(val.w)
-    fan = val.fan
-    ray_idx = fan.ray_index(w0)
-    if ray_idx is not None:
-        model, special = fan, ray_idx
-        a_disc = Fraction(1)
-    else:
-        model = fan.star_subdivision(w0)
-        special = model.ray_index(w0)
-        a_disc = log_discrepancy(ToricValuation(fan, w0))
-
-    def support(e: Fraction) -> list[Fraction]:
-        return [
-            a_disc - e if i == special else Fraction(1)
-            for i in range(len(model.rays))
-        ]
-
-    h0, h1 = support(Fraction(0)), support(Fraction(1))
-    bounds: list[Fraction] = []
-    for shared, ci, cj in model.walls():
-        cone = model.max_cones[ci].ray_indices
-        m_at_0 = model.linear_form(ci, [h0[i] for i in cone])
-        m_at_1 = model.linear_form(ci, [h1[i] for i in cone])
-        opposite = next(
-            i for i in model.max_cones[cj].ray_indices if i not in shared
-        )
-        v_opp = model.rays[opposite]
-        # h(v_opp) - <m(e), v_opp> = c0 + c1 * e must stay >= 0
-        c0 = h0[opposite] - dot(m_at_0, v_opp)
-        at1 = h1[opposite] - dot(m_at_1, v_opp)
-        c1 = at1 - c0
-        if c0 < 0:
-            raise AssertionError("pullback of the anticanonical divisor must be nef")
-        if c1 < 0:
-            bounds.append(-c0 / c1)
-    if not bounds:
-        raise AssertionError("nef threshold is unbounded, fan cannot be complete")
-    return mult * min(bounds)
+    values = sorted({dot(v, val.w) for v in val.fan.anticanonical_polytope().vertices})
+    return log_discrepancy(val) + values[1]
 
 
 # -- bundled profile ----------------------------------------------------------

@@ -31,6 +31,23 @@ def test_fan_rejects_unused_ray():
         Fan(2, [[1, 0], [0, 1], [-1, -1], [1, 1]], [[0, 1], [1, 2], [2, 0]])
 
 
+def test_fan_rejects_non_int_entries():
+    """Floats and bools are refused, never truncated into a valid fan."""
+    rays = [[1, 0], [0, 1], [-1, -1]]
+    cones = [[0, 1], [1, 2], [2, 0]]
+    Fan(2, rays, cones)  # fine: P2
+    with pytest.raises(InvariantViolation, match="ray coordinates"):
+        Fan(2, [[1.5, 0], [0, 1], [-1, -1]], cones)
+    with pytest.raises(InvariantViolation, match="ray coordinates"):
+        Fan(2, [[True, False], [0, 1], [-1, -1]], cones)
+    with pytest.raises(InvariantViolation, match="cone ray indices"):
+        Fan(2, rays, [[0, 1.0], [1, 2], [2, 0]])
+    with pytest.raises(InvariantViolation, match="cone ray indices"):
+        Fan(2, rays, [[False, True], [1, 2], [2, 0]])
+    with pytest.raises(InvariantViolation, match="dimension"):
+        Fan(2.0, rays, cones)
+
+
 def test_fan_rejects_gap():
     # missing the third quadrant cone
     with pytest.raises(InvariantViolation, match="fan not complete"):

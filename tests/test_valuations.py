@@ -2,12 +2,13 @@
 
 import math
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
 from toricstab.errors import InvariantViolation
 from toricstab.corpus import builtin_fan_specs
-from toricstab.lattice import dot
+from toricstab.lattice import dot, primitivize
 from toricstab.piecewise import PiecewisePolynomial, lagrange_interpolate
 from toricstab.valuations import (
     ToricValuation,
@@ -37,6 +38,14 @@ def test_valuation_rejects_zero(p2):
 def test_valuation_rejects_dimension_mismatch(p2):
     with pytest.raises(InvariantViolation, match="dimension"):
         val(p2, (1, 0, 0))
+
+
+def test_valuation_rejects_non_int_entries(p2):
+    """Floats and bools are refused, never truncated to a lattice vector."""
+    assert val(p2, [1, 0]).w == (1, 0)
+    for w in ((1.9, 0), (True, False), (F(1), 0)):
+        with pytest.raises(InvariantViolation, match="int entries"):
+            val(p2, w)
 
 
 def test_log_discrepancy_examples(p123, corpus_fans):
@@ -280,15 +289,15 @@ def test_nef_threshold_examples(p123, square, cube, dp8, p2):
     for n in range(2, 6):
         fan = load_builtin_fan(f"P{n}")
         assert nef_threshold(val(fan, (1,) * n)) == n + 1
-    # wall inequalities of the subdivided square fan give exactly 2
-    # (cross-checked by blowup intersection theory and by the first
-    # breakpoint of the volume function)
+    # the diagonal of the square: the first positive knot is exactly 2
+    # (cross-checked by blowup intersection theory and by the wall oracle)
     assert nef_threshold(val(square, (1, 1))) == 2
     assert nef_threshold(val(cube, (1, 1, 1))) == 2
-    # ray cases run on the original fan
+    # ray cases: the divisor already lives on X
     assert nef_threshold(val(p2, (1, 0))) == 3
     assert nef_threshold(val(dp8, (1, 0))) == 1
-    # the exceptional ray: wall bounds and intersection theory both give 2
+    # the exceptional ray: the first positive knot and intersection theory
+    # both give 2
     assert nef_threshold(val(dp8, (1, 1))) == 2
 
 
@@ -296,6 +305,85 @@ def test_nef_threshold_ray_multiple_scales(p123, p2):
     assert nef_threshold(val(p123, (2, 0))) == 2 * nef_threshold(val(p123, (1, 0)))
     assert nef_threshold(val(p2, (3, 3))) == 3 * nef_threshold(val(p2, (1, 1)))
     assert nef_threshold(val(p123, (-2, 0))) == 6
+
+
+def wall_nef_threshold(v):
+    """The star-subdivision nef threshold, kept as an independent oracle.
+
+    For primitive w not a fan ray the model is the star subdivision at w;
+    the divisor has support value 1 on original rays and A(w) - eps at w,
+    and nefness is convexity of that support function across every wall.
+    Each wall gives one affine inequality in eps; the threshold is the least
+    upper bound.  Ray multiples are handled on the original fan (the divisor
+    already lives on X) and non-primitive w scales linearly.
+    """
+    fan = v.fan
+    w0 = primitivize(v.w)
+    ray_idx = fan.ray_index(w0)
+    if ray_idx is not None:
+        model, special = fan, ray_idx
+        a_disc = F(1)
+    else:
+        model = fan.star_subdivision(w0)
+        special = model.ray_index(w0)
+        a_disc = log_discrepancy(val(fan, w0))
+
+    def support(e):
+        return [a_disc - e if i == special else F(1) for i in range(len(model.rays))]
+
+    h0, h1 = support(F(0)), support(F(1))
+    bounds = []
+    for shared, ci, cj in model.walls():
+        cone = model.max_cones[ci].ray_indices
+        m_at_0 = model.linear_form(ci, [h0[i] for i in cone])
+        m_at_1 = model.linear_form(ci, [h1[i] for i in cone])
+        opposite = next(i for i in model.max_cones[cj].ray_indices if i not in shared)
+        v_opp = model.rays[opposite]
+        # h(v_opp) - <m(e), v_opp> = c0 + c1 * e must stay >= 0
+        c0 = h0[opposite] - dot(m_at_0, v_opp)
+        c1 = h1[opposite] - dot(m_at_1, v_opp) - c0
+        assert c0 >= 0, "pullback of the anticanonical divisor must be nef"
+        if c1 < 0:
+            bounds.append(-c0 / c1)
+    return v.multiplicity * min(bounds)
+
+
+def test_nef_threshold_matches_wall_oracle(corpus_fans):
+    """The first positive knot equals the star-subdivision wall bound exactly.
+
+    Every nonzero w, primitive or not, on every corpus fan (radius 2 in
+    dimension <= 2, radius 1 above); then every nonzero w in {-1,0,1}^n on
+    each Fano star subdivision of a corpus fan of dimension <= 3 at a
+    u in {-1,0,1}^n.
+    """
+
+    def nonzero(n, radius):
+        return [w for w in product(range(-radius, radius + 1), repeat=n) if any(w)]
+
+    cases = []
+    for fan in corpus_fans:
+        cases.extend((fan, w) for w in nonzero(fan.dimension, 2 if fan.dimension <= 2 else 1))
+    assert len(cases) == 570
+    subdivisions = []
+    for fan in corpus_fans:
+        if fan.dimension > 3:
+            continue
+        for u in nonzero(fan.dimension, 1):
+            if fan.ray_index(u) is not None:
+                continue
+            sub = fan.star_subdivision(u)
+            try:
+                sub.anticanonical_polytope()
+            except InvariantViolation:
+                continue
+            subdivisions.append(sub)
+    assert len(subdivisions) == 54
+    for sub in subdivisions:
+        cases.extend((sub, w) for w in nonzero(sub.dimension, 1))
+    assert len(cases) == 570 + 990
+    for fan, w in cases:
+        v = val(fan, w)
+        assert nef_threshold(v) == wall_nef_threshold(v), (fan.name, w)
 
 
 def test_nef_threshold_bounded_by_tau(corpus_fans):
