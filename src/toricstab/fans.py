@@ -31,6 +31,14 @@ from .lattice import LatticeVec, RatVec, adjugate, dot, primitivize
 from .polytopes import RationalPolytope
 
 
+def _int_vector(v: Sequence[int], what: str = "vector entries") -> tuple[int, ...]:
+    """v as a tuple, refusing any entry whose type is not exactly int."""
+    v = tuple(v)
+    if any(type(x) is not int for x in v):
+        raise InvariantViolation(f"{what} must be ints")
+    return v
+
+
 @dataclass(frozen=True)
 class Cone:
     """A maximal cone of a fan, as indices into the host fan's ray table."""
@@ -48,15 +56,11 @@ class Fan:
         max_cones: Sequence[Sequence[int]],
         name: str = "",
     ):
-        rays = tuple(tuple(r) for r in rays)
-        max_cones = tuple(tuple(c) for c in max_cones)
         # exact types, as for FanSpec documents: never truncate a float or bool
         if type(dimension) is not int:
             raise InvariantViolation(f"dimension {dimension!r} is not an int")
-        if any(type(x) is not int for r in rays for x in r):
-            raise InvariantViolation("ray coordinates must be ints")
-        if any(type(i) is not int for c in max_cones for i in c):
-            raise InvariantViolation("cone ray indices must be ints")
+        rays = tuple(_int_vector(r, "ray coordinates") for r in rays)
+        max_cones = tuple(_int_vector(c, "cone ray indices") for c in max_cones)
         self.dimension = dimension
         self.name = name
         self.rays: tuple[LatticeVec, ...] = rays
@@ -157,13 +161,8 @@ class Fan:
         mult = self._cone_mults[ci]
         return ci, tuple(Fraction(x, mult) for x in self._scaled_coords(ci, w))
 
-    def minimal_cone_dimension(self, w: Sequence[int]) -> int:
-        """Dimension of the smallest fan cone containing w."""
-        ci = self.containing_cone(w)
-        return sum(1 for s in self._scaled_coords(ci, w) if s > 0)
-
     def ray_index(self, v: Sequence[int]) -> Optional[int]:
-        return self._ray_lookup.get(tuple(int(x) for x in v))
+        return self._ray_lookup.get(_int_vector(v))
 
     def is_smooth(self) -> bool:
         """True iff every maximal cone's rays form a lattice basis (|det| = 1)."""
@@ -211,7 +210,7 @@ class Fan:
         swapping w for each generator it has positive coordinate on; cones
         not containing w survive unchanged.
         """
-        w = tuple(int(x) for x in w)
+        w = _int_vector(w)
         if primitivize(w) != w:
             raise InvariantViolation("star subdivision requires a primitive vector")
         if self.ray_index(w) is not None:

@@ -7,14 +7,17 @@ exhaustive n-subset intersection of facet hyperplanes with feasibility
 filtering: exact and perfectly adequate at the facet counts this package
 sees (< 20).
 
-Each polytope triangulates itself once, lazily, on first use: a fan-out
-from its first vertex over a recursive triangulation of the facets that
-avoid it, each facet triangulated by projecting out one coordinate.  So
-every simplex vertex is a vertex of the polytope.  Volume, centroid and
-the closed-form volume functions in `valuations` all read that cached
-triangulation.  Every solve, rank, determinant and kernel vector here goes
-through the fraction-free elimination kernel in `lattice`; simplex
-determinants are `det_int` of the edge vectors scaled to integers.
+Each polytope triangulates itself once, lazily, on first use: the pulling
+triangulation for its lex-sorted vertex order (De Loera-Rambau-Santos,
+*Triangulations*, 2010, Sec. 4.3), a fan-out from the first vertex over
+the facets that avoid it, each facet pulled the same way from its own
+first vertex.  It is read off which vertices lie on which half-space
+boundaries, so no coordinate is projected out and every simplex vertex is
+a vertex of the polytope.  Volume, centroid and the closed-form volume
+functions in `valuations` all read that cached triangulation.  Every
+solve, determinant and kernel vector here goes through the fraction-free
+elimination kernel in `lattice`; simplex determinants are `det_int` of the
+edge vectors scaled to integers.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import warnings
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import BudgetExceeded, InvariantViolation
 from .lattice import (
@@ -35,7 +38,6 @@ from .lattice import (
     gcd_vec,
     integer_rows,
     kernel_vector,
-    matrix_rank,
     solve_or_none,
     vec_sub,
 )
@@ -80,13 +82,6 @@ def recession_direction(normals: Sequence[Sequence[int]], dim: int) -> Optional[
     return None
 
 
-def _affine_rank(points: Sequence[RatVec]) -> int:
-    if len(points) <= 1:
-        return 0
-    base = points[0]
-    return matrix_rank([vec_sub(p, base) for p in points[1:]])
-
-
 def _det_cols(vectors: Sequence[RatVec]) -> Fraction:
     """Determinant with the given columns (equal to the one with them as rows)."""
     rows, scale = integer_rows(vectors)
@@ -102,74 +97,44 @@ def triangulate(
     """Triangulate a full-dimensional polytope into rational simplices.
 
     The triangulation fans out from `apex` (default: the vertex average,
-    which lies in the interior; any point of the polytope will do) over a
-    recursive triangulation of each facet that does not contain the apex.
-    Every returned simplex is a nondegenerate (dim+1)-tuple of points.
+    which lies in the interior; any point of the polytope will do) over the
+    facets that do not contain it, and each facet is triangulated the same
+    way from its own first vertex: the pulling triangulation for the point
+    order apex, then `vertices` as given.  Only incidence is used: a face is
+    the set of points on it, and its facets are the maximal proper, nonempty
+    intersections of it with the tight sets (the points on each half-space's
+    boundary).  Every returned simplex is a nondegenerate (dim+1)-tuple of
+    points, so a lower-dimensional polytope gives [].
     """
     if not vertices:
         return []
-    if dim == 1:
-        lo, hi = min(vertices), max(vertices)
-        return [(lo, hi)] if lo != hi else []
     if apex is None:
         apex = _average(vertices)
-    return [(apex,) + boundary for boundary in _boundary_triangulation(halfspaces, vertices, dim, apex)]
+    points = (apex, *vertices)
+    tight = {
+        frozenset(k for k, p in enumerate(points) if dot(p, a) == b) for a, b in halfspaces
+    }
 
+    def pull(face: frozenset) -> list[tuple[int, ...]]:
+        top = min(face)
+        cuts = {face & t for t in tight} - {face, frozenset()}
+        facets = [g for g in cuts if not any(g < h for h in cuts)]
+        if not facets:
+            return [(top,)]
+        return [(top,) + rest for g in facets if top not in g for rest in pull(g)]
 
-def _boundary_triangulation(
-    halfspaces: Sequence[HalfSpace], vertices: Sequence[RatVec], dim: int, apex: RatVec
-) -> Iterable[tuple[RatVec, ...]]:
-    """(dim-1)-simplices covering the facets that do not contain `apex`."""
-    canonical = _dedupe(halfspaces)
-    for a, b in canonical:
-        if dot(apex, a) == b:
-            continue
-        on_facet = [v for v in vertices if dot(v, a) == b]
-        if _affine_rank(on_facet) != dim - 1:
-            continue
-        j = next(i for i, x in enumerate(a) if x != 0)
-        proj = {_drop(v, j): v for v in on_facet}
-        if dim - 1 == 1:
-            keys = sorted(proj)
-            yield (proj[keys[0]], proj[keys[-1]])
-            continue
-        sub_hs = _project_constraints(canonical, (a, b), j)
-        sub_verts = list(proj)
-        for sub in triangulate(sub_hs, sub_verts, dim - 1, apex=sub_verts[0]):
-            yield tuple(proj[p] for p in sub)
-
-
-def _project_constraints(
-    halfspaces: Sequence[HalfSpace], facet: HalfSpace, j: int
-) -> list[HalfSpace]:
-    """Restrict remaining constraints to a facet hyperplane, eliminating u_j.
-
-    On the facet, u_j = (b - sum_{k!=j} a_k u_k)/a_j; substituting into
-    <u, c> >= d produces a constraint on the remaining coordinates, which we
-    rescale back to an integer normal.
-    """
-    a, b = facet
-    out = []
-    for c, d in halfspaces:
-        if (c, d) == facet:
-            continue
-        # coefficient vector after substitution (over the dropped-j coords)
-        cj = Fraction(c[j], a[j])
-        new = [Fraction(c[k]) - cj * a[k] for k in range(len(c)) if k != j]
-        rhs = Fraction(d) - cj * b
-        if all(x == 0 for x in new):
-            continue  # constraint has no content on this facet
-        (ints,), scale = integer_rows([new])
-        g = gcd_vec(ints)
-        out.append((tuple(v // g for v in ints), rhs * scale / g))
-    return out
+    return [
+        tuple(points[k] for k in simplex)
+        for simplex in pull(frozenset(range(len(points))))
+        if len(simplex) == dim + 1
+    ]
 
 
 def _dedupe(halfspaces: Sequence[HalfSpace]) -> list[HalfSpace]:
     """Canonical constraint list: primitive integer normals, one (binding) copy each.
 
-    Two half-spaces with parallel normals reduce to the larger offset; this
-    keeps boundary triangulations from visiting one geometric facet twice.
+    Two half-spaces with parallel normals reduce to the larger offset, so
+    the H-representation a polytope keeps has one half-space per normal.
     """
     binding: dict[tuple[int, ...], Fraction] = {}
     for a, b in halfspaces:
@@ -181,10 +146,6 @@ def _dedupe(halfspaces: Sequence[HalfSpace]) -> list[HalfSpace]:
         if prim not in binding or off > binding[prim]:
             binding[prim] = off
     return [(a, b) for a, b in binding.items()]
-
-
-def _drop(v: RatVec, j: int) -> RatVec:
-    return v[:j] + v[j + 1 :]
 
 
 def _average(points: Sequence[RatVec]) -> RatVec:
@@ -229,7 +190,8 @@ class RationalPolytope:
         return all(dot(point, a) >= b for a, b in self.halfspaces)
 
     def is_full_dimensional(self) -> bool:
-        return _affine_rank(self.vertices) == self.dim
+        """True iff the polytope has interior points, i.e. a nonempty triangulation."""
+        return bool(self.triangulation)
 
     def max_linear_functional(self, w: Sequence) -> Fraction:
         """Exact maximum of <., w> over the polytope (attained at a vertex)."""

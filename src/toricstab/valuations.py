@@ -178,7 +178,8 @@ def center_codim(val: ToricValuation) -> int:
     This equals the codimension of the valuation's center: the center is a
     point exactly when the result is the fan dimension.
     """
-    return val.fan.minimal_cone_dimension(val.w)
+    _, coords = val._cone_coordinates
+    return sum(1 for c in coords if c > 0)
 
 
 @lru_cache(maxsize=None)

@@ -35,7 +35,7 @@ def test_fan_rejects_non_int_entries():
     """Floats and bools are refused, never truncated into a valid fan."""
     rays = [[1, 0], [0, 1], [-1, -1]]
     cones = [[0, 1], [1, 2], [2, 0]]
-    Fan(2, rays, cones)  # fine: P2
+    p2 = Fan(2, rays, cones)  # fine: P2
     with pytest.raises(InvariantViolation, match="ray coordinates"):
         Fan(2, [[1.5, 0], [0, 1], [-1, -1]], cones)
     with pytest.raises(InvariantViolation, match="ray coordinates"):
@@ -46,6 +46,12 @@ def test_fan_rejects_non_int_entries():
         Fan(2, rays, [[False, True], [1, 2], [2, 0]])
     with pytest.raises(InvariantViolation, match="dimension"):
         Fan(2.0, rays, cones)
+    assert p2.ray_index((1, 0)) == 0
+    for v in ((1.9, 0), (True, False)):
+        with pytest.raises(InvariantViolation, match="must be ints"):
+            p2.ray_index(v)
+    with pytest.raises(InvariantViolation, match="must be ints"):
+        p2.star_subdivision((1.5, 1.2))
 
 
 def test_fan_rejects_gap():
@@ -230,9 +236,6 @@ def test_star_subdivision_interior_point(p2):
 
 
 def test_containing_cone_and_minimal_dimension(p123):
-    assert p123.minimal_cone_dimension((-1, 0)) == 2  # interior of a 2-cone
-    assert p123.minimal_cone_dimension((1, 0)) == 1  # a ray
-    assert p123.minimal_cone_dimension((2, 3)) == 2
     ci, coords = p123.cone_coordinates((-1, 0))
     assert sum(coords) == 2
     assert sorted(p123.max_cones[ci].ray_indices) == [1, 2]

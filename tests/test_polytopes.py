@@ -161,6 +161,67 @@ def test_triangulate_simplex_count():
     assert total == F(1, 2)
 
 
+def _simplex_volume(simplex):
+    edges = [[p - q for p, q in zip(point, simplex[0])] for point in simplex[1:]]
+    return abs(det(edges)) / math.factorial(len(edges))
+
+
+CUBE = [
+    (tuple(s if j == i else 0 for j in range(3)), F(-1)) for i in range(3) for s in (1, -1)
+]
+
+NON_SIMPLE_AND_REDUNDANT = {
+    "octahedron": ([(s, F(-1)) for s in itertools.product((1, -1), repeat=3)], F(4, 3)),
+    "square pyramid": (
+        [((0, 0, 1), F(0)), ((0, 1, -1), F(-1)), ((0, -1, -1), F(-1)),
+         ((1, 0, -1), F(-1)), ((-1, 0, -1), F(-1))],
+        F(4, 3),
+    ),
+    "cube, redundant cut tight along an edge": (CUBE + [((-1, -1, 0), F(-2))], F(8)),
+    "cube, redundant cut tight at a vertex": (CUBE + [((-1, -1, -1), F(-3))], F(8)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_SIMPLE_AND_REDUNDANT))
+def test_triangulate_non_simple_and_redundant(name):
+    """Full-size simplices summing to the volume, from every vertex and the default apex."""
+    halfspaces, volume = NON_SIMPLE_AND_REDUNDANT[name]
+    poly = RationalPolytope(halfspaces, 3)
+    assert len(poly.halfspaces) == len(halfspaces)  # the redundant cut is kept
+    for apex in (None, *poly.vertices):
+        simplices = triangulate(poly.halfspaces, poly.vertices, 3, apex=apex)
+        assert all(len(simplex) == 4 for simplex in simplices), apex
+        volumes = [_simplex_volume(simplex) for simplex in simplices]
+        assert all(v > 0 for v in volumes) and sum(volumes) == volume, apex
+    assert poly.volume() == volume
+
+
+@pytest.mark.parametrize(
+    "halfspaces, dim",
+    [
+        ([((1, 0), F(0)), ((-1, 0), F(0)), ((0, 1), F(-1)), ((0, -1), F(-1))], 2),
+        ([((0, 0, 1), F(0)), ((0, 0, -1), F(0))] + CUBE[:4], 3),
+    ],
+    ids=["segment in R2", "square z=0 in R3"],
+)
+def test_triangulate_lower_dimensional_is_empty(halfspaces, dim):
+    poly = RationalPolytope(halfspaces, dim)
+    for apex in (None, *poly.vertices):
+        assert triangulate(poly.halfspaces, poly.vertices, dim, apex=apex) == []
+    assert poly.triangulation == ()
+
+
+CORPUS_SIMPLEX_COUNTS = {
+    "P1": 1, "P2": 1, "P3": 1, "P4": 1, "P5": 1, "P1xP1": 2, "P1xP1xP1": 6,
+    "dP8": 2, "dP7": 3, "dP6": 4, "P(1,2,3)": 1, "P(1,1,2)": 1, "Y(1,2,3)": 2,
+}
+
+
+def test_corpus_simplex_counts(corpus_fans):
+    counts = {fan.name: len(fan.anticanonical_polytope().triangulation) for fan in corpus_fans}
+    assert counts == CORPUS_SIMPLEX_COUNTS
+
+
 def test_lower_dimensional_volume_warns():
     hs = [((1, 0), F(0)), ((-1, 0), F(0)), ((0, 1), F(-1)), ((0, -1), F(-1))]
     poly = RationalPolytope(hs, 2)

@@ -409,6 +409,7 @@ def test_first_breakpoint_not_below_nef_threshold(corpus_fans):
 def test_center_codim(p123):
     assert center_codim(val(p123, (-1, 0))) == 2  # center is a point
     assert center_codim(val(p123, (1, 0))) == 1  # center is the ray divisor
+    assert center_codim(val(p123, (2, 3))) == 2
     for n in range(2, 6):
         fan = load_builtin_fan(f"P{n}")
         assert center_codim(val(fan, (1,) * n)) == n
