@@ -3,8 +3,10 @@
 Commands: analyze, beta, alpha, volfn, screen, verify.
 Exit codes: 0 success, 1 verification mismatch, 2 parse error or an
 unreadable input / unwritable output file, 3 invariant violation, 4 budget
-exceeded, 5 internal error (a failed internal consistency check).  Every
-failure is one line on stderr.
+exceeded, 5 internal error (a failed internal consistency check, or an
+exact computation that cannot finish: a discontinuous or negative piecewise
+polynomial, m-th roots that brackets cannot separate).  Every failure is one
+line on stderr.
 """
 
 from __future__ import annotations
@@ -172,8 +174,8 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except AssertionError as exc:
-        print(f"internal error: {exc or 'assertion failed'}", file=sys.stderr)
+    except (AssertionError, ArithmeticError, ValueError) as exc:
+        print(f"internal error: {exc or type(exc).__name__}", file=sys.stderr)
         return 5
 
 

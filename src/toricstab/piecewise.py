@@ -5,14 +5,24 @@ trimmed of trailing zeros.  A PiecewisePolynomial is a list of pieces over a
 strictly increasing breakpoint grid; adjacent pieces with identical
 polynomials are merged at construction and exact continuity at interior
 breakpoints is enforced.
+
+Evaluation runs on an integer form built once per instance, on first use:
+the breakpoints as integers B_i over one common denominator D, and each
+piece as integer numerators c_k over one denominator e.  A point x = p/q
+(q > 0) lies at or right of breakpoint i exactly when B_i <= floor(p*D/q),
+so locating it is one floor division and an integer bisection; the value
+there is the homogeneous Horner sum  sum_k c_k p^k q^(d-k)  over e * q^d,
+with d the piece degree.  One Fraction is built per value returned, and the
+root-concavity comparison works on the (numerator, denominator) pairs.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 Poly = tuple[Fraction, ...]
@@ -145,6 +155,10 @@ def spline_cdf_jumps(knots: Sequence[Fraction]) -> dict[Fraction, list[Fraction]
     return jumps
 
 
+def _fraction(x) -> Fraction:
+    return x if isinstance(x, Fraction) else Fraction(x)
+
+
 @dataclass(frozen=True)
 class PiecewisePolynomial:
     """A continuous piecewise polynomial on [breakpoints[0], breakpoints[-1]]."""
@@ -180,15 +194,71 @@ class PiecewisePolynomial:
     def domain(self) -> tuple[Fraction, Fraction]:
         return self.breakpoints[0], self.breakpoints[-1]
 
+    @cached_property
+    def _grid(self) -> tuple[int, list[int]]:
+        """(D, [B_i]): breakpoint i is B_i / D, with D the common denominator."""
+        den = math.lcm(*(b.denominator for b in self.breakpoints))
+        return den, [b.numerator * (den // b.denominator) for b in self.breakpoints]
+
+    @cached_property
+    def _int_pieces(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """Per piece (e, (c_0, ..., c_d)): the piece is sum_k (c_k / e) x^k."""
+        out = []
+        for piece in self.pieces:
+            den = math.lcm(*(c.denominator for c in piece))
+            out.append((den, tuple(c.numerator * (den // c.denominator) for c in piece)))
+        return tuple(out)
+
+    @cached_property
+    def _affine_roots(self) -> dict[tuple[int, int], bool]:
+        """(piece index, m) -> whether the piece is c*(x + r)^m, filled on demand."""
+        return {}
+
+    def _locate(self, p: int, q: int) -> int:
+        """Index of the piece holding x = p/q (q > 0); ValueError outside the domain."""
+        den, grid = self._grid
+        t = p * den
+        if not grid[0] * q <= t <= grid[-1] * q:
+            lo, hi = self.domain
+            raise ValueError(f"{Fraction(p, q)} outside domain [{lo}, {hi}]")
+        return min(bisect_right(grid, t // q) - 1, len(self.pieces) - 1)
+
     def piece_index(self, x: Fraction) -> int:
-        lo, hi = self.domain
-        if not lo <= x <= hi:
-            raise ValueError(f"{x} outside domain [{lo}, {hi}]")
-        return min(bisect_right(self.breakpoints, x) - 1, len(self.pieces) - 1) if x > lo else 0
+        x = _fraction(x)
+        return self._locate(x.numerator, x.denominator)
+
+    def _value(self, p: int, q: int) -> tuple[int, int]:
+        """fn(p/q) for q > 0, as a (numerator, positive denominator) pair."""
+        e, cs = self._int_pieces[self._locate(p, q)]
+        acc = cs[-1]
+        q_power = 1
+        for c in cs[-2::-1]:
+            q_power *= q
+            acc = acc * p + c * q_power
+        return acc, e * q_power
 
     def __call__(self, x) -> Fraction:
-        x = Fraction(x)
-        return poly_eval(self.pieces[self.piece_index(x)], x)
+        x = _fraction(x)
+        return Fraction(*self._value(x.numerator, x.denominator))
+
+    def _sole_piece(self, x: Fraction, y: Fraction) -> int | None:
+        """Index of the piece meeting the open interval (x, y) when only one does.
+
+        Adjacent pieces differ, so this is the case of one polynomial on [x, y].
+        """
+        den, grid = self._grid
+        # the first piece i with B_(i+1) > x*D and the last piece j with B_j < y*D
+        i = bisect_right(grid, x.numerator * den // x.denominator) - 1
+        j = bisect_left(grid, -(-y.numerator * den // y.denominator)) - 1
+        return i if i == j else None
+
+    def _affine_root(self, i: int, m: int) -> bool:
+        """Whether piece i has an affine m-th root (`poly_linear_power`), decided once."""
+        key = (i, m)
+        cache = self._affine_roots
+        if key not in cache:
+            cache[key] = poly_linear_power(self.pieces[i], m) is not None
+        return cache[key]
 
     def derivative(self) -> "PiecewisePolynomial":
         """Piecewise derivative (continuous whenever the function is C^1)."""
@@ -202,8 +272,14 @@ class PiecewisePolynomial:
             self.breakpoints, tuple(poly_scale(p, factor) for p in self.pieces)
         )
 
+    @cached_property
+    def _full_integral(self) -> Fraction:
+        return self.integral(*self.domain)
+
     def integral(self, a=None, b=None) -> Fraction:
-        """Exact definite integral over [a, b] (default: the full domain)."""
+        """Exact definite integral over [a, b] (default: the full domain, computed once)."""
+        if a is None and b is None:
+            return self._full_integral
         lo, hi = self.domain
         a = lo if a is None else Fraction(a)
         b = hi if b is None else Fraction(b)
@@ -237,15 +313,6 @@ class PiecewisePolynomial:
                 self.one_sided_derivatives(x) for x in self.breakpoints[1:-1]
             )
         )
-
-    def pieces_covering(self, a: Fraction, b: Fraction) -> list[Poly]:
-        """Distinct piece polynomials meeting the closed interval [a, b]."""
-        out: list[Poly] = []
-        for i, piece in enumerate(self.pieces):
-            if self.breakpoints[i] < b and self.breakpoints[i + 1] > a:
-                if piece not in out:
-                    out.append(piece)
-        return out
 
 
 # -- exact m-th root comparison -------------------------------------------------
@@ -285,19 +352,24 @@ def midpoint_root_concave(fn: PiecewisePolynomial, m: int, x: Fraction, y: Fract
     Roots are compared through rational brackets refined until separated;
     the genuine equality case (fn a perfect m-th power of a linear
     polynomial over [x, y]) is recognized algebraically, so no comparison is
-    ever decided by tolerance alone.
+    ever decided by tolerance alone.  The sign, equality and m = 1 tests
+    cross-multiply the values' integer numerators and denominators.
     """
-    mid = (x + y) / 2
-    qa, qm, qb = fn(x), fn(mid), fn(y)
-    if min(qa, qm, qb) < 0:
+    x, y = _fraction(x), _fraction(y)
+    xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
+    mn, md = xn * yd + yn * xd, 2 * xd * yd
+    g = math.gcd(mn, md)
+    (na, da), (nm, dm), (nb, db) = fn._value(xn, xd), fn._value(mn // g, md // g), fn._value(yn, yd)
+    if na < 0 or nm < 0 or nb < 0:
         raise ValueError("root concavity needs nonnegative values")
     if m == 1:
-        return 2 * qm >= qa + qb
-    if qa == qm == qb:
+        return 2 * nm * da * db >= (na * db + nb * da) * dm
+    if na * dm == nm * da and nm * db == nb * dm:
         return True
-    covering = fn.pieces_covering(x, y)
-    if len(covering) == 1 and poly_linear_power(covering[0], m) is not None:
+    i = fn._sole_piece(x, y)
+    if i is not None and fn._affine_root(i, m):
         return True  # the root function is affine here: exact equality
+    qa, qm, qb = Fraction(na, da), Fraction(nm, dm), Fraction(nb, db)
     for exponent in (12, 24, 48, 96):
         scale = 10**exponent
         lo_a, hi_a = nth_root_bounds(qa, m, scale)

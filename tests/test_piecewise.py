@@ -2,6 +2,7 @@
 
 import math
 import random
+from bisect import bisect_right
 from fractions import Fraction as F
 
 import pytest
@@ -181,3 +182,209 @@ def test_spline_cdf_distinct_knots_random():
                 for k in range(n + 1):
                     expected[k] += math.comb(n, k) * (-ti) ** (n - k) / denom
             assert cdf_on_piece(knots, left) == poly_trim(expected)
+
+
+# -- integer evaluation against the Fraction path --------------------------------
+
+
+def oracle_eval(fn, x):
+    """fn(x) by a bisection over the Fraction breakpoints and `poly_eval`."""
+    x = F(x)
+    lo, hi = fn.domain
+    if not lo <= x <= hi:
+        raise ValueError(f"{x} outside domain [{lo}, {hi}]")
+    return poly_eval(fn.pieces[oracle_piece_index(fn, x)], x)
+
+
+def oracle_piece_index(fn, x):
+    if x == fn.domain[0]:
+        return 0
+    return min(bisect_right(fn.breakpoints, x) - 1, len(fn.pieces) - 1)
+
+
+def random_piecewise(rng, max_degree=5):
+    """A continuous piecewise polynomial with rational breakpoints, pieces of degree <= max_degree."""
+    count = rng.randint(1, 5)
+    start = F(rng.randint(-20, 20), rng.randint(1, 7))
+    bps = [start]
+    for _ in range(count):
+        bps.append(bps[-1] + F(rng.randint(1, 30), rng.randint(1, 9)))
+    degree = rng.randint(0, max_degree)
+    pieces = [poly_trim([F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(degree + 1)])]
+    for b in bps[1:-1]:
+        # add c * (x - b)^k, k >= 1: continuous at b, degree at most max_degree
+        k = rng.randint(1, max_degree)
+        bump = poly_from_shifted([F(0)] * k + [F(rng.randint(-9, 9), rng.randint(1, 5))], b)
+        prev = pieces[-1] + (F(0),) * (len(bump) - len(pieces[-1]))
+        pieces.append(poly_trim([c + (bump[i] if i < len(bump) else 0) for i, c in enumerate(prev)]))
+    return PiecewisePolynomial(tuple(bps), tuple(pieces))
+
+
+def test_integer_evaluation_matches_fraction_path():
+    rng = random.Random(6)
+    degrees = set()
+    for _ in range(200):
+        fn = random_piecewise(rng)
+        degrees.update(len(p) - 1 for p in fn.pieces)
+        lo, hi = fn.domain
+        points = list(fn.breakpoints)
+        for _ in range(12):
+            points.append(lo + (hi - lo) * F(rng.randint(0, 997), 997))
+        points.append(lo + (hi - lo) / 3)
+        for x in points:
+            assert fn(x) == oracle_eval(fn, x)
+            assert type(fn(x)) is F
+            assert fn.piece_index(x) == oracle_piece_index(fn, x)
+        for outside in (lo - F(1, 10**9), hi + F(1, 10**9), lo - 1, hi + 5):
+            with pytest.raises(ValueError, match="outside domain"):
+                fn(outside)
+            with pytest.raises(ValueError, match="outside domain"):
+                fn.piece_index(outside)
+    assert degrees == set(range(6))
+
+
+def test_integer_evaluation_accepts_ints_and_floats():
+    fn = PiecewisePolynomial((F(-1), F(1, 2), F(3)), ((F(1), F(2)), (F(3, 2), F(1))))
+    assert fn(0) == 1 and fn(0.25) == F(3, 2) and fn(F(2)) == F(7, 2)
+    assert fn.piece_index(3) == 1 and fn.piece_index(-1) == 0 and fn.piece_index(0.5) == 1
+
+
+def test_full_integral_is_cached_and_exact():
+    fn = PiecewisePolynomial((F(0), F(2), F(4)), ((F(8), F(0), F(-1)), (F(16), F(-8), F(1))))
+    assert fn.integral() == 16
+    assert fn.integral() is fn.integral()
+    assert fn.integral(0, 4) == 16 and fn.integral(F(0), None) == 16
+
+
+# -- midpoint_root_concave against the Fraction implementation -------------------
+
+
+def oracle_pieces_covering(fn, a, b):
+    """Distinct piece polynomials meeting the closed interval [a, b]."""
+    out = []
+    for i, piece in enumerate(fn.pieces):
+        if fn.breakpoints[i] < b and fn.breakpoints[i + 1] > a:
+            if piece not in out:
+                out.append(piece)
+    return out
+
+
+def oracle_midpoint_root_concave(fn, m, x, y):
+    """The Fraction implementation: three `poly_eval` values, covering pieces, brackets."""
+    mid = (x + y) / 2
+    qa, qm, qb = oracle_eval(fn, x), oracle_eval(fn, mid), oracle_eval(fn, y)
+    if min(qa, qm, qb) < 0:
+        raise ValueError("root concavity needs nonnegative values")
+    if m == 1:
+        return 2 * qm >= qa + qb
+    if qa == qm == qb:
+        return True
+    covering = oracle_pieces_covering(fn, x, y)
+    if len(covering) == 1 and poly_linear_power(covering[0], m) is not None:
+        return True
+    for exponent in (12, 24, 48, 96):
+        scale = 10**exponent
+        lo_a, hi_a = nth_root_bounds(qa, m, scale)
+        lo_b, hi_b = nth_root_bounds(qb, m, scale)
+        lo_m, hi_m = nth_root_bounds(qm, m, scale)
+        if 2 * lo_m >= hi_a + hi_b:
+            return True
+        if 2 * hi_m < lo_a + lo_b:
+            return False
+    raise ArithmeticError(f"m-th roots of {qa}, {qm}, {qb} not separable at width 1e-96")
+
+
+def poly_square(p):
+    out = [F(0)] * (2 * len(p) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(p):
+            out[i + j] += a * b
+    return poly_trim(out)
+
+
+def verdict(check, fn, m, x, y):
+    """The boolean result, or the message of the ValueError or ArithmeticError raised."""
+    try:
+        return check(fn, m, x, y)
+    except (ValueError, ArithmeticError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_midpoint_root_concave_matches_oracle_on_criterion_6():
+    from toricstab.corpus import builtin_fan_specs
+    from toricstab.valuations import restricted_volume
+    from toricstab.verification import concavity_battery
+    from toricstab.workbench import load_builtin_fan
+
+    total = 0
+    for name in builtin_fan_specs():
+        fan = load_builtin_fan(name)
+        n = fan.dimension
+        if n < 2:
+            continue
+        for val in concavity_battery(fan):
+            q_fn = restricted_volume(val)
+            tau = q_fn.breakpoints[-1]
+            points = [tau * F(i, 101) for i in range(102)]
+            for i in range(1, 101):
+                x, y = points[i - 1], points[i + 1]
+                assert midpoint_root_concave(q_fn, n - 1, x, y) is oracle_midpoint_root_concave(
+                    q_fn, n - 1, x, y
+                ) is True
+                total += 1
+    assert total == 15000
+
+
+def test_midpoint_root_concave_matches_oracle_on_random_triples():
+    rng = random.Random(61)
+    seen = set()
+    for _ in range(150):
+        fn = random_piecewise(rng, max_degree=4)
+        lo, hi = fn.domain
+        for _ in range(8):
+            m = rng.randint(1, 4)
+            x = lo + (hi - lo) * F(rng.randint(0, 60), 60)
+            y = lo + (hi - lo) * F(rng.randint(0, 60), 60)
+            if x > y:
+                x, y = y, x
+            got = verdict(midpoint_root_concave, fn, m, x, y)
+            assert got == verdict(oracle_midpoint_root_concave, fn, m, x, y)
+            seen.add((m == 1, got))
+    # squares of random nonnegative-on-domain pieces never raise
+    for _ in range(150):
+        fn = random_piecewise(rng, max_degree=2)
+        sq = PiecewisePolynomial(fn.breakpoints, tuple(poly_square(p) for p in fn.pieces))
+        lo, hi = sq.domain
+        for m in (1, 2, 3):
+            x = lo + (hi - lo) * F(rng.randint(0, 40), 40)
+            y = lo + (hi - lo) * F(rng.randint(0, 40), 40)
+            got = midpoint_root_concave(sq, m, min(x, y), max(x, y))
+            assert got is oracle_midpoint_root_concave(sq, m, min(x, y), max(x, y))
+            seen.add((m == 1, got))
+    assert {(True, True), (True, False), (False, True), (False, False)} <= seen
+    assert "ValueError: root concavity needs nonnegative values" in {g for _, g in seen}
+
+
+def test_midpoint_root_concave_non_adjacent_equal_pieces():
+    """x^2, 3x - 2, x^2 on [0, 1], [1, 2], [2, 3]: the outer pieces coincide."""
+    square = (F(0), F(0), F(1))
+    fn = PiecewisePolynomial((F(0), F(1), F(2), F(3)), (square, (F(-2), F(3)), square))
+    assert len(fn.pieces) == 3 and fn.pieces[0] == fn.pieces[2]
+    thirds = [F(k, 3) for k in range(10)]
+    verdicts = set()
+    for x in thirds:
+        for y in thirds:
+            if x <= y:
+                for m in (1, 2):
+                    got = verdict(midpoint_root_concave, fn, m, x, y)
+                    assert got == verdict(oracle_midpoint_root_concave, fn, m, x, y)
+                    verdicts.add(got)
+    # sqrt is 0, 1, 2 at 0, 1, 2: an exact equality across two pieces, which
+    # neither the brackets nor the one-piece branch can decide
+    assert {True, False} < verdicts
+    assert "ArithmeticError: m-th roots of 0, 1, 4 not separable at width 1e-96" in verdicts
+    # inside one square piece the root is affine: the equality branch
+    assert midpoint_root_concave(fn, 2, F(2), F(3)) is True
+    assert midpoint_root_concave(fn, 2, F(0), F(1)) is True
+    assert midpoint_root_concave(fn, 2, F(1, 2), F(5, 2)) is True
+    assert oracle_pieces_covering(fn, F(0), F(3)) == [square, (F(-2), F(3))]

@@ -376,6 +376,47 @@ def test_cli_internal_error_exit_code(monkeypatch, tmp_path, capsys):
     assert err == "internal error: nef threshold is unbounded, fan cannot be complete\n"
 
 
+def test_cli_piecewise_errors_exit_code(monkeypatch, tmp_path, capsys):
+    """Exact computations that cannot proceed end in one line and exit 5."""
+    from toricstab.piecewise import PiecewisePolynomial
+
+    path = write_spec(tmp_path, P123_SPEC)
+
+    def discontinuous(val):
+        return PiecewisePolynomial((F(0), F(1), F(2)), ((F(0),), (F(5),)))
+
+    monkeypatch.setattr("toricstab.valuations.volume_function", discontinuous)
+    assert main(["beta", path, "--w", "-1,0"]) == 5
+    assert capsys.readouterr().err == "internal error: discontinuity at breakpoint 1: 0 != 5\n"
+
+
+def test_cli_root_concavity_errors_exit_code(monkeypatch, capsys):
+    """A negative Q and inseparable m-th roots in criterion 6 both exit 5."""
+    import toricstab.verification as verification
+    from toricstab.piecewise import PiecewisePolynomial
+
+    monkeypatch.setattr(verification, "ALL_CHECKS", (("6", verification.check_concavity),))
+    monkeypatch.setattr(
+        verification,
+        "restricted_volume",
+        lambda val: PiecewisePolynomial((F(0), F(1)), ((F(-1), F(1)),)),
+    )
+    assert main(["verify"]) == 5
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "internal error: root concavity needs nonnegative values\n"
+
+    monkeypatch.undo()
+    monkeypatch.setattr(verification, "ALL_CHECKS", (("6", verification.check_concavity),))
+    monkeypatch.setattr(
+        "toricstab.piecewise.nth_root_bounds", lambda f, m, scale: (F(0), F(1))
+    )
+    assert main(["verify"]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: m-th roots of ") and err.count("\n") == 1
+    assert err.endswith(" not separable at width 1e-96\n")
+
+
 def test_cli_budget_exit_code(monkeypatch, tmp_path):
     path = write_spec(tmp_path, P123_SPEC)
 
