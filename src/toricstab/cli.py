@@ -174,8 +174,11 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (AssertionError, ArithmeticError, ValueError) as exc:
-        print(f"internal error: {exc or type(exc).__name__}", file=sys.stderr)
+    except AssertionError as exc:
+        print(f"internal error: {str(exc) or 'assertion failed'}", file=sys.stderr)
+        return 5
+    except (ArithmeticError, ValueError) as exc:
+        print(f"internal error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 5
 
 

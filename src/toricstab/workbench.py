@@ -87,6 +87,8 @@ def load_fan(path: str) -> Fan:
             document = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read fan spec {path!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"fan spec {path!r} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in {path!r}: {exc}") from exc
     return parse_fan_spec(document, name_fallback=path)

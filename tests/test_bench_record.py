@@ -42,17 +42,19 @@ def test_parse_checkout_rejects_bad_arguments(tmp_path):
         bench_record.parse_checkout(f"x={tmp_path}")
 
 
-def test_record_alternates_and_summarizes(tmp_path, capsys):
+def test_record_alternates_and_summarizes(tmp_path, monkeypatch, capsys):
     a = stub_checkout(tmp_path / "a", 1.0)
     b = stub_checkout(tmp_path / "b", 10.0)
     out = tmp_path / "out"
     out.mkdir()
-    argv = ["--workload", "w", "--seeds", "1-4", "--out-dir", str(out), f"pa={a}", f"ch={b}"]
+    monkeypatch.chdir(out)
+    argv = ["--workload", "w", "--seeds", "1-4", f"pa={a}", f"ch={b}"]
     assert bench_record.main(argv) == 0
     printed = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
     assert printed == ["pa", "ch", "ch", "pa", "pa", "ch", "ch", "pa"]
     doc = json.loads((out / "BENCH_ch.json").read_text())
     assert doc["label"] == "ch" and doc["workload"] == "w"
+    assert doc["command"] == "python3 bench/run.py --workload w --seed S"
     assert [r["seed"] for r in doc["runs"]] == [1, 2, 3, 4]
     assert [r["position"] for r in doc["runs"]] == [1, 0, 1, 0]
     assert doc["runs"][0]["provenance"] == {"seed": 1}

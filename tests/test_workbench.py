@@ -364,6 +364,15 @@ def test_cli_unwritable_output_exit_code(tmp_path, capsys):
     assert err.startswith("error: cannot write") and err.count("\n") == 1
 
 
+def test_cli_non_utf8_spec_exit_code(tmp_path, capsys):
+    """A spec file that is not UTF-8 is unreadable input (exit 2), not an internal error."""
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(b'{"name": "caf\xe9", "dim": 1}')
+    assert main(["analyze", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: fan spec ") and "not UTF-8" in err and err.count("\n") == 1
+
+
 def test_cli_internal_error_exit_code(monkeypatch, tmp_path, capsys):
     path = write_spec(tmp_path, P123_SPEC)
 
@@ -374,6 +383,13 @@ def test_cli_internal_error_exit_code(monkeypatch, tmp_path, capsys):
     assert main(["beta", path, "--w", "-1,0"]) == 5
     err = capsys.readouterr().err
     assert err == "internal error: nef threshold is unbounded, fan cannot be complete\n"
+
+    def bare_assert(val):
+        raise AssertionError
+
+    monkeypatch.setattr("toricstab.valuations.nef_threshold", bare_assert)
+    assert main(["beta", path, "--w", "-1,0"]) == 5
+    assert capsys.readouterr().err == "internal error: assertion failed\n"
 
 
 def test_cli_piecewise_errors_exit_code(monkeypatch, tmp_path, capsys):

@@ -6,20 +6,20 @@ Usage, from any directory:
         parent=../toricstab-parent change=.
 
 Each LABEL=CHECKOUT names a source tree that holds `bench/run.py`.  For
-every seed the script runs `python3 bench/run.py --workload W --seed S
---seconds T --trace X` once in each checkout, with the working directory set
-to that checkout.  With several checkouts the runs alternate, and the order
-is rotated by one from each seed to the next (AB, BA, AB, ...) so that a
-slow drift of the host's speed falls on both sides alike.
+every seed the script runs `python3 bench/run.py --workload W --seed S`
+once in each checkout, with the working directory set to that checkout, so
+run length and tracing are the benchmark's own defaults (10 s, untraced).
+With several checkouts the runs alternate, and the order is rotated by one
+from each seed to the next (AB, BA, AB, ...) so that a slow drift of the
+host's speed falls on both sides alike.
 
-After every run it rewrites `BENCH_<label>.json` in --out-dir (default: the
-current directory).  The file holds the workload, the command, the host and
-one entry per run: the seed, the position of the run in the alternation,
-UTC start time, the provenance that `bench/run.py` prints on the line
-before its result (git SHA, SHA-256 of `src/`, Python, nproc), its speed
-factor and the result line itself.  `summary` gives each metric's median
-and quartiles over the runs, with `failed` and `attempted` summed.
-Standard library only.
+After every run it rewrites `BENCH_<label>.json` in the current directory.
+The file holds the workload, the command, the host and one entry per run:
+the seed, the position of the run in the alternation, UTC start time, the
+provenance that `bench/run.py` prints on the line before its result (git
+SHA, SHA-256 of `src/`, Python, nproc), its speed factor and the result
+line itself.  `summary` gives each metric's median and quartiles over the
+runs, with `failed` and `attempted` summed.  Standard library only.
 """
 
 from __future__ import annotations
@@ -54,11 +54,8 @@ def parse_checkout(raw: str) -> tuple[str, Path]:
     return label, checkout
 
 
-def run_once(checkout: Path, args, seed: int) -> dict:
-    command = [
-        sys.executable, "bench/run.py", "--workload", args.workload, "--seed", str(seed),
-        "--seconds", str(args.seconds), "--trace", str(args.trace),
-    ]
+def run_once(checkout: Path, workload: str, seed: int) -> dict:
+    command = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed)]
     started = datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
     proc = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
@@ -95,12 +92,11 @@ def summarize(runs: list[dict]) -> dict:
     }
 
 
-def write(out: Path, label: str, args, runs: list[dict]) -> None:
+def write(label: str, workload: str, runs: list[dict]) -> None:
     document = {
         "label": label,
-        "workload": args.workload,
-        "command": f"python3 bench/run.py --workload {args.workload} --seed S "
-        f"--seconds {args.seconds} --trace {args.trace}",
+        "workload": workload,
+        "command": f"python3 bench/run.py --workload {workload} --seed S",
         "host": {
             "machine": platform.machine(),
             "processor": platform.processor() or None,
@@ -110,16 +106,13 @@ def write(out: Path, label: str, args, runs: list[dict]) -> None:
         "runs": runs,
         "summary": summarize(runs),
     }
-    out.write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
+    Path(f"BENCH_{label}.json").write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", type=parse_seeds, required=True, help="e.g. 1-10 or 1,2,5")
-    parser.add_argument("--seconds", type=float, default=10)
-    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--out-dir", type=Path, default=Path("."))
     parser.add_argument("checkouts", nargs="+", type=parse_checkout, metavar="LABEL=CHECKOUT")
     args = parser.parse_args(argv)
     labels = [label for label, _ in args.checkouts]
@@ -130,10 +123,10 @@ def main(argv=None) -> int:
         shift = k % len(args.checkouts)
         order = args.checkouts[shift:] + args.checkouts[:shift]
         for position, (label, checkout) in enumerate(order):
-            run = run_once(checkout, args, seed)
+            run = run_once(checkout, args.workload, seed)
             run["position"] = position
             runs[label].append(run)
-            write(args.out_dir / f"BENCH_{label}.json", label, args, runs[label])
+            write(label, args.workload, runs[label])
             metrics = run["result"]["metrics"]
             print(
                 f"{label} seed {seed}: "
