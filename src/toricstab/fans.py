@@ -14,8 +14,11 @@ as ray index sets.  Validation enforces, eagerly and exactly:
 
 The anticanonical polytope is { u : <u, v_i> >= -1 for all rays v_i }; it is
 built only for Q-Fano fans, where the support function of -K is strictly
-convex.  Its lattice points at dilation k index the degree-k anticanonical
-sections.
+convex.  It is read off the cones: for ample -K its vertices are exactly
+the points m_sigma with <m_sigma, v> = -1 on the rays of a maximal cone
+sigma (Cox-Little-Schenck, *Toric Varieties*, ch. 6), which the Q-Fano
+check computes anyway, and it is bounded because the fan is complete.  Its
+lattice points at dilation k index the degree-k anticanonical sections.
 """
 
 from __future__ import annotations
@@ -184,15 +187,19 @@ class Fan:
 
         Requires Q-Fano, i.e. -K ample: for each maximal cone, the m with
         <m, v> = -1 on its rays must satisfy <m, v_j> > -1 at every other ray.
+        Those points m are then the vertices, one per maximal cone, and the
+        polytope is bounded because the fan is complete.
         """
         if self._polytope is None:
+            vertices = []
             for ci, cone in enumerate(self.max_cones):
                 m = self.linear_form(ci, [-1] * self.dimension)
                 outside = (v for j, v in enumerate(self.rays) if j not in cone.ray_indices)
                 if any(dot(m, v) <= -1 for v in outside):
                     raise InvariantViolation(f"not Q-Fano: -K is not ample on maximal cone {ci}")
+                vertices.append(m)
             halfspaces = [(ray, Fraction(-1)) for ray in self.rays]
-            self._polytope = RationalPolytope(halfspaces, self.dimension)
+            self._polytope = RationalPolytope(halfspaces, sorted(vertices), self.dimension)
         return self._polytope
 
     def degree(self) -> Fraction:

@@ -5,9 +5,9 @@ terms, positive denominator, exact arithmetic).  Lattice vectors are plain
 tuples of ints, dual/rational vectors are tuples of Fractions.  Everything
 here is a pure function; no floating point is used anywhere.
 
-Every determinant, rank, solve, inverse, adjugate and kernel vector goes
-through one routine, `echelon`: forward fraction-free elimination on integer
-rows (Bareiss, Math. Comp. 22, 1968).  Rational input is scaled to integers
+Every determinant, rank, solve, inverse and adjugate goes through one
+routine, `echelon`: forward fraction-free elimination on integer rows
+(Bareiss, Math. Comp. 22, 1968).  Rational input is scaled to integers
 one row at a time first, and solves finish with integer back-substitution,
 so no elimination ever runs over Fractions.
 """
@@ -110,17 +110,16 @@ def echelon(
     return pivots, m, sign * prev
 
 
-def _back_substitute(
-    m: list[list[int]], pivots: list[int], y: list[int], rhs: list[int]
-) -> list[int]:
-    """Fill y at the pivot columns so that echelon row i times y equals rhs[i].
+def _back_substitute(m: list[list[int]], rhs: list[int]) -> list[int]:
+    """The y with echelon row i times y equal to rhs[i], for n pivots on the diagonal.
 
-    The caller presets y off the pivots and scales rhs so that every
-    division is exact (y = d * x with d the last pivot).
+    The caller scales rhs so that every division is exact (y = d * x with
+    d the last pivot).
     """
-    for i in range(len(pivots) - 1, -1, -1):
-        row, p = m[i], pivots[i]
-        y[p] = (rhs[i] - sum(row[c] * y[c] for c in range(p + 1, len(y)))) // row[p]
+    n = len(rhs)
+    y = [0] * n
+    for i in range(n - 1, -1, -1):
+        y[i] = (rhs[i] - sum(m[i][c] * y[c] for c in range(i + 1, n))) // m[i][i]
     return y
 
 
@@ -139,7 +138,7 @@ def _solve_columns(
     if len(pivots) < n:
         return None
     return d, [
-        _back_substitute(m, pivots, [0] * n, [d * row[col] for row in m])
+        _back_substitute(m, [d * row[col] for row in m])
         for col in range(n, n + len(rhs_columns))
     ]
 
@@ -208,16 +207,3 @@ def matrix_rank(rows: Sequence[Sequence]) -> int:
     """Exact rank (row space dimension)."""
     return len(echelon(integer_rows(rows)[0])[0])
 
-
-def kernel_vector(rows: Sequence[Sequence], dim: int) -> Optional[LatticeVec]:
-    """A nonzero integer vector orthogonal to all rows, None if they have rank dim.
-
-    Its first non-pivot coordinate is positive and its later ones are 0.
-    """
-    pivots, m, d = echelon(integer_rows(rows)[0], dim)
-    free = next((c for c in range(dim) if c not in pivots), None)
-    if free is None:
-        return None
-    y = [0] * dim
-    y[free] = abs(d)
-    return tuple(_back_substitute(m, pivots, y, [0] * len(pivots)))

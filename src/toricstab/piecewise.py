@@ -23,7 +23,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from typing import Optional, Sequence
 
 Poly = tuple[Fraction, ...]
 
@@ -351,9 +351,11 @@ def midpoint_root_concave(fn: PiecewisePolynomial, m: int, x: Fraction, y: Fract
 
     Roots are compared through rational brackets refined until separated;
     the genuine equality case (fn a perfect m-th power of a linear
-    polynomial over [x, y]) is recognized algebraically, so no comparison is
-    ever decided by tolerance alone.  The sign, equality and m = 1 tests
-    cross-multiply the values' integer numerators and denominators.
+    polynomial over [x, y]) is recognized algebraically, and roots the
+    brackets cannot separate are compared exactly when all three are
+    rational, so no comparison is ever decided by tolerance alone.  The
+    sign, equality and m = 1 tests cross-multiply the values' integer
+    numerators and denominators.
     """
     x, y = _fraction(x), _fraction(y)
     xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
@@ -379,6 +381,15 @@ def midpoint_root_concave(fn: PiecewisePolynomial, m: int, x: Fraction, y: Fract
             return True
         if 2 * hi_m < lo_a + lo_b:
             return False
-    raise ArithmeticError(
-        f"m-th roots of {qa}, {qm}, {qb} not separable at width 1e-96"
-    )
+    # roots this close may be an exact equality across pieces: decide it
+    # when all three roots are rational
+    roots = [_rational_root(q, m) for q in (qa, qm, qb)]
+    if None in roots:
+        raise ArithmeticError(f"m-th roots of {qa}, {qm}, {qb} not separable at width 1e-96")
+    return 2 * roots[1] >= roots[0] + roots[2]
+
+
+def _rational_root(q: Fraction, m: int) -> Optional[Fraction]:
+    """q^(1/m) when it is rational, else None."""
+    num, den = int_nth_root(q.numerator, m), int_nth_root(q.denominator, m)
+    return Fraction(num, den) if (num**m, den**m) == (q.numerator, q.denominator) else None

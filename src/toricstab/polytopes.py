@@ -1,11 +1,12 @@
-"""Exact rational polytopes: vertex enumeration, triangulation, volume.
+"""Exact rational polytopes: triangulation, volume, centroid, lattice points.
 
-Polytopes are handled in H-representation (a list of half-spaces
-``<u, normal> >= offset`` with integer normals and rational offsets) and
-V-representation (rational vertex tuples).  Vertex enumeration is the
-exhaustive n-subset intersection of facet hyperplanes with feasibility
-filtering: exact and perfectly adequate at the facet counts this package
-sees (< 20).
+A polytope carries both an H-representation (half-spaces ``<u, normal> >=
+offset`` with integer normals and rational offsets) and a V-representation
+(rational vertex tuples), and is built from the two together.  The
+anticanonical polytope of a fan gets its vertices from the fan's cones (see
+`fans`); a slice of a polytope, which only the tests take, finds its
+vertices by `enumerate_vertices`, the n-subset intersection of boundary
+hyperplanes with feasibility filtering.
 
 Each polytope triangulates itself once, lazily, on first use: the pulling
 triangulation for its lex-sorted vertex order (De Loera-Rambau-Santos,
@@ -15,9 +16,9 @@ first vertex.  It is read off which vertices lie on which half-space
 boundaries, so no coordinate is projected out and every simplex vertex is
 a vertex of the polytope.  Volume, centroid and the closed-form volume
 functions in `valuations` all read that cached triangulation.  Every
-solve, determinant and kernel vector here goes through the fraction-free
-elimination kernel in `lattice`; simplex determinants are `det_int` of the
-edge vectors scaled to integers.
+solve and determinant here goes through the fraction-free elimination
+kernel in `lattice`; simplex determinants are `det_int` of the edge
+vectors scaled to integers.
 """
 
 from __future__ import annotations
@@ -35,9 +36,7 @@ from .lattice import (
     RatVec,
     det_int,
     dot,
-    gcd_vec,
     integer_rows,
-    kernel_vector,
     solve_or_none,
     vec_sub,
 )
@@ -59,27 +58,6 @@ def enumerate_vertices(halfspaces: Sequence[HalfSpace], dim: int) -> list[RatVec
         if all(dot(point, a) >= b for a, b in halfspaces):
             seen.setdefault(point)
     return sorted(seen)
-
-
-def recession_direction(normals: Sequence[Sequence[int]], dim: int) -> Optional[tuple]:
-    """A nonzero direction in {u : <u, a_i> >= 0 for all i}, or None.
-
-    None means the recession cone is trivial, i.e. the polyhedron with these
-    normals is bounded.
-    """
-    line = kernel_vector(normals, dim)
-    if line is not None:
-        # the constraints fix fewer than dim directions: a full line remains
-        return line
-    # pointed cone: any nonzero element lies on a face, so scanning the
-    # candidate extreme rays (kernels of dim-1 active constraints) finds a
-    # direction whenever one exists
-    for rows in combinations(normals, dim - 1):
-        direction = kernel_vector(rows, dim)
-        for cand in (direction, tuple(-x for x in direction)):
-            if all(dot(cand, a) >= 0 for a in normals):
-                return cand
-    return None
 
 
 def _det_cols(vectors: Sequence[RatVec]) -> Fraction:
@@ -130,24 +108,6 @@ def triangulate(
     ]
 
 
-def _dedupe(halfspaces: Sequence[HalfSpace]) -> list[HalfSpace]:
-    """Canonical constraint list: primitive integer normals, one (binding) copy each.
-
-    Two half-spaces with parallel normals reduce to the larger offset, so
-    the H-representation a polytope keeps has one half-space per normal.
-    """
-    binding: dict[tuple[int, ...], Fraction] = {}
-    for a, b in halfspaces:
-        g = gcd_vec(a)
-        if g == 0:
-            continue
-        prim = tuple(x // g for x in a)
-        off = Fraction(b, g)
-        if prim not in binding or off > binding[prim]:
-            binding[prim] = off
-    return [(a, b) for a, b in binding.items()]
-
-
 def _average(points: Sequence[RatVec]) -> RatVec:
     n = len(points)
     return tuple(sum(col, Fraction(0)) / n for col in zip(*points))
@@ -156,31 +116,20 @@ def _average(points: Sequence[RatVec]) -> RatVec:
 class RationalPolytope:
     """A bounded rational polytope carrying both H- and V-representations.
 
-    Constructed from half-spaces; vertices are enumerated exactly on
-    construction.  Instances are immutable in use (nothing mutates after
-    construction) and cache their triangulation and volume data.
+    The caller supplies both: the half-spaces and the lex-sorted vertices
+    of their intersection, which must be bounded.  Instances are immutable
+    in use (nothing mutates after construction) and cache their
+    triangulation and volume data.
     """
 
-    def __init__(
-        self,
-        halfspaces: Sequence[HalfSpace],
-        dim: int,
-        *,
-        assume_bounded: bool = False,
-    ):
+    def __init__(self, halfspaces: Sequence[HalfSpace], vertices: Sequence[RatVec], dim: int):
         self.dim = dim
         self.halfspaces: tuple[HalfSpace, ...] = tuple(
-            (tuple(a), Fraction(b)) for a, b in _dedupe(halfspaces)
+            (tuple(a), Fraction(b)) for a, b in halfspaces
         )
-        self.vertices: tuple[RatVec, ...] = tuple(
-            enumerate_vertices(self.halfspaces, dim)
-        )
+        self.vertices: tuple[RatVec, ...] = tuple(vertices)
         if not self.vertices:
             raise InvariantViolation("empty polytope")
-        if not assume_bounded and recession_direction(
-            [a for a, _ in self.halfspaces], dim
-        ) is not None:
-            raise InvariantViolation("unbounded polyhedron")
 
     # -- basic queries ----------------------------------------------------
 
@@ -239,11 +188,8 @@ class RationalPolytope:
 
     def sliced(self, normal: Sequence[int], offset: Fraction) -> "RationalPolytope":
         """The sub-polytope {u : <u, normal> >= offset} (bounded by construction)."""
-        return RationalPolytope(
-            list(self.halfspaces) + [(tuple(normal), Fraction(offset))],
-            self.dim,
-            assume_bounded=True,
-        )
+        halfspaces = self.halfspaces + ((tuple(normal), Fraction(offset)),)
+        return RationalPolytope(halfspaces, enumerate_vertices(halfspaces, self.dim), self.dim)
 
     def lattice_points(self, scale: int = 1, budget: Optional[int] = None) -> list[tuple[int, ...]]:
         """Integer points of `scale * P`, by bounding-box enumeration.

@@ -20,9 +20,10 @@ from typing import Optional, Sequence, TextIO
 
 from .alpha import AlphaResult, alpha_invariant
 from .corpus import builtin_fan_specs
-from .errors import InvariantViolation, ParseError
+from .errors import BudgetExceeded, InvariantViolation, ParseError
 from .fans import Fan
 from .lattice import RatVec, gcd_vec
+from .polytopes import default_oracle_budget
 from .valuations import (
     ToricValuation,
     ValuationProfile,
@@ -107,9 +108,16 @@ def load_builtin_fan(name: str) -> Fan:
 
 
 def valuation_battery(fan: Fan, radius: int) -> list[ToricValuation]:
-    """All primitive integer vectors of max-norm <= radius, in shell-lex order."""
+    """All primitive integer vectors of max-norm <= radius, in shell-lex order.
+
+    Raises BudgetExceeded before any work when the (2 radius + 1)^n box
+    holds more points than the oracle budget.
+    """
     if radius < 1:
         raise InvariantViolation("battery radius must be at least 1")
+    box = (2 * radius + 1) ** fan.dimension
+    if box > default_oracle_budget():
+        raise BudgetExceeded(f"oracle budget exceeded: radius-{radius} battery scans {box} points")
     vectors = []
     for w in product(range(-radius, radius + 1), repeat=fan.dimension):
         if any(w) and gcd_vec(w) == 1:

@@ -15,7 +15,6 @@ from toricstab.lattice import (
     adjugate,
     det,
     det_int,
-    kernel_vector,
     matrix_inverse,
     matrix_rank,
     primitivize,
@@ -230,27 +229,3 @@ def test_matrix_rank():
         rows, cols = rng.randint(1, 4), rng.randint(1, 4)
         m = random_matrix(rng, rows, cols, rational=trial % 2 == 1)
         assert matrix_rank(m) == laplace_rank(m)
-
-
-def test_kernel_vector():
-    assert kernel_vector([[1, 1]], 2) == (-1, 1)
-    assert kernel_vector([], 3) == (1, 0, 0)
-    assert kernel_vector([[1, 0], [0, 1]], 2) is None
-    rng = random.Random(29)
-    for trial in range(300):
-        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
-        m = random_matrix(rng, rows, cols, rational=trial % 2 == 1)
-        k = kernel_vector(m, cols)
-        full_column_rank = any(
-            laplace_det([m[r] for r in rs]) != 0 for rs in combinations(range(rows), cols)
-        )
-        assert (k is None) == full_column_rank
-        if k is None:
-            continue
-        assert all(isinstance(x, int) for x in k) and any(k)
-        assert all(sum(a * x for a, x in zip(row, k)) == 0 for row in m)
-        if max(rows, cols) <= 4:
-            # the first column dependent on the ones before it gets a positive entry
-            ranks = [laplace_rank([row[:c] for row in m]) for c in range(cols + 1)]
-            free = next(c for c in range(cols) if ranks[c + 1] == ranks[c])
-            assert k[free] > 0

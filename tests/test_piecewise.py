@@ -291,7 +291,15 @@ def oracle_midpoint_root_concave(fn, m, x, y):
             return True
         if 2 * hi_m < lo_a + lo_b:
             return False
-    raise ArithmeticError(f"m-th roots of {qa}, {qm}, {qb} not separable at width 1e-96")
+    roots = []
+    for q in (qa, qm, qb):
+        # a rational root of q in lowest terms has p^m = numerator, d^m = denominator
+        root = next((F(p, d) for p in range(q.numerator + 1) if p**m == q.numerator
+                     for d in range(1, q.denominator + 1) if d**m == q.denominator), None)
+        if root is None:
+            raise ArithmeticError(f"m-th roots of {qa}, {qm}, {qb} not separable at width 1e-96")
+        roots.append(root)
+    return 2 * roots[1] >= roots[0] + roots[2]
 
 
 def poly_square(p):
@@ -379,10 +387,12 @@ def test_midpoint_root_concave_non_adjacent_equal_pieces():
                     got = verdict(midpoint_root_concave, fn, m, x, y)
                     assert got == verdict(oracle_midpoint_root_concave, fn, m, x, y)
                     verdicts.add(got)
-    # sqrt is 0, 1, 2 at 0, 1, 2: an exact equality across two pieces, which
-    # neither the brackets nor the one-piece branch can decide
-    assert {True, False} < verdicts
-    assert "ArithmeticError: m-th roots of 0, 1, 4 not separable at width 1e-96" in verdicts
+    # sqrt is 0, 1, 2 at 0, 1, 2 and 1, 2, 3 at 1, 2, 3: exact equalities
+    # across two pieces, which the brackets cannot separate and the
+    # rational roots decide
+    assert {True, False} == verdicts
+    assert midpoint_root_concave(fn, 2, F(0), F(2)) is True
+    assert midpoint_root_concave(fn, 2, F(1), F(3)) is True
     # inside one square piece the root is affine: the equality branch
     assert midpoint_root_concave(fn, 2, F(2), F(3)) is True
     assert midpoint_root_concave(fn, 2, F(0), F(1)) is True

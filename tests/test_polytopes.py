@@ -8,13 +8,13 @@ from fractions import Fraction as F
 import pytest
 
 from toricstab.errors import BudgetExceeded, InvariantViolation
-from toricstab.lattice import det, kernel_vector, matrix_rank, primitivize
-from toricstab.polytopes import (
-    RationalPolytope,
-    enumerate_vertices,
-    recession_direction,
-    triangulate,
-)
+from toricstab.lattice import det, matrix_rank, primitivize
+from toricstab.polytopes import RationalPolytope, enumerate_vertices, triangulate
+
+
+def polytope(halfspaces, dim):
+    """The polytope cut out by bounded `halfspaces`, its vertices by `enumerate_vertices`."""
+    return RationalPolytope(halfspaces, enumerate_vertices(halfspaces, dim), dim)
 
 
 def hull_facets(points, dim):
@@ -29,7 +29,10 @@ def hull_facets(points, dim):
         rows = [tuple(p - q for p, q in zip(point, subset[0])) for point in subset[1:]]
         if matrix_rank(rows) != dim - 1:
             continue
-        a = primitivize(kernel_vector(rows, dim))
+        # the signed maximal minors span the kernel of the dim - 1 rows
+        minors = [(-1) ** j * det([row[:j] + row[j + 1 :] for row in rows]) for j in range(dim)]
+        scale = math.lcm(*(x.denominator for x in minors))
+        a = primitivize(tuple(int(x * scale) for x in minors))
         b = sum(x * y for x, y in zip(subset[0], a))
         side = [sum(x * y for x, y in zip(p, a)) - b for p in points]
         if all(s >= 0 for s in side):
@@ -41,7 +44,7 @@ def hull_facets(points, dim):
 
 def square_poly():
     hs = [((1, 0), F(-1)), ((0, 1), F(-1)), ((-1, 0), F(-1)), ((0, -1), F(-1))]
-    return RationalPolytope(hs, 2)
+    return polytope(hs, 2)
 
 
 def test_vertex_enumeration_square():
@@ -51,43 +54,31 @@ def test_vertex_enumeration_square():
 
 def test_vertex_enumeration_weighted_triangle():
     hs = [((1, 0), F(-1)), ((0, 1), F(-1)), ((-2, -3), F(-1))]
-    poly = RationalPolytope(hs, 2)
+    poly = polytope(hs, 2)
     assert set(poly.vertices) == {(-1, -1), (-1, 1), (2, -1)}
-
-
-def test_unbounded_rejected():
-    hs = [((1, 0), F(0)), ((0, 1), F(0))]
-    with pytest.raises(InvariantViolation, match="unbounded"):
-        RationalPolytope(hs, 2)
 
 
 def test_empty_rejected():
     hs = [((1, 0), F(1)), ((-1, 0), F(1)), ((0, 1), F(0)), ((0, -1), F(0))]
     with pytest.raises(InvariantViolation, match="empty"):
-        RationalPolytope(hs, 2)
-
-
-def test_recession_direction():
-    assert recession_direction([(1, 0), (0, 1)], 2) is not None
-    assert recession_direction([(1, 0), (-1, 0), (0, 1), (0, -1)], 2) is None
-    assert recession_direction([(1, 1)], 2) is not None  # a full line remains
+        polytope(hs, 2)
 
 
 def test_volume_square_and_triangle():
     assert square_poly().volume() == 4
     hs = [((1, 0), F(-1)), ((0, 1), F(-1)), ((-2, -3), F(-1))]
-    assert RationalPolytope(hs, 2).volume() == 3
+    assert polytope(hs, 2).volume() == 3
 
 
 def test_volume_unit_square():
     hs = [((1, 0), F(0)), ((0, 1), F(0)), ((-1, 0), F(-1)), ((0, -1), F(-1))]
-    assert RationalPolytope(hs, 2).volume() == 1
+    assert polytope(hs, 2).volume() == 1
 
 
 def test_barycenter_examples():
     assert square_poly().barycenter() == (0, 0)
     hs = [((1, 0), F(-1)), ((0, 1), F(-1)), ((-2, -3), F(-1))]
-    assert RationalPolytope(hs, 2).barycenter() == (0, F(-1, 3))
+    assert polytope(hs, 2).barycenter() == (0, F(-1, 3))
 
 
 def test_barycenter_strictly_interior(corpus_fans):
@@ -98,7 +89,7 @@ def test_barycenter_strictly_interior(corpus_fans):
 
 def test_max_linear_functional():
     hs = [((1, 0), F(-1)), ((0, 1), F(-1)), ((-2, -3), F(-1))]
-    poly = RationalPolytope(hs, 2)
+    poly = polytope(hs, 2)
     assert poly.max_linear_functional((-1, 0)) == 1
     assert poly.max_linear_functional((0, 0)) == 0
     assert poly.max_linear_functional((-2, -3)) == 5
@@ -124,7 +115,7 @@ def _random_bounded_polytope(rng, dim):
         if all(x == 0 for x in normal):
             continue
         hs.append((normal, F(-rng.randint(1, 6))))
-    return RationalPolytope(hs, dim)
+    return polytope(hs, dim)
 
 
 def test_volume_triangulation_independent():
@@ -148,7 +139,7 @@ def test_volume_triangulation_independent():
 
 def test_triangulate_simplex_count():
     hs = [((1, 0), F(0)), ((0, 1), F(0)), ((-1, -1), F(-1))]
-    poly = RationalPolytope(hs, 2)
+    poly = polytope(hs, 2)
     simplices = triangulate(poly.halfspaces, poly.vertices, 2)
     total = sum(
         abs(
@@ -186,7 +177,7 @@ NON_SIMPLE_AND_REDUNDANT = {
 def test_triangulate_non_simple_and_redundant(name):
     """Full-size simplices summing to the volume, from every vertex and the default apex."""
     halfspaces, volume = NON_SIMPLE_AND_REDUNDANT[name]
-    poly = RationalPolytope(halfspaces, 3)
+    poly = polytope(halfspaces, 3)
     assert len(poly.halfspaces) == len(halfspaces)  # the redundant cut is kept
     for apex in (None, *poly.vertices):
         simplices = triangulate(poly.halfspaces, poly.vertices, 3, apex=apex)
@@ -205,7 +196,7 @@ def test_triangulate_non_simple_and_redundant(name):
     ids=["segment in R2", "square z=0 in R3"],
 )
 def test_triangulate_lower_dimensional_is_empty(halfspaces, dim):
-    poly = RationalPolytope(halfspaces, dim)
+    poly = polytope(halfspaces, dim)
     for apex in (None, *poly.vertices):
         assert triangulate(poly.halfspaces, poly.vertices, dim, apex=apex) == []
     assert poly.triangulation == ()
@@ -224,7 +215,7 @@ def test_corpus_simplex_counts(corpus_fans):
 
 def test_lower_dimensional_volume_warns():
     hs = [((1, 0), F(0)), ((-1, 0), F(0)), ((0, 1), F(-1)), ((0, -1), F(-1))]
-    poly = RationalPolytope(hs, 2)
+    poly = polytope(hs, 2)
     with pytest.warns(UserWarning, match="lower-dimensional"):
         assert poly.volume() == 0
 
@@ -289,3 +280,27 @@ def test_enumerate_vertices_redundant_constraint():
         ((1, 1), F(-10)),  # redundant
     ]
     assert enumerate_vertices(hs, 2) == [(-1, -1), (-1, 1), (1, -1), (1, 1)]
+
+
+def test_fan_vertices_match_the_subset_scan(corpus_fans):
+    """The cone points m_sigma are the vertices the n-subset scan finds, on
+    every corpus fan and every Q-Fano star subdivision of one of dimension
+    <= 3 at a point of {-1, 0, 1}^n that is not a ray."""
+    fans = list(corpus_fans)
+    for fan in corpus_fans:
+        if fan.dimension <= 3:
+            for w in itertools.product((-1, 0, 1), repeat=fan.dimension):
+                if any(w) and fan.ray_index(w) is None:
+                    fans.append(fan.star_subdivision(w))
+    checked = 0
+    for fan in fans:
+        try:
+            poly = fan.anticanonical_polytope()
+        except InvariantViolation:
+            continue  # not Q-Fano
+        oracle = polytope([(ray, F(-1)) for ray in fan.rays], fan.dimension)
+        assert poly.vertices == oracle.vertices, fan.name
+        assert poly.halfspaces == oracle.halfspaces, fan.name
+        assert poly.triangulation == oracle.triangulation, fan.name
+        checked += 1
+    assert checked == len(corpus_fans) + 54

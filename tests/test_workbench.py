@@ -116,6 +116,14 @@ def test_battery_primitive_and_deterministic(p2):
         valuation_battery(p2, 0)
 
 
+def test_battery_bounded_by_the_oracle_budget(monkeypatch, p2):
+    """The (2r+1)^n box is checked against the budget before it is scanned."""
+    monkeypatch.setenv("TKS_ORACLE_BUDGET", "100")
+    with pytest.raises(BudgetExceeded, match="radius-5 battery scans 121 points"):
+        valuation_battery(p2, 5)
+    assert len(valuation_battery(p2, 4)) == 48
+
+
 # -- analyze -----------------------------------------------------------------
 
 
@@ -441,3 +449,12 @@ def test_cli_budget_exit_code(monkeypatch, tmp_path):
 
     monkeypatch.setattr("toricstab.cli.analyze", boom)
     assert main(["analyze", path]) == 4
+
+
+def test_cli_screen_radius_over_budget_exit_code(monkeypatch, tmp_path, capsys):
+    path = write_spec(tmp_path, P123_SPEC)
+    monkeypatch.setenv("TKS_ORACLE_BUDGET", "100")
+    assert main(["screen", path, "--radius", "5"]) == 4
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: oracle budget exceeded: radius-5 battery scans 121 points\n"
