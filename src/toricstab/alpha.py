@@ -44,16 +44,19 @@ class AlphaResult:
 def alpha_invariant(fan: Fan) -> AlphaResult:
     """Exact alpha invariant with witness divisor and per-ray thresholds."""
     poly = fan.anticanonical_polytope()
+    d, rows = poly.vertex_matrix
     thresholds = []
     argmax_vertices = []
     for ray in fan.rays:
-        values = [(dot(v, ray), v) for v in poly.vertices]
-        best, vertex = max(values)
-        thresholds.append(1 + best)
-        argmax_vertices.append(vertex)
+        values = poly.vertex_values(ray)
+        # ties go to the lexicographically largest vertex
+        k = max(range(len(values)), key=lambda i: (values[i], poly.vertices[i]))
+        thresholds.append(1 + Fraction(values[k], d))
+        argmax_vertices.append(k)
     worst = max(range(len(fan.rays)), key=lambda j: (thresholds[j], -j))
-    m = argmax_vertices[worst]
-    divisor = tuple(1 + dot(m, ray) for ray in fan.rays)
+    k = argmax_vertices[worst]
+    m = poly.vertices[k]
+    divisor = tuple(1 + Fraction(dot(rows[k], ray), d) for ray in fan.rays)
     return AlphaResult(
         alpha=1 / thresholds[worst],
         witness_ray_index=worst,

@@ -5,8 +5,8 @@ Exit codes: 0 success, 1 verification mismatch, 2 parse error or an
 unreadable input / unwritable output file, 3 invariant violation, 4 budget
 exceeded, 5 internal error (a failed internal consistency check, or an
 exact computation that cannot finish: a discontinuous or negative piecewise
-polynomial, m-th roots that brackets cannot separate and that are not all
-rational).  Every failure is one line on stderr.
+polynomial, m-th roots that brackets cannot separate and that cannot be in
+exact arithmetic progression).  Every failure is one line on stderr.
 """
 
 from __future__ import annotations

@@ -24,6 +24,7 @@ lattice points at dilation k index the degree-k anticanonical sections.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -148,21 +149,34 @@ class Fan:
 
     def _scaled_coords(self, cone_index: int, w: Sequence) -> tuple:
         """w's coordinates in the cone's ray basis, times the cone's |det|."""
-        adj = self._cone_adjugates[cone_index]
-        return tuple(sum(a * x for a, x in zip(row, w)) for row in adj)
+        return tuple(sum(map(operator.mul, row, w)) for row in self._cone_adjugates[cone_index])
+
+    def locate(self, w: Sequence[int]) -> tuple[int, tuple[int, ...], int]:
+        """(index of a maximal cone containing w, adj . w, the cone's multiplicity).
+
+        adj . w is w's coordinates in the cone's ray basis times the
+        multiplicity, so every entry is a nonnegative int; a complete fan
+        always has such a cone.  A cone is left at its first negative entry.
+        """
+        for ci, adj in enumerate(self._cone_adjugates):
+            scaled = []
+            for row in adj:
+                s = sum(map(operator.mul, row, w))
+                if s < 0:
+                    break
+                scaled.append(s)
+            else:
+                return ci, tuple(scaled), self._cone_mults[ci]
+        raise AssertionError(f"complete fan has no cone containing {tuple(w)}")
 
     def containing_cone(self, w: Sequence[int]) -> int:
         """Index of a maximal cone containing w (complete fans always have one)."""
-        for ci in range(len(self.max_cones)):
-            if all(s >= 0 for s in self._scaled_coords(ci, w)):
-                return ci
-        raise AssertionError(f"complete fan has no cone containing {tuple(w)}")
+        return self.locate(w)[0]
 
     def cone_coordinates(self, w: Sequence[int]) -> tuple[int, RatVec]:
         """(cone index, nonnegative coordinates of w in that cone)."""
-        ci = self.containing_cone(w)
-        mult = self._cone_mults[ci]
-        return ci, tuple(Fraction(x, mult) for x in self._scaled_coords(ci, w))
+        ci, scaled, mult = self.locate(w)
+        return ci, tuple(Fraction(x, mult) for x in scaled)
 
     def ray_index(self, v: Sequence[int]) -> Optional[int]:
         return self._ray_lookup.get(_int_vector(v))

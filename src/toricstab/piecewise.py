@@ -351,11 +351,17 @@ def midpoint_root_concave(fn: PiecewisePolynomial, m: int, x: Fraction, y: Fract
 
     Roots are compared through rational brackets refined until separated;
     the genuine equality case (fn a perfect m-th power of a linear
-    polynomial over [x, y]) is recognized algebraically, and roots the
-    brackets cannot separate are compared exactly when all three are
-    rational, so no comparison is ever decided by tolerance alone.  The
-    sign, equality and m = 1 tests cross-multiply the values' integer
-    numerators and denominators.
+    polynomial over [x, y]) is recognized algebraically, so no comparison
+    is ever decided by tolerance alone.  Roots the brackets cannot separate
+    may still be exactly in arithmetic progression across pieces.  Divided
+    by fn(mid)^(1/m) that reads 2 = r_a + r_b with r_a = (fn(x)/fn(mid))^(1/m)
+    and r_b likewise; real m-th roots of positive rationals from distinct
+    classes modulo (Q*)^m are linearly independent over Q (Besicovitch,
+    1940), so it can hold only when both ratios are perfect m-th powers of
+    rationals.  Then 2 >= r_a + r_b is compared exactly (and fn(mid) = 0
+    gives True only when fn(x) = fn(y) = 0); otherwise ArithmeticError is
+    raised.  The sign, equality and m = 1 tests cross-multiply the values'
+    integer numerators and denominators.
     """
     x, y = _fraction(x), _fraction(y)
     xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
@@ -381,12 +387,14 @@ def midpoint_root_concave(fn: PiecewisePolynomial, m: int, x: Fraction, y: Fract
             return True
         if 2 * hi_m < lo_a + lo_b:
             return False
-    # roots this close may be an exact equality across pieces: decide it
-    # when all three roots are rational
-    roots = [_rational_root(q, m) for q in (qa, qm, qb)]
-    if None in roots:
+    # roots this close: an exact equality is possible only with rational ratios
+    if nm == 0:
+        return na == nb == 0
+    ra = _rational_root(Fraction(na * dm, da * nm), m)
+    rb = _rational_root(Fraction(nb * dm, db * nm), m)
+    if ra is None or rb is None:
         raise ArithmeticError(f"m-th roots of {qa}, {qm}, {qb} not separable at width 1e-96")
-    return 2 * roots[1] >= roots[0] + roots[2]
+    return 2 >= ra + rb
 
 
 def _rational_root(q: Fraction, m: int) -> Optional[Fraction]:

@@ -8,6 +8,12 @@ anticanonical polytope of a fan gets its vertices from the fan's cones (see
 vertices by `enumerate_vertices`, the n-subset intersection of boundary
 hyperplanes with feasibility filtering.
 
+On first use a polytope also keeps its vertices once as an integer matrix
+over one common denominator D (`vertex_matrix`), so a linear functional
+<v, w> at integer w is one integer dot product per vertex.  For the
+anticanonical polytope D divides the lcm of the cone multiplicities: the
+denominator of the vertex m_sigma divides the multiplicity of sigma.
+
 Each polytope triangulates itself once, lazily, on first use: the pulling
 triangulation for its lex-sorted vertex order (De Loera-Rambau-Santos,
 *Triangulations*, 2010, Sec. 4.3), a fan-out from the first vertex over
@@ -24,6 +30,7 @@ vectors scaled to integers.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import warnings
 from fractions import Fraction
@@ -142,9 +149,23 @@ class RationalPolytope:
         """True iff the polytope has interior points, i.e. a nonempty triangulation."""
         return bool(self.triangulation)
 
+    @cached_property
+    def vertex_matrix(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(D, rows): the vertices as integer rows over one common denominator.
+
+        D is the least common denominator of all vertex coordinates and
+        vertices[i] == rows[i] / D.  Built once, on first use.
+        """
+        d = math.lcm(*(x.denominator for v in self.vertices for x in v))
+        return d, tuple(tuple(x.numerator * (d // x.denominator) for x in v) for v in self.vertices)
+
+    def vertex_values(self, w: Sequence[int]) -> list[int]:
+        """D * <v, w> for each vertex v, in vertex order: one integer dot product each."""
+        return [sum(map(operator.mul, row, w)) for row in self.vertex_matrix[1]]
+
     def max_linear_functional(self, w: Sequence) -> Fraction:
         """Exact maximum of <., w> over the polytope (attained at a vertex)."""
-        return max(dot(v, w) for v in self.vertices)
+        return Fraction(max(self.vertex_values(w)), self.vertex_matrix[0])
 
     # -- volume and centroid ----------------------------------------------
 

@@ -6,11 +6,16 @@ simplicial fan.  With P the anticanonical polytope, every invariant is an
 exact polytope computation:
 
   * log discrepancy    A(w)  = sum of the coordinates of w inside the
-                               simplicial cone containing it;
+                               simplicial cone containing it, i.e. the
+                               integer sum of adj . w over the cone's
+                               multiplicity (`Fan.locate`, cached on the
+                               valuation);
   * valuation of the section indexed by a lattice point u:
                        <u, w> + A(w), which is nonnegative exactly on P;
   * volume function    vol(x) = n! * vol(P cut to {<u, w> >= x - A(w)});
-  * pseudo-effective threshold  tau(w) = A(w) + max_P <u, w>;
+  * pseudo-effective threshold  tau(w) = A(w) + max_P <u, w>, so the
+                       equality-case bound A >= (n/(n+1)) tau is equivalent
+                       to A >= n max_P <u, w> (`meets_equality_bound`);
   * beta invariant     beta(w) = A(w) * degree - integral of vol over [0, tau];
   * nef threshold      eps(w) = A(w) + the second-smallest distinct value of
                        <v, w> over the vertices v of P, the first positive
@@ -27,6 +32,11 @@ knot is a breakpoint, and on each piece vol is dim! * sum_S vol(S) *
 (x - t)^n over the knots of S at or below the piece's left end
 (`piecewise.spline_cdf_jumps`).  Repeated knots are handled exactly, with
 no perturbation, so every coefficient is an exact rational number.
+
+Every <v, w> over the vertices of P (tau, the nef threshold, the knots of
+vol, the equality-case bound) is read from the polytope's integer vertex
+matrix, one integer dot product per vertex; Fractions are built only for
+the values returned.
 """
 
 from __future__ import annotations
@@ -76,28 +86,47 @@ class ToricValuation:
         return ToricValuation(self.fan, primitivize(self.w))
 
     @cached_property
-    def _cone_coordinates(self) -> tuple[int, tuple[Fraction, ...]]:
-        """(index of a maximal cone containing w, w's coordinates in it), located once."""
-        return self.fan.cone_coordinates(self.w)
+    def _location(self) -> tuple[int, tuple[int, ...], int]:
+        """(containing cone index, adj . w, cone multiplicity), located once (`Fan.locate`)."""
+        return self.fan.locate(self.w)
+
+
+def _scaled_log_discrepancy(val: ToricValuation) -> tuple[int, int]:
+    """(sum of adj . w, multiplicity): A(w) as an integer pair, checked positive."""
+    _, scaled, mult = val._location
+    total = sum(scaled)
+    if total <= 0:
+        raise AssertionError(f"log discrepancy of {val.w} not positive")
+    return total, mult
 
 
 def log_discrepancy(val: ToricValuation) -> Fraction:
     """Sum of the cone coordinates of w in a containing maximal cone.
 
     Well-defined on shared faces: coordinates on rays outside the minimal
-    containing cone vanish.
+    containing cone vanish.  The coordinates are adj . w over the cone's
+    multiplicity, so A(w) is one integer sum over it.
     """
-    _, coords = val._cone_coordinates
-    total = sum(coords, Fraction(0))
-    if total <= 0:
-        raise AssertionError(f"log discrepancy of {val.w} not positive")
-    return total
+    return Fraction(*_scaled_log_discrepancy(val))
 
 
 def pseff_threshold(val: ToricValuation) -> Fraction:
     """Largest x with vol(x) > 0: equals A(w) + max over P of <u, w>."""
     poly = val.fan.anticanonical_polytope()
     return log_discrepancy(val) + poly.max_linear_functional(val.w)
+
+
+def meets_equality_bound(val: ToricValuation) -> bool:
+    """The equality-case hypothesis A(w) >= (n/(n+1)) tau(w), decided in integers.
+
+    Since tau = A + max_P <u, w>, the bound is equivalent to A >= n max_P <u, w>.
+    With A = S / mult (S the sum of adj . w) and max_P <u, w> = M / D over the
+    polytope's integer vertex matrix, that is one cross-multiplication,
+    S * D >= n * mult * M.  No Fraction is built.
+    """
+    total, mult = _scaled_log_discrepancy(val)
+    poly = val.fan.anticanonical_polytope()
+    return total * poly.vertex_matrix[0] >= poly.dim * mult * max(poly.vertex_values(val.w))
 
 
 @lru_cache(maxsize=None)
@@ -113,7 +142,8 @@ def volume_function(val: ToricValuation) -> PiecewisePolynomial:
     n = fan.dimension
     poly = fan.anticanonical_polytope()
     a_disc = log_discrepancy(val)
-    at = {v: a_disc + dot(v, val.w) for v in poly.vertices}
+    d, _ = poly.vertex_matrix
+    at = {v: a_disc + Fraction(s, d) for v, s in zip(poly.vertices, poly.vertex_values(val.w))}
     values = sorted(set(at.values()))
     if values[0] != 0:
         raise AssertionError("volume function must start at x = 0")
@@ -178,8 +208,8 @@ def center_codim(val: ToricValuation) -> int:
     This equals the codimension of the valuation's center: the center is a
     point exactly when the result is the fan dimension.
     """
-    _, coords = val._cone_coordinates
-    return sum(1 for c in coords if c > 0)
+    _, scaled, _ = val._location
+    return sum(1 for s in scaled if s > 0)
 
 
 @lru_cache(maxsize=None)
@@ -198,8 +228,9 @@ def nef_threshold(val: ToricValuation) -> Fraction:
     The formula is homogeneous in w, so non-primitive w and ray multiples
     need no special case.
     """
-    values = sorted({dot(v, val.w) for v in val.fan.anticanonical_polytope().vertices})
-    return log_discrepancy(val) + values[1]
+    poly = val.fan.anticanonical_polytope()
+    values = sorted(set(poly.vertex_values(val.w)))
+    return log_discrepancy(val) + Fraction(values[1], poly.vertex_matrix[0])
 
 
 # -- bundled profile ----------------------------------------------------------
@@ -317,7 +348,7 @@ def certify_equality_case(val: ToricValuation) -> CertificateResult:
     tau = pseff_threshold(val)
     beta = beta_invariant(val)
     quantities = {"A": a_disc, "tau": tau, "beta": beta}
-    if a_disc < Fraction(n, n + 1) * tau or beta > 0:
+    if not meets_equality_bound(val) or beta > 0:
         return CertificateResult("equality_case", "hypothesis not met", quantities)
     eps = nef_threshold(val)
     quantities["eps"] = eps

@@ -29,6 +29,7 @@ from .valuations import (
     ValuationProfile,
     beta_invariant,
     log_discrepancy,
+    meets_equality_bound,
     pseff_threshold,
     restricted_volume,
     valuation_profile,
@@ -143,7 +144,10 @@ class ScreenResult:
 
     On a smooth fan such a witness forces the variety to be projective
     space, so the screen asserts the recognition; a singular fan can carry a
-    witness without the conclusion, and is flagged instead.
+    witness without the conclusion, and is flagged instead.  The bound is
+    decided in integers as A >= n max_P <u, w> (`meets_equality_bound`), so
+    beta is computed only for the valuations that meet it, and A and tau
+    only for the witnesses.
     """
 
     fan_name: str
@@ -162,16 +166,13 @@ def recognize_projective_space(fan: Fan) -> bool:
 
 def screen_projective_space(fan: Fan, radius: int = 4) -> ScreenResult:
     n = fan.dimension
-    bound = Fraction(n, n + 1)
     witnesses = []
     for val in valuation_battery(fan, radius):
-        a_disc = log_discrepancy(val)
-        tau = pseff_threshold(val)
-        if a_disc < bound * tau:
+        if not meets_equality_bound(val):
             continue
         beta = beta_invariant(val)
         if beta <= 0:
-            witnesses.append(ScreenWitness(val.w, a_disc, tau, beta))
+            witnesses.append(ScreenWitness(val.w, log_discrepancy(val), pseff_threshold(val), beta))
     smooth = fan.is_smooth()
     recognized: Optional[bool] = None
     if not witnesses:

@@ -1,5 +1,6 @@
 """Polynomial pieces: interpolation, calculus, root comparisons."""
 
+import itertools
 import math
 import random
 from bisect import bisect_right
@@ -291,15 +292,21 @@ def oracle_midpoint_root_concave(fn, m, x, y):
             return True
         if 2 * hi_m < lo_a + lo_b:
             return False
-    roots = []
-    for q in (qa, qm, qb):
-        # a rational root of q in lowest terms has p^m = numerator, d^m = denominator
-        root = next((F(p, d) for p in range(q.numerator + 1) if p**m == q.numerator
-                     for d in range(1, q.denominator + 1) if d**m == q.denominator), None)
-        if root is None:
-            raise ArithmeticError(f"m-th roots of {qa}, {qm}, {qb} not separable at width 1e-96")
-        roots.append(root)
-    return 2 * roots[1] >= roots[0] + roots[2]
+    # an exact progression 2 qm^(1/m) = qa^(1/m) + qb^(1/m) needs both
+    # (qa/qm)^(1/m) and (qb/qm)^(1/m) rational
+    if qm == 0:
+        return qa == qb == 0
+    roots = [oracle_rational_root(q / qm, m) for q in (qa, qb)]
+    if None in roots:
+        raise ArithmeticError(f"m-th roots of {qa}, {qm}, {qb} not separable at width 1e-96")
+    return 2 >= roots[0] + roots[1]
+
+
+def oracle_rational_root(q, m):
+    """q^(1/m) for q >= 0 when it is rational: count up to p^m = numerator, d^m = denominator."""
+    p = next(p for p in itertools.count() if p**m >= q.numerator)
+    d = next(d for d in itertools.count(1) if d**m >= q.denominator)
+    return F(p, d) if (p**m, d**m) == (q.numerator, q.denominator) else None
 
 
 def poly_square(p):
@@ -398,3 +405,24 @@ def test_midpoint_root_concave_non_adjacent_equal_pieces():
     assert midpoint_root_concave(fn, 2, F(0), F(1)) is True
     assert midpoint_root_concave(fn, 2, F(1, 2), F(5, 2)) is True
     assert oracle_pieces_covering(fn, F(0), F(3)) == [square, (F(-2), F(3))]
+
+
+@pytest.mark.parametrize("m, line", [(2, (F(-4), F(6))), (3, (F(-12), F(14)))])
+def test_midpoint_root_concave_irrational_roots_in_progression(m, line):
+    """2x^m, 6x - 4 or 14x - 12, 2x^m on [0, 1], [1, 2], [2, 3]: the m-th roots
+    at 0, 1, 2 and at 1, 2, 3 are 2^(1/m) times 0, 1, 2 and 1, 2, 3, irrational
+    but in arithmetic progression across two pieces."""
+    outer = (F(0),) * m + (F(2),)
+    fn = PiecewisePolynomial((F(0), F(1), F(2), F(3)), (outer, line, outer))
+    assert len(fn.pieces) == 3
+    assert midpoint_root_concave(fn, m, F(0), F(2)) is True
+    assert midpoint_root_concave(fn, m, F(1), F(3)) is True
+    thirds = [F(k, 3) for k in range(10)]
+    verdicts = set()
+    for x in thirds:
+        for y in thirds:
+            if x <= y:
+                got = verdict(midpoint_root_concave, fn, m, x, y)
+                assert got == verdict(oracle_midpoint_root_concave, fn, m, x, y)
+                verdicts.add(got)
+    assert {True, False} == verdicts

@@ -282,25 +282,51 @@ def test_enumerate_vertices_redundant_constraint():
     assert enumerate_vertices(hs, 2) == [(-1, -1), (-1, 1), (1, -1), (1, 1)]
 
 
-def test_fan_vertices_match_the_subset_scan(corpus_fans):
-    """The cone points m_sigma are the vertices the n-subset scan finds, on
-    every corpus fan and every Q-Fano star subdivision of one of dimension
-    <= 3 at a point of {-1, 0, 1}^n that is not a ray."""
+def q_fano_fans(corpus_fans):
+    """Every corpus fan and every Q-Fano star subdivision of one of dimension
+    <= 3 at a point of {-1, 0, 1}^n that is not a ray (54 of them)."""
     fans = list(corpus_fans)
     for fan in corpus_fans:
         if fan.dimension <= 3:
             for w in itertools.product((-1, 0, 1), repeat=fan.dimension):
                 if any(w) and fan.ray_index(w) is None:
                     fans.append(fan.star_subdivision(w))
-    checked = 0
+    out = []
     for fan in fans:
         try:
-            poly = fan.anticanonical_polytope()
+            fan.anticanonical_polytope()
         except InvariantViolation:
             continue  # not Q-Fano
+        out.append(fan)
+    assert len(out) == len(corpus_fans) + 54
+    return out
+
+
+def test_fan_vertices_match_the_subset_scan(corpus_fans):
+    """The cone points m_sigma are the vertices the n-subset scan finds."""
+    for fan in q_fano_fans(corpus_fans):
+        poly = fan.anticanonical_polytope()
         oracle = polytope([(ray, F(-1)) for ray in fan.rays], fan.dimension)
         assert poly.vertices == oracle.vertices, fan.name
         assert poly.halfspaces == oracle.halfspaces, fan.name
         assert poly.triangulation == oracle.triangulation, fan.name
-        checked += 1
-    assert checked == len(corpus_fans) + 54
+
+
+def test_vertex_matrix_is_the_vertices_over_one_denominator(corpus_fans):
+    """rows / D are the vertices, D divides the lcm of the cone multiplicities
+    (the denominator of m_sigma divides the multiplicity of sigma), and the
+    integer maximum of <., w> equals the Fraction maximum over the vertices."""
+    rng = random.Random(8)
+    for fan in q_fano_fans(corpus_fans):
+        poly = fan.anticanonical_polytope()
+        d, rows = poly.vertex_matrix
+        assert len(rows) == len(poly.vertices)
+        for row, v in zip(rows, poly.vertices):
+            assert all(type(x) is int for x in row)
+            assert tuple(F(x, d) for x in row) == v
+        mults = [int(abs(det([fan.rays[i] for i in cone.ray_indices]))) for cone in fan.max_cones]
+        assert math.lcm(*mults) % d == 0, fan.name
+        n = fan.dimension
+        for w in [*fan.rays, *(tuple(rng.randint(-5, 5) for _ in range(n)) for _ in range(20))]:
+            expected = max(sum(F(a) * b for a, b in zip(v, w)) for v in poly.vertices)
+            assert poly.max_linear_functional(w) == expected

@@ -16,6 +16,7 @@ from toricstab.valuations import (
     center_codim,
     integrated_volume,
     log_discrepancy,
+    meets_equality_bound,
     nef_threshold,
     pseff_threshold,
     restricted_volume,
@@ -393,6 +394,21 @@ def test_nef_threshold_bounded_by_tau(corpus_fans):
         for v in valuation_battery(fan, 1):
             eps = nef_threshold(v)
             assert 0 < eps <= pseff_threshold(v), (fan.name, v.w)
+
+
+def test_equality_bound_matches_the_fraction_test(corpus_fans):
+    """The integer test S * D >= n * mult * M decides A >= (n/(n+1)) tau, with tau
+    taken here as A plus a Fraction maximum over the vertices."""
+    outcomes = set()
+    for fan in corpus_fans:
+        n = fan.dimension
+        vertices = fan.anticanonical_polytope().vertices
+        for v in valuation_battery(fan, 3):
+            tau = log_discrepancy(v) + max(dot(u, v.w) for u in vertices)
+            expected = log_discrepancy(v) >= F(n, n + 1) * tau
+            assert meets_equality_bound(v) is expected, (fan.name, v.w)
+            outcomes.add((n, expected))
+    assert {(n, b) for n in range(2, 6) for b in (True, False)} <= outcomes
 
 
 def test_first_breakpoint_not_below_nef_threshold(corpus_fans):
