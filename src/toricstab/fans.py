@@ -31,7 +31,7 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from .errors import InvariantViolation
-from .lattice import LatticeVec, RatVec, adjugate, dot, primitivize
+from .lattice import LatticeVec, RatVec, adjugate, primitivize
 from .polytopes import RationalPolytope
 
 
@@ -185,15 +185,6 @@ class Fan:
         """True iff every maximal cone's rays form a lattice basis (|det| = 1)."""
         return all(d == 1 for d in self._cone_mults)
 
-    def linear_form(self, cone_index: int, values: Sequence) -> RatVec:
-        """The m with <m, v> = values[k] on the k-th ray v of the cone: adj^T values / |det|."""
-        adj = self._cone_adjugates[cone_index]
-        mult = self._cone_mults[cone_index]
-        return tuple(
-            Fraction(sum(row[k] * h for row, h in zip(adj, values)), mult)
-            for k in range(self.dimension)
-        )
-
     # -- derived geometry -------------------------------------------------------
 
     def anticanonical_polytope(self) -> RationalPolytope:
@@ -207,11 +198,13 @@ class Fan:
         if self._polytope is None:
             vertices = []
             for ci, cone in enumerate(self.max_cones):
-                m = self.linear_form(ci, [-1] * self.dimension)
+                # mult * m_sigma = adj^T (-1, ..., -1), so <m_sigma, v> <= -1 is an integer test
+                mult = self._cone_mults[ci]
+                m = [-sum(col) for col in zip(*self._cone_adjugates[ci])]
                 outside = (v for j, v in enumerate(self.rays) if j not in cone.ray_indices)
-                if any(dot(m, v) <= -1 for v in outside):
+                if any(sum(map(operator.mul, m, v)) <= -mult for v in outside):
                     raise InvariantViolation(f"not Q-Fano: -K is not ample on maximal cone {ci}")
-                vertices.append(m)
+                vertices.append(tuple(Fraction(x, mult) for x in m))
             halfspaces = [(ray, Fraction(-1)) for ray in self.rays]
             self._polytope = RationalPolytope(halfspaces, sorted(vertices), self.dimension)
         return self._polytope

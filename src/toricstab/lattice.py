@@ -29,10 +29,6 @@ def dot(u: Sequence, v: Sequence):
     return sum(a * b for a, b in zip(u, v))
 
 
-def vec_sub(u: Sequence, v: Sequence) -> tuple:
-    return tuple(a - b for a, b in zip(u, v))
-
-
 def gcd_vec(v: Sequence[int]) -> int:
     g = 0
     for a in v:

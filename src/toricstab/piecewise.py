@@ -6,14 +6,28 @@ strictly increasing breakpoint grid; adjacent pieces with identical
 polynomials are merged at construction and exact continuity at interior
 breakpoints is enforced.
 
-Evaluation runs on an integer form built once per instance, on first use:
-the breakpoints as integers B_i over one common denominator D, and each
-piece as integer numerators c_k over one denominator e.  A point x = p/q
-(q > 0) lies at or right of breakpoint i exactly when B_i <= floor(p*D/q),
-so locating it is one floor division and an integer bisection; the value
-there is the homogeneous Horner sum  sum_k c_k p^k q^(d-k)  over e * q^d,
-with d the piece degree.  One Fraction is built per value returned, and the
-root-concavity comparison works on the (numerator, denominator) pairs.
+Evaluation and every check run on an integer form built once per
+instance, on first use (at construction when there are interior
+breakpoints to check): the breakpoints as integers B_i over one common
+denominator D, and each piece as integer numerators c_k over one
+denominator e.  A point x = p/q (q > 0) lies at or right of breakpoint i
+exactly when B_i <= floor(p*D/q), so locating it is one floor division and
+an integer bisection; the value there is the homogeneous Horner sum
+sum_k c_k p^k q^(d-k)  over e * q^d, with d the piece degree.  One
+Fraction is built per value returned, and the root-concavity comparison
+works on the (numerator, denominator) pairs.
+
+Continuity at construction and `is_c1` compare the two pieces' Horner
+sums at each interior breakpoint B_i / D by cross-multiplication (for C^1,
+on the derivative numerators k c_k); a Fraction is built only for the
+error message.  An integral puts its bounds and the breakpoints over one
+denominator q, takes one integer antiderivative per piece scaled by
+lcm(1, ..., d + 1), sums the Horner differences over one common
+denominator and builds one Fraction at the end.
+
+The B-spline jumps behind the closed-form volume functions
+(`spline_cdf_jumps`) take integer knots and return integer numerators over
+an integer denominator per knot.
 """
 
 from __future__ import annotations
@@ -28,30 +42,25 @@ from typing import Optional, Sequence
 Poly = tuple[Fraction, ...]
 
 
+def _fraction(x) -> Fraction:
+    return x if isinstance(x, Fraction) else Fraction(x)
+
+
 def poly_trim(coeffs: Sequence[Fraction]) -> Poly:
-    cs = [Fraction(c) for c in coeffs]
+    cs = [_fraction(c) for c in coeffs]
     while cs and cs[-1] == 0:
         cs.pop()
     return tuple(cs) if cs else (Fraction(0),)
 
 
-def poly_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(list(coeffs)):
-        acc = acc * x + c
-    return acc
-
-
-def poly_derivative(coeffs: Sequence[Fraction]) -> Poly:
-    return poly_trim([k * c for k, c in enumerate(coeffs)][1:] or [Fraction(0)])
-
-
-def poly_antiderivative(coeffs: Sequence[Fraction]) -> Poly:
-    return poly_trim([Fraction(0)] + [c / (k + 1) for k, c in enumerate(coeffs)])
-
-
-def poly_scale(coeffs: Sequence[Fraction], factor: Fraction) -> Poly:
-    return poly_trim([factor * c for c in coeffs])
+def _homogeneous(cs: Sequence[int], p: int, q: int) -> tuple[int, int]:
+    """(sum_k cs[k] p^k q^(d-k), q^d) with d = len(cs) - 1: the value at p/q times q^d."""
+    acc = cs[-1]
+    q_power = 1
+    for c in cs[-2::-1]:
+        q_power *= q
+        acc = acc * p + c * q_power
+    return acc, q_power
 
 
 def lagrange_interpolate(points: Sequence[tuple[Fraction, Fraction]]) -> Poly:
@@ -97,66 +106,55 @@ def poly_linear_power(coeffs: Poly, m: int) -> tuple[Fraction, Fraction] | None:
     return (c, r) if expect == cs else None
 
 
-def poly_from_shifted(coeffs: Sequence[Fraction], shift: Fraction) -> Poly:
-    """Ascending coefficients of sum_j coeffs[j] * (x - shift)^j."""
-    acc: list[Fraction] = []
-    for c in reversed(coeffs):
-        # acc <- acc * (x - shift) + c
-        nxt = [Fraction(0)] * (len(acc) + 1)
-        for k, a in enumerate(acc):
-            nxt[k + 1] += a
-            nxt[k] -= shift * a
-        nxt[0] += c
-        acc = nxt
-    return poly_trim(acc)
-
-
-def spline_cdf_jumps(knots: Sequence[Fraction]) -> dict[Fraction, list[Fraction]]:
-    """The B-spline distribution function of `knots`, as one jump per distinct knot.
+def spline_cdf_jumps(knots: Sequence[int]) -> dict[int, tuple[int, list[int]]]:
+    """The B-spline distribution function of integer `knots`, as one jump per distinct knot.
 
     For n + 1 knots t_i (repeats allowed, not all equal) let F be the
     distribution of <u, w> for u uniform on a simplex whose vertices have
     values t_i (Curry-Schoenberg).  F is a piecewise polynomial of degree n;
     for distinct knots F(x) = sum_i (x - t_i)_+^n / prod_{j!=i} (t_j - t_i).
     In general F(x) = sum over distinct knots tau <= x of
-    sum_j jumps[tau][j] * (x - tau)^j, where the jump at tau is the exact
-    confluent divided difference: with m the multiplicity of tau, it is
-    (-1)^n times the residue at z = tau of (x - z)^n / prod_i (z - t_i),
+    sum_j (nums[j] / den) * (x - tau)^j, where (den, nums) = jumps[tau] is
+    the exact confluent divided difference: with m the multiplicity of tau,
+    it is (-1)^n times the residue at z = tau of (x - z)^n / prod_i (z - t_i),
     i.e. the coefficient of h^(m-1) in the Taylor product
     (x - tau - h)^n * prod_{t_i != tau} (tau - t_i + h)^-1.
+
+    Everything is an integer: for another knot sigma of multiplicity mu and
+    d = tau - sigma, (d + h)^-mu agrees up to h^(m-1) with
+    sum_l (-1)^l C(mu + l - 1, l) d^(m-1-l) h^l over d^(mu+m-1), so den is
+    the product of those powers, reduced with the numerators to lowest
+    terms and made positive.
     """
     n = len(knots) - 1
-    counts: dict[Fraction, int] = {}
+    counts: dict[int, int] = {}
     for t in knots:
         counts[t] = counts.get(t, 0) + 1
     if len(counts) < 2:
         raise ValueError("spline knots must not all coincide")
     jumps = {}
     for tau, m in counts.items():
-        # series[l]: coefficient of h^l in the product over the other knots
-        # sigma, of multiplicity mu, of (d + h)^-mu with d = tau - sigma
-        series = [Fraction(1)] + [Fraction(0)] * (m - 1)
+        # series[l] / den: coefficient of h^l in the product over the other knots
+        series = [1] + [0] * (m - 1)
+        den = 1
         for sigma, mu in counts.items():
             if sigma == tau:
                 continue
-            inv = 1 / (tau - sigma)
-            # (d + h)^-mu = d^-mu * sum_l C(mu + l - 1, l) (-h/d)^l
-            factor = [inv**mu * math.comb(mu + l - 1, l) * (-inv) ** l for l in range(m)]
-            series = [
-                sum((series[i] * factor[l - i] for i in range(l + 1)), Fraction(0))
-                for l in range(m)
-            ]
+            d = tau - sigma
+            den *= d ** (mu + m - 1)
+            if m > 1:
+                factor = [(-1) ** l * math.comb(mu + l - 1, l) * d ** (m - 1 - l) for l in range(m)]
+                series = [sum(series[i] * factor[l - i] for i in range(l + 1)) for l in range(m)]
         # (x - tau - h)^n = sum_k C(n, k) (-h)^k (x - tau)^(n-k)
-        jump = [Fraction(0)] * (n + 1)
+        jump = [0] * (n + 1)
         for k in range(m):
             sign = -1 if (n + k) % 2 else 1
             jump[n - k] = sign * math.comb(n, k) * series[m - 1 - k]
-        jumps[tau] = jump
+        g = math.gcd(den, *jump)
+        if den < 0:
+            g = -g
+        jumps[tau] = (den // g, [c // g for c in jump])
     return jumps
-
-
-def _fraction(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -184,11 +182,12 @@ class PiecewisePolynomial:
         object.__setattr__(self, "breakpoints", tuple(bps))
         object.__setattr__(self, "pieces", tuple(ps))
         for i in range(1, len(self.breakpoints) - 1):
-            x = self.breakpoints[i]
-            left = poly_eval(self.pieces[i - 1], x)
-            right = poly_eval(self.pieces[i], x)
-            if left != right:
-                raise ValueError(f"discontinuity at breakpoint {x}: {left} != {right}")
+            (a, da), (b, db) = self._values_at(i, self._int_pieces)
+            if a * db != b * da:
+                raise ValueError(
+                    f"discontinuity at breakpoint {self.breakpoints[i]}: "
+                    f"{Fraction(a, da)} != {Fraction(b, db)}"
+                )
 
     @property
     def domain(self) -> tuple[Fraction, Fraction]:
@@ -230,11 +229,7 @@ class PiecewisePolynomial:
     def _value(self, p: int, q: int) -> tuple[int, int]:
         """fn(p/q) for q > 0, as a (numerator, positive denominator) pair."""
         e, cs = self._int_pieces[self._locate(p, q)]
-        acc = cs[-1]
-        q_power = 1
-        for c in cs[-2::-1]:
-            q_power *= q
-            acc = acc * p + c * q_power
+        acc, q_power = _homogeneous(cs, p, q)
         return acc, e * q_power
 
     def __call__(self, x) -> Fraction:
@@ -260,21 +255,18 @@ class PiecewisePolynomial:
             cache[key] = poly_linear_power(self.pieces[i], m) is not None
         return cache[key]
 
-    def derivative(self) -> "PiecewisePolynomial":
-        """Piecewise derivative (continuous whenever the function is C^1)."""
-        return PiecewisePolynomial(
-            self.breakpoints, tuple(poly_derivative(p) for p in self.pieces)
-        )
-
-    def scale(self, factor) -> "PiecewisePolynomial":
-        factor = Fraction(factor)
-        return PiecewisePolynomial(
-            self.breakpoints, tuple(poly_scale(p, factor) for p in self.pieces)
-        )
+    def _values_at(self, i: int, pieces) -> list[tuple[int, int]]:
+        """Pieces i - 1 and i of an integer form at breakpoint i, as (numerator, denominator)."""
+        den, grid = self._grid
+        out = []
+        for e, cs in pieces[i - 1 : i + 1]:
+            acc, q_power = _homogeneous(cs, grid[i], den)
+            out.append((acc, e * q_power))
+        return out
 
     @cached_property
     def _full_integral(self) -> Fraction:
-        return self.integral(*self.domain)
+        return self._integrate(*self.domain)
 
     def integral(self, a=None, b=None) -> Fraction:
         """Exact definite integral over [a, b] (default: the full domain, computed once)."""
@@ -285,34 +277,53 @@ class PiecewisePolynomial:
         b = hi if b is None else Fraction(b)
         if not (lo <= a <= b <= hi):
             raise ValueError("integration bounds outside domain")
-        total = Fraction(0)
-        for i, piece in enumerate(self.pieces):
-            left = max(a, self.breakpoints[i])
-            right = min(b, self.breakpoints[i + 1])
+        return self._integrate(a, b)
+
+    def _integrate(self, a: Fraction, b: Fraction) -> Fraction:
+        """The integral over [a, b] in the domain, summed in integers.
+
+        Over the common denominator q of a, b and the breakpoints every
+        endpoint is p/q.  With t the most coefficients of a piece and
+        lam = lcm(1, ..., t), the antiderivative of sum_k (c_k / e) x^k is
+        sum_k (c_k * lam / (k + 1)) x^(k+1) over e * lam, whose value at p/q
+        is a homogeneous Horner sum over e * lam * q^t.  One Fraction is built.
+        """
+        den, grid = self._grid
+        q = math.lcm(den, a.denominator, b.denominator)
+        pa = a.numerator * (q // a.denominator)
+        pb = b.numerator * (q // b.denominator)
+        top = max(len(cs) for _, cs in self._int_pieces)
+        lam = math.lcm(*range(1, top + 1))
+        common = math.lcm(*(e for e, _ in self._int_pieces))
+        total = 0
+        for i, (e, cs) in enumerate(self._int_pieces):
+            left = max(pa, grid[i] * (q // den))
+            right = min(pb, grid[i + 1] * (q // den))
             if left >= right:
                 continue
-            anti = poly_antiderivative(piece)
-            total += poly_eval(anti, right) - poly_eval(anti, left)
-        return total
+            anti = [0] + [c * (lam // k) for k, c in enumerate(cs, 1)] + [0] * (top - len(cs))
+            total += (_homogeneous(anti, right, q)[0] - _homogeneous(anti, left, q)[0]) * (common // e)
+        return Fraction(total, common * lam * q**top)
+
+    def _int_slopes(self) -> list[tuple[int, tuple[int, ...]]]:
+        """The derivative of each piece in the integer form of `_int_pieces`."""
+        return [(e, tuple(k * c for k, c in enumerate(cs))[1:] or (0,)) for e, cs in self._int_pieces]
 
     def one_sided_derivatives(self, x: Fraction) -> tuple[Fraction, Fraction]:
         """(left, right) derivative values at an interior breakpoint."""
         i = self.breakpoints.index(x)
         if i == 0 or i == len(self.breakpoints) - 1:
             raise ValueError("one-sided derivatives only at interior breakpoints")
-        return (
-            poly_eval(poly_derivative(self.pieces[i - 1]), x),
-            poly_eval(poly_derivative(self.pieces[i]), x),
-        )
+        return tuple(Fraction(*pair) for pair in self._values_at(i, self._int_slopes()))
 
     def is_c1(self) -> bool:
         """Exact one-sided derivative agreement at every interior breakpoint."""
-        return all(
-            lhs == rhs
-            for lhs, rhs in (
-                self.one_sided_derivatives(x) for x in self.breakpoints[1:-1]
-            )
-        )
+        slopes = self._int_slopes()
+        for i in range(1, len(self.breakpoints) - 1):
+            (a, da), (b, db) = self._values_at(i, slopes)
+            if a * db != b * da:
+                return False
+        return True
 
 
 # -- exact m-th root comparison -------------------------------------------------

@@ -19,12 +19,15 @@ triangulation for its lex-sorted vertex order (De Loera-Rambau-Santos,
 *Triangulations*, 2010, Sec. 4.3), a fan-out from the first vertex over
 the facets that avoid it, each facet pulled the same way from its own
 first vertex.  It is read off which vertices lie on which half-space
-boundaries, so no coordinate is projected out and every simplex vertex is
-a vertex of the polytope.  Volume, centroid and the closed-form volume
-functions in `valuations` all read that cached triangulation.  Every
+boundaries, decided in integers over the points' common denominator, so no
+coordinate is projected out and every simplex vertex is a vertex of the
+polytope.  The cached form is indexed (`indexed_triangulation`): each
+simplex as vertex indices with dim! times its volume, `det_int` of its
+edge rows in the vertex matrix, an integer over D^dim.  Volume, centroid
+and the closed-form volume functions in `valuations` all read it; the
+volume and centroid are integer sums with one Fraction per value.  Every
 solve and determinant here goes through the fraction-free elimination
-kernel in `lattice`; simplex determinants are `det_int` of the edge
-vectors scaled to integers.
+kernel in `lattice`.
 """
 
 from __future__ import annotations
@@ -43,9 +46,7 @@ from .lattice import (
     RatVec,
     det_int,
     dot,
-    integer_rows,
     solve_or_none,
-    vec_sub,
 )
 
 HalfSpace = tuple[tuple[int, ...], Fraction]  # (normal a, offset b): <u, a> >= b
@@ -65,12 +66,6 @@ def enumerate_vertices(halfspaces: Sequence[HalfSpace], dim: int) -> list[RatVec
         if all(dot(point, a) >= b for a, b in halfspaces):
             seen.setdefault(point)
     return sorted(seen)
-
-
-def _det_cols(vectors: Sequence[RatVec]) -> Fraction:
-    """Determinant with the given columns (equal to the one with them as rows)."""
-    rows, scale = integer_rows(vectors)
-    return Fraction(det_int(rows), scale)
 
 
 def triangulate(
@@ -96,8 +91,15 @@ def triangulate(
     if apex is None:
         apex = _average(vertices)
     points = (apex, *vertices)
+    # tight sets in integers: the points as rows over their common denominator
+    den = math.lcm(*(x.denominator for p in points for x in p))
+    rows = [[x.numerator * (den // x.denominator) for x in p] for p in points]
     tight = {
-        frozenset(k for k, p in enumerate(points) if dot(p, a) == b) for a, b in halfspaces
+        frozenset(
+            k for k, row in enumerate(rows)
+            if b.denominator * sum(map(operator.mul, row, a)) == b.numerator * den
+        )
+        for a, b in halfspaces
     }
 
     def pull(face: frozenset) -> list[tuple[int, ...]]:
@@ -147,7 +149,7 @@ class RationalPolytope:
 
     def is_full_dimensional(self) -> bool:
         """True iff the polytope has interior points, i.e. a nonempty triangulation."""
-        return bool(self.triangulation)
+        return bool(self.indexed_triangulation[1])
 
     @cached_property
     def vertex_matrix(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -170,30 +172,50 @@ class RationalPolytope:
     # -- volume and centroid ----------------------------------------------
 
     @cached_property
-    def triangulation(self) -> tuple[tuple[tuple[RatVec, ...], Fraction], ...]:
-        """Simplices covering the polytope, each with dim! times its volume.
+    def indexed_triangulation(self) -> tuple[int, tuple[tuple[tuple[int, ...], int], ...]]:
+        """(D^dim, simplices): the cached triangulation on the vertex matrix.
 
-        The fan-out apex is the first vertex, so every simplex vertex is a
-        vertex of the polytope.  Built once, on first use.
+        Each simplex is its vertex indices and dim! times its volume, an
+        integer over D^dim: |det| of its integer edge rows.  The fan-out
+        apex is the first vertex, so every simplex vertex is a vertex of the
+        polytope.  Built once, on first use.
         """
+        d, rows = self.vertex_matrix
+        index = {v: i for i, v in enumerate(self.vertices)}
+        simplices = []
+        for simplex in triangulate(self.halfspaces, self.vertices, self.dim, apex=self.vertices[0]):
+            ks = tuple(index[p] for p in simplex)
+            base = rows[ks[0]]
+            edges = [[x - y for x, y in zip(rows[k], base)] for k in ks[1:]]
+            simplices.append((ks, abs(det_int(edges))))
+        return d**self.dim, tuple(simplices)
+
+    @cached_property
+    def triangulation(self) -> tuple[tuple[tuple[RatVec, ...], Fraction], ...]:
+        """Simplices covering the polytope as vertex tuples, each with dim! times its volume."""
+        den, simplices = self.indexed_triangulation
         return tuple(
-            (simplex, abs(_det_cols([vec_sub(p, simplex[0]) for p in simplex[1:]])))
-            for simplex in triangulate(self.halfspaces, self.vertices, self.dim, apex=self.vertices[0])
+            (tuple(self.vertices[k] for k in ks), Fraction(mass, den)) for ks, mass in simplices
         )
 
     @cached_property
     def _volume_data(self) -> tuple[Fraction, RatVec]:
-        if not self.is_full_dimensional():
+        den, simplices = self.indexed_triangulation
+        if not simplices:
             warnings.warn("lower-dimensional polytope: volume 0", stacklevel=4)
             return Fraction(0), _average(self.vertices)
-        total = Fraction(0)
-        weighted = [Fraction(0)] * self.dim
-        for simplex, mass in self.triangulation:
-            total += mass
-            centroid = _average(simplex)
-            for i in range(self.dim):
-                weighted[i] += mass * centroid[i]
-        return total / math.factorial(self.dim), tuple(w / total for w in weighted)
+        d, rows = self.vertex_matrix
+        total = sum(mass for _, mass in simplices)
+        # a simplex's centroid is the sum of its vertex rows over (dim + 1) * D
+        weighted = [0] * self.dim
+        for ks, mass in simplices:
+            for k in ks:
+                for i, x in enumerate(rows[k]):
+                    weighted[i] += mass * x
+        return (
+            Fraction(total, den * math.factorial(self.dim)),
+            tuple(Fraction(x, total * (self.dim + 1) * d) for x in weighted),
+        )
 
     def volume(self) -> Fraction:
         """Exact Euclidean volume: the sum over the cached triangulation."""

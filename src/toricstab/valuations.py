@@ -33,6 +33,19 @@ knot is a breakpoint, and on each piece vol is dim! * sum_S vol(S) *
 (`piecewise.spline_cdf_jumps`).  Repeated knots are handled exactly, with
 no perturbation, so every coefficient is an exact rational number.
 
+The closed form runs on one integer knot scale.  With A(w) = S / mult
+(the cone's integer sum over its multiplicity) and <v, w> = s_v / D from
+the polytope's integer vertex matrix, the knots are k_v / K with
+k_v = S D + s_v mult and K = mult D, looked up by vertex index.  In the
+variable y = K x the knots are the integers k_v, and the spline jumps,
+being homogeneous of degree 0, are integer vectors over integer
+denominators.  The simplex masses dim! vol(S) are integers over the shared
+denominator D^dim (`RationalPolytope.indexed_triangulation`).  The jumps
+are summed per breakpoint, grouped by denominator, brought to one common
+denominator L, expanded in powers of y by an integer Taylor shift and
+accumulated into the pieces.  Fractions are built only for the result:
+one per breakpoint k / K and one per coefficient c_j K^j / (D^dim L).
+
 Every <v, w> over the vertices of P (tau, the nef threshold, the knots of
 vol, the equality-case bound) is read from the polytope's integer vertex
 matrix, one integer dot product per vertex; Fractions are built only for
@@ -49,7 +62,7 @@ from functools import cached_property, lru_cache
 from .errors import InvariantViolation
 from .fans import Fan
 from .lattice import LatticeVec, dot, gcd_vec, primitivize
-from .piecewise import PiecewisePolynomial, poly_from_shifted, spline_cdf_jumps
+from .piecewise import PiecewisePolynomial, spline_cdf_jumps
 
 
 @dataclass(frozen=True)
@@ -137,33 +150,54 @@ def volume_function(val: ToricValuation) -> PiecewisePolynomial:
     dim! vol(S) * (1 - F_S(x)), with F_S the spline distribution function of
     its knots A(w) + <v, w>.  The knots are breakpoints, so each piece is the
     degree minus the jumps of every F_S at the breakpoints up to its left end.
+    All of it runs in integers on the knot scale y = K x (module docstring).
     """
-    fan = val.fan
-    n = fan.dimension
-    poly = fan.anticanonical_polytope()
-    a_disc = log_discrepancy(val)
+    n = val.fan.dimension
+    poly = val.fan.anticanonical_polytope()
+    total, mult = _scaled_log_discrepancy(val)
     d, _ = poly.vertex_matrix
-    at = {v: a_disc + Fraction(s, d) for v, s in zip(poly.vertices, poly.vertex_values(val.w))}
-    values = sorted(set(at.values()))
+    scale = mult * d
+    knots = [total * d + s * mult for s in poly.vertex_values(val.w)]
+    values = sorted(set(knots))
     if values[0] != 0:
         raise AssertionError("volume function must start at x = 0")
-    # shifted[t][j]: coefficient of (x - t)^j in the total jump at breakpoint t
-    shifted = {t: [Fraction(0)] * (n + 1) for t in values[:-1]}
-    for simplex, mass in poly.triangulation:
-        for t, jump in spline_cdf_jumps([at[v] for v in simplex]).items():
-            if t in shifted:
-                total = shifted[t]
+    top = values[-1]
+    # per breakpoint below the top: denominator -> sum of mass * jump numerators
+    grouped: dict[int, dict[int, list[int]]] = {t: {} for t in values[:-1]}
+    mass_den, simplices = poly.indexed_triangulation
+    for simplex, mass in simplices:
+        for t, (den, jump) in spline_cdf_jumps([knots[i] for i in simplex]).items():
+            if t == top:
+                continue
+            acc = grouped[t].get(den)
+            if acc is None:
+                grouped[t][den] = [mass * c for c in jump]
+            else:
                 for j, c in enumerate(jump):
-                    total[j] += mass * c
-    degree = math.factorial(n) * poly.volume()
-    current = [degree] + [Fraction(0)] * n
+                    acc[j] += mass * c
+    # every piece over mass_den * common: the degree minus the jumps so far,
+    # each jump sum_j J_j (y - t)^j expanded in powers of y by a Taylor shift
+    common = math.lcm(*(den for by_den in grouped.values() for den in by_den))
+    degree = sum(mass for _, mass in simplices)
+    current = [degree * common] + [0] * n
     pieces = []
-    for left in values[:-1]:
-        for j, c in enumerate(poly_from_shifted(shifted[left], left)):
+    for t in values[:-1]:
+        jump = [0] * (n + 1)
+        for den, acc in grouped[t].items():
+            for j, c in enumerate(acc):
+                jump[j] += c * (common // den)
+        for i in range(n):
+            for j in range(n - 1, i - 1, -1):
+                jump[j] -= t * jump[j + 1]
+        for j, c in enumerate(jump):
             current[j] -= c
-        pieces.append(tuple(current))
-    result = PiecewisePolynomial(tuple(values), tuple(pieces))
-    if result(0) != degree or result(values[-1]) != 0:
+        pieces.append(current[:])
+    denominator = mass_den * common
+    result = PiecewisePolynomial(
+        tuple(Fraction(t, scale) for t in values),
+        tuple(tuple(Fraction(c * scale**j, denominator) for j, c in enumerate(p)) for p in pieces),
+    )
+    if result(0) != Fraction(degree, mass_den) or result(result.domain[1]) != 0:
         raise AssertionError("volume function endpoint values are wrong")
     if not result.is_c1():
         raise AssertionError("volume function is not C^1 at a breakpoint")
@@ -199,7 +233,15 @@ def beta_invariant(val: ToricValuation) -> Fraction:
 
 def restricted_volume(val: ToricValuation) -> PiecewisePolynomial:
     """Q(x) = -(1/n) d/dx vol(x), extended to the closed interval [0, tau]."""
-    return volume_function(val).derivative().scale(Fraction(-1, val.fan.dimension))
+    vol = volume_function(val)
+    n = val.fan.dimension
+    return PiecewisePolynomial(
+        vol.breakpoints,
+        tuple(
+            tuple(Fraction(-k * c.numerator, n * c.denominator) for k, c in enumerate(p[1:], 1))
+            for p in vol.pieces
+        ),
+    )
 
 
 def center_codim(val: ToricValuation) -> int:

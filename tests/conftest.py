@@ -1,7 +1,10 @@
 """Shared fixtures: validated corpus fans (cached at module scope)."""
 
+import itertools
+
 import pytest
 
+from toricstab.errors import InvariantViolation
 from toricstab.workbench import load_builtin_fan
 
 
@@ -45,3 +48,24 @@ def corpus_fans():
     from toricstab.corpus import builtin_fan_specs
 
     return [load_builtin_fan(name) for name in builtin_fan_specs()]
+
+
+@pytest.fixture(scope="session")
+def q_fano_fans(corpus_fans):
+    """Every corpus fan and every Q-Fano star subdivision of one of dimension
+    <= 3 at a point of {-1, 0, 1}^n that is not a ray (54 of them)."""
+    fans = list(corpus_fans)
+    for fan in corpus_fans:
+        if fan.dimension <= 3:
+            for w in itertools.product((-1, 0, 1), repeat=fan.dimension):
+                if any(w) and fan.ray_index(w) is None:
+                    fans.append(fan.star_subdivision(w))
+    out = []
+    for fan in fans:
+        try:
+            fan.anticanonical_polytope()
+        except InvariantViolation:
+            continue  # not Q-Fano
+        out.append(fan)
+    assert len(out) == len(corpus_fans) + 54
+    return out

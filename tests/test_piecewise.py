@@ -8,16 +8,19 @@ from fractions import Fraction as F
 
 import pytest
 
+from fraction_oracles import (
+    poly_antiderivative,
+    poly_derivative,
+    poly_eval,
+    poly_from_shifted,
+)
+from fraction_oracles import spline_cdf_jumps as oracle_spline_cdf_jumps
 from toricstab.piecewise import (
     PiecewisePolynomial,
     int_nth_root,
     lagrange_interpolate,
     midpoint_root_concave,
     nth_root_bounds,
-    poly_antiderivative,
-    poly_derivative,
-    poly_eval,
-    poly_from_shifted,
     poly_linear_power,
     poly_trim,
     spline_cdf_jumps,
@@ -135,10 +138,27 @@ def test_midpoint_root_concave_rejects_negative():
         midpoint_root_concave(fn, 2, F(0), F(2))
 
 
+def integer_jumps(knots):
+    """The integer `spline_cdf_jumps` on rational knots, as Fraction jump lists.
+
+    The knots are scaled to integers by the lcm s of their denominators; a
+    coefficient c of (y - s tau)^j with y = s x is c s^j on (x - tau)^j.
+    """
+    s = math.lcm(*(t.denominator for t in knots))
+    out = {}
+    for t, (den, nums) in spline_cdf_jumps([int(k * s) for k in knots]).items():
+        assert den > 0 and math.gcd(den, *nums) == 1
+        out[F(t, s)] = [F(c * s**j, den) for j, c in enumerate(nums)]
+    return out
+
+
 def cdf_on_piece(knots, left):
-    """Ascending coefficients of the spline distribution function just above `left`."""
+    """Ascending coefficients of the spline distribution function just above `left`,
+    after checking that the integer jumps equal the Fraction ones."""
+    jumps = oracle_spline_cdf_jumps(knots)
+    assert integer_jumps(knots) == jumps
     total = [F(0)] * len(knots)
-    for tau, jump in spline_cdf_jumps(knots).items():
+    for tau, jump in jumps.items():
         if tau <= left:
             for k, c in enumerate(poly_from_shifted(jump, tau)):
                 total[k] += c
@@ -162,7 +182,9 @@ def test_spline_cdf_repeated_knots():
     for knots in ([F(0), F(0), F(1)], [F(0), F(1), F(1)], [F(0), F(0), F(1), F(1)]):
         assert cdf_on_piece(knots, F(1)) == (F(1),)
     with pytest.raises(ValueError, match="coincide"):
-        spline_cdf_jumps([F(2), F(2), F(2)])
+        spline_cdf_jumps([2, 2, 2])
+    with pytest.raises(ValueError, match="coincide"):
+        oracle_spline_cdf_jumps([F(2), F(2), F(2)])
 
 
 def test_spline_cdf_distinct_knots_random():
@@ -183,6 +205,23 @@ def test_spline_cdf_distinct_knots_random():
                 for k in range(n + 1):
                     expected[k] += math.comb(n, k) * (-ti) ** (n - k) / denom
             assert cdf_on_piece(knots, left) == poly_trim(expected)
+
+
+def test_spline_cdf_integer_jumps_random_repeated_knots():
+    """Knots drawn from a few rational values, so most have repeats: the integer
+    jumps equal the Fraction series, and the jumps of each knot set sum to the
+    constant 1 in powers of x (F = 1 beyond the last knot)."""
+    rng = random.Random(77)
+    multiplicities = set()
+    for trial in range(300):
+        n = 1 + trial % 5
+        pool = [F(rng.randint(-30, 30), rng.randint(1, 4)) for _ in range(rng.randint(2, 3))]
+        knots = [rng.choice(pool) for _ in range(n + 1)]
+        if len(set(knots)) < 2:
+            continue
+        multiplicities.add(max(knots.count(t) for t in knots))
+        assert cdf_on_piece(knots, max(knots)) == (F(1),)
+    assert multiplicities == {1, 2, 3, 4, 5}
 
 
 # -- integer evaluation against the Fraction path --------------------------------
@@ -255,6 +294,66 @@ def test_full_integral_is_cached_and_exact():
     assert fn.integral() == 16
     assert fn.integral() is fn.integral()
     assert fn.integral(0, 4) == 16 and fn.integral(F(0), None) == 16
+
+
+def oracle_integral(fn, a, b):
+    total = F(0)
+    for left, right, piece in zip(fn.breakpoints, fn.breakpoints[1:], fn.pieces):
+        left, right = max(a, left), min(b, right)
+        if left < right:
+            anti = poly_antiderivative(piece)
+            total += poly_eval(anti, right) - poly_eval(anti, left)
+    return total
+
+
+def oracle_slopes(fn, i):
+    x = fn.breakpoints[i]
+    return tuple(poly_eval(poly_derivative(p), x) for p in fn.pieces[i - 1 : i + 1])
+
+
+def test_integer_checks_match_fraction_checks():
+    """Continuity, C^1, one-sided derivatives and integrals on random functions
+    whose breakpoints and pieces have unrelated denominators, against the
+    Fraction versions; a piece shifted by a constant is rejected with the
+    Fraction values in the message."""
+    rng = random.Random(12)
+    c1 = set()
+    for _ in range(200):
+        fn = random_piecewise(rng)
+        interior = range(1, len(fn.breakpoints) - 1)
+        expected = all(oracle_slopes(fn, i)[0] == oracle_slopes(fn, i)[1] for i in interior)
+        assert fn.is_c1() is expected
+        c1.add(expected)
+        for i in interior:
+            assert fn.one_sided_derivatives(fn.breakpoints[i]) == oracle_slopes(fn, i)
+        lo, hi = fn.domain
+        a, b = sorted(lo + (hi - lo) * F(rng.randint(0, 97), 97) for _ in range(2))
+        assert fn.integral(a, b) == oracle_integral(fn, a, b)
+        assert fn.integral() == oracle_integral(fn, lo, hi)
+        if len(fn.pieces) > 1:
+            i = rng.randrange(1, len(fn.pieces))
+            bad = list(fn.pieces)
+            bad[i] = (bad[i][0] + F(rng.randint(1, 9), rng.randint(1, 7)),) + bad[i][1:]
+            x = fn.breakpoints[i]
+            message = f"discontinuity at breakpoint {x}: {poly_eval(bad[i - 1], x)} != {poly_eval(bad[i], x)}"
+            with pytest.raises(ValueError) as exc:
+                PiecewisePolynomial(fn.breakpoints, tuple(bad))
+            assert str(exc.value) == message
+    assert c1 == {True, False}
+
+
+def test_integer_checks_on_denominators_unlike_the_pieces():
+    with pytest.raises(ValueError) as exc:
+        PiecewisePolynomial((F(0), F(1, 3), F(2)), ((F(1, 2), F(1)), (F(5, 7),)))
+    assert str(exc.value) == "discontinuity at breakpoint 1/3: 5/6 != 5/7"
+    # x^2 on [0, 2/3], then a line through (2/3, 4/9): C^0 always, C^1 only at slope 4/3
+    square = (F(0), F(0), F(1))
+    for slope, smooth in ((F(5, 4), False), (F(4, 3), True)):
+        line = (F(4, 9) - slope * F(2, 3), slope)
+        fn = PiecewisePolynomial((F(0), F(2, 3), F(3, 2)), (square, line))
+        assert fn.is_c1() is smooth
+        assert fn.one_sided_derivatives(F(2, 3)) == (F(4, 3), slope)
+        assert fn.integral() == F(8, 81) + F(4, 9) * F(5, 6) + slope * F(5, 6) ** 2 / 2
 
 
 # -- midpoint_root_concave against the Fraction implementation -------------------

@@ -282,29 +282,9 @@ def test_enumerate_vertices_redundant_constraint():
     assert enumerate_vertices(hs, 2) == [(-1, -1), (-1, 1), (1, -1), (1, 1)]
 
 
-def q_fano_fans(corpus_fans):
-    """Every corpus fan and every Q-Fano star subdivision of one of dimension
-    <= 3 at a point of {-1, 0, 1}^n that is not a ray (54 of them)."""
-    fans = list(corpus_fans)
-    for fan in corpus_fans:
-        if fan.dimension <= 3:
-            for w in itertools.product((-1, 0, 1), repeat=fan.dimension):
-                if any(w) and fan.ray_index(w) is None:
-                    fans.append(fan.star_subdivision(w))
-    out = []
-    for fan in fans:
-        try:
-            fan.anticanonical_polytope()
-        except InvariantViolation:
-            continue  # not Q-Fano
-        out.append(fan)
-    assert len(out) == len(corpus_fans) + 54
-    return out
-
-
-def test_fan_vertices_match_the_subset_scan(corpus_fans):
+def test_fan_vertices_match_the_subset_scan(q_fano_fans):
     """The cone points m_sigma are the vertices the n-subset scan finds."""
-    for fan in q_fano_fans(corpus_fans):
+    for fan in q_fano_fans:
         poly = fan.anticanonical_polytope()
         oracle = polytope([(ray, F(-1)) for ray in fan.rays], fan.dimension)
         assert poly.vertices == oracle.vertices, fan.name
@@ -312,12 +292,12 @@ def test_fan_vertices_match_the_subset_scan(corpus_fans):
         assert poly.triangulation == oracle.triangulation, fan.name
 
 
-def test_vertex_matrix_is_the_vertices_over_one_denominator(corpus_fans):
+def test_vertex_matrix_is_the_vertices_over_one_denominator(q_fano_fans):
     """rows / D are the vertices, D divides the lcm of the cone multiplicities
     (the denominator of m_sigma divides the multiplicity of sigma), and the
     integer maximum of <., w> equals the Fraction maximum over the vertices."""
     rng = random.Random(8)
-    for fan in q_fano_fans(corpus_fans):
+    for fan in q_fano_fans:
         poly = fan.anticanonical_polytope()
         d, rows = poly.vertex_matrix
         assert len(rows) == len(poly.vertices)
@@ -330,3 +310,24 @@ def test_vertex_matrix_is_the_vertices_over_one_denominator(corpus_fans):
         for w in [*fan.rays, *(tuple(rng.randint(-5, 5) for _ in range(n)) for _ in range(20))]:
             expected = max(sum(F(a) * b for a, b in zip(v, w)) for v in poly.vertices)
             assert poly.max_linear_functional(w) == expected
+
+
+def test_indexed_triangulation_and_volume_data_match_fraction_formulas(q_fano_fans):
+    """Integer simplex masses over D^n are the Fraction determinants of the
+    simplices' edges, and the volume and centroid read from them equal the
+    Fraction sums over the simplices."""
+    for fan in q_fano_fans:
+        poly = fan.anticanonical_polytope()
+        n = fan.dimension
+        den, simplices = poly.indexed_triangulation
+        assert den == poly.vertex_matrix[0] ** n
+        total, weighted = F(0), [F(0)] * n
+        for ks, mass in simplices:
+            points = [poly.vertices[k] for k in ks]
+            edges = [[p - q for p, q in zip(point, points[0])] for point in points[1:]]
+            assert F(mass, den) == abs(det(edges)) > 0, fan.name
+            total += F(mass, den)
+            for i in range(n):
+                weighted[i] += F(mass, den) * sum(p[i] for p in points) / (n + 1)
+        assert poly.volume() == total / math.factorial(n), fan.name
+        assert poly.barycenter() == tuple(x / total for x in weighted), fan.name
