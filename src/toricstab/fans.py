@@ -19,6 +19,10 @@ the points m_sigma with <m_sigma, v> = -1 on the rays of a maximal cone
 sigma (Cox-Little-Schenck, *Toric Varieties*, ch. 6), which the Q-Fano
 check computes anyway, and it is bounded because the fan is complete.  Its
 lattice points at dilation k index the degree-k anticanonical sections.
+
+The automorphisms of a fan (`Fan.automorphisms`) are the integer matrices
+that permute its rays and its maximal cones; they act on the anticanonical
+polytope, so valuation invariants are constant on their orbits.
 """
 
 from __future__ import annotations
@@ -27,12 +31,12 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Optional, Sequence
 
 from .errors import InvariantViolation
 from .lattice import LatticeVec, RatVec, adjugate, primitivize
-from .polytopes import RationalPolytope
+from .polytopes import RationalPolytope, default_oracle_budget
 
 
 def _int_vector(v: Sequence[int], what: str = "vector entries") -> tuple[int, ...]:
@@ -41,6 +45,9 @@ def _int_vector(v: Sequence[int], what: str = "vector entries") -> tuple[int, ..
     if any(type(x) is not int for x in v):
         raise InvariantViolation(f"{what} must be ints")
     return v
+
+
+Matrix = tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -78,6 +85,7 @@ class Fan:
         self._walls: list[tuple[frozenset, int, int]] = []
         self._ray_lookup = {ray: i for i, ray in enumerate(self.rays)}
         self._polytope: Optional[RationalPolytope] = None
+        self._automorphisms: Optional[tuple[Matrix, ...]] = None
         self._validate()
 
     # -- validation ---------------------------------------------------------
@@ -212,6 +220,56 @@ class Fan:
     def degree(self) -> Fraction:
         """The anticanonical self-intersection number n! * vol(P)."""
         return math.factorial(self.dimension) * self.anticanonical_polytope().volume()
+
+    def automorphisms(self) -> tuple[Matrix, ...]:
+        """The integer matrices that permute the rays and the maximal cones, as row tuples.
+
+        Such a matrix A is fixed by the images of cone 0's rays, which are the
+        rays of some maximal cone in some order.  With those targets as the
+        columns of T, A = T . adj / mult for cone 0's stored adjugate and
+        multiplicity; a candidate is kept when it is integral and maps the
+        rays and the cones onto themselves.  Every kept A has finite order,
+        so det A = +-1, and it acts on the anticanonical polytope: every
+        invariant of a valuation is the same at w and at A w.
+
+        The group is built on first call and cached.  When its |cones| * n!
+        candidates exceed the oracle budget, none is tried and the group is
+        the identity alone, a valid subgroup for every caller.
+        """
+        if self._automorphisms is None:
+            n = self.dimension
+            if len(self.max_cones) * math.factorial(n) > default_oracle_budget():
+                identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+                self._automorphisms = (identity,)
+            else:
+                self._automorphisms = tuple(self._search_automorphisms())
+        return self._automorphisms
+
+    def _search_automorphisms(self) -> list[Matrix]:
+        n = self.dimension
+        adj, mult = self._cone_adjugates[0], self._cone_mults[0]
+        cones = {cone.ray_indices for cone in self.max_cones}
+        found = []
+        for cone in self.max_cones:
+            for targets in permutations(cone.ray_indices):
+                # A B = T, with B cone 0's rays and T the targets as columns
+                columns = [self.rays[t] for t in targets]
+                scaled = [
+                    [sum(v[row] * adj[k][col] for k, v in enumerate(columns)) for col in range(n)]
+                    for row in range(n)
+                ]
+                if any(x % mult for r in scaled for x in r):
+                    continue
+                matrix = tuple(tuple(x // mult for x in r) for r in scaled)
+                perm = [
+                    self._ray_lookup.get(tuple(sum(map(operator.mul, row, v)) for row in matrix))
+                    for v in self.rays
+                ]
+                if None not in perm and all(
+                    tuple(sorted(perm[i] for i in c.ray_indices)) in cones for c in self.max_cones
+                ):
+                    found.append(matrix)
+        return found
 
     def walls(self) -> list[tuple[frozenset, int, int]]:
         """All walls as (shared ray index set, cone index, adjacent cone index)."""

@@ -330,20 +330,32 @@ class PiecewisePolynomial:
 
 
 def int_nth_root(value: int, m: int) -> int:
-    """Largest r with r^m <= value, by integer Newton iteration."""
+    """Largest r with r^m <= value: `math.isqrt` for m = 2, else Newton from a float seed.
+
+    The seed is the float m-th root of value's leading bits.  One integer
+    Newton step from any positive r lands at or above the answer (AM-GM),
+    and from there the steps decrease strictly until they reach it.
+    """
     if value < 0:
         raise ValueError("negative radicand")
     if value == 0 or m == 1:
         return value
-    r = 1 << (value.bit_length() // m + 1)
+    if m == 2:
+        return math.isqrt(value)
+    shift = max(0, value.bit_length() - 64)
+    shift -= shift % m
+    r = max(1, int(float(value >> shift) ** (1 / m))) << (shift // m)
+    r = ((m - 1) * r + value // r ** (m - 1)) // m
     while True:
         nxt = ((m - 1) * r + value // r ** (m - 1)) // m
         if nxt >= r:
-            break
+            return r
         r = nxt
-    while r ** m > value:
-        r -= 1
-    return r
+
+
+def root_floor(num: int, den: int, m: int, scale: int) -> int:
+    """floor(scale * (num / den)^(1/m)) for num >= 0 and den > 0."""
+    return int_nth_root(num * scale**m // den, m)
 
 
 def nth_root_bounds(f: Fraction, m: int, scale: int) -> tuple[Fraction, Fraction]:
@@ -352,16 +364,15 @@ def nth_root_bounds(f: Fraction, m: int, scale: int) -> tuple[Fraction, Fraction
         raise ValueError("negative radicand")
     if m == 1 or f == 0:
         return f, f
-    big = f.numerator * scale**m // f.denominator
-    r = int_nth_root(big, m)
+    r = root_floor(f.numerator, f.denominator, m, scale)
     return Fraction(r, scale), Fraction(r + 1, scale)
 
 
 def midpoint_root_concave(fn: PiecewisePolynomial, m: int, x: Fraction, y: Fraction) -> bool:
     """Exact test of fn(mid)^(1/m) >= (fn(x)^(1/m) + fn(y)^(1/m)) / 2.
 
-    Roots are compared through rational brackets refined until separated;
-    the genuine equality case (fn a perfect m-th power of a linear
+    Roots are compared through integer brackets of width 10^-12 ... 10^-96
+    (`root_floor`) until separated; the genuine equality case (fn a perfect m-th power of a linear
     polynomial over [x, y]) is recognized algebraically, so no comparison
     is ever decided by tolerance alone.  Roots the brackets cannot separate
     may still be exactly in arithmetic progression across pieces.  Divided
@@ -388,15 +399,14 @@ def midpoint_root_concave(fn: PiecewisePolynomial, m: int, x: Fraction, y: Fract
     i = fn._sole_piece(x, y)
     if i is not None and fn._affine_root(i, m):
         return True  # the root function is affine here: exact equality
-    qa, qm, qb = Fraction(na, da), Fraction(nm, dm), Fraction(nb, db)
     for exponent in (12, 24, 48, 96):
+        # the brackets of `nth_root_bounds` times scale, compared as integers:
+        # [r, r + 1] for a positive value, [0, 0] for a zero one
         scale = 10**exponent
-        lo_a, hi_a = nth_root_bounds(qa, m, scale)
-        lo_b, hi_b = nth_root_bounds(qb, m, scale)
-        lo_m, hi_m = nth_root_bounds(qm, m, scale)
-        if 2 * lo_m >= hi_a + hi_b:
+        ra, rm, rb = (root_floor(n, d, m, scale) for n, d in ((na, da), (nm, dm), (nb, db)))
+        if 2 * rm >= ra + rb + (na > 0) + (nb > 0):
             return True
-        if 2 * hi_m < lo_a + lo_b:
+        if 2 * (rm + (nm > 0)) < ra + rb:
             return False
     # roots this close: an exact equality is possible only with rational ratios
     if nm == 0:
@@ -404,7 +414,8 @@ def midpoint_root_concave(fn: PiecewisePolynomial, m: int, x: Fraction, y: Fract
     ra = _rational_root(Fraction(na * dm, da * nm), m)
     rb = _rational_root(Fraction(nb * dm, db * nm), m)
     if ra is None or rb is None:
-        raise ArithmeticError(f"m-th roots of {qa}, {qm}, {qb} not separable at width 1e-96")
+        values = ", ".join(str(Fraction(n, d)) for n, d in ((na, da), (nm, dm), (nb, db)))
+        raise ArithmeticError(f"m-th roots of {values} not separable at width 1e-96")
     return 2 >= ra + rb
 
 

@@ -10,8 +10,9 @@ byte-deterministic for a fixed input.
 from __future__ import annotations
 
 import json
+import operator
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
@@ -222,17 +223,41 @@ class StabilityReport:
     assumptions: tuple[str, ...]
 
 
+def orbit_profiles(fan: Fan, battery: Sequence[ToricValuation]) -> tuple[ValuationProfile, ...]:
+    """`valuation_profile` of every battery valuation, computed once per orbit.
+
+    Every invariant of a profile is the same at w and at A w for a fan
+    automorphism A (`Fan.automorphisms`), so the battery splits into the
+    orbits that stay inside it.  The first member of each orbit in battery
+    order gets a computed profile; the others get a copy with their own w,
+    which `ValuationProfile.__post_init__` checks again.
+    """
+    group = fan.automorphisms()
+    members = {val.w for val in battery}
+    profiles: dict[tuple[int, ...], ValuationProfile] = {}
+    for val in battery:
+        if val.w in profiles:
+            continue
+        profile = valuation_profile(val)
+        for matrix in group:
+            image = tuple(sum(map(operator.mul, row, val.w)) for row in matrix)
+            if image in members and image not in profiles:
+                profiles[image] = profile if image == val.w else replace(profile, w=image)
+    return tuple(profiles[val.w] for val in battery)
+
+
 def analyze(fan: Fan, radius: int = 4) -> StabilityReport:
     """Full stability report over the primitive valuation battery.
 
-    The semistability verdict comes from the exact barycenter identity and
-    is cross-checked against the minimum battery beta; disagreement would be
-    an internal error and raises.
+    Profiles are computed once per fan-automorphism orbit of the battery
+    (`orbit_profiles`).  The semistability verdict comes from the exact
+    barycenter identity and is cross-checked against the minimum battery
+    beta; disagreement would be an internal error and raises.
     """
     poly = fan.anticanonical_polytope()
     barycenter = poly.barycenter()
     battery = valuation_battery(fan, radius)
-    profiles = tuple(valuation_profile(val) for val in battery)
+    profiles = orbit_profiles(fan, battery)
     min_profile = min(profiles, key=lambda p: (p.beta, p.w))
     semistable = all(x == 0 for x in barycenter)
     if semistable != (min_profile.beta >= 0) or semistable != all(
@@ -276,8 +301,10 @@ def analyze(fan: Fan, radius: int = 4) -> StabilityReport:
 # -- serialization -----------------------------------------------------------------
 
 
-def rat_str(x: Fraction) -> str:
-    x = Fraction(x)
+def rat_str(x: Fraction | int) -> str:
+    """An exact rational as "p/q" in lowest terms (an int n as "n/1")."""
+    if type(x) is not Fraction and type(x) is not int:
+        raise InvariantViolation(f"{type(x).__name__} {x!r} is not an exact rational")
     return f"{x.numerator}/{x.denominator}"
 
 
@@ -288,7 +315,11 @@ def _piecewise_dict(fn) -> dict:
     }
 
 
-def _profile_dict(p: ValuationProfile) -> dict:
+def _profile_dict(p: ValuationProfile, rendered: dict[int, dict]) -> dict:
+    """The profile's report entry; `rendered` holds each piecewise dict by object id."""
+    for fn in (p.volume_fn, p.restricted_volume_fn):
+        if id(fn) not in rendered:
+            rendered[id(fn)] = _piecewise_dict(fn)
     return {
         "w": list(p.w),
         "log_discrepancy": rat_str(p.log_discrepancy),
@@ -298,8 +329,8 @@ def _profile_dict(p: ValuationProfile) -> dict:
         "beta": rat_str(p.beta),
         "center_codim": p.center_codim,
         "primitive": p.is_primitive,
-        "volume_fn": _piecewise_dict(p.volume_fn),
-        "restricted_volume_fn": _piecewise_dict(p.restricted_volume_fn),
+        "volume_fn": rendered[id(p.volume_fn)],
+        "restricted_volume_fn": rendered[id(p.restricted_volume_fn)],
     }
 
 
@@ -327,6 +358,8 @@ def screen_result_dict(s: ScreenResult) -> dict:
 
 
 def report_dict(r: StabilityReport) -> dict:
+    """The report as JSON-ready data; profiles of one orbit share their piecewise dicts."""
+    rendered: dict[int, dict] = {}
     return {
         "fan": r.fan_name,
         "dimension": r.dimension,
@@ -340,7 +373,7 @@ def report_dict(r: StabilityReport) -> dict:
         },
         "barycenter": [rat_str(x) for x in r.barycenter],
         "battery_radius": r.battery_radius,
-        "valuations": [_profile_dict(p) for p in r.profiles],
+        "valuations": [_profile_dict(p, rendered) for p in r.profiles],
         "verdicts": {
             "toric_divisorial_semistable": r.toric_divisorial_semistable,
             "min_beta": rat_str(r.min_beta),

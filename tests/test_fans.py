@@ -1,10 +1,13 @@
 """Fan validation, smoothness, anticanonical polytopes, star subdivision."""
 
+import importlib
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+from toricstab.corpus import builtin_fan_specs
 from toricstab.errors import InvariantViolation
 from toricstab.fans import Fan
 from toricstab.lattice import matrix_inverse
@@ -246,3 +249,40 @@ def test_dimension_one_complete():
     assert fan.degree() == 2
     with pytest.raises(InvariantViolation, match="fan not complete"):
         Fan(1, [[1]], [[0]])
+
+
+# -- automorphisms ---------------------------------------------------------------
+
+
+def test_automorphisms_match_the_bench_reference(monkeypatch, corpus_fans):
+    """Fan.automorphisms equals the bench's search over all ordered ray tuples."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    workloads = importlib.import_module("workloads")
+    specs = builtin_fan_specs()
+    for fan in corpus_fans:
+        group = fan.automorphisms()
+        assert len(set(group)) == len(group)
+        assert set(group) == set(workloads.automorphisms(specs[fan.name])), fan.name
+
+
+@pytest.mark.parametrize("name,order", [
+    ("P1", 2), ("P2", 6), ("P3", 24), ("P4", 120), ("P5", 720), ("P1xP1", 8),
+    ("dP6", 12), ("P1xP1xP1", 48), ("P(1,2,3)", 1), ("Y(1,2,3)", 1),
+])
+def test_automorphism_group_orders(name, order):
+    group = load_builtin_fan(name).automorphisms()
+    assert len(group) == order
+    n = len(group[0])
+    assert tuple(tuple(int(i == j) for j in range(n)) for i in range(n)) in group
+
+
+def test_automorphisms_bounded_by_the_oracle_budget(monkeypatch):
+    """More candidates than the budget: no candidate is tried, the group is the identity."""
+    fan = Fan(3, *[builtin_fan_specs()["P1xP1xP1"][k] for k in ("rays", "cones")])
+    monkeypatch.setenv("TKS_ORACLE_BUDGET", str(8 * 6 - 1))
+
+    def refuse(*args):
+        raise AssertionError("candidate built over budget")
+
+    monkeypatch.setattr("toricstab.fans.permutations", refuse)
+    assert fan.automorphisms() == (((1, 0, 0), (0, 1, 0), (0, 0, 1)),)

@@ -88,6 +88,35 @@ def test_int_nth_root():
     assert int_nth_root(7**30 - 1, 5) == 7**6 - 1
 
 
+def newton_nth_root(value, m):
+    """The earlier int_nth_root: integer Newton from the power of two above the root."""
+    if value == 0 or m == 1:
+        return value
+    r = 1 << (value.bit_length() // m + 1)
+    while True:
+        nxt = ((m - 1) * r + value // r ** (m - 1)) // m
+        if nxt >= r:
+            break
+        r = nxt
+    while r**m > value:
+        r -= 1
+    return r
+
+
+def test_int_nth_root_matches_newton():
+    """The float-seeded root equals the Newton root on random values and at perfect powers."""
+    rng = random.Random(900)
+    for m in range(2, 7):
+        for v in range(200):
+            assert int_nth_root(v, m) == newton_nth_root(v, m)
+        for _ in range(300):
+            v = rng.getrandbits(rng.randint(1, 900))
+            assert int_nth_root(v, m) == newton_nth_root(v, m), (v, m)
+            k = rng.getrandbits(rng.randint(1, 900 // m)) + 2
+            assert int_nth_root(k**m, m) == newton_nth_root(k**m, m) == k
+            assert int_nth_root(k**m - 1, m) == newton_nth_root(k**m - 1, m) == k - 1
+
+
 def test_nth_root_bounds_bracket():
     lo, hi = nth_root_bounds(F(2), 2, 10**12)
     assert lo**2 <= 2 <= hi**2

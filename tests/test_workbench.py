@@ -3,19 +3,23 @@
 import hashlib
 import io
 import json
+from dataclasses import fields
 from fractions import Fraction as F
 
 import pytest
 
 from toricstab.cli import main
 from toricstab.errors import BudgetExceeded, InvariantViolation, ParseError
-from toricstab.valuations import beta_invariant
+from toricstab.corpus import builtin_fan_specs
+from toricstab.valuations import ToricValuation, beta_invariant, valuation_profile
 from toricstab.workbench import (
     analyze,
     export_volume_csv,
     load_builtin_fan,
     load_fan,
+    orbit_profiles,
     parse_fan_spec,
+    rat_str,
     report_json,
     screen_projective_space,
     valuation_battery,
@@ -125,6 +129,52 @@ def test_battery_bounded_by_the_oracle_budget(monkeypatch, p2):
 
 
 # -- analyze -----------------------------------------------------------------
+
+
+def test_orbit_profiles_equal_direct_profiles(corpus_fans):
+    """Every orbit-copied profile equals a freshly computed one, field by field."""
+    for fan in corpus_fans:
+        battery = valuation_battery(fan, 2)
+        for val, profile in zip(battery, orbit_profiles(fan, battery)):
+            direct = valuation_profile(ToricValuation(fan, val.w))
+            for f in fields(profile):
+                assert getattr(profile, f.name) == getattr(direct, f.name), (fan.name, val.w, f.name)
+
+
+@pytest.mark.parametrize("name,radius,orbits,size", [
+    ("dP6", 4, 7, 48), ("P1xP1", 4, 7, 48), ("P1xP1xP1", 1, 3, 26), ("P3", 1, 6, 26),
+    ("P(1,2,3)", 4, 48, 48), ("Y(1,2,3)", 4, 48, 48),
+])
+def test_one_profile_per_orbit(monkeypatch, name, radius, orbits, size):
+    """`valuation_profile` runs once per automorphism orbit inside the battery."""
+    import toricstab.workbench as workbench
+
+    calls = []
+
+    def counted(val):
+        calls.append(val)
+        return valuation_profile(val)
+
+    monkeypatch.setattr(workbench, "valuation_profile", counted)
+    fan = load_builtin_fan(name)
+    profiles = analyze(fan, radius).profiles
+    assert (len(calls), len(profiles)) == (orbits, size)
+    assert [p.w for p in profiles] == [val.w for val in valuation_battery(fan, radius)]
+
+
+def test_automorphism_budget_keeps_the_report(monkeypatch):
+    """Over budget every orbit is a singleton and the report bytes are unchanged."""
+    spec = builtin_fan_specs()["P1xP1xP1"]
+    expected = report_json(analyze(parse_fan_spec(spec), 1))
+    fan = parse_fan_spec(spec)
+    monkeypatch.setenv("TKS_ORACLE_BUDGET", str(8 * 6 - 1))
+
+    def refuse(*args):
+        raise AssertionError("candidate built over budget")
+
+    monkeypatch.setattr("toricstab.fans.permutations", refuse)
+    assert report_json(analyze(fan, 1)) == expected
+    assert len(fan.automorphisms()) == 1
 
 
 def test_analyze_weighted_plane(p123):
@@ -240,6 +290,18 @@ def test_report_bytes_pinned(tmp_path, capsys):
     path = write_spec(tmp_path, P123_SPEC)
     assert main(["volfn", path, "--w", "-1,0"]) == 0
     assert sha256(capsys.readouterr().out) == VOLFN_DIGEST
+
+
+def test_rat_str_renders_ints_and_fractions():
+    assert [rat_str(x) for x in (0, 7, -3, F(6), F(-2, 3), F(4, 6))] == [
+        "0/1", "7/1", "-3/1", "6/1", "-2/3", "2/3"
+    ]
+
+
+@pytest.mark.parametrize("value", [0.5, 2.0, "1/2", True])
+def test_rat_str_refuses_inexact_types(value):
+    with pytest.raises(InvariantViolation, match="not an exact rational"):
+        rat_str(value)
 
 
 def test_report_rats_in_lowest_terms(p123):
@@ -432,9 +494,7 @@ def test_cli_root_concavity_errors_exit_code(monkeypatch, capsys):
 
     monkeypatch.undo()
     monkeypatch.setattr(verification, "ALL_CHECKS", (("6", verification.check_concavity),))
-    monkeypatch.setattr(
-        "toricstab.piecewise.nth_root_bounds", lambda f, m, scale: (F(0), F(1))
-    )
+    monkeypatch.setattr("toricstab.piecewise.root_floor", lambda num, den, m, scale: 0)
     assert main(["verify"]) == 5
     err = capsys.readouterr().err
     assert err.startswith("internal error: m-th roots of ") and err.count("\n") == 1
