@@ -372,9 +372,9 @@ def midpoint_root_concave(fn: PiecewisePolynomial, m: int, x: Fraction, y: Fract
     """Exact test of fn(mid)^(1/m) >= (fn(x)^(1/m) + fn(y)^(1/m)) / 2.
 
     Roots are compared through integer brackets of width 10^-12 ... 10^-96
-    (`root_floor`) until separated; the genuine equality case (fn a perfect m-th power of a linear
-    polynomial over [x, y]) is recognized algebraically, so no comparison
-    is ever decided by tolerance alone.  Roots the brackets cannot separate
+    (`root_floor`) until separated; the genuine equality case (fn a perfect
+    m-th power of a linear polynomial over [x, y]) is recognized
+    algebraically, so no comparison is ever decided by tolerance alone.  Roots the brackets cannot separate
     may still be exactly in arithmetic progression across pieces.  Divided
     by fn(mid)^(1/m) that reads 2 = r_a + r_b with r_a = (fn(x)/fn(mid))^(1/m)
     and r_b likewise; real m-th roots of positive rationals from distinct
