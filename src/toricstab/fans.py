@@ -35,7 +35,7 @@ from itertools import combinations, permutations
 from typing import Optional, Sequence
 
 from .errors import InvariantViolation
-from .lattice import LatticeVec, RatVec, adjugate, primitivize
+from .lattice import LatticeVec, adjugate, primitivize
 from .polytopes import RationalPolytope, default_oracle_budget
 
 
@@ -82,7 +82,6 @@ class Fan:
         # any rational arithmetic
         self._cone_adjugates: list[tuple[tuple[int, ...], ...]] = []
         self._cone_mults: list[int] = []
-        self._walls: list[tuple[frozenset, int, int]] = []
         self._ray_lookup = {ray: i for i, ray in enumerate(self.rays)}
         self._polytope: Optional[RationalPolytope] = None
         self._automorphisms: Optional[tuple[Matrix, ...]] = None
@@ -137,11 +136,7 @@ class Fan:
                 by_facet.setdefault(frozenset(facet), []).append(ci)
         if not by_facet or any(len(pair) != 2 for pair in by_facet.values()):
             raise InvariantViolation("fan not complete")
-        self._walls = sorted(
-            ((key, ci, cj) for key, (ci, cj) in by_facet.items()),
-            key=lambda wall: sorted(wall[0]),
-        )
-        for shared, ci, cj in self._walls:
+        for shared, (ci, cj) in by_facet.items():
             # the ray of cj off the wall must lie beyond the wall, seen from ci
             cone = self.max_cones[ci].ray_indices
             pos = next(p for p, i in enumerate(cone) if i not in shared)
@@ -158,33 +153,6 @@ class Fan:
     def _scaled_coords(self, cone_index: int, w: Sequence) -> tuple:
         """w's coordinates in the cone's ray basis, times the cone's |det|."""
         return tuple(sum(map(operator.mul, row, w)) for row in self._cone_adjugates[cone_index])
-
-    def locate(self, w: Sequence[int]) -> tuple[int, tuple[int, ...], int]:
-        """(index of a maximal cone containing w, adj . w, the cone's multiplicity).
-
-        adj . w is w's coordinates in the cone's ray basis times the
-        multiplicity, so every entry is a nonnegative int; a complete fan
-        always has such a cone.  A cone is left at its first negative entry.
-        """
-        for ci, adj in enumerate(self._cone_adjugates):
-            scaled = []
-            for row in adj:
-                s = sum(map(operator.mul, row, w))
-                if s < 0:
-                    break
-                scaled.append(s)
-            else:
-                return ci, tuple(scaled), self._cone_mults[ci]
-        raise AssertionError(f"complete fan has no cone containing {tuple(w)}")
-
-    def containing_cone(self, w: Sequence[int]) -> int:
-        """Index of a maximal cone containing w (complete fans always have one)."""
-        return self.locate(w)[0]
-
-    def cone_coordinates(self, w: Sequence[int]) -> tuple[int, RatVec]:
-        """(cone index, nonnegative coordinates of w in that cone)."""
-        ci, scaled, mult = self.locate(w)
-        return ci, tuple(Fraction(x, mult) for x in scaled)
 
     def ray_index(self, v: Sequence[int]) -> Optional[int]:
         return self._ray_lookup.get(_int_vector(v))
@@ -270,10 +238,6 @@ class Fan:
                 ):
                     found.append(matrix)
         return found
-
-    def walls(self) -> list[tuple[frozenset, int, int]]:
-        """All walls as (shared ray index set, cone index, adjacent cone index)."""
-        return list(self._walls)
 
     def star_subdivision(self, w: Sequence[int]) -> "Fan":
         """The stellar refinement inserting the primitive ray w.

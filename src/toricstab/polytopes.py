@@ -142,11 +142,6 @@ class RationalPolytope:
 
     # -- basic queries ----------------------------------------------------
 
-    def contains(self, point: Sequence, strict: bool = False) -> bool:
-        if strict:
-            return all(dot(point, a) > b for a, b in self.halfspaces)
-        return all(dot(point, a) >= b for a, b in self.halfspaces)
-
     def is_full_dimensional(self) -> bool:
         """True iff the polytope has interior points, i.e. a nonempty triangulation."""
         return bool(self.indexed_triangulation[1])
@@ -164,10 +159,6 @@ class RationalPolytope:
     def vertex_values(self, w: Sequence[int]) -> list[int]:
         """D * <v, w> for each vertex v, in vertex order: one integer dot product each."""
         return [sum(map(operator.mul, row, w)) for row in self.vertex_matrix[1]]
-
-    def max_linear_functional(self, w: Sequence) -> Fraction:
-        """Exact maximum of <., w> over the polytope (attained at a vertex)."""
-        return Fraction(max(self.vertex_values(w)), self.vertex_matrix[0])
 
     # -- volume and centroid ----------------------------------------------
 

@@ -2,24 +2,28 @@
 
 A nonzero integer vector w in the cocharacter lattice encodes a
 torus-invariant divisorial valuation over the variety X of a complete
-simplicial fan.  With P the anticanonical polytope, every invariant is an
-exact polytope computation:
+simplicial Q-Fano fan.  With P the anticanonical polytope, every invariant
+is read off one integer row, D <v, w> over the vertices v of P, computed
+once per valuation from the polytope's vertex matrix (`vertex_values`, D
+its common denominator).  The support function of -K is -min_P <u, w>
+(Cox-Little-Schenck, *Toric Varieties*, ch. 4 and 6): for w in a cone
+sigma the vertex m_sigma attains the minimum, and <m_sigma, w> = -A(w).
+So, with min and max taken over the row:
 
-  * log discrepancy    A(w)  = sum of the coordinates of w inside the
-                               simplicial cone containing it, i.e. the
-                               integer sum of adj . w over the cone's
-                               multiplicity (`Fan.locate`, cached on the
-                               valuation);
+  * log discrepancy    A(w)  = -min / D;
   * valuation of the section indexed by a lattice point u:
                        <u, w> + A(w), which is nonnegative exactly on P;
   * volume function    vol(x) = n! * vol(P cut to {<u, w> >= x - A(w)});
-  * pseudo-effective threshold  tau(w) = A(w) + max_P <u, w>, so the
-                       equality-case bound A >= (n/(n+1)) tau is equivalent
-                       to A >= n max_P <u, w> (`meets_equality_bound`);
+  * pseudo-effective threshold  tau(w) = A(w) + max_P <u, w>
+                       = (max - min) / D, so the equality-case bound
+                       A >= (n/(n+1)) tau is equivalent to -min >= n max
+                       (`meets_equality_bound`);
   * beta invariant     beta(w) = A(w) * degree - integral of vol over [0, tau];
-  * nef threshold      eps(w) = A(w) + the second-smallest distinct value of
-                       <v, w> over the vertices v of P, the first positive
-                       knot of vol.
+  * nef threshold      eps(w) = (second-smallest distinct value - min) / D,
+                       the first positive knot of vol;
+  * center codimension the number of rays tight at every vertex attaining
+                       the min, whose face of P is dual to the minimal cone
+                       containing w.
 
 The volume function is piecewise polynomial with breakpoints exactly at the
 values A(w) + <vertex, w>.  It is read in closed form from the triangulation
@@ -33,28 +37,22 @@ knot is a breakpoint, and on each piece vol is dim! * sum_S vol(S) *
 (`piecewise.spline_cdf_jumps`).  Repeated knots are handled exactly, with
 no perturbation, so every coefficient is an exact rational number.
 
-The closed form runs on one integer knot scale.  With A(w) = S / mult
-(the cone's integer sum over its multiplicity) and <v, w> = s_v / D from
-the polytope's integer vertex matrix, the knots are k_v / K with
-k_v = S D + s_v mult and K = mult D, looked up by vertex index.  In the
-variable y = K x the knots are the integers k_v, and the spline jumps,
-being homogeneous of degree 0, are integer vectors over integer
+The closed form runs on one integer knot scale D: the knots are
+(s_v - min) / D for the row entries s_v, looked up by vertex index.  In the
+variable y = D x the knots are the integers s_v - min, and the spline
+jumps, being homogeneous of degree 0, are integer vectors over integer
 denominators.  The simplex masses dim! vol(S) are integers over the shared
 denominator D^dim (`RationalPolytope.indexed_triangulation`).  The jumps
 are summed per breakpoint, grouped by denominator, brought to one common
 denominator L, expanded in powers of y by an integer Taylor shift and
 accumulated into the pieces.  Fractions are built only for the result:
-one per breakpoint k / K and one per coefficient c_j K^j / (D^dim L).
-
-Every <v, w> over the vertices of P (tau, the nef threshold, the knots of
-vol, the equality-case bound) is read from the polytope's integer vertex
-matrix, one integer dot product per vertex; Fractions are built only for
-the values returned.
+one per breakpoint k / D and one per coefficient c_j D^j / (D^dim L).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -99,47 +97,41 @@ class ToricValuation:
         return ToricValuation(self.fan, primitivize(self.w))
 
     @cached_property
-    def _location(self) -> tuple[int, tuple[int, ...], int]:
-        """(containing cone index, adj . w, cone multiplicity), located once (`Fan.locate`)."""
-        return self.fan.locate(self.w)
-
-
-def _scaled_log_discrepancy(val: ToricValuation) -> tuple[int, int]:
-    """(sum of adj . w, multiplicity): A(w) as an integer pair, checked positive."""
-    _, scaled, mult = val._location
-    total = sum(scaled)
-    if total <= 0:
-        raise AssertionError(f"log discrepancy of {val.w} not positive")
-    return total, mult
+    def _values(self) -> tuple[int, list[int]]:
+        """(D, D <v, w> for each vertex v of P): the one integer row every invariant reads."""
+        poly = self.fan.anticanonical_polytope()
+        values = poly.vertex_values(self.w)
+        if min(values) >= 0:
+            raise AssertionError(f"log discrepancy of {self.w} not positive")
+        return poly.vertex_matrix[0], values
 
 
 def log_discrepancy(val: ToricValuation) -> Fraction:
-    """Sum of the cone coordinates of w in a containing maximal cone.
+    """A(w) = -min_P <u, w>, the support function of -K at w.
 
-    Well-defined on shared faces: coordinates on rays outside the minimal
-    containing cone vanish.  The coordinates are adj . w over the cone's
-    multiplicity, so A(w) is one integer sum over it.
+    It is the sum of the coordinates of w in any cone containing it: the
+    vertex m_sigma of a cone sigma containing w has <m_sigma, v> = -1 on its
+    rays and attains the minimum of <., w> over P.
     """
-    return Fraction(*_scaled_log_discrepancy(val))
+    d, values = val._values
+    return Fraction(-min(values), d)
 
 
 def pseff_threshold(val: ToricValuation) -> Fraction:
-    """Largest x with vol(x) > 0: equals A(w) + max over P of <u, w>."""
-    poly = val.fan.anticanonical_polytope()
-    return log_discrepancy(val) + poly.max_linear_functional(val.w)
+    """Largest x with vol(x) > 0: A(w) + max_P <u, w>, i.e. (max - min) / D over the row."""
+    d, values = val._values
+    return Fraction(max(values) - min(values), d)
 
 
 def meets_equality_bound(val: ToricValuation) -> bool:
     """The equality-case hypothesis A(w) >= (n/(n+1)) tau(w), decided in integers.
 
-    Since tau = A + max_P <u, w>, the bound is equivalent to A >= n max_P <u, w>.
-    With A = S / mult (S the sum of adj . w) and max_P <u, w> = M / D over the
-    polytope's integer vertex matrix, that is one cross-multiplication,
-    S * D >= n * mult * M.  No Fraction is built.
+    Since tau = A + max_P <u, w>, the bound is equivalent to A >= n max_P <u, w>,
+    and with A = -min / D and max_P <u, w> = max / D over the row that is
+    -min >= n * max.  No Fraction is built.
     """
-    total, mult = _scaled_log_discrepancy(val)
-    poly = val.fan.anticanonical_polytope()
-    return total * poly.vertex_matrix[0] >= poly.dim * mult * max(poly.vertex_values(val.w))
+    _, values = val._values
+    return -min(values) >= val.fan.dimension * max(values)
 
 
 @lru_cache(maxsize=None)
@@ -150,17 +142,14 @@ def volume_function(val: ToricValuation) -> PiecewisePolynomial:
     dim! vol(S) * (1 - F_S(x)), with F_S the spline distribution function of
     its knots A(w) + <v, w>.  The knots are breakpoints, so each piece is the
     degree minus the jumps of every F_S at the breakpoints up to its left end.
-    All of it runs in integers on the knot scale y = K x (module docstring).
+    All of it runs in integers on the knot scale y = D x (module docstring).
     """
     n = val.fan.dimension
     poly = val.fan.anticanonical_polytope()
-    total, mult = _scaled_log_discrepancy(val)
-    d, _ = poly.vertex_matrix
-    scale = mult * d
-    knots = [total * d + s * mult for s in poly.vertex_values(val.w)]
+    scale, row = val._values
+    low = min(row)
+    knots = [s - low for s in row]
     values = sorted(set(knots))
-    if values[0] != 0:
-        raise AssertionError("volume function must start at x = 0")
     top = values[-1]
     # per breakpoint below the top: denominator -> sum of mass * jump numerators
     grouped: dict[int, dict[int, list[int]]] = {t: {} for t in values[:-1]}
@@ -247,11 +236,20 @@ def restricted_volume(val: ToricValuation) -> PiecewisePolynomial:
 def center_codim(val: ToricValuation) -> int:
     """Dimension of the minimal fan cone containing w.
 
-    This equals the codimension of the valuation's center: the center is a
-    point exactly when the result is the fan dimension.
+    The vertices attaining min_P <u, w> are the m_sigma of the maximal cones
+    containing w, and they span the face of P dual to the minimal cone tau
+    containing w.  A ray is tight (<m, v> = -1) at all of them exactly when
+    it is a ray of tau, since -K is ample.  The result is the codimension
+    of the valuation's center: the center is a point exactly when it is
+    the fan dimension.
     """
-    _, scaled, _ = val._location
-    return sum(1 for s in scaled if s > 0)
+    d, values = val._values
+    low = min(values)
+    rows = val.fan.anticanonical_polytope().vertex_matrix[1]
+    face = [row for row, s in zip(rows, values) if s == low]
+    return sum(
+        1 for ray in val.fan.rays if all(sum(map(operator.mul, row, ray)) == -d for row in face)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -259,7 +257,8 @@ def nef_threshold(val: ToricValuation) -> Fraction:
     """Largest eps with (pullback of -K) - eps*E nef on the extraction model.
 
     This is A(w) plus the second-smallest distinct value of <v, w> over the
-    vertices v of P: the first positive knot of the volume function.  On a
+    vertices v of P, (second - min) / D over the row: the first positive
+    knot of the volume function.  On a
     complete toric variety D is nef exactly when it is basepoint free, i.e.
     when every Cartier datum m_sigma lies in the polytope of D
     (Cox-Little-Schenck, *Toric Varieties*, Thms 6.1.7 and 6.3.12).  For D_x = pi*(-K) - x*E that
@@ -270,9 +269,9 @@ def nef_threshold(val: ToricValuation) -> Fraction:
     The formula is homogeneous in w, so non-primitive w and ray multiples
     need no special case.
     """
-    poly = val.fan.anticanonical_polytope()
-    values = sorted(set(poly.vertex_values(val.w)))
-    return log_discrepancy(val) + Fraction(values[1], poly.vertex_matrix[0])
+    d, values = val._values
+    low, second = sorted(set(values))[:2]
+    return Fraction(second - low, d)
 
 
 # -- bundled profile ----------------------------------------------------------

@@ -1,14 +1,49 @@
-"""Fraction reference implementations of the integer polynomial code in `piecewise`.
+"""Fraction reference implementations kept as oracles for the tests.
 
 The package evaluates, differentiates and integrates piecewise polynomials,
-and computes spline jumps, in integers over common denominators.  These are
-the plain Fraction versions it replaced, kept as oracles for the tests.
+and computes spline jumps, in integers over common denominators; the plain
+Fraction versions it replaced live here.  So do the geometric queries the
+package no longer needs: cone coordinates of a vector, solved one maximal
+cone at a time, the walls of a fan and half-space membership in a polytope.
 """
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
+from toricstab.lattice import dot, solve_linear
 from toricstab.piecewise import poly_trim
+
+
+def cone_coordinates(fan, w):
+    """(index of the first maximal cone containing w, w's coordinates in its rays).
+
+    Each cone's ray-column system is solved by `solve_linear`; the first
+    cone giving nonnegative coordinates contains w.
+    """
+    n = fan.dimension
+    for ci, cone in enumerate(fan.max_cones):
+        columns = [[fan.rays[j][i] for j in cone.ray_indices] for i in range(n)]
+        coords = solve_linear(columns, list(w))
+        if all(c >= 0 for c in coords):
+            return ci, coords
+    raise AssertionError(f"no maximal cone contains {tuple(w)}")
+
+
+def walls(fan):
+    """All walls as (shared ray index set, cone index, adjacent cone index), sorted."""
+    by_facet = {}
+    for ci, cone in enumerate(fan.max_cones):
+        for facet in combinations(cone.ray_indices, fan.dimension - 1):
+            by_facet.setdefault(frozenset(facet), []).append(ci)
+    return sorted(((key, ci, cj) for key, (ci, cj) in by_facet.items()), key=lambda w: sorted(w[0]))
+
+
+def contains(poly, point, strict=False):
+    """Whether `point` satisfies every half-space of `poly` (strictly, if asked)."""
+    if strict:
+        return all(dot(point, a) > b for a, b in poly.halfspaces)
+    return all(dot(point, a) >= b for a, b in poly.halfspaces)
 
 
 def poly_eval(coeffs, x):

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from fraction_oracles import cone_coordinates, contains, walls
 from toricstab.corpus import builtin_fan_specs
 from toricstab.errors import InvariantViolation
 from toricstab.fans import Fan
@@ -178,7 +179,7 @@ def test_degree_positive_origin_interior(corpus_fans):
     for fan in corpus_fans:
         poly = fan.anticanonical_polytope()
         assert fan.degree() > 0
-        assert poly.contains((0,) * fan.dimension, strict=True)
+        assert contains(poly, (0,) * fan.dimension, strict=True)
 
 
 def test_corpus_degrees():
@@ -209,9 +210,9 @@ def test_corpus_barycenters():
 
 
 def test_walls_pair_cones(square):
-    walls = square.walls()
-    assert len(walls) == 4
-    for shared, ci, cj in walls:
+    pairs = walls(square)
+    assert len(pairs) == 4
+    for shared, ci, cj in pairs:
         assert ci != cj
         shared_set = set(shared)
         assert shared_set <= set(square.max_cones[ci].ray_indices)
@@ -239,7 +240,7 @@ def test_star_subdivision_interior_point(p2):
 
 
 def test_containing_cone_and_minimal_dimension(p123):
-    ci, coords = p123.cone_coordinates((-1, 0))
+    ci, coords = cone_coordinates(p123, (-1, 0))
     assert sum(coords) == 2
     assert sorted(p123.max_cones[ci].ray_indices) == [1, 2]
 

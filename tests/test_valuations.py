@@ -6,10 +6,12 @@ from itertools import product
 
 import pytest
 
-from fraction_oracles import poly_antiderivative, poly_derivative, poly_eval, poly_from_shifted
+from fraction_oracles import cone_coordinates, poly_antiderivative, poly_derivative, poly_eval
+from fraction_oracles import poly_from_shifted, walls
 from fraction_oracles import spline_cdf_jumps as oracle_spline_cdf_jumps
 from toricstab.errors import InvariantViolation
 from toricstab.corpus import builtin_fan_specs
+from toricstab.fans import Fan
 from toricstab.lattice import dot, primitivize, solve_linear
 from toricstab.piecewise import PiecewisePolynomial, lagrange_interpolate
 from toricstab.valuations import (
@@ -49,6 +51,14 @@ def test_valuation_rejects_non_int_entries(p2):
     for w in ((1.9, 0), (True, False), (F(1), 0)):
         with pytest.raises(InvariantViolation, match="int entries"):
             val(p2, w)
+
+
+def test_invariants_require_q_fano():
+    """A is -min_P <u, w>, so it needs the anticanonical polytope: on the
+    non-Q-Fano Hirzebruch surface F2 it raises instead of returning a value."""
+    f2 = Fan(2, [[1, 0], [0, 1], [-1, 2], [0, -1]], [[0, 1], [1, 2], [2, 3], [3, 0]])
+    with pytest.raises(InvariantViolation, match="not Q-Fano"):
+        log_discrepancy(val(f2, (1, 1)))
 
 
 def test_log_discrepancy_examples(p123, corpus_fans):
@@ -399,7 +409,7 @@ def wall_nef_threshold(v):
 
     h0, h1 = support(F(0)), support(F(1))
     bounds = []
-    for shared, ci, cj in model.walls():
+    for shared, ci, cj in walls(model):
         cone = model.max_cones[ci].ray_indices
         m_at_0 = solve_linear([model.rays[i] for i in cone], [h0[i] for i in cone])
         m_at_1 = solve_linear([model.rays[i] for i in cone], [h1[i] for i in cone])
@@ -461,16 +471,25 @@ def test_nef_threshold_bounded_by_tau(corpus_fans):
             assert 0 < eps <= pseff_threshold(v), (fan.name, v.w)
 
 
-def test_equality_bound_matches_the_fraction_test(corpus_fans):
-    """The integer test S * D >= n * mult * M decides A >= (n/(n+1)) tau, with tau
-    taken here as A plus a Fraction maximum over the vertices."""
+def test_equality_bound_matches_the_fraction_test(q_fano_fans):
+    """A, the center codim, tau and the bound read off the vertex row match an
+    oracle that uses neither adjugates nor the vertex matrix: w's coordinates
+    in the first maximal cone containing it, solved per cone, give A as their
+    sum and the codim as their support; tau is A plus a Fraction maximum over
+    the vertices, and the bound is A >= (n/(n+1)) tau in Fractions.  Radius 3
+    up to dimension 3 and 2 above."""
     outcomes = set()
-    for fan in corpus_fans:
+    for fan in q_fano_fans:
         n = fan.dimension
         vertices = fan.anticanonical_polytope().vertices
-        for v in valuation_battery(fan, 3):
-            tau = log_discrepancy(v) + max(dot(u, v.w) for u in vertices)
-            expected = log_discrepancy(v) >= F(n, n + 1) * tau
+        for v in valuation_battery(fan, 3 if n <= 3 else 2):
+            _, coords = cone_coordinates(fan, v.w)
+            a_disc = sum(coords)
+            tau = a_disc + max(dot(u, v.w) for u in vertices)
+            assert log_discrepancy(v) == a_disc, (fan.name, v.w)
+            assert center_codim(v) == sum(1 for c in coords if c > 0), (fan.name, v.w)
+            assert pseff_threshold(v) == tau, (fan.name, v.w)
+            expected = a_disc >= F(n, n + 1) * tau
             assert meets_equality_bound(v) is expected, (fan.name, v.w)
             outcomes.add((n, expected))
     assert {(n, b) for n in range(2, 6) for b in (True, False)} <= outcomes

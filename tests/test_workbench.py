@@ -396,6 +396,9 @@ def test_cli_rejects_non_fano_hirzebruch(tmp_path, capsys):
         assert main(["beta", path, "--w", "-1,0"]) == 3
         assert "not Q-Fano" in capsys.readouterr().err
         assert main(["analyze", path, "--radius", "1"]) == 3
+        capsys.readouterr()
+        assert main(["screen", path, "--radius", "1"]) == 3
+        assert "not Q-Fano" in capsys.readouterr().err
 
 def test_cli_beta_output(tmp_path, capsys):
     path = write_spec(tmp_path, P123_SPEC)
