@@ -210,6 +210,7 @@ def test_corpus_barycenters():
 
 
 def test_walls_pair_cones(square):
+    """Validates the test-side walls oracle that `wall_nef_threshold` uses."""
     pairs = walls(square)
     assert len(pairs) == 4
     for shared, ci, cj in pairs:
@@ -240,6 +241,7 @@ def test_star_subdivision_interior_point(p2):
 
 
 def test_containing_cone_and_minimal_dimension(p123):
+    """Validates the test-side cone-coordinate oracle on P(1,2,3)."""
     ci, coords = cone_coordinates(p123, (-1, 0))
     assert sum(coords) == 2
     assert sorted(p123.max_cones[ci].ray_indices) == [1, 2]

@@ -113,6 +113,7 @@ def test_solve_linear_random():
 
 
 def test_cone_coordinates_examples(p123):
+    """Validates the test-side cone-coordinate oracle (and `solve_linear`)."""
     ci, coords = cone_coordinates(p123, (-1, 0))
     assert coords == (F(3, 2), F(1, 2))
     assert [p123.rays[i] for i in p123.max_cones[ci].ray_indices] == [(0, 1), (-2, -3)]
@@ -124,6 +125,7 @@ def test_cone_coordinates_examples(p123):
 
 
 def test_cone_coordinates_outside(p2):
+    """Validates the test-side cone-coordinate oracle (and `solve_linear`)."""
     # (-1, -1) lies outside the first quadrant cone: a coordinate is negative
     assert solve_linear([[1, 0], [0, 1]], [-1, -1]) == (F(-1), F(-1))
     ci, coords = cone_coordinates(p2, (-1, -1))
@@ -132,8 +134,9 @@ def test_cone_coordinates_outside(p2):
 
 
 def test_cone_coordinates_random_reconstruction(corpus_fans):
-    """1000 random (w, simplicial cone) pairs in dims 2..5 reconstruct exactly,
-    and every fan puts random w in a cone with nonnegative coordinates."""
+    """1000 random (w, simplicial cone) pairs in dims 2..5 reconstruct exactly
+    through `solve_linear`, and the test-side cone-coordinate oracle puts
+    random w in a cone of every fan with nonnegative coordinates."""
     rng = random.Random(20240817)
     done = 0
     while done < 1000:
