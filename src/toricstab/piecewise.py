@@ -209,8 +209,8 @@ class PiecewisePolynomial:
         return tuple(out)
 
     @cached_property
-    def _affine_roots(self) -> dict[tuple[int, int], bool]:
-        """(piece index, m) -> whether the piece is c*(x + r)^m, filled on demand."""
+    def _affine_roots(self) -> dict[tuple[int, int], Optional[Fraction]]:
+        """(piece index, m) -> r when the piece is c*(x + r)^m, else None; filled on demand."""
         return {}
 
     def _locate(self, p: int, q: int) -> int:
@@ -247,12 +247,13 @@ class PiecewisePolynomial:
         j = bisect_left(grid, -(-y.numerator * den // y.denominator)) - 1
         return i if i == j else None
 
-    def _affine_root(self, i: int, m: int) -> bool:
-        """Whether piece i has an affine m-th root (`poly_linear_power`), decided once."""
+    def _affine_root(self, i: int, m: int) -> Optional[Fraction]:
+        """r when piece i is c*(x + r)^m (`poly_linear_power`), else None; decided once."""
         key = (i, m)
         cache = self._affine_roots
         if key not in cache:
-            cache[key] = poly_linear_power(self.pieces[i], m) is not None
+            found = poly_linear_power(self.pieces[i], m)
+            cache[key] = None if found is None else found[1]
         return cache[key]
 
     def _values_at(self, i: int, pieces) -> list[tuple[int, int]]:
@@ -373,17 +374,19 @@ def midpoint_root_concave(fn: PiecewisePolynomial, m: int, x: Fraction, y: Fract
 
     Roots are compared through integer brackets of width 10^-12 ... 10^-96
     (`root_floor`) until separated; the genuine equality case (fn a perfect
-    m-th power of a linear polynomial over [x, y]) is recognized
-    algebraically, so no comparison is ever decided by tolerance alone.  Roots the brackets cannot separate
-    may still be exactly in arithmetic progression across pieces.  Divided
-    by fn(mid)^(1/m) that reads 2 = r_a + r_b with r_a = (fn(x)/fn(mid))^(1/m)
-    and r_b likewise; real m-th roots of positive rationals from distinct
-    classes modulo (Q*)^m are linearly independent over Q (Besicovitch,
-    1940), so it can hold only when both ratios are perfect m-th powers of
-    rationals.  Then 2 >= r_a + r_b is compared exactly (and fn(mid) = 0
-    gives True only when fn(x) = fn(y) = 0); otherwise ArithmeticError is
-    raised.  The sign, equality and m = 1 tests cross-multiply the values'
-    integer numerators and denominators.
+    m-th power c (x + r)^m over [x, y], with x + r of one sign there when m
+    is even: c^(1/m) |x + r| is V-shaped) is recognized algebraically, so
+    no comparison is ever decided by tolerance alone.  Roots the brackets
+    cannot separate may still be exactly in arithmetic progression across
+    pieces.  Divided by fn(mid)^(1/m) that reads 2 = r_a + r_b with
+    r_a = (fn(x)/fn(mid))^(1/m) and r_b likewise; real m-th roots of
+    positive rationals from distinct classes modulo (Q*)^m are linearly
+    independent over Q (Besicovitch, 1940), so it can hold only when both
+    ratios are perfect m-th powers of rationals.  Then 2 >= r_a + r_b is
+    compared exactly (and fn(mid) = 0 gives True only when fn(x) = fn(y)
+    = 0); otherwise ArithmeticError is raised.  The sign, equality and
+    m = 1 tests cross-multiply the values' integer numerators and
+    denominators.
     """
     x, y = _fraction(x), _fraction(y)
     xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
@@ -397,7 +400,8 @@ def midpoint_root_concave(fn: PiecewisePolynomial, m: int, x: Fraction, y: Fract
     if na * dm == nm * da and nm * db == nb * dm:
         return True
     i = fn._sole_piece(x, y)
-    if i is not None and fn._affine_root(i, m):
+    r = None if i is None else fn._affine_root(i, m)
+    if r is not None and (m % 2 or (x + r) * (y + r) >= 0):
         return True  # the root function is affine here: exact equality
     for exponent in (12, 24, 48, 96):
         # the brackets of `nth_root_bounds` times scale, compared as integers:

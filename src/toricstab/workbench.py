@@ -146,9 +146,10 @@ class ScreenResult:
     On a smooth fan such a witness forces the variety to be projective
     space, so the screen asserts the recognition; a singular fan can carry a
     witness without the conclusion, and is flagged instead.  The bound is
-    decided in integers as A >= n max_P <u, w> (`meets_equality_bound`), so
-    beta is computed only for the valuations that meet it, and A and tau
-    only for the witnesses.
+    decided in integers as A >= n max_P <u, w> (`meets_equality_bound`).
+    The standalone screen computes beta only for the valuations that meet
+    it, and A and tau only for the witnesses; `analyze` reads all three off
+    the orbit profiles it already has.
     """
 
     fan_name: str
@@ -165,15 +166,8 @@ def recognize_projective_space(fan: Fan) -> bool:
     return fan.is_smooth() and len(fan.rays) == fan.dimension + 1
 
 
-def screen_projective_space(fan: Fan, radius: int = 4) -> ScreenResult:
-    n = fan.dimension
-    witnesses = []
-    for val in valuation_battery(fan, radius):
-        if not meets_equality_bound(val):
-            continue
-        beta = beta_invariant(val)
-        if beta <= 0:
-            witnesses.append(ScreenWitness(val.w, log_discrepancy(val), pseff_threshold(val), beta))
+def _screen_result(fan: Fan, radius: int, witnesses: Sequence[ScreenWitness]) -> ScreenResult:
+    """The screen's verdict on the witnesses found in the radius battery."""
     smooth = fan.is_smooth()
     recognized: Optional[bool] = None
     if not witnesses:
@@ -191,14 +185,16 @@ def screen_projective_space(fan: Fan, radius: int = 4) -> ScreenResult:
             "the projective-space conclusion is not asserted"
         )
     return ScreenResult(
-        fan_name=fan.name,
-        dimension=n,
-        radius=radius,
-        smooth=smooth,
-        witnesses=tuple(witnesses),
-        recognized_projective_space=recognized,
-        verdict=verdict,
+        fan.name, fan.dimension, radius, smooth, tuple(witnesses), recognized, verdict
     )
+
+
+def screen_projective_space(fan: Fan, radius: int = 4) -> ScreenResult:
+    witnesses = []
+    for val in valuation_battery(fan, radius):
+        if meets_equality_bound(val) and (beta := beta_invariant(val)) <= 0:
+            witnesses.append(ScreenWitness(val.w, log_discrepancy(val), pseff_threshold(val), beta))
+    return _screen_result(fan, radius, witnesses)
 
 
 # -- stability report ------------------------------------------------------------
@@ -246,13 +242,19 @@ def orbit_profiles(fan: Fan, battery: Sequence[ToricValuation]) -> tuple[Valuati
     return tuple(profiles[val.w] for val in battery)
 
 
+def _profile_witness(p: ValuationProfile) -> ScreenWitness:
+    return ScreenWitness(p.w, p.log_discrepancy, p.pseff_threshold, p.beta)
+
+
 def analyze(fan: Fan, radius: int = 4) -> StabilityReport:
     """Full stability report over the primitive valuation battery.
 
     Profiles are computed once per fan-automorphism orbit of the battery
     (`orbit_profiles`).  The semistability verdict comes from the exact
     barycenter identity and is cross-checked against the minimum battery
-    beta; disagreement would be an internal error and raises.
+    beta; disagreement would be an internal error and raises.  The
+    projective-space screen runs on the same battery: `meets_equality_bound`
+    decides the bound, and A, tau and beta come from the profiles.
     """
     poly = fan.anticanonical_polytope()
     barycenter = poly.barycenter()
@@ -260,9 +262,7 @@ def analyze(fan: Fan, radius: int = 4) -> StabilityReport:
     profiles = orbit_profiles(fan, battery)
     min_profile = min(profiles, key=lambda p: (p.beta, p.w))
     semistable = all(x == 0 for x in barycenter)
-    if semistable != (min_profile.beta >= 0) or semistable != all(
-        p.beta >= 0 for p in profiles
-    ):
+    if semistable != (min_profile.beta >= 0):
         raise AssertionError("barycenter identity and battery betas disagree")
     witness = None
     if not semistable:
@@ -271,9 +271,12 @@ def analyze(fan: Fan, radius: int = 4) -> StabilityReport:
             negatives,
             key=lambda p: (max(abs(x) for x in p.w), sum(abs(x) for x in p.w), p.w),
         )
-        witness = ScreenWitness(
-            cited.w, cited.log_discrepancy, cited.pseff_threshold, cited.beta
-        )
+        witness = _profile_witness(cited)
+    screen_witnesses = [
+        _profile_witness(p)
+        for val, p in zip(battery, profiles)
+        if meets_equality_bound(val) and p.beta <= 0
+    ]
     reason = (
         "beta(-w) = -beta(w) exactly for every valuation, so the minimum battery "
         "beta is never positive; toric Fano varieties are at best semistable over "
@@ -293,7 +296,7 @@ def analyze(fan: Fan, radius: int = 4) -> StabilityReport:
         instability_witness=witness,
         strictly_stable_over_toric=False,
         strict_stability_reason=reason,
-        projective_space_screen=screen_projective_space(fan, radius),
+        projective_space_screen=_screen_result(fan, radius, screen_witnesses),
         assumptions=ASSUMPTION_LEDGER,
     )
 

@@ -409,7 +409,9 @@ def oracle_midpoint_root_concave(fn, m, x, y):
     if qa == qm == qb:
         return True
     covering = oracle_pieces_covering(fn, x, y)
-    if len(covering) == 1 and poly_linear_power(covering[0], m) is not None:
+    found = poly_linear_power(covering[0], m) if len(covering) == 1 else None
+    # c (x + r)^m has the root c^(1/m) (x + r) for odd m, c^(1/m) |x + r| for even m
+    if found is not None and (m % 2 == 1 or (x + found[1]) * (y + found[1]) >= 0):
         return True
     for exponent in (12, 24, 48, 96):
         scale = 10**exponent
@@ -506,6 +508,53 @@ def test_midpoint_root_concave_matches_oracle_on_random_triples():
             seen.add((m == 1, got))
     assert {(True, True), (True, False), (False, True), (False, False)} <= seen
     assert "ValueError: root concavity needs nonnegative values" in {g for _, g in seen}
+
+
+@pytest.mark.parametrize("check", [midpoint_root_concave, oracle_midpoint_root_concave])
+def test_midpoint_root_concave_square_changing_sign(check):
+    """(x - r)^2 has the V-shaped square root |x - r|: not concave where x - r
+    changes sign inside [x, y], affine where it keeps its sign."""
+
+    def square(r, lo, hi):
+        return PiecewisePolynomial((F(lo), F(hi)), ((F(r * r), F(-2 * r), F(1)),))
+
+    # square roots 1, 0, 1 and 1, 1/2, 2
+    assert check(square(1, 0, 2), 2, F(0), F(2)) is False
+    assert check(square(2, 1, 4), 2, F(1), F(4)) is False
+    # one-sided: the root is 2 - x or x - 2, affine
+    assert check(square(2, 0, 2), 2, F(0), F(2)) is True
+    assert check(square(2, 2, 4), 2, F(2), F(4)) is True
+
+
+def test_midpoint_root_concave_on_squares_of_affine_pieces():
+    """The square root of l^2 is |l| for a continuous piecewise-affine l, so
+    2 |l(mid)| >= |l(x)| + |l(y)| decides every triple with no shortcut."""
+    rng = random.Random(12)
+    seen = set()
+    for _ in range(200):
+        bps = sorted({F(rng.randint(-30, 30), rng.randint(1, 4)) for _ in range(rng.randint(2, 5))})
+        if len(bps) < 2:
+            continue
+        heights = [F(rng.randint(-9, 9), rng.randint(1, 3)) for _ in bps]
+        lines = []
+        for (a, ha), (b, hb) in zip(zip(bps, heights), zip(bps[1:], heights[1:])):
+            slope = (hb - ha) / (b - a)
+            lines.append(poly_trim([ha - slope * a, slope]))
+        line = PiecewisePolynomial(tuple(bps), tuple(lines))
+        sq = PiecewisePolynomial(tuple(bps), tuple(poly_square(p) for p in lines))
+        lo, hi = sq.domain
+        for _ in range(8):
+            x = lo + (hi - lo) * F(rng.randint(0, 24), 24)
+            y = lo + (hi - lo) * F(rng.randint(0, 24), 24)
+            x, y = min(x, y), max(x, y)
+            lx, lm, ly = (oracle_eval(line, t) for t in (x, (x + y) / 2, y))
+            expected = 2 * abs(lm) >= abs(lx) + abs(ly)
+            assert midpoint_root_concave(sq, 2, x, y) is expected
+            assert oracle_midpoint_root_concave(sq, 2, x, y) is expected
+            seen.add((lx * ly < 0 and len(oracle_pieces_covering(sq, x, y)) == 1, expected))
+    # sign changes inside one square piece occur, and are decided False
+    assert {(True, False), (False, True), (False, False)} <= seen
+    assert (True, True) not in seen
 
 
 def test_midpoint_root_concave_non_adjacent_equal_pieces():

@@ -11,7 +11,12 @@ import pytest
 from toricstab.cli import main
 from toricstab.errors import BudgetExceeded, InvariantViolation, ParseError
 from toricstab.corpus import builtin_fan_specs
-from toricstab.valuations import ToricValuation, beta_invariant, valuation_profile
+from toricstab.valuations import (
+    ToricValuation,
+    beta_invariant,
+    meets_equality_bound,
+    valuation_profile,
+)
 from toricstab.workbench import (
     analyze,
     export_volume_csv,
@@ -160,6 +165,48 @@ def test_one_profile_per_orbit(monkeypatch, name, radius, orbits, size):
     profiles = analyze(fan, radius).profiles
     assert (len(calls), len(profiles)) == (orbits, size)
     assert [p.w for p in profiles] == [val.w for val in valuation_battery(fan, radius)]
+
+
+def test_analyze_builds_one_battery(monkeypatch):
+    """`analyze` screens the battery it profiles: one `valuation_battery`, the
+    bound decided once per valuation by `meets_equality_bound`, and no
+    standalone screen or `beta_invariant` call."""
+    import toricstab.workbench as workbench
+
+    batteries, bounds = [], []
+
+    def counted_battery(fan, radius):
+        batteries.append(radius)
+        return valuation_battery(fan, radius)
+
+    def counted_bound(val):
+        bounds.append(val.w)
+        return meets_equality_bound(val)
+
+    def refuse(*args):
+        raise AssertionError("analyze ran a second screen")
+
+    monkeypatch.setattr(workbench, "valuation_battery", counted_battery)
+    monkeypatch.setattr(workbench, "meets_equality_bound", counted_bound)
+    monkeypatch.setattr(workbench, "screen_projective_space", refuse)
+    monkeypatch.setattr(workbench, "beta_invariant", refuse)
+    report = analyze(load_builtin_fan("dP6"), 4)
+    assert batteries == [4]
+    assert bounds == [p.w for p in report.profiles]
+
+
+def test_analyze_screen_equals_standalone_screen(q_fano_fans, corpus_fans):
+    """The screen `analyze` reads off its profiles equals `screen_projective_space`,
+    witnesses and verdict, on every Q-Fano test fan at radius 1 and on the
+    corpus surfaces at radius 4 (the singular witness fans among them)."""
+    cases = [(fan, 1) for fan in q_fano_fans]
+    cases += [(fan, 4) for fan in corpus_fans if fan.dimension <= 2]
+    verdicts = set()
+    for fan, radius in cases:
+        screen = screen_projective_space(fan, radius)
+        assert analyze(fan, radius).projective_space_screen == screen, (fan.name, radius)
+        verdicts.add(screen.verdict.split(":")[0])
+    assert {"no witnesses", "witnesses on projective space (equality case)", "singular counterexample"} <= verdicts
 
 
 def test_automorphism_budget_keeps_the_report(monkeypatch):
