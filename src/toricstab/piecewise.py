@@ -209,7 +209,7 @@ class PiecewisePolynomial:
         return tuple(out)
 
     @cached_property
-    def _affine_roots(self) -> dict[tuple[int, int], Optional[Fraction]]:
+    def _affine_roots(self) -> dict[tuple[int, int], Optional[tuple[int, int]]]:
         """(piece index, m) -> r when the piece is c*(x + r)^m, else None; filled on demand."""
         return {}
 
@@ -247,13 +247,13 @@ class PiecewisePolynomial:
         j = bisect_left(grid, -(-y.numerator * den // y.denominator)) - 1
         return i if i == j else None
 
-    def _affine_root(self, i: int, m: int) -> Optional[Fraction]:
-        """r when piece i is c*(x + r)^m (`poly_linear_power`), else None; decided once."""
+    def _affine_root(self, i: int, m: int) -> Optional[tuple[int, int]]:
+        """r as (numerator, denominator) if piece i is c*(x + r)^m (`poly_linear_power`), else None."""
         key = (i, m)
         cache = self._affine_roots
         if key not in cache:
             found = poly_linear_power(self.pieces[i], m)
-            cache[key] = None if found is None else found[1]
+            cache[key] = None if found is None else (found[1].numerator, found[1].denominator)
         return cache[key]
 
     def _values_at(self, i: int, pieces) -> list[tuple[int, int]]:
@@ -375,18 +375,17 @@ def midpoint_root_concave(fn: PiecewisePolynomial, m: int, x: Fraction, y: Fract
     Roots are compared through integer brackets of width 10^-12 ... 10^-96
     (`root_floor`) until separated; the genuine equality case (fn a perfect
     m-th power c (x + r)^m over [x, y], with x + r of one sign there when m
-    is even: c^(1/m) |x + r| is V-shaped) is recognized algebraically, so
-    no comparison is ever decided by tolerance alone.  Roots the brackets
-    cannot separate may still be exactly in arithmetic progression across
-    pieces.  Divided by fn(mid)^(1/m) that reads 2 = r_a + r_b with
-    r_a = (fn(x)/fn(mid))^(1/m) and r_b likewise; real m-th roots of
-    positive rationals from distinct classes modulo (Q*)^m are linearly
-    independent over Q (Besicovitch, 1940), so it can hold only when both
-    ratios are perfect m-th powers of rationals.  Then 2 >= r_a + r_b is
-    compared exactly (and fn(mid) = 0 gives True only when fn(x) = fn(y)
-    = 0); otherwise ArithmeticError is raised.  The sign, equality and
-    m = 1 tests cross-multiply the values' integer numerators and
-    denominators.
+    is even: c^(1/m) |x + r| is V-shaped) is recognized
+    algebraically, so no comparison is ever decided by tolerance alone.  Roots the brackets cannot separate
+    may still be exactly in arithmetic progression across pieces.  Divided
+    by fn(mid)^(1/m) that reads 2 = r_a + r_b with r_a = (fn(x)/fn(mid))^(1/m)
+    and r_b likewise; real m-th roots of positive rationals from distinct
+    classes modulo (Q*)^m are linearly independent over Q (Besicovitch,
+    1940), so it can hold only when both ratios are perfect m-th powers of
+    rationals.  Then 2 >= r_a + r_b is compared exactly (and fn(mid) = 0
+    gives True only when fn(x) = fn(y) = 0); otherwise ArithmeticError is
+    raised.  The sign, equality and m = 1 tests cross-multiply the values'
+    integer numerators and denominators.
     """
     x, y = _fraction(x), _fraction(y)
     xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
@@ -401,7 +400,8 @@ def midpoint_root_concave(fn: PiecewisePolynomial, m: int, x: Fraction, y: Fract
         return True
     i = fn._sole_piece(x, y)
     r = None if i is None else fn._affine_root(i, m)
-    if r is not None and (m % 2 or (x + r) * (y + r) >= 0):
+    # for even m, (x + r)(y + r) >= 0, here over positive denominators
+    if r is not None and (m % 2 or (xn * r[1] + r[0] * xd) * (yn * r[1] + r[0] * yd) >= 0):
         return True  # the root function is affine here: exact equality
     for exponent in (12, 24, 48, 96):
         # the brackets of `nth_root_bounds` times scale, compared as integers:
