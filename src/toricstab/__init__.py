@@ -20,7 +20,7 @@ from .errors import (
     ToricstabError,
 )
 from .fans import Cone, Fan
-from .lattice import primitivize, solve_linear
+from .lattice import primitivize
 from .piecewise import PiecewisePolynomial
 from .polytopes import RationalPolytope
 from .valuations import (
@@ -90,7 +90,6 @@ __all__ = [
     "restricted_volume",
     "screen_projective_space",
     "section_count",
-    "solve_linear",
     "valuation_battery",
     "valuation_profile",
     "volume_function",

@@ -16,18 +16,21 @@ denominator of the vertex m_sigma divides the multiplicity of sigma.
 
 Each polytope triangulates itself once, lazily, on first use: the pulling
 triangulation for its lex-sorted vertex order (De Loera-Rambau-Santos,
-*Triangulations*, 2010, Sec. 4.3), a fan-out from the first vertex over
-the facets that avoid it, each facet pulled the same way from its own
-first vertex.  It is read off which vertices lie on which half-space
-boundaries, decided in integers over the points' common denominator, so no
-coordinate is projected out and every simplex vertex is a vertex of the
-polytope.  The cached form is indexed (`indexed_triangulation`): each
-simplex as vertex indices with dim! times its volume, `det_int` of its
-edge rows in the vertex matrix, an integer over D^dim.  Volume, centroid
-and the closed-form volume functions in `valuations` all read it; the
-volume and centroid are integer sums with one Fraction per value.  Every
-solve and determinant here goes through the fraction-free elimination
-kernel in `lattice`.
+*Triangulations*, 2010, Sec. 4.3), a fan-out from vertex 0 over the facets
+that avoid it, each facet pulled the same way from its own lowest vertex.
+`triangulate` reads it off which rows of the vertex matrix lie on which
+half-space boundaries, decided in integers, and returns vertex indices, so
+no coordinate is projected out and every simplex vertex is a vertex of the
+polytope.  The cached form (`indexed_triangulation`) keeps each simplex as
+vertex indices with dim! times its volume, `det_int` of its edge rows in
+the vertex matrix, an integer over D^dim.  Volume, centroid and the
+closed-form volume functions in `valuations` all read it; the volume and
+centroid are integer sums with one Fraction per value.
+
+Lattice points of a dilation k P are scanned over the bounding box of the
+vertex matrix, and each half-space <u, a> >= b with b = p / q is tested in
+integers as q <u, a> >= k p.  Every solve and determinant here goes through
+the fraction-free elimination kernel in `lattice`.
 """
 
 from __future__ import annotations
@@ -69,31 +72,19 @@ def enumerate_vertices(halfspaces: Sequence[HalfSpace], dim: int) -> list[RatVec
 
 
 def triangulate(
-    halfspaces: Sequence[HalfSpace],
-    vertices: Sequence[RatVec],
-    dim: int,
-    apex: Optional[RatVec] = None,
-) -> list[tuple[RatVec, ...]]:
-    """Triangulate a full-dimensional polytope into rational simplices.
+    halfspaces: Sequence[HalfSpace], rows: Sequence[Sequence[int]], den: int, dim: int
+) -> list[tuple[int, ...]]:
+    """The pulling triangulation of the polytope spanned by the points rows / den.
 
-    The triangulation fans out from `apex` (default: the vertex average,
-    which lies in the interior; any point of the polytope will do) over the
-    facets that do not contain it, and each facet is triangulated the same
-    way from its own first vertex: the pulling triangulation for the point
-    order apex, then `vertices` as given.  Only incidence is used: a face is
-    the set of points on it, and its facets are the maximal proper, nonempty
-    intersections of it with the tight sets (the points on each half-space's
-    boundary).  Every returned simplex is a nondegenerate (dim+1)-tuple of
-    points, so a lower-dimensional polytope gives [].
+    The points are pulled in their given order, so the triangulation fans
+    out from point 0 over the facets that do not contain it, and each facet
+    is triangulated the same way from its own lowest point.  Only incidence
+    is used: a face is the set of points on it, and its facets are the
+    maximal proper, nonempty intersections of it with the tight sets (the
+    points on each half-space's boundary, <row, a> * q == den * p for the
+    offset b = p / q).  Each simplex is returned as a (dim+1)-tuple of point
+    indices and is nondegenerate, so a lower-dimensional polytope gives [].
     """
-    if not vertices:
-        return []
-    if apex is None:
-        apex = _average(vertices)
-    points = (apex, *vertices)
-    # tight sets in integers: the points as rows over their common denominator
-    den = math.lcm(*(x.denominator for p in points for x in p))
-    rows = [[x.numerator * (den // x.denominator) for x in p] for p in points]
     tight = {
         frozenset(
             k for k, row in enumerate(rows)
@@ -110,16 +101,7 @@ def triangulate(
             return [(top,)]
         return [(top,) + rest for g in facets if top not in g for rest in pull(g)]
 
-    return [
-        tuple(points[k] for k in simplex)
-        for simplex in pull(frozenset(range(len(points))))
-        if len(simplex) == dim + 1
-    ]
-
-
-def _average(points: Sequence[RatVec]) -> RatVec:
-    n = len(points)
-    return tuple(sum(col, Fraction(0)) / n for col in zip(*points))
+    return [simplex for simplex in pull(frozenset(range(len(rows)))) if len(simplex) == dim + 1]
 
 
 class RationalPolytope:
@@ -142,10 +124,6 @@ class RationalPolytope:
 
     # -- basic queries ----------------------------------------------------
 
-    def is_full_dimensional(self) -> bool:
-        """True iff the polytope has interior points, i.e. a nonempty triangulation."""
-        return bool(self.indexed_triangulation[1])
-
     @cached_property
     def vertex_matrix(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
         """(D, rows): the vertices as integer rows over one common denominator.
@@ -167,34 +145,24 @@ class RationalPolytope:
         """(D^dim, simplices): the cached triangulation on the vertex matrix.
 
         Each simplex is its vertex indices and dim! times its volume, an
-        integer over D^dim: |det| of its integer edge rows.  The fan-out
-        apex is the first vertex, so every simplex vertex is a vertex of the
-        polytope.  Built once, on first use.
+        integer over D^dim: |det| of its integer edge rows.  The vertices
+        are pulled in vertex order, so every simplex contains vertex 0.
+        Built once, on first use.
         """
         d, rows = self.vertex_matrix
-        index = {v: i for i, v in enumerate(self.vertices)}
         simplices = []
-        for simplex in triangulate(self.halfspaces, self.vertices, self.dim, apex=self.vertices[0]):
-            ks = tuple(index[p] for p in simplex)
+        for ks in triangulate(self.halfspaces, rows, d, self.dim):
             base = rows[ks[0]]
             edges = [[x - y for x, y in zip(rows[k], base)] for k in ks[1:]]
             simplices.append((ks, abs(det_int(edges))))
         return d**self.dim, tuple(simplices)
 
     @cached_property
-    def triangulation(self) -> tuple[tuple[tuple[RatVec, ...], Fraction], ...]:
-        """Simplices covering the polytope as vertex tuples, each with dim! times its volume."""
-        den, simplices = self.indexed_triangulation
-        return tuple(
-            (tuple(self.vertices[k] for k in ks), Fraction(mass, den)) for ks, mass in simplices
-        )
-
-    @cached_property
-    def _volume_data(self) -> tuple[Fraction, RatVec]:
+    def _volume_data(self) -> tuple[Fraction, Optional[RatVec]]:
         den, simplices = self.indexed_triangulation
         if not simplices:
             warnings.warn("lower-dimensional polytope: volume 0", stacklevel=4)
-            return Fraction(0), _average(self.vertices)
+            return Fraction(0), None
         d, rows = self.vertex_matrix
         total = sum(mass for _, mass in simplices)
         # a simplex's centroid is the sum of its vertex rows over (dim + 1) * D
@@ -214,7 +182,7 @@ class RationalPolytope:
 
     def barycenter(self) -> RatVec:
         """Exact centroid: volume-weighted average of the cached simplices' centroids."""
-        if not self.is_full_dimensional():
+        if not self.indexed_triangulation[1]:
             raise InvariantViolation("barycenter of a degenerate polytope")
         return self._volume_data[1]
 
@@ -225,29 +193,28 @@ class RationalPolytope:
         halfspaces = self.halfspaces + ((tuple(normal), Fraction(offset)),)
         return RationalPolytope(halfspaces, enumerate_vertices(halfspaces, self.dim), self.dim)
 
-    def lattice_points(self, scale: int = 1, budget: Optional[int] = None) -> list[tuple[int, ...]]:
-        """Integer points of `scale * P`, by bounding-box enumeration.
+    def lattice_points(self, scale: int = 1) -> list[tuple[int, ...]]:
+        """Integer points of `scale * P` in box order, by a scan of the vertices' bounding box.
 
-        Raises BudgetExceeded when the box holds more than `budget` points
-        (default from the oracle budget, see workbench).
+        Each half-space <u, a> >= b with b = p / q is tested in integers as
+        q <u, a> >= scale * p, one box line at a time: along a line the last
+        coordinate x varies and q <u, a> is the prefix's part plus q a_n x.
+        Raises BudgetExceeded when the box holds more points than
+        `default_oracle_budget()`.
         """
-        if budget is None:
-            budget = default_oracle_budget()
-        lo, hi = [], []
-        box = 1
-        for i in range(self.dim):
-            values = [scale * v[i] for v in self.vertices]
-            a = math.floor(min(values))
-            b = math.ceil(max(values))
-            lo.append(a)
-            hi.append(b)
-            box *= b - a + 1
-        if box > budget:
+        d, rows = self.vertex_matrix
+        ranges = [range(scale * min(c) // d, -(-scale * max(c) // d) + 1) for c in zip(*rows)]
+        if math.prod(map(len, ranges)) > default_oracle_budget():
             raise BudgetExceeded("oracle budget exceeded")
+        tests = [(a, b.denominator, scale * b.numerator) for a, b in self.halfspaces]
         points = []
-        for pt in product(*(range(a, b + 1) for a, b in zip(lo, hi))):
-            if all(dot(pt, a) >= scale * b for a, b in self.halfspaces):
-                points.append(pt)
+        for prefix in product(*ranges[:-1]):
+            line = ranges[-1]
+            for a, q, p in tests:
+                # map stops at the shorter prefix, so this is q <prefix, a> - scale * p
+                rest, step = q * sum(map(operator.mul, prefix, a)) - p, q * a[-1]
+                line = [x for x in line if rest + step * x >= 0]
+            points.extend(prefix + (x,) for x in line)
         return points
 
     def __repr__(self) -> str:

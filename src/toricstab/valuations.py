@@ -59,8 +59,14 @@ from functools import cached_property, lru_cache
 
 from .errors import InvariantViolation
 from .fans import Fan
-from .lattice import LatticeVec, dot, gcd_vec, primitivize
+from .lattice import LatticeVec, gcd_vec, primitivize
 from .piecewise import PiecewisePolynomial, spline_cdf_jumps
+
+# Entries kept by the volume-function and nef-threshold caches.  Their keys
+# hold a Fan hashed by identity, so a fan parsed again never hits and only a
+# bound stops them growing in a long-lived process; one valuation's hits all
+# come within its own profile, well inside this many entries.
+CACHE_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -134,7 +140,7 @@ def meets_equality_bound(val: ToricValuation) -> bool:
     return -min(values) >= val.fan.dimension * max(values)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def volume_function(val: ToricValuation) -> PiecewisePolynomial:
     """Exact piecewise polynomial x -> vol(-K - x w) on [0, tau].
 
@@ -197,16 +203,20 @@ def section_count(val: ToricValuation, k: int, j: int) -> int:
     """Finite-level section-count oracle behind the volume limit.
 
     Counts lattice points u of k*P with vanishing order <u, w> + k*A(w) at
-    least j.  Enumeration is bounding-box based and budget-guarded.
+    least j.  With A = -min / D over the valuation's row, the order is
+    decided in integers as D <u, w> - k min >= j D.  The lattice points come
+    from `RationalPolytope.lattice_points`, a budget-guarded box scan.
     """
     if k < 1:
         raise InvariantViolation("dilation k must be a positive integer")
     if j < 0:
         raise InvariantViolation("order cutoff j must be nonnegative")
-    poly = val.fan.anticanonical_polytope()
-    a_disc = log_discrepancy(val)
+    d, values = val._values
+    least = k * min(values) + j * d
     return sum(
-        1 for u in poly.lattice_points(scale=k) if dot(u, val.w) + k * a_disc >= j
+        1
+        for u in val.fan.anticanonical_polytope().lattice_points(scale=k)
+        if d * sum(map(operator.mul, u, val.w)) >= least
     )
 
 
@@ -252,7 +262,7 @@ def center_codim(val: ToricValuation) -> int:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def nef_threshold(val: ToricValuation) -> Fraction:
     """Largest eps with (pullback of -K) - eps*E nef on the extraction model.
 

@@ -5,11 +5,14 @@ and computes spline jumps, in integers over common denominators; the plain
 Fraction versions it replaced live here.  So do the geometric queries the
 package no longer needs: cone coordinates of a vector, solved one maximal
 cone at a time, the walls of a fan and half-space membership in a polytope.
+The lattice points of a dilated polytope are found by the Fraction scan of
+its bounding box that the package's integer scan replaced.
 """
 
 import math
+import operator
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from toricstab.lattice import dot, solve_linear
 from toricstab.piecewise import poly_trim
@@ -44,6 +47,22 @@ def contains(poly, point, strict=False):
     if strict:
         return all(dot(point, a) > b for a, b in poly.halfspaces)
     return all(dot(point, a) >= b for a, b in poly.halfspaces)
+
+
+def lattice_points(poly, scale=1):
+    """Integer points of scale * P, in box order: the bounding box of the
+    Fraction vertices, cut down one half-space at a time by the Fraction
+    test <pt, a> >= scale * b, decided once per distinct value of <pt, a>."""
+    ranges = []
+    for i in range(poly.dim):
+        values = [scale * v[i] for v in poly.vertices]
+        ranges.append(range(math.floor(min(values)), math.ceil(max(values)) + 1))
+    points = list(product(*ranges))
+    for a, b in poly.halfspaces:
+        dots = [sum(map(operator.mul, pt, a)) for pt in points]
+        keep = {v: v >= scale * b for v in set(dots)}
+        points = [pt for pt, v in zip(points, dots) if keep[v]]
+    return points
 
 
 def poly_eval(coeffs, x):

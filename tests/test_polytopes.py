@@ -7,6 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import fraction_oracles
 from fraction_oracles import contains
 from toricstab.errors import BudgetExceeded, InvariantViolation
 from toricstab.lattice import det, matrix_rank, primitivize
@@ -16,6 +17,19 @@ from toricstab.polytopes import RationalPolytope, enumerate_vertices, triangulat
 def polytope(halfspaces, dim):
     """The polytope cut out by bounded `halfspaces`, its vertices by `enumerate_vertices`."""
     return RationalPolytope(halfspaces, enumerate_vertices(halfspaces, dim), dim)
+
+
+def pulled(poly, apex):
+    """The pulling triangulation for the point order apex, then the vertices,
+    as point tuples: `triangulate` on the rows of (apex, *vertices)."""
+    points = (tuple(apex), *poly.vertices)
+    den = math.lcm(*(F(x).denominator for p in points for x in p))
+    rows = [[int(x * den) for x in p] for p in points]
+    return [tuple(points[k] for k in s) for s in triangulate(poly.halfspaces, rows, den, poly.dim)]
+
+
+def vertex_average(poly):
+    return tuple(sum(col, F(0)) / len(poly.vertices) for col in zip(*poly.vertices))
 
 
 def hull_facets(points, dim):
@@ -127,22 +141,25 @@ def test_volume_triangulation_independent():
     for trial in range(50):
         dim = 2 + trial % 3
         poly = _random_bounded_polytope(rng, dim)
-        k = len(poly.vertices)
-        average = tuple(sum(col, F(0)) / k for col in zip(*poly.vertices))
+        average = vertex_average(poly)
         shifted = tuple((a + v) / 2 for a, v in zip(average, poly.vertices[0]))
         assert contains(poly, shifted, strict=True)
         total = F(0)
-        for simplex in triangulate(poly.halfspaces, poly.vertices, dim, apex=shifted):
+        for simplex in pulled(poly, shifted):
             edges = [[p - q for p, q in zip(point, simplex[0])] for point in simplex[1:]]
             total += abs(det(edges)) / math.factorial(dim)
         assert total == poly.volume()
-        assert sum(mass for _, mass in poly.triangulation) == math.factorial(dim) * total
+        den, simplices = poly.indexed_triangulation
+        assert F(sum(mass for _, mass in simplices), den) == math.factorial(dim) * total
 
 
 def test_triangulate_simplex_count():
     hs = [((1, 0), F(0)), ((0, 1), F(0)), ((-1, -1), F(-1))]
     poly = polytope(hs, 2)
-    simplices = triangulate(poly.halfspaces, poly.vertices, 2)
+    d, rows = poly.vertex_matrix
+    simplices = [
+        [poly.vertices[k] for k in ks] for ks in triangulate(poly.halfspaces, rows, d, 2)
+    ]
     total = sum(
         abs(
             (s[1][0] - s[0][0]) * (s[2][1] - s[0][1])
@@ -177,12 +194,13 @@ NON_SIMPLE_AND_REDUNDANT = {
 
 @pytest.mark.parametrize("name", sorted(NON_SIMPLE_AND_REDUNDANT))
 def test_triangulate_non_simple_and_redundant(name):
-    """Full-size simplices summing to the volume, from every vertex and the default apex."""
+    """Full-size simplices summing to the volume, pulled first from every
+    vertex and from the vertex average."""
     halfspaces, volume = NON_SIMPLE_AND_REDUNDANT[name]
     poly = polytope(halfspaces, 3)
     assert len(poly.halfspaces) == len(halfspaces)  # the redundant cut is kept
-    for apex in (None, *poly.vertices):
-        simplices = triangulate(poly.halfspaces, poly.vertices, 3, apex=apex)
+    for apex in (vertex_average(poly), *poly.vertices):
+        simplices = pulled(poly, apex)
         assert all(len(simplex) == 4 for simplex in simplices), apex
         volumes = [_simplex_volume(simplex) for simplex in simplices]
         assert all(v > 0 for v in volumes) and sum(volumes) == volume, apex
@@ -199,9 +217,9 @@ def test_triangulate_non_simple_and_redundant(name):
 )
 def test_triangulate_lower_dimensional_is_empty(halfspaces, dim):
     poly = polytope(halfspaces, dim)
-    for apex in (None, *poly.vertices):
-        assert triangulate(poly.halfspaces, poly.vertices, dim, apex=apex) == []
-    assert poly.triangulation == ()
+    for apex in (vertex_average(poly), *poly.vertices):
+        assert pulled(poly, apex) == []
+    assert poly.indexed_triangulation[1] == ()
 
 
 CORPUS_SIMPLEX_COUNTS = {
@@ -211,8 +229,17 @@ CORPUS_SIMPLEX_COUNTS = {
 
 
 def test_corpus_simplex_counts(corpus_fans):
-    counts = {fan.name: len(fan.anticanonical_polytope().triangulation) for fan in corpus_fans}
+    counts = {
+        fan.name: len(fan.anticanonical_polytope().indexed_triangulation[1]) for fan in corpus_fans
+    }
     assert counts == CORPUS_SIMPLEX_COUNTS
+
+
+def test_every_simplex_contains_vertex_0(q_fano_fans):
+    """The vertices are pulled in vertex order, so vertex 0 is in every simplex."""
+    for fan in q_fano_fans:
+        simplices = fan.anticanonical_polytope().indexed_triangulation[1]
+        assert simplices and all(0 in ks for ks, _ in simplices), fan.name
 
 
 def test_lower_dimensional_volume_warns():
@@ -227,17 +254,50 @@ def test_lattice_points_square():
     assert len(square_poly().lattice_points(scale=2)) == 25
 
 
-def test_lattice_points_budget():
-    with pytest.raises(BudgetExceeded, match="oracle budget exceeded"):
-        square_poly().lattice_points(scale=100, budget=100)
-
-
 def test_lattice_points_budget_env(monkeypatch):
+    monkeypatch.setenv("TKS_ORACLE_BUDGET", "100")
+    with pytest.raises(BudgetExceeded, match="oracle budget exceeded"):
+        square_poly().lattice_points(scale=100)
     monkeypatch.setenv("TKS_ORACLE_BUDGET", "4")
     with pytest.raises(BudgetExceeded):
         square_poly().lattice_points()
     monkeypatch.setenv("TKS_ORACLE_BUDGET", "1000000")
     assert len(square_poly().lattice_points()) == 9
+
+
+def test_lattice_points_budget_edge(monkeypatch):
+    """A box exactly the size of the budget is scanned; one point more is refused.
+    The box rounds the fractional vertex coordinates outward."""
+    poly = polytope([((1, 0), F(-1, 2)), ((0, 1), F(-1)), ((-1, -1), F(-3))], 2)
+    assert set(poly.vertices) == {(F(-1, 2), -1), (F(-1, 2), F(7, 2)), (4, -1)}
+    box = 6 * 6  # x in [-1, 4], y in [-1, 4]
+    monkeypatch.setenv("TKS_ORACLE_BUDGET", str(box))
+    assert poly.lattice_points() == fraction_oracles.lattice_points(poly)
+    monkeypatch.setenv("TKS_ORACLE_BUDGET", str(box - 1))
+    with pytest.raises(BudgetExceeded, match="oracle budget exceeded"):
+        poly.lattice_points()
+
+
+FRACTIONAL_OFFSETS = [
+    ([((1, 0), F(-1, 2)), ((0, 1), F(-1)), ((-1, -1), F(-3))], 2),
+    ([((2, -1), F(-3, 2)), ((-1, 3), F(-5, 3)), ((-1, -2), F(-7, 4))], 2),
+    ([((1, 0, 0), F(-1, 3)), ((0, 1, 0), F(-2, 3)), ((0, 0, 1), F(-1, 2)),
+      ((-1, -1, -2), F(-5, 2))], 3),
+    (CUBE + [((1, 1, 1), F(-3, 2)), ((-1, 2, 0), F(-7, 5))], 3),
+]
+
+
+def test_lattice_points_match_the_fraction_scan(q_fano_fans):
+    """The integer scan returns the Fraction scan's point list, in its order,
+    on every Q-Fano fan of dimension <= 3 and on polytopes with fractional
+    offsets, at scales 1, 2, 5 and 9."""
+    polys = [(fan.name, fan.anticanonical_polytope()) for fan in q_fano_fans]
+    polys = [(name, poly) for name, poly in polys if poly.dim <= 3]
+    polys += [(hs, polytope(hs, dim)) for hs, dim in FRACTIONAL_OFFSETS]
+    for name, poly in polys:
+        for scale in (1, 2, 5, 9):
+            expected = fraction_oracles.lattice_points(poly, scale)
+            assert poly.lattice_points(scale) == expected, (name, scale)
 
 
 def test_ehrhart_leading_term_2d(corpus_fans):
@@ -291,7 +351,7 @@ def test_fan_vertices_match_the_subset_scan(q_fano_fans):
         oracle = polytope([(ray, F(-1)) for ray in fan.rays], fan.dimension)
         assert poly.vertices == oracle.vertices, fan.name
         assert poly.halfspaces == oracle.halfspaces, fan.name
-        assert poly.triangulation == oracle.triangulation, fan.name
+        assert poly.indexed_triangulation == oracle.indexed_triangulation, fan.name
 
 
 def test_vertex_matrix_is_the_vertices_over_one_denominator(q_fano_fans):

@@ -180,11 +180,12 @@ def fraction_volume_function(v):
     at = {u: a_disc + dot(u, v.w) for u in poly.vertices}
     values = sorted(set(at.values()))
     shifted = {t: [F(0)] * (n + 1) for t in values[:-1]}
-    for simplex, mass in poly.triangulation:
-        for t, jump in oracle_spline_cdf_jumps([at[u] for u in simplex]).items():
+    den, simplices = poly.indexed_triangulation
+    for ks, mass in simplices:
+        for t, jump in oracle_spline_cdf_jumps([at[poly.vertices[k]] for k in ks]).items():
             if t in shifted:
                 for j, c in enumerate(jump):
-                    shifted[t][j] += mass * c
+                    shifted[t][j] += F(mass, den) * c
     current = [math.factorial(n) * poly.volume()] + [F(0)] * n
     pieces = []
     for left in values[:-1]:

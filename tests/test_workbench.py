@@ -8,6 +8,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from toricstab import valuations
 from toricstab.cli import main
 from toricstab.errors import BudgetExceeded, InvariantViolation, ParseError
 from toricstab.corpus import builtin_fan_specs
@@ -222,6 +223,23 @@ def test_automorphism_budget_keeps_the_report(monkeypatch):
     monkeypatch.setattr("toricstab.fans.permutations", refuse)
     assert report_json(analyze(fan, 1)) == expected
     assert len(fan.automorphisms()) == 1
+
+
+def test_analyze_keeps_the_valuation_caches_bounded():
+    """Each parse builds a new Fan, so the caches never hit across parses;
+    analyzing one spec again and again stays within their fixed size."""
+    spec = builtin_fan_specs()["dP7"]
+    caches = (valuations.volume_function, valuations.nef_threshold)
+    for cache in caches:
+        cache.cache_clear()
+    analyze(parse_fan_spec(spec), radius=2)
+    growth = min(cache.cache_info().currsize for cache in caches)
+    assert growth > 0
+    for _ in range(valuations.CACHE_SIZE // growth + 1):
+        analyze(parse_fan_spec(spec), radius=2)
+    for cache in caches:
+        assert cache.cache_info().maxsize == valuations.CACHE_SIZE
+        assert cache.cache_info().currsize <= valuations.CACHE_SIZE
 
 
 def test_analyze_weighted_plane(p123):
