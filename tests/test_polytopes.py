@@ -254,10 +254,13 @@ def test_lattice_points_square():
     assert len(square_poly().lattice_points(scale=2)) == 25
 
 
-def test_lattice_points_budget_env(monkeypatch):
+def test_lattice_points_budget(monkeypatch):
     monkeypatch.setenv("TKS_ORACLE_BUDGET", "100")
     with pytest.raises(BudgetExceeded, match="oracle budget exceeded"):
         square_poly().lattice_points(scale=100)
+
+
+def test_lattice_points_budget_env(monkeypatch):
     monkeypatch.setenv("TKS_ORACLE_BUDGET", "4")
     with pytest.raises(BudgetExceeded):
         square_poly().lattice_points()
