@@ -11,7 +11,6 @@ from .alpha import (
     AlphaResult,
     alpha_invariant,
     alpha_stability_gate,
-    is_lc_torus_pair,
 )
 from .errors import (
     BudgetExceeded,
@@ -19,7 +18,7 @@ from .errors import (
     ParseError,
     ToricstabError,
 )
-from .fans import Cone, Fan
+from .fans import Fan
 from .lattice import primitivize
 from .piecewise import PiecewisePolynomial
 from .polytopes import RationalPolytope
@@ -59,7 +58,6 @@ __all__ = [
     "AlphaResult",
     "BudgetExceeded",
     "CertificateResult",
-    "Cone",
     "Fan",
     "InvariantViolation",
     "ParseError",
@@ -79,7 +77,6 @@ __all__ = [
     "certify_extremal_volume",
     "export_volume_csv",
     "integrated_volume",
-    "is_lc_torus_pair",
     "load_builtin_fan",
     "load_fan",
     "log_discrepancy",

@@ -8,16 +8,16 @@ The feasible m form the anticanonical polytope itself, so
     alpha(X) = 1 / max_j (1 + max over P of <u, v_j>) = 1 / max_j tau(v_j),
 
 computed by exact vertex evaluation, with an explicit extremal witness
-divisor.
+divisor.  `AlphaResult` checks the witness on construction: the divisor is
+effective and alpha times its largest coefficient is 1, so (X, alpha D) is
+log canonical with a coefficient at the boundary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
-from .errors import InvariantViolation
 from .fans import Fan
 from .lattice import RatVec, dot
 
@@ -64,23 +64,6 @@ def alpha_invariant(fan: Fan) -> AlphaResult:
         witness_m=m,
         ray_thresholds=tuple(thresholds),
     )
-
-
-def is_lc_torus_pair(fan: Fan, coeffs: Sequence[Fraction]) -> bool:
-    """Log canonicity of (X, sum coeffs_i D_i): true iff every coefficient <= 1.
-
-    For an effective torus-invariant boundary the discrepancy along w = sum
-    a_j v_j is sum a_j (1 - d_j), which is nonnegative for all w exactly
-    when each d_j <= 1.
-    """
-    if len(coeffs) != len(fan.rays):
-        raise InvariantViolation(
-            f"expected {len(fan.rays)} coefficients, got {len(coeffs)}"
-        )
-    coeffs = [Fraction(c) for c in coeffs]
-    if any(c < 0 for c in coeffs):
-        raise InvariantViolation("not effective")
-    return max(coeffs) <= 1
 
 
 @dataclass(frozen=True)

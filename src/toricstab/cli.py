@@ -21,6 +21,7 @@ from .valuations import ToricValuation, valuation_profile
 from .verification import run_builtin_suite
 from .workbench import (
     analyze,
+    check_sample_count,
     export_volume_csv,
     load_fan,
     rat_str,
@@ -119,6 +120,8 @@ def _cmd_alpha(args) -> int:
 def _cmd_volfn(args) -> int:
     fan = load_fan(args.fanspec)
     val = ToricValuation(fan, _parse_vector(args.w))
+    if args.csv:
+        check_sample_count(args.samples)
     profile = valuation_profile(val)
     fn = profile.volume_fn
     print(f"breakpoints = [{', '.join(rat_str(b) for b in fn.breakpoints)}]")

@@ -1,7 +1,7 @@
 """Complete simplicial fans and their anticanonical polytopes.
 
-A fan is given by primitive integer ray generators and maximal cones listed
-as ray index sets.  Validation enforces, eagerly and exactly:
+A fan is given by primitive integer ray generators and maximal cones as ray
+index lists, kept as sorted tuples.  Validation enforces, eagerly and exactly:
 
   * a dimension, ray coordinates and cone indices of exact type int;
   * primitive, nonzero, pairwise distinct rays, each used by some cone;
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Optional, Sequence
@@ -50,13 +49,6 @@ def _int_vector(v: Sequence[int], what: str = "vector entries") -> tuple[int, ..
 Matrix = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class Cone:
-    """A maximal cone of a fan, as indices into the host fan's ray table."""
-
-    ray_indices: tuple[int, ...]
-
-
 class Fan:
     """A complete simplicial fan in Z^n defining a projective toric variety."""
 
@@ -75,7 +67,7 @@ class Fan:
         self.dimension = dimension
         self.name = name
         self.rays: tuple[LatticeVec, ...] = rays
-        self.max_cones: tuple[Cone, ...] = tuple(Cone(tuple(sorted(c))) for c in max_cones)
+        self.max_cones: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(c)) for c in max_cones)
         # per cone, the multiplicity |det| and |det| * inverse of the
         # ray-column matrix, from one kernel call: adj . w is w's cone
         # coordinates times |det|, so sign tests decide membership without
@@ -106,14 +98,14 @@ class Fan:
             seen[ray] = i
         used = set()
         for ci, cone in enumerate(self.max_cones):
-            if len(cone.ray_indices) != n:
+            if len(cone) != n:
                 raise InvariantViolation(
-                    f"maximal cone {ci} has {len(cone.ray_indices)} rays, expected {n} "
+                    f"maximal cone {ci} has {len(cone)} rays, expected {n} "
                     "(non-simplicial or lower-dimensional cones are rejected)"
                 )
-            if any(i < 0 or i >= len(self.rays) for i in cone.ray_indices):
+            if any(i < 0 or i >= len(self.rays) for i in cone):
                 raise InvariantViolation(f"maximal cone {ci} references a missing ray")
-            cols = [[self.rays[j][i] for j in cone.ray_indices] for i in range(n)]
+            cols = [[self.rays[j][i] for j in cone] for i in range(n)]
             solved = adjugate(cols)
             if solved is None:
                 raise InvariantViolation(f"maximal cone {ci} is not simplicial")
@@ -122,7 +114,7 @@ class Fan:
             self._cone_adjugates.append(
                 tuple(tuple(x if d > 0 else -x for x in row) for row in adj)
             )
-            used.update(cone.ray_indices)
+            used.update(cone)
         if used != set(range(len(self.rays))):
             unused = sorted(set(range(len(self.rays))) - used)
             raise InvariantViolation(f"rays {unused} appear in no maximal cone")
@@ -132,18 +124,18 @@ class Fan:
         n = self.dimension
         by_facet: dict[frozenset, list[int]] = {}
         for ci, cone in enumerate(self.max_cones):
-            for facet in combinations(cone.ray_indices, n - 1):
+            for facet in combinations(cone, n - 1):
                 by_facet.setdefault(frozenset(facet), []).append(ci)
         if not by_facet or any(len(pair) != 2 for pair in by_facet.values()):
             raise InvariantViolation("fan not complete")
         for shared, (ci, cj) in by_facet.items():
             # the ray of cj off the wall must lie beyond the wall, seen from ci
-            cone = self.max_cones[ci].ray_indices
+            cone = self.max_cones[ci]
             pos = next(p for p, i in enumerate(cone) if i not in shared)
-            opposite = next(i for i in self.max_cones[cj].ray_indices if i not in shared)
+            opposite = next(i for i in self.max_cones[cj] if i not in shared)
             if self._scaled_coords(ci, self.rays[opposite])[pos] >= 0:
                 raise InvariantViolation("overlapping maximal cones")
-        inner = [sum(col) for col in zip(*(self.rays[i] for i in self.max_cones[0].ray_indices))]
+        inner = [sum(col) for col in zip(*(self.rays[i] for i in self.max_cones[0]))]
         for ci in range(1, len(self.max_cones)):
             if all(s >= 0 for s in self._scaled_coords(ci, inner)):
                 raise InvariantViolation("overlapping maximal cones")
@@ -177,7 +169,7 @@ class Fan:
                 # mult * m_sigma = adj^T (-1, ..., -1), so <m_sigma, v> <= -1 is an integer test
                 mult = self._cone_mults[ci]
                 m = [-sum(col) for col in zip(*self._cone_adjugates[ci])]
-                outside = (v for j, v in enumerate(self.rays) if j not in cone.ray_indices)
+                outside = (v for j, v in enumerate(self.rays) if j not in cone)
                 if any(sum(map(operator.mul, m, v)) <= -mult for v in outside):
                     raise InvariantViolation(f"not Q-Fano: -K is not ample on maximal cone {ci}")
                 vertices.append(tuple(Fraction(x, mult) for x in m))
@@ -216,10 +208,10 @@ class Fan:
     def _search_automorphisms(self) -> list[Matrix]:
         n = self.dimension
         adj, mult = self._cone_adjugates[0], self._cone_mults[0]
-        cones = {cone.ray_indices for cone in self.max_cones}
+        cones = set(self.max_cones)
         found = []
         for cone in self.max_cones:
-            for targets in permutations(cone.ray_indices):
+            for targets in permutations(cone):
                 # A B = T, with B cone 0's rays and T the targets as columns
                 columns = [self.rays[t] for t in targets]
                 scaled = [
@@ -234,7 +226,7 @@ class Fan:
                     for v in self.rays
                 ]
                 if None not in perm and all(
-                    tuple(sorted(perm[i] for i in c.ray_indices)) in cones for c in self.max_cones
+                    tuple(sorted(perm[i] for i in c)) in cones for c in self.max_cones
                 ):
                     found.append(matrix)
         return found
@@ -257,11 +249,11 @@ class Fan:
         for ci, cone in enumerate(self.max_cones):
             signs = self._scaled_coords(ci, w)
             if any(s < 0 for s in signs):
-                new_cones.append(cone.ray_indices)
+                new_cones.append(cone)
                 continue
             for pos, s in enumerate(signs):
                 if s > 0:
-                    replaced = list(cone.ray_indices)
+                    replaced = list(cone)
                     replaced[pos] = w_index
                     new_cones.append(tuple(sorted(replaced)))
         return Fan(

@@ -20,10 +20,10 @@ works on the (numerator, denominator) pairs.
 Continuity at construction and `is_c1` compare the two pieces' Horner
 sums at each interior breakpoint B_i / D by cross-multiplication (for C^1,
 on the derivative numerators k c_k); a Fraction is built only for the
-error message.  An integral puts its bounds and the breakpoints over one
-denominator q, takes one integer antiderivative per piece scaled by
-lcm(1, ..., d + 1), sums the Horner differences over one common
-denominator and builds one Fraction at the end.
+error message.  The integral, always over the whole domain, takes one
+integer antiderivative per piece scaled by lcm(1, ..., d + 1), sums its
+Horner differences at the breakpoints B_i / D over one common denominator
+and builds one Fraction at the end.
 
 The B-spline jumps behind the closed-form volume functions
 (`spline_cdf_jumps`) take integer knots and return integer numerators over
@@ -159,7 +159,9 @@ def spline_cdf_jumps(knots: Sequence[int]) -> dict[int, tuple[int, list[int]]]:
 
 @dataclass(frozen=True)
 class PiecewisePolynomial:
-    """A continuous piecewise polynomial on [breakpoints[0], breakpoints[-1]]."""
+    """A continuous piecewise polynomial on [breakpoints[0], breakpoints[-1]].
+
+    Called for exact values; `integral()` is over the whole domain."""
 
     breakpoints: tuple[Fraction, ...]
     pieces: tuple[Poly, ...]
@@ -222,10 +224,6 @@ class PiecewisePolynomial:
             raise ValueError(f"{Fraction(p, q)} outside domain [{lo}, {hi}]")
         return min(bisect_right(grid, t // q) - 1, len(self.pieces) - 1)
 
-    def piece_index(self, x: Fraction) -> int:
-        x = _fraction(x)
-        return self._locate(x.numerator, x.denominator)
-
     def _value(self, p: int, q: int) -> tuple[int, int]:
         """fn(p/q) for q > 0, as a (numerator, positive denominator) pair."""
         e, cs = self._int_pieces[self._locate(p, q)]
@@ -266,60 +264,31 @@ class PiecewisePolynomial:
         return out
 
     @cached_property
-    def _full_integral(self) -> Fraction:
-        return self._integrate(*self.domain)
+    def _integral(self) -> Fraction:
+        """The integral over the domain, summed in integers on the breakpoint grid.
 
-    def integral(self, a=None, b=None) -> Fraction:
-        """Exact definite integral over [a, b] (default: the full domain, computed once)."""
-        if a is None and b is None:
-            return self._full_integral
-        lo, hi = self.domain
-        a = lo if a is None else Fraction(a)
-        b = hi if b is None else Fraction(b)
-        if not (lo <= a <= b <= hi):
-            raise ValueError("integration bounds outside domain")
-        return self._integrate(a, b)
-
-    def _integrate(self, a: Fraction, b: Fraction) -> Fraction:
-        """The integral over [a, b] in the domain, summed in integers.
-
-        Over the common denominator q of a, b and the breakpoints every
-        endpoint is p/q.  With t the most coefficients of a piece and
-        lam = lcm(1, ..., t), the antiderivative of sum_k (c_k / e) x^k is
-        sum_k (c_k * lam / (k + 1)) x^(k+1) over e * lam, whose value at p/q
-        is a homogeneous Horner sum over e * lam * q^t.  One Fraction is built.
+        Every breakpoint is B_i / D.  With t the most coefficients of a piece
+        and lam = lcm(1, ..., t), the antiderivative of sum_k (c_k / e) x^k is
+        sum_k (c_k * lam / (k + 1)) x^(k+1) over e * lam, whose value at B_i / D
+        is a homogeneous Horner sum over e * lam * D^t.  One Fraction is built.
         """
         den, grid = self._grid
-        q = math.lcm(den, a.denominator, b.denominator)
-        pa = a.numerator * (q // a.denominator)
-        pb = b.numerator * (q // b.denominator)
         top = max(len(cs) for _, cs in self._int_pieces)
         lam = math.lcm(*range(1, top + 1))
         common = math.lcm(*(e for e, _ in self._int_pieces))
         total = 0
-        for i, (e, cs) in enumerate(self._int_pieces):
-            left = max(pa, grid[i] * (q // den))
-            right = min(pb, grid[i + 1] * (q // den))
-            if left >= right:
-                continue
+        for (e, cs), left, right in zip(self._int_pieces, grid, grid[1:]):
             anti = [0] + [c * (lam // k) for k, c in enumerate(cs, 1)] + [0] * (top - len(cs))
-            total += (_homogeneous(anti, right, q)[0] - _homogeneous(anti, left, q)[0]) * (common // e)
-        return Fraction(total, common * lam * q**top)
+            total += (_homogeneous(anti, right, den)[0] - _homogeneous(anti, left, den)[0]) * (common // e)
+        return Fraction(total, common * lam * den**top)
 
-    def _int_slopes(self) -> list[tuple[int, tuple[int, ...]]]:
-        """The derivative of each piece in the integer form of `_int_pieces`."""
-        return [(e, tuple(k * c for k, c in enumerate(cs))[1:] or (0,)) for e, cs in self._int_pieces]
-
-    def one_sided_derivatives(self, x: Fraction) -> tuple[Fraction, Fraction]:
-        """(left, right) derivative values at an interior breakpoint."""
-        i = self.breakpoints.index(x)
-        if i == 0 or i == len(self.breakpoints) - 1:
-            raise ValueError("one-sided derivatives only at interior breakpoints")
-        return tuple(Fraction(*pair) for pair in self._values_at(i, self._int_slopes()))
+    def integral(self) -> Fraction:
+        """Exact integral over the domain, computed once."""
+        return self._integral
 
     def is_c1(self) -> bool:
         """Exact one-sided derivative agreement at every interior breakpoint."""
-        slopes = self._int_slopes()
+        slopes = [(e, tuple(k * c for k, c in enumerate(cs))[1:] or (0,)) for e, cs in self._int_pieces]
         for i in range(1, len(self.breakpoints) - 1):
             (a, da), (b, db) = self._values_at(i, slopes)
             if a * db != b * da:

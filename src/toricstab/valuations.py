@@ -346,10 +346,6 @@ class CertificateResult:
     quantities: dict = field(default_factory=dict)
     checks: dict = field(default_factory=dict)
 
-    @property
-    def passed(self) -> bool:
-        return self.status == "pass"
-
 
 def certify_extremal_volume(val: ToricValuation) -> CertificateResult:
     """Check the certificate forced by (n/(n+1)) tau V <= integral of vol.

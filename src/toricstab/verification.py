@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Callable, TextIO
 
 from .alpha import alpha_invariant
@@ -21,7 +20,7 @@ from .corpus import (
     builtin_fan_specs,
 )
 from .fans import Fan
-from .lattice import dot, gcd_vec
+from .lattice import dot
 from .piecewise import midpoint_root_concave
 from .valuations import (
     ToricValuation,
@@ -216,15 +215,15 @@ def check_lattice_count_limit() -> CheckOutcome:
 
 def concavity_battery(fan: Fan) -> list[ToricValuation]:
     """Profiles sampled by the concavity suite: full radius-1 battery up to
-    dimension 3, coordinate-permutation orbit representatives above."""
-    n = fan.dimension
-    if n <= 3:
-        return valuation_battery(fan, radius=1)
+    dimension 3; above, the first member of each coordinate-permutation
+    orbit in the battery's lexicographic order."""
+    battery = valuation_battery(fan, radius=1)
+    if fan.dimension <= 3:
+        return battery
     reps = {}
-    for w in product((-1, 0, 1), repeat=n):
-        if any(w) and gcd_vec(w) == 1:
-            reps.setdefault(tuple(sorted(w)), w)
-    return [ToricValuation(fan, w) for w in sorted(reps.values())]
+    for val in battery:
+        reps.setdefault(tuple(sorted(val.w)), val)
+    return list(reps.values())
 
 
 def check_concavity() -> CheckOutcome:

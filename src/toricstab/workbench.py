@@ -403,6 +403,14 @@ def _decimal_12(x: Fraction) -> str:
         return str(Decimal(x.numerator) / Decimal(x.denominator))
 
 
+def check_sample_count(samples: int) -> None:
+    """Refuse a CSV sample count below 2 or above the oracle budget."""
+    if samples < 2:
+        raise InvariantViolation("samples must be at least 2")
+    if samples > default_oracle_budget():
+        raise BudgetExceeded(f"oracle budget exceeded: {samples} volume samples requested")
+
+
 def export_volume_csv(
     fan: Fan, w: Sequence[int], samples: int, stream: TextIO
 ) -> None:
@@ -411,8 +419,7 @@ def export_volume_csv(
     Decimal columns carry 12 significant digits for plotting; the trailing
     exact-fraction columns are authoritative.
     """
-    if samples < 2:
-        raise InvariantViolation("samples must be at least 2")
+    check_sample_count(samples)
     val = ToricValuation(fan, tuple(w))
     vol = volume_function(val)
     q_fn = restricted_volume(val)

@@ -26,7 +26,7 @@ def cone_coordinates(fan, w):
     """
     n = fan.dimension
     for ci, cone in enumerate(fan.max_cones):
-        columns = [[fan.rays[j][i] for j in cone.ray_indices] for i in range(n)]
+        columns = [[fan.rays[j][i] for j in cone] for i in range(n)]
         coords = solve_linear(columns, list(w))
         if all(c >= 0 for c in coords):
             return ci, coords
@@ -37,7 +37,7 @@ def walls(fan):
     """All walls as (shared ray index set, cone index, adjacent cone index), sorted."""
     by_facet = {}
     for ci, cone in enumerate(fan.max_cones):
-        for facet in combinations(cone.ray_indices, fan.dimension - 1):
+        for facet in combinations(cone, fan.dimension - 1):
             by_facet.setdefault(frozenset(facet), []).append(ci)
     return sorted(((key, ci, cj) for key, (ci, cj) in by_facet.items()), key=lambda w: sorted(w[0]))
 

@@ -2,10 +2,7 @@
 
 from fractions import Fraction as F
 
-import pytest
-
-from toricstab.alpha import alpha_invariant, alpha_stability_gate, is_lc_torus_pair
-from toricstab.errors import InvariantViolation
+from toricstab.alpha import alpha_invariant, alpha_stability_gate
 from toricstab.lattice import dot
 from toricstab.valuations import ToricValuation, beta_invariant, pseff_threshold
 from toricstab.workbench import (
@@ -65,21 +62,6 @@ def test_alpha_witness_validity(corpus_fans):
         # linear equivalence with the anticanonical class: d_i = 1 + <m, v_i>
         assert divisor == tuple(1 + dot(result.witness_m, ray) for ray in fan.rays)
         assert max(divisor) * result.alpha == 1
-
-
-def test_is_lc_torus_pair(p123):
-    assert is_lc_torus_pair(p123, [0, 0, 0])
-    # the extremal divisor 6 D_{(-2,-3)} scaled by alpha: lc exactly at alpha <= 1/6
-    assert is_lc_torus_pair(p123, [0, 0, F(6) * F(1, 6)])
-    assert not is_lc_torus_pair(p123, [0, 0, F(6) * (F(1, 6) + F(1, 1000))])
-    assert not is_lc_torus_pair(p123, [1, 1, F(1001, 1000)])
-
-
-def test_is_lc_torus_pair_errors(p123):
-    with pytest.raises(InvariantViolation, match="not effective"):
-        is_lc_torus_pair(p123, [0, 0, F(-1, 2)])
-    with pytest.raises(InvariantViolation, match="coefficients"):
-        is_lc_torus_pair(p123, [0, 0])
 
 
 def test_alpha_gate(p2, square, p123, p1):

@@ -92,7 +92,7 @@ def test_probe_cross_check_on_corpus(corpus_fans):
     for fan in corpus_fans:
         n = fan.dimension
         inverses = [
-            matrix_inverse([[fan.rays[j][i] for j in cone.ray_indices] for i in range(n)])
+            matrix_inverse([[fan.rays[j][i] for j in cone] for i in range(n)])
             for cone in fan.max_cones
         ]
         for _ in range(1000):
@@ -126,6 +126,21 @@ def test_fan_rejects_dependent_cone():
     Fan(2, rays, cones)  # fine: the refined fan
     with pytest.raises(InvariantViolation):
         Fan(2, rays, [[0, 4], [4, 1], [1, 2], [2, 3], [3, 4]])
+
+
+def test_fan_rejects_dimension_zero():
+    with pytest.raises(InvariantViolation, match="dimension must be at least 1"):
+        Fan(0, [], [])
+
+
+def test_fan_rejects_cone_of_wrong_size():
+    with pytest.raises(InvariantViolation, match="has 3 rays, expected 2"):
+        Fan(2, [[1, 0], [0, 1], [-1, -1]], [[0, 1, 2], [1, 2], [2, 0]])
+
+
+def test_fan_rejects_missing_ray_index():
+    with pytest.raises(InvariantViolation, match="references a missing ray"):
+        Fan(2, [[1, 0], [0, 1], [-1, -1]], [[0, 1], [1, 3], [2, 0]])
 
 
 def test_fan_rejects_wrong_dimension_ray():
@@ -216,8 +231,8 @@ def test_walls_pair_cones(square):
     for shared, ci, cj in pairs:
         assert ci != cj
         shared_set = set(shared)
-        assert shared_set <= set(square.max_cones[ci].ray_indices)
-        assert shared_set <= set(square.max_cones[cj].ray_indices)
+        assert shared_set <= set(square.max_cones[ci])
+        assert shared_set <= set(square.max_cones[cj])
 
 
 def test_star_subdivision_reproduces_blowup_fan(p123):
@@ -244,7 +259,7 @@ def test_containing_cone_and_minimal_dimension(p123):
     """Validates the test-side cone-coordinate oracle on P(1,2,3)."""
     ci, coords = cone_coordinates(p123, (-1, 0))
     assert sum(coords) == 2
-    assert sorted(p123.max_cones[ci].ray_indices) == [1, 2]
+    assert sorted(p123.max_cones[ci]) == [1, 2]
 
 
 def test_dimension_one_complete():

@@ -369,7 +369,7 @@ def test_vertex_matrix_is_the_vertices_over_one_denominator(q_fano_fans):
         for row, v in zip(rows, poly.vertices):
             assert all(type(x) is int for x in row)
             assert tuple(F(x, d) for x in row) == v
-        mults = [int(abs(det([fan.rays[i] for i in cone.ray_indices]))) for cone in fan.max_cones]
+        mults = [int(abs(det([fan.rays[i] for i in cone]))) for cone in fan.max_cones]
         assert math.lcm(*mults) % d == 0, fan.name
         n = fan.dimension
         for w in [*fan.rays, *(tuple(rng.randint(-5, 5) for _ in range(n)) for _ in range(20))]:

@@ -411,10 +411,10 @@ def wall_nef_threshold(v):
     h0, h1 = support(F(0)), support(F(1))
     bounds = []
     for shared, ci, cj in walls(model):
-        cone = model.max_cones[ci].ray_indices
+        cone = model.max_cones[ci]
         m_at_0 = solve_linear([model.rays[i] for i in cone], [h0[i] for i in cone])
         m_at_1 = solve_linear([model.rays[i] for i in cone], [h1[i] for i in cone])
-        opposite = next(i for i in model.max_cones[cj].ray_indices if i not in shared)
+        opposite = next(i for i in model.max_cones[cj] if i not in shared)
         v_opp = model.rays[opposite]
         # h(v_opp) - <m(e), v_opp> = c0 + c1 * e must stay >= 0
         c0 = h0[opposite] - dot(m_at_0, v_opp)

@@ -484,6 +484,84 @@ def test_cli_volfn_csv(tmp_path, capsys):
     assert out.read_text() == GOLDEN_CSV
 
 
+def test_cli_volfn_samples_checked_before_output(monkeypatch, tmp_path, capsys):
+    """A bad --samples count fails before any line is printed or the CSV is created."""
+    path = write_spec(tmp_path, P123_SPEC)
+    out = tmp_path / "vol.csv"
+    assert main(["volfn", path, "--w", "-1,0", "--samples", "1", "--csv", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: samples must be at least 2\n"
+    assert not out.exists()
+    monkeypatch.setenv("TKS_ORACLE_BUDGET", "5")
+    assert main(["volfn", path, "--w", "-1,0", "--samples", "6", "--csv", str(out)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: oracle budget exceeded")
+    assert not out.exists()
+    assert main(["volfn", path, "--w", "-1,0", "--samples", "5", "--csv", str(out)]) == 0
+    assert capsys.readouterr().out.endswith(f"wrote 5 samples to {out}\n")
+    assert len(out.read_text().splitlines()) == 6
+
+
+def test_cli_volfn_without_csv_ignores_samples(capsys, tmp_path):
+    path = write_spec(tmp_path, P123_SPEC)
+    assert main(["volfn", path, "--w", "-1,0", "--samples", "1"]) == 0
+    assert sha256(capsys.readouterr().out) == VOLFN_DIGEST
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ({"dim": 0, "rays": [], "cones": []}, "dimension must be at least 1"),
+        (dict(P123_SPEC, cones=[[0, 1, 2], [1, 2], [2, 0]]), "has 3 rays, expected 2"),
+        (dict(P123_SPEC, cones=[[0, 1], [1, 3], [2, 0]]), "references a missing ray"),
+    ],
+)
+def test_cli_fan_rejections_exit_3(tmp_path, capsys, spec, message):
+    path = write_spec(tmp_path, spec)
+    assert main(["analyze", path, "--radius", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err and captured.err.count("\n") == 1
+
+
+def test_cli_spec_must_be_an_object(tmp_path, capsys):
+    path = write_spec(tmp_path, [P123_SPEC])
+    assert main(["analyze", path, "--radius", "1"]) == 2
+    assert capsys.readouterr().err == "error: fan spec must be a JSON object\n"
+
+
+def test_unknown_builtin_fan():
+    with pytest.raises(ParseError, match="unknown builtin fan 'nope'"):
+        load_builtin_fan("nope")
+
+
+def test_cli_bad_budget_value(monkeypatch, tmp_path, capsys):
+    path = write_spec(tmp_path, P123_SPEC)
+    monkeypatch.setenv("TKS_ORACLE_BUDGET", "abc")
+    assert main(["analyze", path, "--radius", "1"]) == 3
+    assert capsys.readouterr().err == "error: bad TKS_ORACLE_BUDGET value: 'abc'\n"
+
+
+def test_cli_alpha_output(tmp_path, capsys):
+    path = write_spec(tmp_path, P123_SPEC)
+    assert main(["alpha", path]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "alpha = 1/6"
+
+
+def test_cli_analyze_to_stdout(tmp_path, capsys, p123):
+    path = write_spec(tmp_path, P123_SPEC)
+    assert main(["analyze", path, "--radius", "1"]) == 0
+    assert capsys.readouterr().out == report_json(analyze(p123, radius=1))
+
+
+def test_cli_beta_non_primitive_note(tmp_path, capsys):
+    path = write_spec(tmp_path, P123_SPEC)
+    assert main(["beta", path, "--w", "-2,0"]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[-1] == "note: w is not primitive; invariants scale with its multiplicity"
+    assert main(["beta", path, "--w", "-1,0"]) == 0
+    assert "note:" not in capsys.readouterr().out
+
+
 def test_cli_screen(tmp_path, capsys):
     path = write_spec(tmp_path, P123_SPEC)
     assert main(["screen", path, "--radius", "2"]) == 0
