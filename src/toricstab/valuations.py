@@ -17,7 +17,10 @@ So, with min and max taken over the row:
   * pseudo-effective threshold  tau(w) = A(w) + max_P <u, w>
                        = (max - min) / D, so the equality-case bound
                        A >= (n/(n+1)) tau is equivalent to -min >= n max
-                       (`meets_equality_bound`);
+                       (`meets_equality_bound`), which no w at any
+                       radius meets unless some vertex m has
+                       <m, v_i> >= n at a ray v_i
+                       (`equality_bound_vertices`);
   * beta invariant     beta(w) = A(w) * degree - integral of vol over [0, tau];
   * nef threshold      eps(w) = (second-smallest distinct value - min) / D,
                        the first positive knot of vol;
@@ -138,6 +141,28 @@ def meets_equality_bound(val: ToricValuation) -> bool:
     """
     _, values = val._values
     return -min(values) >= val.fan.dimension * max(values)
+
+
+def equality_bound_vertices(fan: Fan) -> list[int]:
+    """Indices of the vertices m_sigma of P whose cone C_sigma (below) is not {0}.
+
+    Radius-free (Fact 2): for w in a cone sigma the vertex m_sigma attains
+    the minimum, so w meets -min >= n max exactly when <n v + m_sigma, w> <= 0
+    for every vertex v, and the w that meet the bound fill the union of the
+    cones C_sigma = {w : <n v + m_sigma, w> <= 0 for every vertex v}.
+    C_sigma holds a nonzero w exactly when m_sigma + nP lies in a closed
+    half-space through 0, that is, when -m_sigma / n is not interior to
+    P = {u : <u, v_i> >= -1}: when <m_sigma, v_i> >= n for some ray v_i.  On
+    the integer rows that is row . v_i >= n D.  With no such vertex, no w at
+    any radius meets the bound.
+    """
+    n = fan.dimension
+    d, rows = fan.anticanonical_polytope().vertex_matrix
+    return [
+        k
+        for k, row in enumerate(rows)
+        if any(sum(map(operator.mul, row, ray)) >= n * d for ray in fan.rays)
+    ]
 
 
 @lru_cache(maxsize=CACHE_SIZE)

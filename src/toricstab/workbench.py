@@ -5,6 +5,11 @@ FanSpec documents are JSON objects with fields `name` (string), `dim`
 arrays); unknown fields are ignored with a warning.  All rational values in
 emitted reports are serialized as exact "p/q" strings; reports are
 byte-deterministic for a fixed input.
+
+The projective-space screen refuses a bad radius or an over-budget battery
+first, then builds no battery at all when no vertex of the anticanonical
+polytope can meet the equality-case bound at any radius
+(`equality_bound_vertices`).
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from .valuations import (
     ToricValuation,
     ValuationProfile,
     beta_invariant,
+    equality_bound_vertices,
     log_discrepancy,
     meets_equality_bound,
     pseff_threshold,
@@ -109,17 +115,21 @@ def load_builtin_fan(name: str) -> Fan:
 # -- valuation battery ---------------------------------------------------------
 
 
-def valuation_battery(fan: Fan, radius: int) -> list[ToricValuation]:
-    """All primitive integer vectors of max-norm <= radius, in shell-lex order.
-
-    Raises BudgetExceeded before any work when the (2 radius + 1)^n box
-    holds more points than the oracle budget.
-    """
+def check_battery_radius(fan: Fan, radius: int) -> None:
+    """Refuse a radius below 1, or a (2 radius + 1)^n box over the oracle budget."""
     if radius < 1:
         raise InvariantViolation("battery radius must be at least 1")
     box = (2 * radius + 1) ** fan.dimension
     if box > default_oracle_budget():
         raise BudgetExceeded(f"oracle budget exceeded: radius-{radius} battery scans {box} points")
+
+
+def valuation_battery(fan: Fan, radius: int) -> list[ToricValuation]:
+    """All primitive integer vectors of max-norm <= radius, in shell-lex order.
+
+    Raises before any work when `check_battery_radius` refuses the radius.
+    """
+    check_battery_radius(fan, radius)
     vectors = []
     for w in product(range(-radius, radius + 1), repeat=fan.dimension):
         if any(w) and gcd_vec(w) == 1:
@@ -147,9 +157,12 @@ class ScreenResult:
     space, so the screen asserts the recognition; a singular fan can carry a
     witness without the conclusion, and is flagged instead.  The bound is
     decided in integers as A >= n max_P <u, w> (`meets_equality_bound`).
-    The standalone screen computes beta only for the valuations that meet
-    it, and A and tau only for the witnesses; `analyze` reads all three off
-    the orbit profiles it already has.
+    The standalone screen first checks the radius and the battery budget,
+    then skips the battery when no vertex of P can meet the bound at any
+    radius (`equality_bound_vertices`); otherwise it computes beta only for
+    the valuations that meet it, and A and tau only for the witnesses.
+    `analyze` tests the bound per w on its own battery and reads all three
+    off the orbit profiles it already has.
     """
 
     fan_name: str
@@ -190,6 +203,9 @@ def _screen_result(fan: Fan, radius: int, witnesses: Sequence[ScreenWitness]) ->
 
 
 def screen_projective_space(fan: Fan, radius: int = 4) -> ScreenResult:
+    check_battery_radius(fan, radius)
+    if not equality_bound_vertices(fan):
+        return _screen_result(fan, radius, [])
     witnesses = []
     for val in valuation_battery(fan, radius):
         if meets_equality_bound(val) and (beta := beta_invariant(val)) <= 0:

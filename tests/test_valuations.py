@@ -18,6 +18,7 @@ from toricstab.valuations import (
     ToricValuation,
     beta_invariant,
     center_codim,
+    equality_bound_vertices,
     integrated_volume,
     log_discrepancy,
     meets_equality_bound,
@@ -496,6 +497,44 @@ def test_equality_bound_matches_the_fraction_test(q_fano_fans):
             assert meets_equality_bound(v) is expected, (fan.name, v.w)
             outcomes.add((n, expected))
     assert {(n, b) for n in range(2, 6) for b in (True, False)} <= outcomes
+
+
+# vertices m_sigma with <m_sigma, v_i> >= n at some ray v_i, counted by hand
+QUALIFYING_VERTEX_COUNTS = {
+    "P1": 2, "P2": 3, "P3": 4, "P4": 5, "P5": 6,
+    "dP8": 2, "dP7": 1, "P(1,2,3)": 2, "P(1,1,2)": 2, "Y(1,2,3)": 1,
+    "P1xP1": 0, "P1xP1xP1": 0, "dP6": 0,
+}
+
+
+def test_equality_bound_vertices_radius_free(q_fano_fans):
+    """Fact 2 on every Q-Fano test fan: a fan with no qualifying vertex has no
+    battery w meeting the bound at radius 3 (1 above dimension 3), and over
+    the radius-2 battery (1 above dimension 3) the bound holds exactly on the
+    cones C_sigma = {w : <n v + m_sigma, w> <= 0 for every vertex v}, each
+    nonzero one at a qualifying vertex."""
+    empty, pinned = 0, set()
+    for fan in q_fano_fans:
+        n = fan.dimension
+        rows = fan.anticanonical_polytope().vertex_matrix[1]
+        qualifying = equality_bound_vertices(fan)
+        if fan.name in QUALIFYING_VERTEX_COUNTS:
+            assert len(qualifying) == QUALIFYING_VERTEX_COUNTS[fan.name], fan.name
+            pinned.add(fan.name)
+        if not qualifying:
+            empty += 1
+            for v in valuation_battery(fan, 3 if n <= 3 else 1):
+                assert not meets_equality_bound(v), (fan.name, v.w)
+        for v in valuation_battery(fan, 2 if n <= 3 else 1):
+            cones = [
+                k
+                for k, m in enumerate(rows)
+                if all(dot([n * x + y for x, y in zip(row, m)], v.w) <= 0 for row in rows)
+            ]
+            assert meets_equality_bound(v) is bool(cones), (fan.name, v.w)
+            assert set(cones) <= set(qualifying), (fan.name, v.w)
+    assert empty == 16
+    assert pinned == set(QUALIFYING_VERTEX_COUNTS)
 
 
 def test_first_breakpoint_not_below_nef_threshold(corpus_fans):

@@ -321,6 +321,34 @@ def test_screen_smooth_non_pn_has_no_witnesses():
         assert screen.verdict == "no witnesses"
 
 
+def test_screen_skips_the_battery_without_a_qualifying_vertex(monkeypatch):
+    """No vertex of P1xP1 or dP6 can meet the bound, so the screen builds no battery."""
+    import toricstab.workbench as workbench
+
+    def refuse(*args):
+        raise AssertionError("the screen built a battery")
+
+    monkeypatch.setattr(workbench, "valuation_battery", refuse)
+    for name in ("P1xP1", "dP6"):
+        screen = screen_projective_space(load_builtin_fan(name), radius=4)
+        assert screen.witnesses == ()
+        assert screen.verdict == "no witnesses"
+
+
+def test_screen_skip_keeps_the_radius_guards(monkeypatch, tmp_path, capsys):
+    """The radius and budget guards run before the pre-test skips the battery."""
+    path = write_spec(tmp_path, builtin_fan_specs()["P1xP1"])
+    assert main(["screen", path, "--radius", "0"]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: battery radius must be at least 1\n"
+    monkeypatch.setenv("TKS_ORACLE_BUDGET", "100")
+    assert main(["screen", path, "--radius", "5"]) == 4
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: oracle budget exceeded: radius-5 battery scans 121 points\n"
+
+
 def test_report_determinism(tmp_path, p123):
     path = write_spec(tmp_path, P123_SPEC)
     first = report_json(analyze(load_fan(path), radius=2))
@@ -355,6 +383,35 @@ def test_report_bytes_pinned(tmp_path, capsys):
     path = write_spec(tmp_path, P123_SPEC)
     assert main(["volfn", path, "--w", "-1,0"]) == 0
     assert sha256(capsys.readouterr().out) == VOLFN_DIGEST
+
+
+# SHA-256 of `toricstab screen` stdout on every corpus fan (radius 4, radius 2
+# above dimension 3), recorded before the screen skipped batteries whose fan
+# has no vertex that can meet the bound
+SCREEN_DIGESTS = {
+    ("P1", 4): "7bfc2273223d0a13f29ffe9024a44d0b0292ebc05d9a7c90db3b29e61affb302",
+    ("P2", 4): "91b2ff804c41f7818688e0819d2769f598eafdaf4de159d84ebd1a6f59f75811",
+    ("P3", 4): "90607ebc26ca450d6cdf6337b742d7f50dced8746c57d1338ec4e220e769d05c",
+    ("P4", 2): "8a77c2e2f03ae7a5954ec333e53306505cd6918eee11cd0446bc7830dc3b3a8d",
+    ("P5", 2): "c28f17ca9529aeb30a12bcf5153dd89ab46e72c4cf957e4ff76fc82f285b0314",
+    ("P1xP1", 4): "8f1c30d0668b7b2d96625d1a397e2d320b7923411424bfbc37bb2e03ab670d9a",
+    ("P1xP1xP1", 4): "bec922b548629812b74b546374c29bf7ac7dc6f8cda292019d497c71b48a89c8",
+    ("dP8", 4): "8420ce4cea1f7cd7e95874f8b29badb9c7c5c87efae2b9ff880dc23c2123271b",
+    ("dP7", 4): "6fe1036c4f986cd46341c94001006be9d6118fa2e8c0fddfd50805c98c82475f",
+    ("dP6", 4): "028b885444f9a92f3a0d11ca75f15843ef0a478166fed2ce32813bd7544b6bfa",
+    ("P(1,2,3)", 4): "461fba37fcd8187a2b6455009148d3b7c902c3cece1b74fd1af545fbfaa40f68",
+    ("P(1,1,2)", 4): "d4bdc35e9187d5c29e01d24e7e8a88d9905de67bd39cfd5df787acd70e3ab1c9",
+    ("Y(1,2,3)", 4): "aa9e50e6bdb4ce532423a705f8a056a7f95318c6b1e2fa491b29dd91aca68fd4",
+}
+
+
+def test_screen_bytes_pinned(tmp_path, capsys):
+    specs = builtin_fan_specs()
+    assert {name for name, _ in SCREEN_DIGESTS} == set(specs)
+    for (name, radius), digest in SCREEN_DIGESTS.items():
+        path = write_spec(tmp_path, specs[name])
+        assert main(["screen", path, "--radius", str(radius)]) == 0
+        assert sha256(capsys.readouterr().out) == digest, (name, radius)
 
 
 def test_rat_str_renders_ints_and_fractions():
