@@ -499,7 +499,7 @@ def test_equality_bound_matches_the_fraction_test(q_fano_fans):
     assert {(n, b) for n in range(2, 6) for b in (True, False)} <= outcomes
 
 
-# vertices m_sigma with <m_sigma, v_i> >= n at some ray v_i, counted by hand
+# per corpus fan, the vertices m_sigma with <m_sigma, v_i> >= n at some ray v_i
 QUALIFYING_VERTEX_COUNTS = {
     "P1": 2, "P2": 3, "P3": 4, "P4": 5, "P5": 6,
     "dP8": 2, "dP7": 1, "P(1,2,3)": 2, "P(1,1,2)": 2, "Y(1,2,3)": 1,
