@@ -22,6 +22,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence, TextIO
 
 from .alpha import AlphaResult, alpha_invariant
@@ -29,6 +30,7 @@ from .corpus import builtin_fan_specs
 from .errors import BudgetExceeded, InvariantViolation, ParseError
 from .fans import Fan
 from .lattice import RatVec, gcd_vec
+from .piecewise import PiecewisePolynomial
 from .polytopes import default_oracle_budget
 from .valuations import (
     ToricValuation,
@@ -327,30 +329,42 @@ def rat_str(x: Fraction | int) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _piecewise_dict(fn) -> dict:
-    return {
-        "breakpoints": [rat_str(b) for b in fn.breakpoints],
-        "pieces": [[rat_str(c) for c in piece] for piece in fn.pieces],
-    }
+def _json_lines(items: Sequence[str], indent: int, brackets: str = "[]") -> str:
+    """JSON texts as the items of an indent=2 array (or object) `indent` spaces in."""
+    if not items:
+        return brackets
+    pad = "\n" + " " * indent
+    return brackets[0] + pad + ("," + pad).join(items) + pad[:-2] + brackets[1]
 
 
-def _profile_dict(p: ValuationProfile, rendered: dict[int, dict]) -> dict:
-    """The profile's report entry; `rendered` holds each piecewise dict by object id."""
+def _rat_json(x: Fraction | int) -> str:
+    return encode_basestring_ascii(rat_str(x))
+
+
+def _piecewise_json(fn: PiecewisePolynomial) -> str:
+    """A piecewise polynomial's report text, as the value of a member six spaces in."""
+    breakpoints = _json_lines([_rat_json(b) for b in fn.breakpoints], 10)
+    pieces = _json_lines([_json_lines([_rat_json(c) for c in cs], 12) for cs in fn.pieces], 10)
+    return '{\n        "breakpoints": ' + breakpoints + ',\n        "pieces": ' + pieces + "\n      }"
+
+
+def _profile_json(p: ValuationProfile, rendered: dict[int, str]) -> str:
+    """The profile's report entry; `rendered` holds each piecewise text by object id."""
     for fn in (p.volume_fn, p.restricted_volume_fn):
         if id(fn) not in rendered:
-            rendered[id(fn)] = _piecewise_dict(fn)
-    return {
-        "w": list(p.w),
-        "log_discrepancy": rat_str(p.log_discrepancy),
-        "pseff_threshold": rat_str(p.pseff_threshold),
-        "nef_threshold": rat_str(p.nef_threshold),
-        "integrated_volume": rat_str(p.integrated_volume),
-        "beta": rat_str(p.beta),
-        "center_codim": p.center_codim,
-        "primitive": p.is_primitive,
-        "volume_fn": rendered[id(p.volume_fn)],
-        "restricted_volume_fn": rendered[id(p.restricted_volume_fn)],
-    }
+            rendered[id(fn)] = _piecewise_json(fn)
+    return _json_lines([
+        '"w": ' + _json_lines([str(x) for x in p.w], 8),
+        '"log_discrepancy": ' + _rat_json(p.log_discrepancy),
+        '"pseff_threshold": ' + _rat_json(p.pseff_threshold),
+        '"nef_threshold": ' + _rat_json(p.nef_threshold),
+        '"integrated_volume": ' + _rat_json(p.integrated_volume),
+        '"beta": ' + _rat_json(p.beta),
+        '"center_codim": ' + str(p.center_codim),
+        '"primitive": ' + ("true" if p.is_primitive else "false"),
+        '"volume_fn": ' + rendered[id(p.volume_fn)],
+        '"restricted_volume_fn": ' + rendered[id(p.restricted_volume_fn)],
+    ], 6, "{}")
 
 
 def _witness_dict(w: Optional[ScreenWitness]) -> Optional[dict]:
@@ -376,10 +390,13 @@ def screen_result_dict(s: ScreenResult) -> dict:
     }
 
 
-def report_dict(r: StabilityReport) -> dict:
-    """The report as JSON-ready data; profiles of one orbit share their piecewise dicts."""
-    rendered: dict[int, dict] = {}
-    return {
+def report_json(r: StabilityReport) -> str:
+    """`json.dumps(..., indent=2)` of the report, with the valuations array
+    written by `_profile_json` and spliced in after its key line, which no
+    encoded string can contain (an encoded newline is escaped)."""
+    rendered: dict[int, str] = {}
+    valuations = _json_lines([_profile_json(p, rendered) for p in r.profiles], 4)
+    text = json.dumps({
         "fan": r.fan_name,
         "dimension": r.dimension,
         "degree": rat_str(r.degree),
@@ -392,7 +409,7 @@ def report_dict(r: StabilityReport) -> dict:
         },
         "barycenter": [rat_str(x) for x in r.barycenter],
         "battery_radius": r.battery_radius,
-        "valuations": [_profile_dict(p, rendered) for p in r.profiles],
+        "valuations": [],
         "verdicts": {
             "toric_divisorial_semistable": r.toric_divisorial_semistable,
             "min_beta": rat_str(r.min_beta),
@@ -403,11 +420,9 @@ def report_dict(r: StabilityReport) -> dict:
             "projective_space_screen": screen_result_dict(r.projective_space_screen),
         },
         "assumptions": list(r.assumptions),
-    }
-
-
-def report_json(r: StabilityReport) -> str:
-    return json.dumps(report_dict(r), indent=2) + "\n"
+    }, indent=2)
+    cut = text.index('\n  "valuations": []') + len('\n  "valuations": ')
+    return text[:cut] + valuations + text[cut + 2:] + "\n"
 
 
 # -- CSV export ----------------------------------------------------------------------

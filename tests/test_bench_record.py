@@ -1,7 +1,8 @@
-"""tools/bench_record.py: seed lists, alternation and the recorded file."""
+"""tools/bench_record.py: seed lists, alternation, the recorded files and the paired summary."""
 
 import importlib.util
 import json
+import statistics
 from pathlib import Path
 
 import pytest
@@ -64,3 +65,64 @@ def test_record_alternates_and_summarizes(tmp_path, monkeypatch, capsys):
     assert summary["metrics"]["jobs_per_s"]["n"] == 4
     parent = json.loads((out / "BENCH_pa.json").read_text())
     assert parent["summary"]["metrics"]["jobs_per_s"]["median"] == 2.5
+    paired = json.loads((out / "BENCH_ch_vs_pa.json").read_text())
+    assert paired["first"] == "pa" and paired["second"] == "ch" and paired["workload"] == "w"
+    jobs = paired["metrics"]["jobs_per_s"]
+    assert jobs["pairs"] == 4 and jobs["second_wins"] == 4
+    assert [r["ratio"] for r in jobs["seeds"]] == [10.0] * 4
+    assert jobs["gain_rule"] is False  # fewer than 10 pairs
+
+
+def synthetic(values: dict[int, dict[str, float]]) -> list[dict]:
+    """Runs as `run_once` records them, one per seed, with only metric values."""
+    return [
+        {"seed": seed, "result": {"metrics": {k: {"value": v, "unit": "u"} for k, v in ms.items()}}}
+        for seed, ms in values.items()
+    ]
+
+
+def test_end_to_end_directions_read_the_benchmark():
+    better = bench_record.end_to_end_directions()
+    assert better["jobs_per_s"] == "higher" and better["job_p50_s"] == "lower"
+    assert set(better) == {
+        "jobs_per_s", "valuations_per_s", "job_p50_s", "job_tail_s", "setup_s", "peak_rss_mb"
+    }
+
+
+def test_paired_summary_counts_wins_in_the_better_direction():
+    seeds = range(1, 11)
+    parent = synthetic({s: {"jobs_per_s": 100 + s, "job_p50_s": 0.010, "x.calls": 5} for s in seeds})
+    change = synthetic({
+        s: {
+            "jobs_per_s": 100 + s if s == 3 else 120 + s,  # seed 3 ties
+            "job_p50_s": 0.012 if s <= 2 else 0.008,  # lower is better: seeds 1, 2 lose
+            "x.calls": 1,
+        }
+        for s in seeds
+    })
+    summary = bench_record.paired_summary(parent, change, bench_record.end_to_end_directions())
+    assert set(summary) == {"jobs_per_s", "job_p50_s"}  # per-layer and absent metrics skipped
+    jobs = summary["jobs_per_s"]
+    assert jobs["better"] == "higher" and jobs["pairs"] == 10 and jobs["second_wins"] == 9
+    assert jobs["seeds"][0] == {"seed": 1, "first": 101, "second": 121, "ratio": 121 / 101}
+    assert jobs["seeds"][2]["ratio"] == 1.0
+    assert jobs["first_median"] == 105.5 and jobs["second_median"] == 125.5
+    q1, _, q3 = statistics.quantiles(range(101, 111), n=4)
+    assert jobs["first_iqr"] == q3 - q1
+    assert jobs["gain_rule"] is True
+    p50 = summary["job_p50_s"]
+    assert p50["second_wins"] == 8 and p50["gain_rule"] is False
+    assert p50["second_median"] == 0.008 and p50["first_iqr"] == 0.0
+
+
+def test_gain_rule_needs_the_median_beyond_the_parent_spread_and_ten_pairs():
+    better = {"jobs_per_s": "higher"}
+    parent = synthetic({s: {"jobs_per_s": 10.0 * s} for s in range(1, 11)})
+    slightly = synthetic({s: {"jobs_per_s": 10.0 * s + 1} for s in range(1, 11)})
+    summary = bench_record.paired_summary(parent, slightly, better)["jobs_per_s"]
+    assert summary["second_wins"] == 10 and summary["gain_rule"] is False
+    # nine seeds matched, each a large win: too few pairs
+    nine = synthetic({s: {"jobs_per_s": 1000.0} for s in range(2, 11)})
+    summary = bench_record.paired_summary(parent, nine, better)["jobs_per_s"]
+    assert summary["pairs"] == 9 and summary["second_wins"] == 9 and summary["gain_rule"] is False
+    assert [r["seed"] for r in summary["seeds"]] == list(range(2, 11))

@@ -3,10 +3,11 @@
 import hashlib
 import io
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 from fractions import Fraction as F
 
 import pytest
+from report_reference import reference_json
 
 from toricstab import valuations
 from toricstab.cli import main
@@ -199,13 +200,16 @@ def test_analyze_builds_one_battery(monkeypatch):
 def test_analyze_screen_equals_standalone_screen(q_fano_fans, corpus_fans):
     """The screen `analyze` reads off its profiles equals `screen_projective_space`,
     witnesses and verdict, on every Q-Fano test fan at radius 1 and on the
-    corpus surfaces at radius 4 (the singular witness fans among them)."""
+    corpus surfaces at radius 4 (the singular witness fans among them); the
+    report text equals the dumped reference dict on the same reports."""
     cases = [(fan, 1) for fan in q_fano_fans]
     cases += [(fan, 4) for fan in corpus_fans if fan.dimension <= 2]
     verdicts = set()
     for fan, radius in cases:
         screen = screen_projective_space(fan, radius)
-        assert analyze(fan, radius).projective_space_screen == screen, (fan.name, radius)
+        report = analyze(fan, radius)
+        assert report.projective_space_screen == screen, (fan.name, radius)
+        assert report_json(report) == reference_json(report), (fan.name, radius)
         verdicts.add(screen.verdict.split(":")[0])
     assert {"no witnesses", "witnesses on projective space (equality case)", "singular counterexample"} <= verdicts
 
@@ -359,6 +363,45 @@ def test_report_determinism(tmp_path, p123):
     assert parsed["degree"] == "6/1"
     assert parsed["alpha"]["alpha"] == "1/6"
     assert any("dreaminess" in a for a in parsed["assumptions"])
+
+
+def test_report_json_equals_the_reference(corpus_fans):
+    """The written report equals `json.dumps(report_dict(r), indent=2)` on every
+    corpus fan at radius 2 and on P4 at radius 4 (a 7.95 MB report)."""
+    cases = [(fan, 2) for fan in corpus_fans] + [(load_builtin_fan("P4"), 4)]
+    for fan, radius in cases:
+        report = analyze(fan, radius)
+        assert report_json(report) == reference_json(report), (fan.name, radius)
+
+
+@pytest.mark.parametrize("name", [
+    "@@VALUATIONS@@",
+    '"valuations"',
+    '\n  "valuations": []',
+    'quote " backslash \\ newline \n end',
+    "é☃",
+], ids=["sentinel", "key-name", "key-line", "escapes", "non-ascii"])
+def test_report_json_adversarial_fan_names(name):
+    """Names that mimic the valuations key or need escapes change nothing but
+    the encoded name: the valuations array is spliced in by position."""
+    report = analyze(parse_fan_spec({**P123_SPEC, "name": name}), 1)
+    text = report_json(report)
+    assert text == reference_json(report)
+    assert json.loads(text)["fan"] == name
+
+
+def test_report_json_refuses_inexact_rationals(p2):
+    """A float rational raises at the top level and inside a profile, also in
+    an orbit copy whose other members were rendered already."""
+    report = analyze(p2, 1)
+    with pytest.raises(InvariantViolation, match="not an exact rational"):
+        report_json(replace(report, degree=0.5))
+    profiles = list(report.profiles)
+    last = profiles[-1]
+    assert any(p.volume_fn is last.volume_fn for p in profiles[:-1])
+    profiles[-1] = replace(last, nef_threshold=0.5)
+    with pytest.raises(InvariantViolation, match="not an exact rational"):
+        report_json(replace(report, profiles=tuple(profiles)))
 
 
 # SHA-256 of whole reports, recorded from the slice-and-interpolate volume

@@ -19,7 +19,15 @@ the seed, the position of the run in the alternation, UTC start time, the
 provenance that `bench/run.py` prints on the line before its result (git
 SHA, SHA-256 of `src/`, Python, nproc), its speed factor and the result
 line itself.  `summary` gives each metric's median and quartiles over the
-runs, with `failed` and `attempted` summed.  Standard library only.
+runs, with `failed` and `attempted` summed.
+
+With exactly two checkouts it also rewrites `BENCH_<second>_vs_<first>.json`:
+for every end-to-end metric of `BENCHMARK.json`, the per-seed ratio
+second/first, both medians, the first side's interquartile range and the
+seeds the second side wins, in the direction that `better` names (ties
+count for neither side).  `gain_rule` records whether the second side wins
+at least 9 of every 10 seeds, over at least 10, and its median beats the
+first's by more than that range.  Standard library only.
 """
 
 from __future__ import annotations
@@ -71,6 +79,11 @@ def run_once(checkout: Path, workload: str, seed: int) -> dict:
     }
 
 
+def quartiles(xs: list[float]) -> tuple[float, float]:
+    q1, _, q3 = statistics.quantiles(xs, n=4) if len(xs) > 1 else (xs[0],) * 3
+    return q1, q3
+
+
 def summarize(runs: list[dict]) -> dict:
     """Median and quartiles of every metric, plus summed job counts."""
     values: dict[str, list[float]] = {}
@@ -81,7 +94,7 @@ def summarize(runs: list[dict]) -> dict:
             units[name] = m["unit"]
     metrics = {}
     for name, xs in values.items():
-        q1, _, q3 = statistics.quantiles(xs, n=4) if len(xs) > 1 else (xs[0],) * 3
+        q1, q3 = quartiles(xs)
         metrics[name] = {
             "median": statistics.median(xs), "q1": q1, "q3": q3, "n": len(xs), "unit": units[name],
         }
@@ -109,6 +122,58 @@ def write(label: str, workload: str, runs: list[dict]) -> None:
     Path(f"BENCH_{label}.json").write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
 
 
+def end_to_end_directions() -> dict[str, str]:
+    """Each end-to-end metric of the repository's BENCHMARK.json -> its `better`."""
+    path = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+    return {m["name"]: m["better"] for m in json.loads(path.read_text())["end_to_end"]}
+
+
+def paired_summary(first: list[dict], second: list[dict], better: dict[str, str]) -> dict:
+    """The second side's runs against the first's, seed by seed (module docstring)."""
+    first_by_seed = {run["seed"]: run["result"]["metrics"] for run in first}
+    metrics = {}
+    for name, direction in better.items():
+        pairs = [
+            (run["seed"], first_by_seed[run["seed"]][name]["value"], m[name]["value"])
+            for run in second
+            if name in (m := run["result"]["metrics"]) and name in first_by_seed.get(run["seed"], {})
+        ]
+        if not pairs:
+            continue
+        sign = 1 if direction == "higher" else -1
+        wins = sum(sign * (b - a) > 0 for _, a, b in pairs)
+        first_median = statistics.median(a for _, a, _ in pairs)
+        second_median = statistics.median(b for _, _, b in pairs)
+        q1, q3 = quartiles([a for _, a, _ in pairs])
+        metrics[name] = {
+            "better": direction,
+            "seeds": [
+                {"seed": seed, "first": a, "second": b, "ratio": b / a if a else None}
+                for seed, a, b in pairs
+            ],
+            "first_median": first_median,
+            "second_median": second_median,
+            "first_iqr": q3 - q1,
+            "pairs": len(pairs),
+            "second_wins": wins,
+            "gain_rule": len(pairs) >= 10 and 10 * wins >= 9 * len(pairs)
+            and sign * (second_median - first_median) > q3 - q1,
+        }
+    return metrics
+
+
+def write_paired(labels: list[str], workload: str, runs: dict[str, list[dict]]) -> None:
+    first, second = labels
+    document = {
+        "first": first,
+        "second": second,
+        "workload": workload,
+        "metrics": paired_summary(runs[first], runs[second], end_to_end_directions()),
+    }
+    path = Path(f"BENCH_{second}_vs_{first}.json")
+    path.write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True)
@@ -127,6 +192,8 @@ def main(argv=None) -> int:
             run["position"] = position
             runs[label].append(run)
             write(label, args.workload, runs[label])
+            if len(labels) == 2:
+                write_paired(labels, args.workload, runs)
             metrics = run["result"]["metrics"]
             print(
                 f"{label} seed {seed}: "
