@@ -1,12 +1,8 @@
 """Command-line interface.
 
-Commands: analyze, beta, alpha, volfn, screen, verify.
-Exit codes: 0 success, 1 verification mismatch, 2 parse error or an
-unreadable input / unwritable output file, 3 invariant violation, 4 budget
-exceeded, 5 internal error (a failed internal consistency check, or an
-exact computation that cannot finish: a discontinuous or negative piecewise
-polynomial, m-th roots that brackets cannot separate and that cannot be in
-exact arithmetic progression).  Every failure is one line on stderr.
+Commands: analyze, beta, alpha, volfn, screen, verify.  Exit codes: 0
+success, 1 verification mismatch, 2 to 5 for a failure as `errors` states.
+Every failure is one line on stderr.
 """
 
 from __future__ import annotations
@@ -16,7 +12,7 @@ import json
 import sys
 
 from .alpha import alpha_invariant
-from .errors import BudgetExceeded, InvariantViolation, ParseError
+from .errors import ParseError, ToricstabError
 from .valuations import ToricValuation, valuation_profile
 from .verification import run_builtin_suite
 from .workbench import (
@@ -168,15 +164,9 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ParseError as exc:
+    except ToricstabError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InvariantViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return exc.exit_code
     except AssertionError as exc:
         print(f"internal error: {str(exc) or 'assertion failed'}", file=sys.stderr)
         return 5

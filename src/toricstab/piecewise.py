@@ -15,7 +15,8 @@ exactly when B_i <= floor(p*D/q), so locating it is one floor division and
 an integer bisection; the value there is the homogeneous Horner sum
 sum_k c_k p^k q^(d-k)  over e * q^d, with d the piece degree.  One
 Fraction is built per value returned, and the root-concavity comparison
-works on the (numerator, denominator) pairs.
+works on the (numerator, denominator) pairs; its equality branch is an
+integer identity on a piece's numerators c_k, with no memo.
 
 Continuity at construction and `is_c1` compare the two pieces' Horner
 sums at each interior breakpoint B_i / D by cross-multiplication (for C^1,
@@ -84,26 +85,6 @@ def lagrange_interpolate(points: Sequence[tuple[Fraction, Fraction]]) -> Poly:
         for k, c in enumerate(basis):
             coeffs[k] += w * c
     return poly_trim(coeffs)
-
-
-def poly_linear_power(coeffs: Poly, m: int) -> tuple[Fraction, Fraction] | None:
-    """Decompose a polynomial as c*(x + r)^m with rational c != 0 and r.
-
-    Returns (c, r) when the decomposition exists, else None.  Such a piece
-    has an affine m-th root wherever it is nonnegative (for even m the sign
-    of c must be positive; odd m allows decreasing roots with c < 0), which
-    is the exact-equality branch of root-concavity comparisons.
-    """
-    cs = poly_trim(coeffs)
-    if len(cs) != m + 1:
-        return None
-    c = cs[m]
-    if c == 0 or (c < 0 and m % 2 == 0):
-        return None
-    r = cs[m - 1] / (m * c)
-    # verify the full binomial expansion: coefficient of x^i is C(m,i) r^(m-i)
-    expect = tuple(c * math.comb(m, i) * r ** (m - i) for i in range(m + 1))
-    return (c, r) if expect == cs else None
 
 
 def spline_cdf_jumps(knots: Sequence[int]) -> dict[int, tuple[int, list[int]]]:
@@ -210,11 +191,6 @@ class PiecewisePolynomial:
             out.append((den, tuple(c.numerator * (den // c.denominator) for c in piece)))
         return tuple(out)
 
-    @cached_property
-    def _affine_roots(self) -> dict[tuple[int, int], Optional[tuple[int, int]]]:
-        """(piece index, m) -> r when the piece is c*(x + r)^m, else None; filled on demand."""
-        return {}
-
     def _locate(self, p: int, q: int) -> int:
         """Index of the piece holding x = p/q (q > 0); ValueError outside the domain."""
         den, grid = self._grid
@@ -246,13 +222,21 @@ class PiecewisePolynomial:
         return i if i == j else None
 
     def _affine_root(self, i: int, m: int) -> Optional[tuple[int, int]]:
-        """r as (numerator, denominator) if piece i is c*(x + r)^m (`poly_linear_power`), else None."""
-        key = (i, m)
-        cache = self._affine_roots
-        if key not in cache:
-            found = poly_linear_power(self.pieces[i], m)
-            cache[key] = None if found is None else (found[1].numerator, found[1].denominator)
-        return cache[key]
+        """r as (numerator, positive denominator) if piece i is c*(x + r)^m, else None.
+
+        On the piece's numerators (c_0, ..., c_d): d = m, c_m > 0 for even m, and
+        c_k (m c_m)^(m-k) = C(m, k) c_m c_(m-1)^(m-k) for every k (by itself for
+        k >= m - 1), the binomial expansion with r = c_(m-1) / (m c_m) cleared.
+        """
+        cs = self._int_pieces[i][1]
+        if len(cs) != m + 1 or (m % 2 == 0 and cs[m] < 0):
+            return None
+        top, sub = cs[m], cs[m - 1]
+        scale = m * top
+        for k in range(m - 1):
+            if cs[k] * scale ** (m - k) != math.comb(m, k) * top * sub ** (m - k):
+                return None
+        return (sub, scale) if scale > 0 else (-sub, -scale)
 
     def _values_at(self, i: int, pieces) -> list[tuple[int, int]]:
         """Pieces i - 1 and i of an integer form at breakpoint i, as (numerator, denominator)."""
@@ -344,17 +328,18 @@ def midpoint_root_concave(fn: PiecewisePolynomial, m: int, x: Fraction, y: Fract
     Roots are compared through integer brackets of width 10^-12 ... 10^-96
     (`root_floor`) until separated; the genuine equality case (fn a perfect
     m-th power c (x + r)^m over [x, y], with x + r of one sign there when m
-    is even: c^(1/m) |x + r| is V-shaped) is recognized
-    algebraically, so no comparison is ever decided by tolerance alone.  Roots the brackets cannot separate
-    may still be exactly in arithmetic progression across pieces.  Divided
-    by fn(mid)^(1/m) that reads 2 = r_a + r_b with r_a = (fn(x)/fn(mid))^(1/m)
+    is even: c^(1/m) |x + r| is V-shaped) is the integer identity of
+    `_affine_root` on the one piece's numerators, so no comparison is ever
+    decided by tolerance alone.  Roots the brackets cannot separate may
+    still be exactly in arithmetic progression across pieces.  Divided by
+    fn(mid)^(1/m) that reads 2 = r_a + r_b with r_a = (fn(x)/fn(mid))^(1/m)
     and r_b likewise; real m-th roots of positive rationals from distinct
     classes modulo (Q*)^m are linearly independent over Q (Besicovitch,
     1940), so it can hold only when both ratios are perfect m-th powers of
-    rationals.  Then 2 >= r_a + r_b is compared exactly (and fn(mid) = 0
-    gives True only when fn(x) = fn(y) = 0); otherwise ArithmeticError is
-    raised.  The sign, equality and m = 1 tests cross-multiply the values'
-    integer numerators and denominators.
+    rationals (`_rational_root`).  Then 2 >= r_a + r_b is compared exactly
+    (and fn(mid) = 0 gives True only when fn(x) = fn(y) = 0); otherwise
+    ArithmeticError is raised.  Every test cross-multiplies integers; a
+    Fraction is built only for that error's message.
     """
     x, y = _fraction(x), _fraction(y)
     xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
@@ -384,15 +369,20 @@ def midpoint_root_concave(fn: PiecewisePolynomial, m: int, x: Fraction, y: Fract
     # roots this close: an exact equality is possible only with rational ratios
     if nm == 0:
         return na == nb == 0
-    ra = _rational_root(Fraction(na * dm, da * nm), m)
-    rb = _rational_root(Fraction(nb * dm, db * nm), m)
+    ra = _rational_root(na * dm, da * nm, m)
+    rb = _rational_root(nb * dm, db * nm, m)
     if ra is None or rb is None:
         values = ", ".join(str(Fraction(n, d)) for n, d in ((na, da), (nm, dm), (nb, db)))
         raise ArithmeticError(f"m-th roots of {values} not separable at width 1e-96")
-    return 2 >= ra + rb
+    return 2 * ra[1] * rb[1] >= ra[0] * rb[1] + rb[0] * ra[1]
 
 
-def _rational_root(q: Fraction, m: int) -> Optional[Fraction]:
-    """q^(1/m) when it is rational, else None."""
-    num, den = int_nth_root(q.numerator, m), int_nth_root(q.denominator, m)
-    return Fraction(num, den) if (num**m, den**m) == (q.numerator, q.denominator) else None
+def _rational_root(num: int, den: int, m: int) -> Optional[tuple[int, int]]:
+    """(num / den)^(1/m) as (numerator, denominator) when it is rational, else None.
+
+    For num >= 0 and den > 0: in lowest terms, both must be perfect m-th powers.
+    """
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
+    a, b = int_nth_root(num, m), int_nth_root(den, m)
+    return (a, b) if (a**m, b**m) == (num, den) else None

@@ -1,10 +1,11 @@
 """Fraction reference implementations kept as oracles for the tests.
 
 The package evaluates, differentiates and integrates piecewise polynomials,
-and computes spline jumps, in integers over common denominators; the plain
-Fraction versions it replaced live here.  So do the geometric queries the
-package no longer needs: cone coordinates of a vector, solved one maximal
-cone at a time, the walls of a fan and half-space membership in a polytope.
+computes spline jumps and recognizes pieces of the form c*(x + r)^m in
+integers over common denominators; the plain Fraction versions it replaced
+live here.  So do the geometric queries the package no longer needs: cone
+coordinates of a vector, solved one maximal cone at a time, the walls of a
+fan and half-space membership in a polytope.
 The lattice points of a dilated polytope are found by the Fraction scan of
 its bounding box that the package's integer scan replaced.
 """
@@ -78,6 +79,25 @@ def poly_derivative(coeffs):
 
 def poly_antiderivative(coeffs):
     return poly_trim([Fraction(0)] + [c / (k + 1) for k, c in enumerate(coeffs)])
+
+
+def poly_linear_power(coeffs, m):
+    """(c, r) when a polynomial is c*(x + r)^m with rational c != 0 and r, else None.
+
+    The Fraction test the package's integer `_affine_root` replaced: for
+    even m the sign of c must be positive (odd m allows decreasing roots
+    with c < 0), and the full binomial expansion is compared coefficient by
+    coefficient.
+    """
+    cs = poly_trim(coeffs)
+    if len(cs) != m + 1:
+        return None
+    c = cs[m]
+    if c == 0 or (c < 0 and m % 2 == 0):
+        return None
+    r = cs[m - 1] / (m * c)
+    expect = tuple(c * math.comb(m, i) * r ** (m - i) for i in range(m + 1))
+    return (c, r) if expect == cs else None
 
 
 def poly_from_shifted(coeffs, shift):

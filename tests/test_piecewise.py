@@ -13,6 +13,7 @@ from fraction_oracles import (
     poly_derivative,
     poly_eval,
     poly_from_shifted,
+    poly_linear_power,
 )
 from fraction_oracles import spline_cdf_jumps as oracle_spline_cdf_jumps
 from toricstab.piecewise import (
@@ -21,7 +22,6 @@ from toricstab.piecewise import (
     lagrange_interpolate,
     midpoint_root_concave,
     nth_root_bounds,
-    poly_linear_power,
     poly_trim,
     spline_cdf_jumps,
 )
@@ -129,17 +129,76 @@ def test_nth_root_bounds_bracket():
     assert lo == hi == 2 or (lo**3 <= 8 <= hi**3)
 
 
+def integer_affine_root(p, m):
+    """`_affine_root` on p as the one piece of a function on [0, 1], as a Fraction or None."""
+    r = PiecewisePolynomial((F(0), F(1)), (p,))._affine_root(0, m)
+    if r is None:
+        return None
+    assert type(r[0]) is int and type(r[1]) is int and r[1] > 0
+    return F(*r)
+
+
 def test_poly_linear_power():
-    # (x - 6)^2
-    assert poly_linear_power((F(36), F(-12), F(1)), 2) == (F(1), F(-6))
-    # (5 - x)^3 = -(x - 5)^3: odd power with negative leading coefficient
-    assert poly_linear_power((F(125), F(-75), F(15), F(-1)), 3) == (F(-1), F(-5))
-    # 2(x+1)^2
-    assert poly_linear_power((F(2), F(4), F(2)), 2) == (F(2), F(1))
-    # x^2 + 1 is not a linear power
-    assert poly_linear_power((F(1), F(0), F(1)), 2) is None
-    # negative leading with even power cannot be nonnegative
-    assert poly_linear_power((F(-1), F(0), F(-1)), 2) is None
+    cases = [
+        # (x - 6)^2
+        ((F(36), F(-12), F(1)), 2, (F(1), F(-6))),
+        # (5 - x)^3 = -(x - 5)^3: odd power with negative leading coefficient
+        ((F(125), F(-75), F(15), F(-1)), 3, (F(-1), F(-5))),
+        # 2(x+1)^2
+        ((F(2), F(4), F(2)), 2, (F(2), F(1))),
+        # x^2 + 1 is not a linear power
+        ((F(1), F(0), F(1)), 2, None),
+        # negative leading with even power cannot be nonnegative
+        ((F(-1), F(0), F(-1)), 2, None),
+    ]
+    for p, m, expected in cases:
+        assert poly_linear_power(p, m) == expected
+        assert integer_affine_root(p, m) == (None if expected is None else expected[1])
+
+
+def test_affine_root_matches_the_fraction_expansion():
+    """The integer identity against `poly_linear_power`: on random c*(x + r)^m
+    with c of both signs, on each of them with one coefficient nudged, and on
+    every piece of every restricted volume of the criterion-6 battery at
+    m = n - 1 and m = 2."""
+    from toricstab.corpus import builtin_fan_specs
+    from toricstab.valuations import restricted_volume
+    from toricstab.verification import concavity_battery
+    from toricstab.workbench import load_builtin_fan
+
+    def agree(p, m):
+        expected = poly_linear_power(p, m)
+        assert integer_affine_root(p, m) == (None if expected is None else expected[1]), (p, m)
+        return expected is not None
+
+    rng = random.Random(1940)
+    powers = set()
+    nudged_powers = battery_powers = 0
+    for _ in range(400):
+        m = rng.randint(2, 5)
+        c = F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 7))
+        r = F(rng.randint(-12, 12), rng.randint(1, 6))
+        p = poly_from_shifted([F(0)] * m + [c], -r)
+        assert poly_linear_power(p, m) == (None if c < 0 and m % 2 == 0 else (c, r))
+        powers.add((m % 2, c > 0, agree(p, m)))
+        nudged = list(p)
+        nudged[rng.randrange(m + 1)] += F(rng.choice((-1, 1)), rng.randint(1, 50))
+        nudged_powers += agree(poly_trim(nudged), m)
+    checked = 0
+    for name in builtin_fan_specs():
+        fan = load_builtin_fan(name)
+        if fan.dimension < 2:
+            continue
+        for val in concavity_battery(fan):
+            for piece in restricted_volume(val).pieces:
+                for m in {fan.dimension - 1, 2}:
+                    battery_powers += agree(piece, m)
+                    checked += 1
+    # every sign and parity of c, the even-m negative case refused
+    assert powers == {(0, True, True), (0, False, False), (1, True, True), (1, False, True)}
+    # a nudge keeps a power only in rare cases such as c'*x^m from c*x^m
+    assert nudged_powers == 3
+    assert (battery_powers, checked) == (158, 420)
 
 
 def test_midpoint_root_concave_strict_cases():
