@@ -109,10 +109,14 @@ class ToricValuation:
     def _values(self) -> tuple[int, list[int]]:
         """(D, D <v, w> for each vertex v of P): the one integer row every invariant reads."""
         poly = self.fan.anticanonical_polytope()
-        values = poly.vertex_values(self.w)
-        if min(values) >= 0:
-            raise AssertionError(f"log discrepancy of {self.w} not positive")
-        return poly.vertex_matrix[0], values
+        return poly.vertex_matrix[0], positive_row(self.w, poly.vertex_values(self.w))
+
+
+def positive_row(w: LatticeVec, values: list[int]) -> list[int]:
+    """w's vertex row, once checked to give a positive A(w) = -min / D."""
+    if min(values) >= 0:
+        raise AssertionError(f"log discrepancy of {w} not positive")
+    return values
 
 
 def log_discrepancy(val: ToricValuation) -> Fraction:
@@ -132,15 +136,19 @@ def pseff_threshold(val: ToricValuation) -> Fraction:
     return Fraction(max(values) - min(values), d)
 
 
-def meets_equality_bound(val: ToricValuation) -> bool:
+def row_meets_equality_bound(n: int, values: list[int]) -> bool:
     """The equality-case hypothesis A(w) >= (n/(n+1)) tau(w), decided in integers.
 
     Since tau = A + max_P <u, w>, the bound is equivalent to A >= n max_P <u, w>,
-    and with A = -min / D and max_P <u, w> = max / D over the row that is
-    -min >= n * max.  No Fraction is built.
+    and with A = -min / D and max_P <u, w> = max / D over w's vertex row
+    `values` in dimension n, that is -min >= n * max.  No Fraction is built.
     """
-    _, values = val._values
-    return -min(values) >= val.fan.dimension * max(values)
+    return -min(values) >= n * max(values)
+
+
+def meets_equality_bound(val: ToricValuation) -> bool:
+    """`row_meets_equality_bound` on the valuation's own row."""
+    return row_meets_equality_bound(val.fan.dimension, val._values[1])
 
 
 def equality_bound_vertices(fan: Fan) -> list[int]:

@@ -7,14 +7,15 @@ emitted reports are serialized as exact "p/q" strings; reports are
 byte-deterministic for a fixed input.
 
 The projective-space screen refuses a bad radius or an over-budget battery
-first, then builds no battery at all when no vertex of the anticanonical
-polytope can meet the equality-case bound at any radius
-(`equality_bound_vertices`).
+first, then scans no battery vector when no vertex of the anticanonical
+polytope can meet the equality-case bound at any radius, and otherwise builds
+a `ToricValuation` only for the vectors whose integer vertex row meets it.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import operator
 import warnings
 from dataclasses import dataclass, replace
@@ -29,7 +30,7 @@ from .alpha import AlphaResult, alpha_invariant
 from .corpus import builtin_fan_specs
 from .errors import BudgetExceeded, InvariantViolation, ParseError
 from .fans import Fan
-from .lattice import RatVec, gcd_vec
+from .lattice import RatVec
 from .piecewise import PiecewisePolynomial
 from .polytopes import default_oracle_budget
 from .valuations import (
@@ -39,8 +40,10 @@ from .valuations import (
     equality_bound_vertices,
     log_discrepancy,
     meets_equality_bound,
+    positive_row,
     pseff_threshold,
     restricted_volume,
+    row_meets_equality_bound,
     valuation_profile,
     volume_function,
 )
@@ -126,18 +129,19 @@ def check_battery_radius(fan: Fan, radius: int) -> None:
         raise BudgetExceeded(f"oracle budget exceeded: radius-{radius} battery scans {box} points")
 
 
-def valuation_battery(fan: Fan, radius: int) -> list[ToricValuation]:
+def battery_vectors(fan: Fan, radius: int) -> list[tuple[int, ...]]:
     """All primitive integer vectors of max-norm <= radius, in shell-lex order.
 
     Raises before any work when `check_battery_radius` refuses the radius.
     """
     check_battery_radius(fan, radius)
-    vectors = []
-    for w in product(range(-radius, radius + 1), repeat=fan.dimension):
-        if any(w) and gcd_vec(w) == 1:
-            vectors.append(w)
-    vectors.sort(key=lambda w: (max(abs(x) for x in w), w))
-    return [ToricValuation(fan, w) for w in vectors]
+    box = product(range(-radius, radius + 1), repeat=fan.dimension)
+    return sorted((w for w in box if math.gcd(*w) == 1), key=lambda w: (max(map(abs, w)), w))
+
+
+def valuation_battery(fan: Fan, radius: int) -> list[ToricValuation]:
+    """The `battery_vectors` as validated valuations, for `analyze` and `verify`."""
+    return [ToricValuation(fan, w) for w in battery_vectors(fan, radius)]
 
 
 # -- projective-space screening --------------------------------------------------
@@ -161,8 +165,9 @@ class ScreenResult:
     decided in integers as A >= n max_P <u, w> (`meets_equality_bound`).
     The standalone screen first checks the radius and the battery budget,
     then skips the battery when no vertex of P can meet the bound at any
-    radius (`equality_bound_vertices`); otherwise it computes beta only for
-    the valuations that meet it, and A and tau only for the witnesses.
+    radius (`equality_bound_vertices`); otherwise it builds a valuation and
+    its beta only for the battery vectors whose vertex row meets the bound,
+    and A and tau only for the witnesses.
     `analyze` tests the bound per w on its own battery and reads all three
     off the orbit profiles it already has.
     """
@@ -208,10 +213,12 @@ def screen_projective_space(fan: Fan, radius: int = 4) -> ScreenResult:
     check_battery_radius(fan, radius)
     if not equality_bound_vertices(fan):
         return _screen_result(fan, radius, [])
+    poly, n = fan.anticanonical_polytope(), fan.dimension
     witnesses = []
-    for val in valuation_battery(fan, radius):
-        if meets_equality_bound(val) and (beta := beta_invariant(val)) <= 0:
-            witnesses.append(ScreenWitness(val.w, log_discrepancy(val), pseff_threshold(val), beta))
+    for w in battery_vectors(fan, radius):
+        if row_meets_equality_bound(n, positive_row(w, poly.vertex_values(w))):
+            if (beta := beta_invariant(val := ToricValuation(fan, w))) <= 0:
+                witnesses.append(ScreenWitness(w, log_discrepancy(val), pseff_threshold(val), beta))
     return _screen_result(fan, radius, witnesses)
 
 

@@ -4,8 +4,8 @@ The package evaluates, differentiates and integrates piecewise polynomials,
 computes spline jumps and recognizes pieces of the form c*(x + r)^m in
 integers over common denominators; the plain Fraction versions it replaced
 live here.  So do the geometric queries the package no longer needs: cone
-coordinates of a vector, solved one maximal cone at a time, the walls of a
-fan and half-space membership in a polytope.
+coordinates of a vector, from each maximal cone's Fraction inverse, the
+walls of a fan and half-space membership in a polytope.
 The lattice points of a dilated polytope are found by the Fraction scan of
 its bounding box that the package's integer scan replaced.
 """
@@ -13,24 +13,40 @@ its bounding box that the package's integer scan replaced.
 import math
 import operator
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, product
 
 from toricstab.lattice import dot, solve_linear
 from toricstab.piecewise import poly_trim
 
 
+@cache
+def _cone_inverses(fan):
+    """Per maximal cone, the Fraction inverse of its ray-column matrix, solved
+    by `solve_linear` against each of the n unit vectors once per fan, as
+    (d, rows): integer rows over the common denominator d of its entries."""
+    n = fan.dimension
+    inverses = []
+    for cone in fan.max_cones:
+        columns = [[fan.rays[j][i] for j in cone] for i in range(n)]
+        solved = [solve_linear(columns, [int(i == k) for i in range(n)]) for k in range(n)]
+        d = math.lcm(*(x.denominator for col in solved for x in col))
+        rows = tuple(zip(*([x.numerator * (d // x.denominator) for x in col] for col in solved)))
+        inverses.append((d, rows))
+    return tuple(inverses)
+
+
 def cone_coordinates(fan, w):
     """(index of the first maximal cone containing w, w's coordinates in its rays).
 
-    Each cone's ray-column system is solved by `solve_linear`; the first
-    cone giving nonnegative coordinates contains w.
+    The coordinates in a cone are its inverse (`_cone_inverses`) times w,
+    summed over the inverse's denominator d > 0; the first cone giving
+    nonnegative coordinates contains w.
     """
-    n = fan.dimension
-    for ci, cone in enumerate(fan.max_cones):
-        columns = [[fan.rays[j][i] for j in cone] for i in range(n)]
-        coords = solve_linear(columns, list(w))
+    for ci, (d, rows) in enumerate(_cone_inverses(fan)):
+        coords = [sum(map(operator.mul, row, w)) for row in rows]
         if all(c >= 0 for c in coords):
-            return ci, coords
+            return ci, tuple(Fraction(c, d) for c in coords)
     raise AssertionError(f"no maximal cone contains {tuple(w)}")
 
 

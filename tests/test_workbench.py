@@ -8,11 +8,13 @@ from fractions import Fraction as F
 
 import pytest
 from report_reference import reference_json
+from screen_reference import reference_battery_vectors, reference_screen_witnesses
 
 from toricstab import valuations
 from toricstab.cli import main
 from toricstab.errors import BudgetExceeded, InvariantViolation, ParseError
 from toricstab.corpus import builtin_fan_specs
+from toricstab.polytopes import RationalPolytope
 from toricstab.valuations import (
     ToricValuation,
     beta_invariant,
@@ -20,7 +22,9 @@ from toricstab.valuations import (
     valuation_profile,
 )
 from toricstab.workbench import (
+    _screen_result,
     analyze,
+    battery_vectors,
     export_volume_csv,
     load_builtin_fan,
     load_fan,
@@ -133,6 +137,17 @@ def test_battery_bounded_by_the_oracle_budget(monkeypatch, p2):
     with pytest.raises(BudgetExceeded, match="radius-5 battery scans 121 points"):
         valuation_battery(p2, 5)
     assert len(valuation_battery(p2, 4)) == 48
+
+
+def test_battery_vectors_match_the_reference_generator():
+    """The gcd filter and sort key give the old generator's list, order
+    included, for n = 1..4 at radius 1..3; `valuation_battery` wraps it."""
+    for name in ("P1", "P2", "P3", "P4"):
+        fan = load_builtin_fan(name)
+        for radius in (1, 2, 3):
+            vectors = battery_vectors(fan, radius)
+            assert vectors == reference_battery_vectors(fan.dimension, radius), (name, radius)
+            assert [v.w for v in valuation_battery(fan, radius)] == vectors
 
 
 # -- analyze -----------------------------------------------------------------
@@ -326,17 +341,54 @@ def test_screen_smooth_non_pn_has_no_witnesses():
 
 
 def test_screen_skips_the_battery_without_a_qualifying_vertex(monkeypatch):
-    """No vertex of P1xP1 or dP6 can meet the bound, so the screen builds no battery."""
+    """No vertex of P1xP1 or dP6 can meet the bound, so the screen generates no
+    battery vector; on P2, whose vertices qualify, the same patch is hit."""
     import toricstab.workbench as workbench
 
     def refuse(*args):
         raise AssertionError("the screen built a battery")
 
-    monkeypatch.setattr(workbench, "valuation_battery", refuse)
+    monkeypatch.setattr(workbench, "battery_vectors", refuse)
     for name in ("P1xP1", "dP6"):
         screen = screen_projective_space(load_builtin_fan(name), radius=4)
         assert screen.witnesses == ()
         assert screen.verdict == "no witnesses"
+    with pytest.raises(AssertionError, match="the screen built a battery"):
+        screen_projective_space(load_builtin_fan("P2"), radius=4)
+
+
+def test_screen_on_bare_vectors_equals_the_valuation_loop(q_fano_fans, p2, p3):
+    """The screen's witnesses, their order and its verdict equal the old loop's
+    (a `ToricValuation` per battery vector, `meets_equality_bound`, then beta,
+    with no pre-test) on every Q-Fano test fan at radius 2 (1 above dimension
+    3), and on P2 at radius 10 and P3 at radius 3, the bench radii."""
+    cases = [(fan, 2 if fan.dimension <= 3 else 1) for fan in q_fano_fans]
+    cases += [(p2, 10), (p3, 3)]
+    verdicts = set()
+    for fan, radius in cases:
+        screen = screen_projective_space(fan, radius)
+        witnesses = reference_screen_witnesses(fan, radius)
+        assert screen.witnesses == witnesses, (fan.name, radius)
+        assert screen == _screen_result(fan, radius, witnesses), (fan.name, radius)
+        verdicts.add(screen.verdict.split(":")[0])
+    assert {"no witnesses", "witnesses on projective space (equality case)", "singular counterexample"} <= verdicts
+
+
+def test_screen_checks_positivity_on_every_battery_vector(monkeypatch, p2):
+    """A vertex row with min >= 0 raises the positivity error in the screen,
+    also for a vector that does not meet the bound (the last of the radius-2
+    battery), so the check runs before the bound decides anything."""
+    last = battery_vectors(p2, 2)[-1]
+    assert last == (2, 1) and not meets_equality_bound(ToricValuation(p2, last))
+    original = RationalPolytope.vertex_values
+
+    def values(self, w):
+        row = original(self, w)
+        return [abs(s) for s in row] if tuple(w) == last else row
+
+    monkeypatch.setattr(RationalPolytope, "vertex_values", values)
+    with pytest.raises(AssertionError, match=r"^log discrepancy of \(2, 1\) not positive$"):
+        screen_projective_space(p2, 2)
 
 
 def test_screen_skip_keeps_the_radius_guards(monkeypatch, tmp_path, capsys):
