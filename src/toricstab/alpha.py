@@ -49,8 +49,8 @@ def alpha_invariant(fan: Fan) -> AlphaResult:
     argmax_vertices = []
     for ray in fan.rays:
         values = poly.vertex_values(ray)
-        # ties go to the lexicographically largest vertex
-        k = max(range(len(values)), key=lambda i: (values[i], poly.vertices[i]))
+        # ties go to the lexicographically largest vertex: its row D * u, as D > 0
+        k = max(range(len(values)), key=lambda i: (values[i], rows[i]))
         thresholds.append(1 + Fraction(values[k], d))
         argmax_vertices.append(k)
     worst = max(range(len(fan.rays)), key=lambda j: (thresholds[j], -j))

@@ -15,8 +15,9 @@ exactly when B_i <= floor(p*D/q), so locating it is one floor division and
 an integer bisection; the value there is the homogeneous Horner sum
 sum_k c_k p^k q^(d-k)  over e * q^d, with d the piece degree.  One
 Fraction is built per value returned, and the root-concavity comparison
-works on the (numerator, denominator) pairs; its equality branch is an
-integer identity on a piece's numerators c_k, with no memo.
+works on the (numerator, denominator) pairs: in closed form for m <= 3, by
+integer root brackets for m >= 4, where its equality branch is an integer
+identity on a piece's numerators c_k, with no memo.
 
 Continuity at construction and `is_c1` compare the two pieces' Horner
 sums at each interior breakpoint B_i / D by cross-multiplication (for C^1,
@@ -323,12 +324,21 @@ def nth_root_bounds(f: Fraction, m: int, scale: int) -> tuple[Fraction, Fraction
 
 
 def midpoint_root_concave(fn: PiecewisePolynomial, m: int, x: Fraction, y: Fraction) -> bool:
-    """Exact test of fn(mid)^(1/m) >= (fn(x)^(1/m) + fn(y)^(1/m)) / 2.
+    """Exact test of fn(mid)^(1/m) >= (fn(x)^(1/m) + fn(y)^(1/m)) / 2, for m >= 1.
 
-    Roots are compared through integer brackets of width 10^-12 ... 10^-96
-    (`root_floor`) until separated; the genuine equality case (fn a perfect
-    m-th power c (x + r)^m over [x, y], with x + r of one sign there when m
-    is even: c^(1/m) |x + r| is V-shaped) is the integer identity of
+    With a, b, c the values at x, mid, y over one positive denominator and
+    t = 2^m b - a - c, m <= 3 is decided with no root taken: t >= 0 for
+    m = 1; t >= 0 and t^2 >= 4ac (squared once) for m = 2; t^3 >= 216abc,
+    so also t >= 0, for m = 3.  The last is the identity
+    u^3 + v^3 + w^3 - 3uvw = (u + v + w)((u - v)^2 + (v - w)^2 + (w - u)^2) / 2
+    at u = a^(1/3), v = c^(1/3), w = -2 b^(1/3): u + v + w <= 0 exactly when
+    a + c - 8b + 6 (abc)^(1/3) <= 0, the second factor being 0 only at
+    a = b = c = 0.  No such single-radical identity exists for m >= 4.
+
+    There roots are compared through integer brackets of width 10^-12 ...
+    10^-96 (`root_floor`) until separated; the genuine equality case (fn a
+    perfect m-th power c (x + r)^m over [x, y], with x + r of one sign there
+    when m is even: c^(1/m) |x + r| is V-shaped) is the integer identity of
     `_affine_root` on the one piece's numerators, so no comparison is ever
     decided by tolerance alone.  Roots the brackets cannot separate may
     still be exactly in arithmetic progression across pieces.  Divided by
@@ -338,8 +348,9 @@ def midpoint_root_concave(fn: PiecewisePolynomial, m: int, x: Fraction, y: Fract
     1940), so it can hold only when both ratios are perfect m-th powers of
     rationals (`_rational_root`).  Then 2 >= r_a + r_b is compared exactly
     (and fn(mid) = 0 gives True only when fn(x) = fn(y) = 0); otherwise
-    ArithmeticError is raised.  Every test cross-multiplies integers; a
-    Fraction is built only for that error's message.
+    ArithmeticError is raised, so never for m <= 3.  Every test
+    cross-multiplies integers; a Fraction is built only for that error's
+    message.
     """
     x, y = _fraction(x), _fraction(y)
     xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
@@ -348,8 +359,15 @@ def midpoint_root_concave(fn: PiecewisePolynomial, m: int, x: Fraction, y: Fract
     (na, da), (nm, dm), (nb, db) = fn._value(xn, xd), fn._value(mn // g, md // g), fn._value(yn, yd)
     if na < 0 or nm < 0 or nb < 0:
         raise ValueError("root concavity needs nonnegative values")
-    if m == 1:
-        return 2 * nm * da * db >= (na * db + nb * da) * dm
+    if m <= 3:
+        # 2 b^(1/m) >= a^(1/m) + c^(1/m) over one positive denominator, no root taken
+        a, b, c = na * dm * db, nm * da * db, nb * da * dm
+        t = 2**m * b - a - c
+        if m == 1:
+            return t >= 0
+        if m == 2:
+            return t >= 0 and t * t >= 4 * a * c
+        return t**3 >= 216 * a * b * c  # false for t < 0, as abc >= 0
     if na * dm == nm * da and nm * db == nb * dm:
         return True
     i = fn._sole_piece(x, y)

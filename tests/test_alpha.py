@@ -2,7 +2,7 @@
 
 from fractions import Fraction as F
 
-from toricstab.alpha import alpha_invariant, alpha_stability_gate
+from toricstab.alpha import AlphaResult, alpha_invariant, alpha_stability_gate
 from toricstab.lattice import dot
 from toricstab.valuations import ToricValuation, beta_invariant, pseff_threshold
 from toricstab.workbench import (
@@ -88,3 +88,39 @@ def test_high_alpha_forces_nonnegative_beta(corpus_fans):
             assert all(
                 beta_invariant(v) >= 0 for v in valuation_battery(fan, radius)
             ), fan.name
+
+
+def alpha_with_fraction_tie_break(fan):
+    """`alpha_invariant` with its ties broken on the Fraction vertices, as before
+    the integer rows D * u took their place."""
+    poly = fan.anticanonical_polytope()
+    d, rows = poly.vertex_matrix
+    thresholds, argmax_vertices = [], []
+    for ray in fan.rays:
+        values = poly.vertex_values(ray)
+        k = max(range(len(values)), key=lambda i: (values[i], poly.vertices[i]))
+        thresholds.append(1 + F(values[k], d))
+        argmax_vertices.append(k)
+    worst = max(range(len(fan.rays)), key=lambda j: (thresholds[j], -j))
+    k = argmax_vertices[worst]
+    return AlphaResult(
+        alpha=1 / thresholds[worst],
+        witness_ray_index=worst,
+        witness_divisor=tuple(1 + F(dot(rows[k], ray), d) for ray in fan.rays),
+        witness_m=poly.vertices[k],
+        ray_thresholds=tuple(thresholds),
+    )
+
+
+def test_alpha_tie_break_on_rows_equals_the_fraction_tie_break(q_fano_fans):
+    """Ties on the largest value go to the lexicographically largest vertex,
+    read off its integer row D * u with D > 0: the same vertex, the same result."""
+    tied = 0
+    for fan in q_fano_fans:
+        assert alpha_invariant(fan) == alpha_with_fraction_tie_break(fan), fan.name
+        poly = fan.anticanonical_polytope()
+        for ray in fan.rays:
+            values = poly.vertex_values(ray)
+            tied += values.count(max(values)) > 1
+    # the largest value is tied on over half of the rays
+    assert tied > 150

@@ -205,10 +205,10 @@ def test_midpoint_root_concave_strict_cases():
     # sqrt is strictly concave: q(x) = x on [0, 4]
     fn = PiecewisePolynomial((F(0), F(4)), ((F(0), F(1)),))
     assert midpoint_root_concave(fn, 2, F(1), F(3))
-    # q(x) = x^2 has sqrt affine: equality case via the structural branch
+    # q(x) = x^2 has sqrt affine: an equality, t^2 = 4ac in the closed form
     fn2 = PiecewisePolynomial((F(0), F(4)), ((F(0), F(0), F(1)),))
     assert midpoint_root_concave(fn2, 2, F(1), F(3))
-    # decreasing cube: (5-x)^3 with m=3 (affine root, negative slope)
+    # decreasing cube: (5-x)^3 with m=3 (affine root, negative slope), t^3 = 216abc
     fn3 = PiecewisePolynomial(
         (F(0), F(5)), ((F(125), F(-75), F(15), F(-1)),)
     )
@@ -226,7 +226,9 @@ def test_midpoint_root_concave_m1():
 
 def test_midpoint_root_concave_zero_midpoint_below_every_bracket():
     """(x - 1)^2 / 10^400 on [0, 2], m = 2: the roots 10^-200, 0, 10^-200 are
-    inside every bracket, and the zero value at the midpoint decides False."""
+    inside every bracket of width 10^-96; the closed form t = 4b - a - c < 0
+    decides False with no bracket.  The brackets' zero-midpoint branch is
+    tested at m = 4 below."""
     tiny = F(1, 10**400)
     fn = PiecewisePolynomial((F(0), F(2)), ((tiny, -2 * tiny, tiny),))
     assert fn(1) == 0 and fn(0) == fn(2) == tiny
@@ -631,12 +633,11 @@ def test_midpoint_root_concave_non_adjacent_equal_pieces():
                     assert got == verdict(oracle_midpoint_root_concave, fn, m, x, y)
                     verdicts.add(got)
     # sqrt is 0, 1, 2 at 0, 1, 2 and 1, 2, 3 at 1, 2, 3: exact equalities
-    # across two pieces, which the brackets cannot separate and the
-    # rational roots decide
+    # across two pieces, t^2 = 4ac in the closed form
     assert {True, False} == verdicts
     assert midpoint_root_concave(fn, 2, F(0), F(2)) is True
     assert midpoint_root_concave(fn, 2, F(1), F(3)) is True
-    # inside one square piece the root is affine: the equality branch
+    # inside one square piece the root is affine: again t^2 = 4ac
     assert midpoint_root_concave(fn, 2, F(2), F(3)) is True
     assert midpoint_root_concave(fn, 2, F(0), F(1)) is True
     assert midpoint_root_concave(fn, 2, F(1, 2), F(5, 2)) is True
@@ -647,7 +648,8 @@ def test_midpoint_root_concave_non_adjacent_equal_pieces():
 def test_midpoint_root_concave_irrational_roots_in_progression(m, line):
     """2x^m, 6x - 4 or 14x - 12, 2x^m on [0, 1], [1, 2], [2, 3]: the m-th roots
     at 0, 1, 2 and at 1, 2, 3 are 2^(1/m) times 0, 1, 2 and 1, 2, 3, irrational
-    but in arithmetic progression across two pieces."""
+    but in arithmetic progression across two pieces: equalities of the closed
+    form, t^m = 4ac or 216abc."""
     outer = (F(0),) * m + (F(2),)
     fn = PiecewisePolynomial((F(0), F(1), F(2), F(3)), (outer, line, outer))
     assert len(fn.pieces) == 3
@@ -662,3 +664,115 @@ def test_midpoint_root_concave_irrational_roots_in_progression(m, line):
                 assert got == verdict(oracle_midpoint_root_concave, fn, m, x, y)
                 verdicts.add(got)
     assert {True, False} == verdicts
+
+
+# -- the closed form for m <= 3 and the brackets for m >= 4 ---------------------
+
+
+def piecewise_through(values):
+    """The piecewise-linear function through (k, values[k]) for k = 0, 1, ..."""
+    lines = tuple((F(a - k * (b - a)), F(b - a)) for k, (a, b) in enumerate(zip(values, values[1:])))
+    return PiecewisePolynomial(tuple(F(k) for k in range(len(values))), lines)
+
+
+@pytest.mark.parametrize("m, ends", [(1, (1, 3)), (2, (1, 3)), (2, (0, 5)), (3, (1, 3)), (3, (2, 0))])
+def test_midpoint_root_concave_closed_form_at_exact_ties(m, ends):
+    """Values s p^m, s ((p + r) / 2)^m + d, s r^m at 0, 1, 2 with s = 10^6: the
+    m-th roots are in exact progression for d = 0, and d = -1 or d = 1 moves
+    the midpoint root just below or above it; t^m sits within 10^-5 of its
+    bound 4ac or 216abc, closer than 215/216."""
+    p, r = ends
+    s = 10**6 * 2**m
+    tie = s * (p + r) ** m // 2**m
+    for d, expected in ((0, True), (-1, False), (1, True)):
+        fn = piecewise_through((s * p**m, tie + d, s * r**m))
+        assert midpoint_root_concave(fn, m, F(0), F(2)) is expected, d
+        assert oracle_midpoint_root_concave(fn, m, F(0), F(2)) is expected, d
+
+
+def test_midpoint_root_concave_brackets_for_m4():
+    """m = 4 still runs the equal-values test, the affine-root identity, the
+    brackets and the rational roots: each decides one of these triples."""
+    # (x - 1)^4 on [0, 2]: fourth root |x - 1|, V-shaped across 1, affine on [1, 2]
+    fn = PiecewisePolynomial((F(0), F(2)), ((F(1), F(-4), F(6), F(-4), F(1)),))
+    cases = [(fn, F(0), F(2), False), (fn, F(1), F(2), True)]
+    # the same over 10^400: roots 10^-100, 0, 10^-100 inside every bracket, and
+    # the zero value at the midpoint decides False
+    tiny = F(1, 10**400)
+    cases.append((PiecewisePolynomial(fn.breakpoints, (tuple(c * tiny for c in fn.pieces[0]),)), F(0), F(2), False))
+    # 1, 1, 16 over 10^400: rational fourth roots 1, 1, 2 (times 10^-100) inside
+    # every bracket, out of progression
+    cases.append((PiecewisePolynomial((F(0), F(1), F(2)), ((tiny,), (-14 * tiny, 15 * tiny))), F(0), F(2), False))
+    for fn, x, y, expected in cases:
+        assert midpoint_root_concave(fn, 4, x, y) is expected, (fn, x, y)
+        assert oracle_midpoint_root_concave(fn, 4, x, y) is expected, (fn, x, y)
+    # c x^4, c (15x - 14), c x^4 on [0, 1], [1, 2], [2, 3]: fourth roots c^(1/4)
+    # times 0, 1, 2 at 0, 1, 2 and 1, 2, 3 at 1, 2, 3, in progression across pieces
+    thirds = [F(k, 3) for k in range(10)]
+    for c in (1, 2):
+        outer = (F(0),) * 4 + (F(c),)
+        fn = PiecewisePolynomial((F(0), F(1), F(2), F(3)), (outer, (F(-14 * c), F(15 * c)), outer))
+        assert midpoint_root_concave(fn, 4, F(0), F(2)) is True
+        assert midpoint_root_concave(fn, 4, F(1), F(3)) is True
+        verdicts = set()
+        for x in thirds:
+            for y in thirds:
+                if x <= y:
+                    got = verdict(midpoint_root_concave, fn, 4, x, y)
+                    assert got == verdict(oracle_midpoint_root_concave, fn, 4, x, y)
+                    verdicts.add(got)
+        assert verdicts == {True, False}
+
+
+def test_midpoint_root_concave_takes_no_root_for_m_up_to_3(monkeypatch):
+    """m = 1, 2, 3 never reach the brackets, the affine-root identity or the
+    rational roots: with all four patched to raise, every verdict still equals
+    the oracle's (computed before the patch, since the oracle brackets too)."""
+    from toricstab import piecewise
+    from toricstab.corpus import builtin_fan_specs
+    from toricstab.valuations import restricted_volume
+    from toricstab.verification import concavity_battery
+    from toricstab.workbench import load_builtin_fan
+
+    cases = []
+    rng = random.Random(19)
+    for _ in range(150):
+        fn = random_piecewise(rng, max_degree=4)
+        lo, hi = fn.domain
+        for _ in range(6):
+            x, y = sorted(lo + (hi - lo) * F(rng.randint(0, 60), 60) for _ in range(2))
+            cases.append((fn, rng.randint(1, 3), x, y))
+    for name in builtin_fan_specs():
+        fan = load_builtin_fan(name)
+        if 2 <= fan.dimension <= 4:
+            for val in concavity_battery(fan):
+                q_fn = restricted_volume(val)
+                points = [q_fn.breakpoints[-1] * F(i, 101) for i in range(102)]
+                cases += [(q_fn, fan.dimension - 1, points[i - 1], points[i + 1]) for i in range(1, 101)]
+    cube = (F(0), F(0), F(0), F(1))
+    progression = PiecewisePolynomial((F(0), F(1), F(2), F(3)), (cube, (F(-6), F(7)), cube))
+    cases += [(progression, 3, F(0), F(2)), (progression, 3, F(1), F(3))]
+    expected = [verdict(oracle_midpoint_root_concave, *case) for case in cases]
+    assert expected[-2:] == [True, True]
+    assert {True, False, "ValueError: root concavity needs nonnegative values"} == set(expected)
+    assert {m for _, m, _, _ in cases} == {1, 2, 3}
+
+    def boom(*args):
+        raise AssertionError("reached a root extraction")
+
+    monkeypatch.setattr(piecewise, "root_floor", boom)
+    monkeypatch.setattr(piecewise, "_rational_root", boom)
+    monkeypatch.setattr(PiecewisePolynomial, "_sole_piece", boom)
+    monkeypatch.setattr(PiecewisePolynomial, "_affine_root", boom)
+    assert [verdict(midpoint_root_concave, *case) for case in cases] == expected
+
+
+def test_midpoint_root_concave_m4_unseparated_roots_raise(monkeypatch):
+    """With `root_floor` patched to 0 no bracket separates, so x on [0, 4] at
+    (1, 3) with m = 4, roots of 1, 2, 3 with irrational ratios, is not
+    separable; m = 3 is decided without the brackets."""
+    fn = PiecewisePolynomial((F(0), F(4)), ((F(0), F(1)),))
+    monkeypatch.setattr("toricstab.piecewise.root_floor", lambda num, den, m, scale: 0)
+    with pytest.raises(ArithmeticError, match=r"^m-th roots of 1, 2, 3 not separable at width 1e-96$"):
+        midpoint_root_concave(fn, 4, F(1), F(3))
+    assert midpoint_root_concave(fn, 3, F(1), F(3)) is True
