@@ -15,9 +15,9 @@ exactly when B_i <= floor(p*D/q), so locating it is one floor division and
 an integer bisection; the value there is the homogeneous Horner sum
 sum_k c_k p^k q^(d-k)  over e * q^d, with d the piece degree.  One
 Fraction is built per value returned, and the root-concavity comparison
-works on the (numerator, denominator) pairs: in closed form for m <= 3, by
-integer root brackets for m >= 4, where its equality branch is an integer
-identity on a piece's numerators c_k, with no memo.
+works on the (numerator, denominator) pairs: in closed form for m <= 3;
+for m >= 4 by an exact test on rational m-th roots of the value ratios,
+which decides every tie, and otherwise by integer root brackets.
 
 Continuity at construction and `is_c1` compare the two pieces' Horner
 sums at each interior breakpoint B_i / D by cross-multiplication (for C^1,
@@ -35,7 +35,7 @@ an integer denominator per knot.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -211,34 +211,6 @@ class PiecewisePolynomial:
         x = _fraction(x)
         return Fraction(*self._value(x.numerator, x.denominator))
 
-    def _sole_piece(self, x: Fraction, y: Fraction) -> int | None:
-        """Index of the piece meeting the open interval (x, y) when only one does.
-
-        Adjacent pieces differ, so this is the case of one polynomial on [x, y].
-        """
-        den, grid = self._grid
-        # the first piece i with B_(i+1) > x*D and the last piece j with B_j < y*D
-        i = bisect_right(grid, x.numerator * den // x.denominator) - 1
-        j = bisect_left(grid, -(-y.numerator * den // y.denominator)) - 1
-        return i if i == j else None
-
-    def _affine_root(self, i: int, m: int) -> Optional[tuple[int, int]]:
-        """r as (numerator, positive denominator) if piece i is c*(x + r)^m, else None.
-
-        On the piece's numerators (c_0, ..., c_d): d = m, c_m > 0 for even m, and
-        c_k (m c_m)^(m-k) = C(m, k) c_m c_(m-1)^(m-k) for every k (by itself for
-        k >= m - 1), the binomial expansion with r = c_(m-1) / (m c_m) cleared.
-        """
-        cs = self._int_pieces[i][1]
-        if len(cs) != m + 1 or (m % 2 == 0 and cs[m] < 0):
-            return None
-        top, sub = cs[m], cs[m - 1]
-        scale = m * top
-        for k in range(m - 1):
-            if cs[k] * scale ** (m - k) != math.comb(m, k) * top * sub ** (m - k):
-                return None
-        return (sub, scale) if scale > 0 else (-sub, -scale)
-
     def _values_at(self, i: int, pieces) -> list[tuple[int, int]]:
         """Pieces i - 1 and i of an integer form at breakpoint i, as (numerator, denominator)."""
         den, grid = self._grid
@@ -285,18 +257,20 @@ class PiecewisePolynomial:
 
 
 def int_nth_root(value: int, m: int) -> int:
-    """Largest r with r^m <= value: `math.isqrt` for m = 2, else Newton from a float seed.
+    """Largest r with r^m <= value: `math.isqrt` for even m, else Newton from a float seed.
 
-    The seed is the float m-th root of value's leading bits.  One integer
-    Newton step from any positive r lands at or above the answer (AM-GM),
-    and from there the steps decrease strictly until they reach it.
+    For even m = 2k the answer is the k-th root of isqrt(value), as
+    floor(floor(v^(1/2))^(1/k)) = floor(v^(1/(2k))).  The seed is the float
+    m-th root of value's leading bits.  One integer Newton step from any
+    positive r lands at or above the answer (AM-GM), and from there the
+    steps decrease strictly until they reach it.
     """
     if value < 0:
         raise ValueError("negative radicand")
     if value == 0 or m == 1:
         return value
-    if m == 2:
-        return math.isqrt(value)
+    if m % 2 == 0:
+        return int_nth_root(math.isqrt(value), m // 2)
     shift = max(0, value.bit_length() - 64)
     shift -= shift % m
     r = max(1, int(float(value >> shift) ** (1 / m))) << (shift // m)
@@ -335,22 +309,19 @@ def midpoint_root_concave(fn: PiecewisePolynomial, m: int, x: Fraction, y: Fract
     a + c - 8b + 6 (abc)^(1/3) <= 0, the second factor being 0 only at
     a = b = c = 0.  No such single-radical identity exists for m >= 4.
 
-    There roots are compared through integer brackets of width 10^-12 ...
-    10^-96 (`root_floor`) until separated; the genuine equality case (fn a
-    perfect m-th power c (x + r)^m over [x, y], with x + r of one sign there
-    when m is even: c^(1/m) |x + r| is V-shaped) is the integer identity of
-    `_affine_root` on the one piece's numerators, so no comparison is ever
-    decided by tolerance alone.  Roots the brackets cannot separate may
-    still be exactly in arithmetic progression across pieces.  Divided by
-    fn(mid)^(1/m) that reads 2 = r_a + r_b with r_a = (fn(x)/fn(mid))^(1/m)
-    and r_b likewise; real m-th roots of positive rationals from distinct
-    classes modulo (Q*)^m are linearly independent over Q (Besicovitch,
-    1940), so it can hold only when both ratios are perfect m-th powers of
-    rationals (`_rational_root`).  Then 2 >= r_a + r_b is compared exactly
-    (and fn(mid) = 0 gives True only when fn(x) = fn(y) = 0); otherwise
-    ArithmeticError is raised, so never for m <= 3.  Every test
-    cross-multiplies integers; a Fraction is built only for that error's
-    message.
+    For m >= 4 a tie 2 fn(mid)^(1/m) = fn(x)^(1/m) + fn(y)^(1/m) is ruled
+    in or out first, exactly.  fn(mid) = 0 gives True only when
+    fn(x) = fn(y) = 0.  Otherwise, divided by fn(mid)^(1/m), the tie reads
+    2 = r_a + r_b with r_a = (fn(x)/fn(mid))^(1/m) and r_b likewise; real
+    m-th roots of positive rationals from distinct classes modulo (Q*)^m are
+    linearly independent over Q (Besicovitch, 1940), so it can hold only
+    when both ratios are perfect m-th powers of rationals (`_rational_root`).
+    Then 2 >= r_a + r_b is compared exactly.  In every other case the roots
+    are not in progression, and integer brackets of width 10^-12 ... 10^-96
+    (`root_floor`) separate them until one side is certain; roots closer
+    than that raise ArithmeticError, so never for m <= 3.  No comparison is
+    decided by tolerance alone.  Every test cross-multiplies integers; a
+    Fraction is built only for that error's message.
     """
     x, y = _fraction(x), _fraction(y)
     xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
@@ -368,13 +339,13 @@ def midpoint_root_concave(fn: PiecewisePolynomial, m: int, x: Fraction, y: Fract
         if m == 2:
             return t >= 0 and t * t >= 4 * a * c
         return t**3 >= 216 * a * b * c  # false for t < 0, as abc >= 0
-    if na * dm == nm * da and nm * db == nb * dm:
-        return True
-    i = fn._sole_piece(x, y)
-    r = None if i is None else fn._affine_root(i, m)
-    # for even m, (x + r)(y + r) >= 0, here over positive denominators
-    if r is not None and (m % 2 or (xn * r[1] + r[0] * xd) * (yn * r[1] + r[0] * yd) >= 0):
-        return True  # the root function is affine here: exact equality
+    if nm == 0:
+        return na == nb == 0
+    # 2 = r_a + r_b with r_a = (fn(x)/fn(mid))^(1/m): decided exactly when both are rational
+    qa = _rational_root(na * dm, da * nm, m)
+    qb = None if qa is None else _rational_root(nb * dm, db * nm, m)
+    if qb is not None:
+        return 2 * qa[1] * qb[1] >= qa[0] * qb[1] + qb[0] * qa[1]
     for exponent in (12, 24, 48, 96):
         # the brackets of `nth_root_bounds` times scale, compared as integers:
         # [r, r + 1] for a positive value, [0, 0] for a zero one
@@ -382,25 +353,23 @@ def midpoint_root_concave(fn: PiecewisePolynomial, m: int, x: Fraction, y: Fract
         ra, rm, rb = (root_floor(n, d, m, scale) for n, d in ((na, da), (nm, dm), (nb, db)))
         if 2 * rm >= ra + rb + (na > 0) + (nb > 0):
             return True
-        if 2 * (rm + (nm > 0)) < ra + rb:
+        if 2 * rm + 2 < ra + rb:
             return False
-    # roots this close: an exact equality is possible only with rational ratios
-    if nm == 0:
-        return na == nb == 0
-    ra = _rational_root(na * dm, da * nm, m)
-    rb = _rational_root(nb * dm, db * nm, m)
-    if ra is None or rb is None:
-        values = ", ".join(str(Fraction(n, d)) for n, d in ((na, da), (nm, dm), (nb, db)))
-        raise ArithmeticError(f"m-th roots of {values} not separable at width 1e-96")
-    return 2 * ra[1] * rb[1] >= ra[0] * rb[1] + rb[0] * ra[1]
+    values = ", ".join(str(Fraction(n, d)) for n, d in ((na, da), (nm, dm), (nb, db)))
+    raise ArithmeticError(f"m-th roots of {values} not separable at width 1e-96")
 
 
 def _rational_root(num: int, den: int, m: int) -> Optional[tuple[int, int]]:
     """(num / den)^(1/m) as (numerator, denominator) when it is rational, else None.
 
-    For num >= 0 and den > 0: in lowest terms, both must be perfect m-th powers.
+    For num >= 0 and den > 0: in lowest terms, both must be perfect m-th
+    powers; the numerator is tried first, so most irrational ratios take one
+    root.
     """
     g = math.gcd(num, den)
     num, den = num // g, den // g
-    a, b = int_nth_root(num, m), int_nth_root(den, m)
-    return (a, b) if (a**m, b**m) == (num, den) else None
+    a = int_nth_root(num, m)
+    if a**m != num:
+        return None
+    b = int_nth_root(den, m)
+    return (a, b) if b**m == den else None

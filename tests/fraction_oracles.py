@@ -100,10 +100,9 @@ def poly_antiderivative(coeffs):
 def poly_linear_power(coeffs, m):
     """(c, r) when a polynomial is c*(x + r)^m with rational c != 0 and r, else None.
 
-    The Fraction test the package's integer `_affine_root` replaced: for
-    even m the sign of c must be positive (odd m allows decreasing roots
-    with c < 0), and the full binomial expansion is compared coefficient by
-    coefficient.
+    The oracle's affine-root shortcut for root concavity: for even m the
+    sign of c must be positive (odd m allows decreasing roots with c < 0),
+    and the full binomial expansion is compared coefficient by coefficient.
     """
     cs = poly_trim(coeffs)
     if len(cs) != m + 1:

@@ -129,15 +129,6 @@ def test_nth_root_bounds_bracket():
     assert lo == hi == 2 or (lo**3 <= 8 <= hi**3)
 
 
-def integer_affine_root(p, m):
-    """`_affine_root` on p as the one piece of a function on [0, 1], as a Fraction or None."""
-    r = PiecewisePolynomial((F(0), F(1)), (p,))._affine_root(0, m)
-    if r is None:
-        return None
-    assert type(r[0]) is int and type(r[1]) is int and r[1] > 0
-    return F(*r)
-
-
 def test_poly_linear_power():
     cases = [
         # (x - 6)^2
@@ -153,52 +144,6 @@ def test_poly_linear_power():
     ]
     for p, m, expected in cases:
         assert poly_linear_power(p, m) == expected
-        assert integer_affine_root(p, m) == (None if expected is None else expected[1])
-
-
-def test_affine_root_matches_the_fraction_expansion():
-    """The integer identity against `poly_linear_power`: on random c*(x + r)^m
-    with c of both signs, on each of them with one coefficient nudged, and on
-    every piece of every restricted volume of the criterion-6 battery at
-    m = n - 1 and m = 2."""
-    from toricstab.corpus import builtin_fan_specs
-    from toricstab.valuations import restricted_volume
-    from toricstab.verification import concavity_battery
-    from toricstab.workbench import load_builtin_fan
-
-    def agree(p, m):
-        expected = poly_linear_power(p, m)
-        assert integer_affine_root(p, m) == (None if expected is None else expected[1]), (p, m)
-        return expected is not None
-
-    rng = random.Random(1940)
-    powers = set()
-    nudged_powers = battery_powers = 0
-    for _ in range(400):
-        m = rng.randint(2, 5)
-        c = F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 7))
-        r = F(rng.randint(-12, 12), rng.randint(1, 6))
-        p = poly_from_shifted([F(0)] * m + [c], -r)
-        assert poly_linear_power(p, m) == (None if c < 0 and m % 2 == 0 else (c, r))
-        powers.add((m % 2, c > 0, agree(p, m)))
-        nudged = list(p)
-        nudged[rng.randrange(m + 1)] += F(rng.choice((-1, 1)), rng.randint(1, 50))
-        nudged_powers += agree(poly_trim(nudged), m)
-    checked = 0
-    for name in builtin_fan_specs():
-        fan = load_builtin_fan(name)
-        if fan.dimension < 2:
-            continue
-        for val in concavity_battery(fan):
-            for piece in restricted_volume(val).pieces:
-                for m in {fan.dimension - 1, 2}:
-                    battery_powers += agree(piece, m)
-                    checked += 1
-    # every sign and parity of c, the even-m negative case refused
-    assert powers == {(0, True, True), (0, False, False), (1, True, True), (1, False, True)}
-    # a nudge keeps a power only in rare cases such as c'*x^m from c*x^m
-    assert nudged_powers == 3
-    assert (battery_powers, checked) == (158, 420)
 
 
 def test_midpoint_root_concave_strict_cases():
@@ -227,8 +172,8 @@ def test_midpoint_root_concave_m1():
 def test_midpoint_root_concave_zero_midpoint_below_every_bracket():
     """(x - 1)^2 / 10^400 on [0, 2], m = 2: the roots 10^-200, 0, 10^-200 are
     inside every bracket of width 10^-96; the closed form t = 4b - a - c < 0
-    decides False with no bracket.  The brackets' zero-midpoint branch is
-    tested at m = 4 below."""
+    decides False with no bracket.  The zero-midpoint test of m >= 4 is
+    exercised at m = 4 below."""
     tiny = F(1, 10**400)
     fn = PiecewisePolynomial((F(0), F(2)), ((tiny, -2 * tiny, tiny),))
     assert fn(1) == 0 and fn(0) == fn(2) == tiny
@@ -500,12 +445,34 @@ def oracle_rational_root(q, m):
     return F(p, d) if (p**m, d**m) == (q.numerator, q.denominator) else None
 
 
-def poly_square(p):
-    out = [F(0)] * (2 * len(p) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(p):
-            out[i + j] += a * b
+def poly_power(p, m):
+    """p^m by repeated Fraction products."""
+    out = (F(1),)
+    for _ in range(m):
+        nxt = [F(0)] * (len(out) + len(p) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(p):
+                nxt[i + j] += a * b
+        out = nxt
     return poly_trim(out)
+
+
+def random_piecewise_affine(rng):
+    """A continuous piecewise-affine function on 2 to 5 random breakpoints, or None."""
+    bps = sorted({F(rng.randint(-30, 30), rng.randint(1, 4)) for _ in range(rng.randint(2, 5))})
+    if len(bps) < 2:
+        return None
+    heights = [F(rng.randint(-9, 9), rng.randint(1, 3)) for _ in bps]
+    lines = []
+    for (a, ha), (b, hb) in zip(zip(bps, heights), zip(bps[1:], heights[1:])):
+        slope = (hb - ha) / (b - a)
+        lines.append(poly_trim([ha - slope * a, slope]))
+    return PiecewisePolynomial(tuple(bps), tuple(lines))
+
+
+def powered(fn, m, c=1):
+    """c fn^m, piece by piece."""
+    return PiecewisePolynomial(fn.breakpoints, tuple(tuple(c * a for a in poly_power(p, m)) for p in fn.pieces))
 
 
 def verdict(check, fn, m, x, y):
@@ -548,7 +515,7 @@ def test_midpoint_root_concave_matches_oracle_on_random_triples():
         fn = random_piecewise(rng, max_degree=4)
         lo, hi = fn.domain
         for _ in range(8):
-            m = rng.randint(1, 4)
+            m = rng.randint(1, 6)
             x = lo + (hi - lo) * F(rng.randint(0, 60), 60)
             y = lo + (hi - lo) * F(rng.randint(0, 60), 60)
             if x > y:
@@ -559,7 +526,7 @@ def test_midpoint_root_concave_matches_oracle_on_random_triples():
     # squares of random nonnegative-on-domain pieces never raise
     for _ in range(150):
         fn = random_piecewise(rng, max_degree=2)
-        sq = PiecewisePolynomial(fn.breakpoints, tuple(poly_square(p) for p in fn.pieces))
+        sq = powered(fn, 2)
         lo, hi = sq.domain
         for m in (1, 2, 3):
             x = lo + (hi - lo) * F(rng.randint(0, 40), 40)
@@ -569,6 +536,23 @@ def test_midpoint_root_concave_matches_oracle_on_random_triples():
             seen.add((m == 1, got))
     assert {(True, True), (True, False), (False, True), (False, False)} <= seen
     assert "ValueError: root concavity needs nonnegative values" in {g for _, g in seen}
+    # c l^m for piecewise-affine l and c = 1 or 3, m = 4..6: m-th root c^(1/m) l
+    # (|l| for even m), so exact ties across pieces and V-shapes across zeros
+    powers = set()
+    for k in range(120):
+        line = random_piecewise_affine(rng)
+        if line is None:
+            continue
+        m = rng.randint(4, 6)
+        fn = powered(line, m, 1 + 2 * (k % 2))
+        lo, hi = fn.domain
+        for _ in range(6):
+            x, y = sorted(lo + (hi - lo) * F(rng.randint(0, 24), 24) for _ in range(2))
+            got = verdict(midpoint_root_concave, fn, m, x, y)
+            assert got == verdict(oracle_midpoint_root_concave, fn, m, x, y), (fn, m, x, y)
+            powers.add((m % 2, got))
+    assert {(0, True), (0, False), (1, True), (1, False)} <= powers
+    assert (1, "ValueError: root concavity needs nonnegative values") in powers
 
 
 @pytest.mark.parametrize("check", [midpoint_root_concave, oracle_midpoint_root_concave])
@@ -593,16 +577,10 @@ def test_midpoint_root_concave_on_squares_of_affine_pieces():
     rng = random.Random(12)
     seen = set()
     for _ in range(200):
-        bps = sorted({F(rng.randint(-30, 30), rng.randint(1, 4)) for _ in range(rng.randint(2, 5))})
-        if len(bps) < 2:
+        line = random_piecewise_affine(rng)
+        if line is None:
             continue
-        heights = [F(rng.randint(-9, 9), rng.randint(1, 3)) for _ in bps]
-        lines = []
-        for (a, ha), (b, hb) in zip(zip(bps, heights), zip(bps[1:], heights[1:])):
-            slope = (hb - ha) / (b - a)
-            lines.append(poly_trim([ha - slope * a, slope]))
-        line = PiecewisePolynomial(tuple(bps), tuple(lines))
-        sq = PiecewisePolynomial(tuple(bps), tuple(poly_square(p) for p in lines))
+        sq = powered(line, 2)
         lo, hi = sq.domain
         for _ in range(8):
             x = lo + (hi - lo) * F(rng.randint(0, 24), 24)
@@ -666,7 +644,7 @@ def test_midpoint_root_concave_irrational_roots_in_progression(m, line):
     assert {True, False} == verdicts
 
 
-# -- the closed form for m <= 3 and the brackets for m >= 4 ---------------------
+# -- the closed form for m <= 3; the tie test, then the brackets, for m >= 4 -----
 
 
 def piecewise_through(values):
@@ -691,8 +669,8 @@ def test_midpoint_root_concave_closed_form_at_exact_ties(m, ends):
 
 
 def test_midpoint_root_concave_brackets_for_m4():
-    """m = 4 still runs the equal-values test, the affine-root identity, the
-    brackets and the rational roots: each decides one of these triples."""
+    """m = 4 runs the zero-midpoint test, the rational-ratio tie test and the
+    brackets: each decides some of these triples."""
     # (x - 1)^4 on [0, 2]: fourth root |x - 1|, V-shaped across 1, affine on [1, 2]
     fn = PiecewisePolynomial((F(0), F(2)), ((F(1), F(-4), F(6), F(-4), F(1)),))
     cases = [(fn, F(0), F(2), False), (fn, F(1), F(2), True)]
@@ -701,7 +679,7 @@ def test_midpoint_root_concave_brackets_for_m4():
     tiny = F(1, 10**400)
     cases.append((PiecewisePolynomial(fn.breakpoints, (tuple(c * tiny for c in fn.pieces[0]),)), F(0), F(2), False))
     # 1, 1, 16 over 10^400: rational fourth roots 1, 1, 2 (times 10^-100) inside
-    # every bracket, out of progression
+    # every bracket, out of progression, decided by the rational ratios 1 and 2
     cases.append((PiecewisePolynomial((F(0), F(1), F(2)), ((tiny,), (-14 * tiny, 15 * tiny))), F(0), F(2), False))
     for fn, x, y, expected in cases:
         assert midpoint_root_concave(fn, 4, x, y) is expected, (fn, x, y)
@@ -724,10 +702,49 @@ def test_midpoint_root_concave_brackets_for_m4():
         assert verdicts == {True, False}
 
 
+def test_midpoint_root_concave_decides_ties_before_the_brackets(monkeypatch):
+    """For m >= 4 every exact tie, and every zero midpoint, is decided by the
+    rational-ratio test before any bracket: with `root_floor` patched to
+    raise, each verdict still equals the oracle's (computed before the patch)."""
+    from toricstab import piecewise
+    from toricstab.valuations import ToricValuation, restricted_volume
+    from toricstab.workbench import load_builtin_fan
+
+    # (x - 1)^4 on [0, 2]: fourth roots 1, 0, 1 (V-shaped) and 0, 1/2, 1 (affine)
+    quartic = PiecewisePolynomial((F(0), F(2)), ((F(1), F(-4), F(6), F(-4), F(1)),))
+    cases = [(quartic, 4, F(0), F(2), False), (quartic, 4, F(1), F(2), True)]
+    # c x^4, c (15x - 14), c x^4: a tie across three pieces
+    for c in (1, 2):
+        outer = (F(0),) * 4 + (F(c),)
+        fn = PiecewisePolynomial((F(0), F(1), F(2), F(3)), (outer, (F(-14 * c), F(15 * c)), outer))
+        cases += [(fn, 4, F(0), F(2), True), (fn, 4, F(1), F(3), True)]
+    cases.append((PiecewisePolynomial((F(0), F(1)), ((F(5),),)), 4, F(0), F(1), True))
+    # 3 (x + 1)^5: fifth root 3^(1/5) (x + 1), affine at every pair of thirds
+    quintic = powered(PiecewisePolynomial((F(0), F(3)), ((F(1), F(1)),)), 5, 3)
+    thirds = [F(k, 3) for k in range(10)]
+    cases += [(quintic, 5, x, y, True) for x in thirds for y in thirds if x <= y]
+    # 3 (x - 1)^6 on [0, 2]: sixth root V-shaped across 1
+    sextic = powered(PiecewisePolynomial((F(0), F(2)), ((F(-1), F(1)),)), 6, 3)
+    cases.append((sextic, 6, F(0), F(2), False))
+    # the restricted volume x^4 of P5 at w = (1, ..., 1), on the criterion-6 sweep
+    q_fn = restricted_volume(ToricValuation(load_builtin_fan("P5"), (1,) * 5))
+    points = [q_fn.breakpoints[-1] * F(i, 101) for i in range(102)]
+    cases += [(q_fn, 4, points[i - 1], points[i + 1], True) for i in range(1, 101)]
+    for fn, m, x, y, expected in cases:
+        assert oracle_midpoint_root_concave(fn, m, x, y) is expected, (fn, m, x, y)
+
+    def boom(*args):
+        raise AssertionError("reached a bracket")
+
+    monkeypatch.setattr(piecewise, "root_floor", boom)
+    for fn, m, x, y, expected in cases:
+        assert midpoint_root_concave(fn, m, x, y) is expected, (fn, m, x, y)
+
+
 def test_midpoint_root_concave_takes_no_root_for_m_up_to_3(monkeypatch):
-    """m = 1, 2, 3 never reach the brackets, the affine-root identity or the
-    rational roots: with all four patched to raise, every verdict still equals
-    the oracle's (computed before the patch, since the oracle brackets too)."""
+    """m = 1, 2, 3 never reach the brackets, the rational roots or any integer
+    root: with all three patched to raise, every verdict still equals the
+    oracle's (computed before the patch, since the oracle brackets too)."""
     from toricstab import piecewise
     from toricstab.corpus import builtin_fan_specs
     from toricstab.valuations import restricted_volume
@@ -762,8 +779,7 @@ def test_midpoint_root_concave_takes_no_root_for_m_up_to_3(monkeypatch):
 
     monkeypatch.setattr(piecewise, "root_floor", boom)
     monkeypatch.setattr(piecewise, "_rational_root", boom)
-    monkeypatch.setattr(PiecewisePolynomial, "_sole_piece", boom)
-    monkeypatch.setattr(PiecewisePolynomial, "_affine_root", boom)
+    monkeypatch.setattr(piecewise, "int_nth_root", boom)
     assert [verdict(midpoint_root_concave, *case) for case in cases] == expected
 
 
