@@ -703,8 +703,8 @@ def test_midpoint_root_concave_brackets_for_m4():
 
 
 def test_midpoint_root_concave_decides_ties_before_the_brackets(monkeypatch):
-    """For m >= 4 every exact tie, and every zero midpoint, is decided by the
-    rational-ratio test before any bracket: with `root_floor` patched to
+    """For m >= 4 every zero midpoint and every exact tie is decided before any
+    bracket, the ties by the rational-ratio test: with `root_floor` patched to
     raise, each verdict still equals the oracle's (computed before the patch)."""
     from toricstab import piecewise
     from toricstab.valuations import ToricValuation, restricted_volume
