@@ -5,12 +5,15 @@ index lists, kept as sorted tuples.  Validation enforces, eagerly and exactly:
 
   * a dimension, ray coordinates and cone indices of exact type int;
   * primitive, nonzero, pairwise distinct rays, each used by some cone;
-  * every maximal cone simplicial and full-dimensional;
+  * every maximal cone simplicial and full-dimensional: one elimination
+    gives the first cone's adjugate, and across a wall where ray p gives
+    way to v, c = adj . v gives the next cone's multiplicity |c_p| and, by
+    Bareiss's exact rank-one update, its adjugate;
   * completeness: every wall (facet of a maximal cone) is shared by exactly
-    two cones lying on opposite sides of it, and an interior point of the
-    first cone lies in no other cone.  Crossing a wall then never changes
-    how many cones cover a generic point, so that number is 1 everywhere:
-    the cones cover R^n without overlapping.
+    two cones lying on opposite sides of it (c_p < 0), and an interior point
+    of the first cone lies in no other cone.  Crossing a wall then never
+    changes how many cones cover a generic point, so that number is 1
+    everywhere: the cones cover R^n without overlapping.
 
 The anticanonical polytope is { u : <u, v_i> >= -1 for all rays v_i }; it is
 built only for Q-Fano fans, where the support function of -K is strictly
@@ -30,7 +33,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import permutations, product
 from typing import Optional, Sequence
 
 from .errors import InvariantViolation
@@ -68,12 +71,6 @@ class Fan:
         self.name = name
         self.rays: tuple[LatticeVec, ...] = rays
         self.max_cones: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(c)) for c in max_cones)
-        # per cone, the multiplicity |det| and |det| * inverse of the
-        # ray-column matrix, from one kernel call: adj . w is w's cone
-        # coordinates times |det|, so sign tests decide membership without
-        # any rational arithmetic
-        self._cone_adjugates: list[tuple[tuple[int, ...], ...]] = []
-        self._cone_mults: list[int] = []
         self._ray_lookup = {ray: i for i, ray in enumerate(self.rays)}
         self._polytope: Optional[RationalPolytope] = None
         self._automorphisms: Optional[tuple[Matrix, ...]] = None
@@ -96,47 +93,60 @@ class Fan:
             if ray in seen:
                 raise InvariantViolation(f"duplicate ray {ray} at indices {seen[ray]}, {i}")
             seen[ray] = i
-        used = set()
-        for ci, cone in enumerate(self.max_cones):
+        rays, cones = self.rays, self.max_cones
+        shaped = [ci for ci, c in enumerate(cones) if len(c) == n and 0 <= c[0] and c[-1] < len(rays)]
+        walls, adjs, mults = {}, [None] * len(cones), [0] * len(cones)
+        for ci, p in product(shaped, range(n)):  # by wall: each cone and its ray off it
+            walls.setdefault(cones[ci][:p] + cones[ci][p + 1 :], []).append((ci, p))
+        # breadth first from each cone that no walk reached; c_p = 0 leaves a singular cone None
+        for seed in (ci for ci in shaped if adjs[ci] is None):
+            solved = adjugate([[rays[j][i] for j in cones[seed]] for i in range(n)])
+            if solved is None:
+                continue
+            d, adj = solved
+            mults[seed], adjs[seed] = abs(d), tuple(tuple(x if d > 0 else -x for x in row) for row in adj)
+            for ci in (queue := [seed]):
+                adj, mult = adjs[ci], mults[ci]
+                for p in range(n):
+                    for cj, q in walls[cones[ci][:p] + cones[ci][p + 1 :]]:
+                        if adjs[cj] is not None:
+                            continue
+                        c = [sum(map(operator.mul, row, rays[cones[cj][q]])) for row in adj]
+                        if c[p] == 0:  # singular
+                            continue
+                        s, ap = (1 if c[p] > 0 else -1), adj[p]
+                        new = {
+                            j: tuple(s * (c[p] * x - ck * y) // mult for x, y in zip(row, ap))
+                            for j, row, ck in zip(cones[ci], adj, c)
+                        }
+                        new[cones[cj][q]] = tuple(s * y for y in ap)
+                        adjs[cj], mults[cj] = tuple(new[j] for j in cones[cj]), s * c[p]
+                        queue.append(cj)
+        for ci, cone in enumerate(cones):
             if len(cone) != n:
                 raise InvariantViolation(
                     f"maximal cone {ci} has {len(cone)} rays, expected {n} "
                     "(non-simplicial or lower-dimensional cones are rejected)"
                 )
-            if any(i < 0 or i >= len(self.rays) for i in cone):
+            if cone[0] < 0 or cone[-1] >= len(rays):
                 raise InvariantViolation(f"maximal cone {ci} references a missing ray")
-            cols = [[self.rays[j][i] for j in cone] for i in range(n)]
-            solved = adjugate(cols)
-            if solved is None:
+            if adjs[ci] is None:
                 raise InvariantViolation(f"maximal cone {ci} is not simplicial")
-            d, adj = solved
-            self._cone_mults.append(abs(d))
-            self._cone_adjugates.append(
-                tuple(tuple(x if d > 0 else -x for x in row) for row in adj)
-            )
-            used.update(cone)
-        if used != set(range(len(self.rays))):
-            unused = sorted(set(range(len(self.rays))) - used)
+        unused = sorted(set(range(len(rays))).difference(*cones))
+        if unused:
             raise InvariantViolation(f"rays {unused} appear in no maximal cone")
-        self._check_complete()
-
-    def _check_complete(self) -> None:
-        n = self.dimension
-        by_facet: dict[frozenset, list[int]] = {}
-        for ci, cone in enumerate(self.max_cones):
-            for facet in combinations(cone, n - 1):
-                by_facet.setdefault(frozenset(facet), []).append(ci)
-        if not by_facet or any(len(pair) != 2 for pair in by_facet.values()):
+        if not walls or any(len(pair) != 2 for pair in walls.values()):
             raise InvariantViolation("fan not complete")
-        for shared, (ci, cj) in by_facet.items():
-            # the ray of cj off the wall must lie beyond the wall, seen from ci
-            cone = self.max_cones[ci]
-            pos = next(p for p, i in enumerate(cone) if i not in shared)
-            opposite = next(i for i in self.max_cones[cj] if i not in shared)
-            if self._scaled_coords(ci, self.rays[opposite])[pos] >= 0:
+        # per cone, |det| and |det| * inverse of the ray-column matrix, from one
+        # elimination and then a rank-one update per wall: adj . w is w's cone
+        # coordinates times |det|, so sign tests decide membership exactly
+        self._cone_adjugates: list[Matrix] = adjs
+        self._cone_mults: list[int] = mults
+        for (ci, p), (cj, q) in walls.values():  # c_p of the wall, from its first cone
+            if sum(map(operator.mul, adjs[ci][p], rays[cones[cj][q]])) >= 0:
                 raise InvariantViolation("overlapping maximal cones")
-        inner = [sum(col) for col in zip(*(self.rays[i] for i in self.max_cones[0]))]
-        for ci in range(1, len(self.max_cones)):
+        inner = [sum(col) for col in zip(*(rays[i] for i in cones[0]))]
+        for ci in range(1, len(cones)):
             if all(s >= 0 for s in self._scaled_coords(ci, inner)):
                 raise InvariantViolation("overlapping maximal cones")
 

@@ -5,11 +5,11 @@ terms, positive denominator, exact arithmetic).  Lattice vectors are plain
 tuples of ints, dual/rational vectors are tuples of Fractions.  Everything
 here is a pure function; no floating point is used anywhere.
 
-Every determinant, rank, solve, inverse and adjugate goes through one
-routine, `echelon`: forward fraction-free elimination on integer rows
-(Bareiss, Math. Comp. 22, 1968).  Rational input is scaled to integers
-one row at a time first, and solves finish with integer back-substitution,
-so no elimination ever runs over Fractions.
+Every determinant, rank, solve, inverse and adjugate here goes through
+`echelon`: forward fraction-free elimination (Bareiss, Math. Comp. 22, 1968)
+on rows scaled to integers one at a time, and solves finish with integer
+back-substitution.  Only a fan's first cone is eliminated: `fans` updates the
+adjugate across each wall by the same exact division, a rank-one step.
 """
 
 from __future__ import annotations

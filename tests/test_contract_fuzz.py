@@ -19,7 +19,10 @@ from toricstab.cli import main
 from toricstab.corpus import builtin_fan_specs
 
 SPECS = [spec for spec in builtin_fan_specs().values() if spec["dim"] <= 3]
-KINDS = ("ray entry", "drop cone", "duplicate cone", "append ray", "dim", "bad entry", "non-object")
+KINDS = (
+    "ray entry", "cone entry", "drop cone", "duplicate cone", "append ray", "dim", "bad entry",
+    "non-object",
+)
 BAD_VALUES = (True, 1.5, None, "x")
 vectors = st.lists(st.integers(-2, 2), min_size=1, max_size=3).map(lambda w: ",".join(map(str, w)))
 
@@ -46,6 +49,13 @@ def mutate(draw, doc, kind):
             return None
         _, i, j = draw(st.sampled_from(entries))
         doc["rays"][i][j] += draw(st.sampled_from((-2, -1, 1, 2)))
+    elif kind == "cone entry":
+        # singular, repeated, missing and overlapping cones, and gaps
+        entries = [e for e in int_entries(doc) if e[0] == "cones"]
+        if not entries:
+            return None
+        _, i, j = draw(st.sampled_from(entries))
+        doc["cones"][i][j] = draw(st.integers(-1, len(doc["rays"])))
     elif kind in ("drop cone", "duplicate cone"):
         if not doc["cones"]:
             return None

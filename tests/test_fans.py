@@ -11,7 +11,7 @@ from fraction_oracles import cone_coordinates, contains, walls
 from toricstab.corpus import builtin_fan_specs
 from toricstab.errors import InvariantViolation
 from toricstab.fans import Fan
-from toricstab.lattice import matrix_inverse
+from toricstab.lattice import adjugate, matrix_inverse
 from toricstab.workbench import load_builtin_fan
 
 
@@ -126,6 +126,49 @@ def test_fan_rejects_dependent_cone():
     Fan(2, rays, cones)  # fine: the refined fan
     with pytest.raises(InvariantViolation):
         Fan(2, rays, [[0, 4], [4, 1], [1, 2], [2, 3], [3, 4]])
+
+
+def rejection(dim, rays, cones):
+    """The message of the InvariantViolation that Fan raises on this input."""
+    with pytest.raises(InvariantViolation) as excinfo:
+        Fan(dim, rays, cones)
+    return str(excinfo.value)
+
+
+def test_fan_reports_the_first_cone_fault_in_cone_order():
+    """Length, index and singularity faults are reported for the lowest cone index."""
+    rays = [[1, 0], [-1, 0], [0, 1], [0, -1]]
+    # cone 0 is singular ((1,0) and (-1,0) span a line), cone 2 has three rays
+    assert rejection(2, rays, [[0, 1], [1, 2], [2, 3, 0], [3, 0]]) == (
+        "maximal cone 0 is not simplicial"
+    )
+    # cone 1 has three rays, cone 2 is singular
+    assert rejection(2, rays, [[0, 2], [0, 2, 3], [2, 3], [1, 3]]) == (
+        "maximal cone 1 has 3 rays, expected 2 "
+        "(non-simplicial or lower-dimensional cones are rejected)"
+    )
+    p3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]]
+    cones = [[0, 1, 2], [0, 0, 1], [0, 2, 3], [1, 2, 3]]
+    assert rejection(3, p3, cones) == "maximal cone 1 is not simplicial"
+
+
+def test_fan_reports_a_singular_cone_before_an_unused_ray():
+    rays = [[1, 0], [0, 1], [-1, -1], [-1, 0], [1, 1]]
+    cones = [[0, 1], [1, 2], [2, 0], [0, 3]]
+    assert rejection(2, rays, cones) == "maximal cone 3 is not simplicial"
+
+
+def test_fan_reaches_a_cone_behind_a_singular_cone():
+    # cone 1 shares a ray only with cone 2, which is singular; cone 0 comes first
+    rays = [[1, 0], [0, 1], [-1, 0], [0, -1]]
+    cones = [[0, 1], [2, 3], [1, 3]]
+    assert rejection(2, rays, cones) == "maximal cone 2 is not simplicial"
+
+
+def test_fan_rejects_a_wall_in_three_cones():
+    rays = [[1, 0], [0, 1], [-1, -1], [1, -1]]
+    cones = [[0, 1], [1, 2], [2, 0], [0, 3]]
+    assert rejection(2, rays, cones) == "fan not complete"
 
 
 def test_fan_rejects_dimension_zero():
@@ -269,13 +312,59 @@ def test_dimension_one_complete():
         Fan(1, [[1]], [[0]])
 
 
+# -- cone adjugates ---------------------------------------------------------------
+
+
+def bench_workloads(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    return importlib.import_module("workloads")
+
+
+def test_cone_adjugates_equal_one_elimination_per_cone(monkeypatch, q_fano_fans):
+    """The wall walk stores what eliminating every cone gives, with one elimination per fan.
+
+    The fans are every corpus fan, every Q-Fano star subdivision of the test
+    corpus (which has cones of multiplicity > 1, so the walk divides by a
+    multiplicity other than 1) and every relabelled spec of the three bench
+    workloads for seeds 1-10.
+    """
+    workloads = bench_workloads(monkeypatch)
+    inputs = [(fan.dimension, fan.rays, fan.max_cones) for fan in q_fano_fans]
+    inputs += [
+        (spec["dim"], spec["rays"], spec["cones"])
+        for name in workloads.WORKLOADS
+        for seed in range(1, 11)
+        for spec in workloads.build(name, seed).specs
+    ]
+    assert len(inputs) == len(q_fano_fans) + 270
+    calls = []
+
+    def counted(rows):
+        calls.append(rows)
+        return adjugate(rows)
+
+    monkeypatch.setattr("toricstab.fans.adjugate", counted)
+    multiplicities = set()
+    for dim, rays, cones in inputs:
+        calls.clear()
+        fan = Fan(dim, rays, cones)
+        assert len(calls) == 1, fan
+        for ci, cone in enumerate(fan.max_cones):
+            d, adj = adjugate([[fan.rays[j][i] for j in cone] for i in range(dim)])
+            assert fan._cone_mults[ci] == abs(d), (fan, ci)
+            assert fan._cone_adjugates[ci] == tuple(
+                tuple(x if d > 0 else -x for x in row) for row in adj
+            ), (fan, ci)
+        multiplicities.update(fan._cone_mults)
+    assert {1, 2, 3} <= multiplicities
+
+
 # -- automorphisms ---------------------------------------------------------------
 
 
 def test_automorphisms_match_the_bench_reference(monkeypatch, corpus_fans):
     """Fan.automorphisms equals the bench's search over all ordered ray tuples."""
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
-    workloads = importlib.import_module("workloads")
+    workloads = bench_workloads(monkeypatch)
     specs = builtin_fan_specs()
     for fan in corpus_fans:
         group = fan.automorphisms()
