@@ -6,12 +6,7 @@ nef thresholds, structural certificates, and a projective-space screen over
 batteries of torus-invariant valuations.
 """
 
-from .alpha import (
-    AlphaGateResult,
-    AlphaResult,
-    alpha_invariant,
-    alpha_stability_gate,
-)
+from .alpha import AlphaResult, alpha_invariant
 from .errors import (
     BudgetExceeded,
     InvariantViolation,
@@ -54,7 +49,6 @@ from .workbench import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlphaGateResult",
     "AlphaResult",
     "BudgetExceeded",
     "CertificateResult",
@@ -69,7 +63,6 @@ __all__ = [
     "ToricstabError",
     "ValuationProfile",
     "alpha_invariant",
-    "alpha_stability_gate",
     "analyze",
     "beta_invariant",
     "center_codim",

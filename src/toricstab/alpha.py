@@ -65,30 +65,3 @@ def alpha_invariant(fan: Fan) -> AlphaResult:
         ray_thresholds=tuple(thresholds),
     )
 
-
-@dataclass(frozen=True)
-class AlphaGateResult:
-    """Whether alpha(X) clears the stability threshold n/(n+1)."""
-
-    verdict: str  # "hypothesis met" | "hypothesis not met" | "theorem inapplicable (...)"
-    alpha: Fraction | None
-    threshold: Fraction | None
-
-
-def alpha_stability_gate(fan: Fan) -> AlphaGateResult:
-    """Report whether alpha(X) >= n/(n+1), the smooth-case stability threshold.
-
-    The bound is only meaningful for smooth X of dimension at least 2; other
-    inputs get an explicit inapplicability verdict.  Toric Fano manifolds
-    always come out below the threshold (they have positive-dimensional
-    automorphism groups), so the expected verdict is "hypothesis not met".
-    """
-    n = fan.dimension
-    if not fan.is_smooth():
-        return AlphaGateResult("theorem inapplicable (singular)", None, None)
-    result = alpha_invariant(fan)
-    threshold = Fraction(n, n + 1)
-    if n < 2:
-        return AlphaGateResult("theorem inapplicable (n=1)", result.alpha, threshold)
-    verdict = "hypothesis met" if result.alpha >= threshold else "hypothesis not met"
-    return AlphaGateResult(verdict, result.alpha, threshold)

@@ -106,19 +106,6 @@ def echelon(
     return pivots, m, sign * prev
 
 
-def _back_substitute(m: list[list[int]], rhs: list[int]) -> list[int]:
-    """The y with echelon row i times y equal to rhs[i], for n pivots on the diagonal.
-
-    The caller scales rhs so that every division is exact (y = d * x with
-    d the last pivot).
-    """
-    n = len(rhs)
-    y = [0] * n
-    for i in range(n - 1, -1, -1):
-        y[i] = (rhs[i] - sum(m[i][c] * y[c] for c in range(i + 1, n))) // m[i][i]
-    return y
-
-
 def _solve_columns(
     rows: Sequence[Sequence], rhs_columns: Sequence[Sequence]
 ) -> Optional[tuple[int, list[list[int]]]]:
@@ -126,29 +113,24 @@ def _solve_columns(
 
     A is square with int or rational entries; d is its determinant after
     the rows of [A | b] were scaled to integers, so d * x_k is a Cramer
-    numerator.
+    numerator and back-substitution against d * b divides exactly.
     """
     n = len(rows)
     aug, _ = integer_rows([list(row) + [b[i] for b in rhs_columns] for i, row in enumerate(rows)])
     pivots, m, d = echelon(aug, n)
     if len(pivots) < n:
         return None
-    return d, [
-        _back_substitute(m, [d * row[col] for row in m])
-        for col in range(n, n + len(rhs_columns))
-    ]
+    ys = []
+    for col in range(n, n + len(rhs_columns)):
+        y = [0] * n
+        for i in range(n - 1, -1, -1):
+            row = m[i]
+            y[i] = (d * row[col] - sum(row[c] * y[c] for c in range(i + 1, n))) // row[i]
+        ys.append(y)
+    return d, ys
 
 
 # -- public operations ----------------------------------------------------------
-
-
-def solve_or_none(rows: Sequence[Sequence], rhs: Sequence) -> Optional[RatVec]:
-    """The unique solution of the square system (rows)x = rhs, or None if singular."""
-    solved = _solve_columns(rows, [rhs])
-    if solved is None:
-        return None
-    d, (y,) = solved
-    return tuple(Fraction(v, d) for v in y)
 
 
 def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> RatVec:
@@ -159,10 +141,11 @@ def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> RatVec:
     n = len(rows)
     if any(len(r) != n for r in rows) or len(rhs) != n:
         raise ValueError("solve_linear expects a square system")
-    x = solve_or_none(rows, rhs)
-    if x is None:
+    solved = _solve_columns(rows, [rhs])
+    if solved is None:
         raise ValueError("singular system")
-    return x
+    d, (y,) = solved
+    return tuple(Fraction(v, d) for v in y)
 
 
 def det_int(rows: Sequence[Sequence[int]]) -> int:

@@ -49,7 +49,7 @@ from .lattice import (
     RatVec,
     det_int,
     dot,
-    solve_or_none,
+    solve_linear,
 )
 
 HalfSpace = tuple[tuple[int, ...], Fraction]  # (normal a, offset b): <u, a> >= b
@@ -63,9 +63,10 @@ def enumerate_vertices(halfspaces: Sequence[HalfSpace], dim: int) -> list[RatVec
     """
     seen: dict[RatVec, None] = {}
     for subset in combinations(halfspaces, dim):
-        point = solve_or_none([a for a, _ in subset], [b for _, b in subset])
-        if point is None:
-            continue
+        try:
+            point = solve_linear([a for a, _ in subset], [b for _, b in subset])
+        except ValueError:
+            continue  # singular: the hyperplanes do not meet in one point
         if all(dot(point, a) >= b for a, b in halfspaces):
             seen.setdefault(point)
     return sorted(seen)

@@ -1,15 +1,12 @@
-"""Alpha invariant: values, witnesses, the ray-threshold identity, the gate."""
+"""Alpha invariant: values, witnesses, the ray-threshold identity, the
+stability threshold n/(n+1)."""
 
 from fractions import Fraction as F
 
-from toricstab.alpha import AlphaResult, alpha_invariant, alpha_stability_gate
+from toricstab.alpha import AlphaResult, alpha_invariant
 from toricstab.lattice import dot
-from toricstab.valuations import ToricValuation, beta_invariant, pseff_threshold
-from toricstab.workbench import (
-    load_builtin_fan,
-    parse_fan_spec,
-    valuation_battery,
-)
+from toricstab.valuations import ToricValuation, pseff_threshold
+from toricstab.workbench import load_builtin_fan, parse_fan_spec
 from toricstab.corpus import projective_space_spec
 
 
@@ -64,30 +61,30 @@ def test_alpha_witness_validity(corpus_fans):
         assert max(divisor) * result.alpha == 1
 
 
-def test_alpha_gate(p2, square, p123, p1):
-    assert alpha_stability_gate(p2).verdict == "hypothesis not met"
-    assert alpha_stability_gate(square).verdict == "hypothesis not met"
-    assert alpha_stability_gate(p123).verdict == "theorem inapplicable (singular)"
-    assert alpha_stability_gate(p1).verdict == "theorem inapplicable (n=1)"
-    gate = alpha_stability_gate(p2)
-    assert gate.alpha == F(1, 3) and gate.threshold == F(2, 3)
+def test_alpha_stability_threshold(q_fano_fans):
+    """alpha(X) < n/(n+1) on every smooth fan with n >= 2, alpha <= n/(n+1) on
+    every fan, and P1 alone sits on the threshold, at 1/2.
 
-
-def test_high_alpha_forces_nonnegative_beta(corpus_fans):
-    """No corpus fan with alpha >= n/(n+1) and n >= 2 carries a negative beta.
-
-    For toric fans with n >= 2 the hypothesis never holds (alpha is at most
-    1/2 there), so the check is vacuous but guards the consistency claim.
+    A Fano manifold with alpha = n/(n+1) and n >= 2 is K-stable (this paper),
+    and so is a Q-Fano variety with alpha > n/(n+1) (Odaka-Sano, Adv. Math.
+    2012); either way Aut(X) is finite.  A toric X contains its torus, so
+    neither can hold.
     """
-    for fan in corpus_fans:
+    counts = {"smooth": 0, "singular": 0, "P1": 0}
+    for fan in q_fano_fans:
         n = fan.dimension
-        if n < 2:
-            continue
-        if alpha_invariant(fan).alpha >= F(n, n + 1):
-            radius = 2 if n <= 2 else 1
-            assert all(
-                beta_invariant(v) >= 0 for v in valuation_battery(fan, radius)
-            ), fan.name
+        alpha = alpha_invariant(fan).alpha
+        threshold = F(n, n + 1)
+        assert alpha <= threshold, fan.name
+        if n == 1:
+            assert fan.name == "P1" and alpha == F(1, 2)
+            counts["P1"] += 1
+        elif fan.is_smooth():
+            assert alpha < threshold, fan.name
+            counts["smooth"] += 1
+        else:
+            counts["singular"] += 1
+    assert counts == {"smooth": 41, "singular": 25, "P1": 1}
 
 
 def alpha_with_fraction_tie_break(fan):

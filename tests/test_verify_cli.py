@@ -1,5 +1,6 @@
 """The built-in verification suite as a harness: determinism and self-test."""
 
+import hashlib
 import io
 from fractions import Fraction as F
 
@@ -32,7 +33,13 @@ def test_builtin_suite_reports_mismatch(monkeypatch):
     assert "beta: expected 0, got 1" in text
 
 
+# SHA-256 of `toricstab verify` stdout, recorded before the alpha gate and the
+# one-caller solve layers of `lattice` were deleted
+VERIFY_DIGEST = "062f1279c8a207742c7f92b9a33c9359aee75402aed60f55a962589973947e9d"
+
+
 def test_cli_verify_exit_zero(capsys):
     assert main(["verify"]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS criterion") == 8
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == VERIFY_DIGEST

@@ -509,6 +509,52 @@ def test_screen_bytes_pinned(tmp_path, capsys):
         assert sha256(capsys.readouterr().out) == digest, (name, radius)
 
 
+# SHA-256 of `toricstab alpha` and of `toricstab beta --w 1,...,1` stdout on
+# every corpus fan, recorded before the alpha gate and the one-caller solve
+# layers of `lattice` were deleted
+ALPHA_DIGESTS = {
+    "P1": "7690cd177b03b78798e21e25cca0bbfd1b00fc1bef87dc16a66c3e68c0c9de3a",
+    "P2": "6b7aae1ec03ed27956c2c7659c8e9f323d19b8fa07c53cc043f0db09f907a51b",
+    "P3": "c01afa695b0ac82e3c8b98c0b56ca2d672e705375ef9ea99d4d928a3449be6f1",
+    "P4": "88d66116579714cfa7225b0311e8eb261a656f6e0965e329cc84ff3bef0c5a9e",
+    "P5": "709053cdb43a07edbe9a245fcdcfc45c9418c48dd2200e50dfb98a2013c83ae8",
+    "P1xP1": "f662891e037f56a5475e6aadfd58cfcec8b3bf90735f7e1c43ed557254e9b916",
+    "P1xP1xP1": "9ef43229084692071b329d60e0eae004a5a6df3c24cac80e8050a52989af2e37",
+    "dP8": "541b905f8173e27c2bf6e728b0e11934cdbd8e61a31bd82846d12281da8d48ef",
+    "dP7": "f613c53c802b22c29650c99032900361a67aa97ff837f79129cf90c227f033b2",
+    "dP6": "db92bc1734004c9507875f63c486d3c2f57ecd6e79b1ec1f60eb3fd3e6edd2d6",
+    "P(1,2,3)": "fc6a47ccecb340ec85a7b814a003a1e78caa60d6195840a33d51184db4d07182",
+    "P(1,1,2)": "bf277f464db6c7d4c1bc061c44ee48c8bb35d98e96afbeb8592cf52425a8176c",
+    "Y(1,2,3)": "0bf11d0d431d6e3f008f5decb44220e09953d604a99c9a1080c2d33b2ddc1e03",
+}
+BETA_DIGESTS = {
+    "P1": "ce0a6b09d272b1365766de8e78c93f80d56e71f96b4f47829f4d20784f0ababc",
+    "P2": "1c2fadfa6984b90c04b09bdbdd49165e5ce956dd7844727ad0b38c8ec81047d9",
+    "P3": "96a41954a96e60fee6f62dd10aa7d5d9fedd2b7bf6218b40cac6320cfaa09ae0",
+    "P4": "9ff391483b5ebbf41bf45922c2c6b7b45f0f397c332fe676d9bdae090b3093de",
+    "P5": "2dd7f5aae24ed28c9460475b2d97d04c13a1d75ecfa049bc903e0f248c1b945c",
+    "P1xP1": "7805de1e17d4297179d950c1f9986f95ae47dd541caaaa46b980eef8f58fc91c",
+    "P1xP1xP1": "dadf1224d7bbefdf9e4ee48e2c45e22c55bb4bdadf898c07d45cc108880aee14",
+    "dP8": "26917889c0b412660fba931a33cf9d463dfa5a971d13205bae0480cf77aaac26",
+    "dP7": "23c6e2e40667d9e08fbfd21012a811bd061df14254a217305b4108269754e4e5",
+    "dP6": "0752d71397b839fd24889b3dd14336302e37c155086ab1d7272a639334f5db0a",
+    "P(1,2,3)": "9e2e462883f67dedc73046c906cbda4aa58da10fd46bfe34b52ec337fb4ccb80",
+    "P(1,1,2)": "7805de1e17d4297179d950c1f9986f95ae47dd541caaaa46b980eef8f58fc91c",
+    "Y(1,2,3)": "59e593e1a9719df7fcd4bb004cad8d1a09dd9d944c142cff2e19c568cc01dd50",
+}
+
+
+def test_alpha_and_beta_bytes_pinned(tmp_path, capsys):
+    specs = builtin_fan_specs()
+    assert set(ALPHA_DIGESTS) == set(BETA_DIGESTS) == set(specs)
+    for name, spec in specs.items():
+        path = write_spec(tmp_path, spec)
+        assert main(["alpha", path]) == 0
+        assert sha256(capsys.readouterr().out) == ALPHA_DIGESTS[name], name
+        assert main(["beta", path, "--w", ",".join(["1"] * spec["dim"])]) == 0
+        assert sha256(capsys.readouterr().out) == BETA_DIGESTS[name], name
+
+
 def test_rat_str_renders_ints_and_fractions():
     assert [rat_str(x) for x in (0, 7, -3, F(6), F(-2, 3), F(4, 6))] == [
         "0/1", "7/1", "-3/1", "6/1", "-2/3", "2/3"
