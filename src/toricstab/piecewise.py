@@ -17,7 +17,9 @@ sum_k c_k p^k q^(d-k)  over e * q^d, with d the piece degree.  One
 Fraction is built per value returned, and the root-concavity comparison
 works on the (numerator, denominator) pairs: in closed form for m <= 3;
 for m >= 4 by an exact test on rational m-th roots of the value ratios,
-which decides every tie, and otherwise by integer root brackets.
+which decides every tie, and otherwise by integer root brackets.  It
+reuses its last call's values at mid and y when they are exactly this
+call's x and mid, so a sweep of adjacent triples evaluates each point once.
 
 Continuity at construction and `is_c1` compare the two pieces' Horner
 sums at each interior breakpoint B_i / D by cross-multiplication (for C^1,
@@ -192,6 +194,11 @@ class PiecewisePolynomial:
             out.append((den, tuple(c.numerator * (den // c.denominator) for c in piece)))
         return tuple(out)
 
+    @cached_property
+    def _carry(self) -> list:
+        """[None], then [the last `midpoint_root_concave` call's (mid p, q, y p, q, value at mid, y)]."""
+        return [None]
+
     def _locate(self, p: int, q: int) -> int:
         """Index of the piece holding x = p/q (q > 0); ValueError outside the domain."""
         den, grid = self._grid
@@ -321,13 +328,27 @@ def midpoint_root_concave(fn: PiecewisePolynomial, m: int, x: Fraction, y: Fract
     (`root_floor`) separate them until one side is certain; roots closer
     than that raise ArithmeticError, so never for m <= 3.  No comparison is
     decided by tolerance alone.  Every test cross-multiplies integers; a
-    Fraction is built only for that error's message.
+    Fraction is built only for that error's message.  m < 1 raises ValueError.
+
+    Each call stores its mid, y and their values on `fn` as one tuple.  A
+    call whose x and mid equal the stored mid and y (cross-multiplied, so
+    exactly) reuses those values and evaluates only y.  `fn` is immutable
+    and a value depends only on the rational point, so no call order can
+    make a reused value differ from a fresh one.
     """
+    if m < 1:
+        raise ValueError(f"root order must be at least 1, got {m}")
     x, y = _fraction(x), _fraction(y)
     xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
     mn, md = xn * yd + yn * xd, 2 * xd * yd
-    g = math.gcd(mn, md)
-    (na, da), (nm, dm), (nb, db) = fn._value(xn, xd), fn._value(mn // g, md // g), fn._value(yn, yd)
+    last = fn._carry[0]
+    if last is not None and xn * last[1] == last[0] * xd and mn * last[3] == last[2] * md:
+        (na, da), (nm, dm) = last[4], last[5]
+    else:
+        g = math.gcd(mn, md)
+        (na, da), (nm, dm) = fn._value(xn, xd), fn._value(mn // g, md // g)
+    nb, db = fn._value(yn, yd)
+    fn._carry[0] = (mn, md, yn, yd, (nm, dm), (nb, db))
     if na < 0 or nm < 0 or nb < 0:
         raise ValueError("root concavity needs nonnegative values")
     if m <= 3:

@@ -186,6 +186,19 @@ def test_midpoint_root_concave_rejects_negative():
         midpoint_root_concave(fn, 2, F(0), F(2))
 
 
+@pytest.mark.parametrize("m", [0, -1])
+def test_midpoint_root_concave_rejects_root_order_below_1(monkeypatch, m):
+    """m < 1 raises before any point is evaluated."""
+    fn = PiecewisePolynomial((F(0), F(4)), ((F(0), F(1)),))
+
+    def boom(*args):
+        raise AssertionError("evaluated a point")
+
+    monkeypatch.setattr(PiecewisePolynomial, "_value", boom)
+    with pytest.raises(ValueError, match=rf"^root order must be at least 1, got {m}$"):
+        midpoint_root_concave(fn, m, F(1), F(3))
+
+
 def integer_jumps(knots):
     """The integer `spline_cdf_jumps` on rational knots, as Fraction jump lists.
 
@@ -792,3 +805,105 @@ def test_midpoint_root_concave_m4_unseparated_roots_raise(monkeypatch):
     with pytest.raises(ArithmeticError, match=r"^m-th roots of 1, 2, 3 not separable at width 1e-96$"):
         midpoint_root_concave(fn, 4, F(1), F(3))
     assert midpoint_root_concave(fn, 3, F(1), F(3)) is True
+
+
+# -- the carried values of a concavity sweep --------------------------------------
+
+
+def criterion_6_triples(q_fn):
+    """The 100 criterion-6 triples of q_fn on [0, tau], as (x, y) pairs."""
+    points = [q_fn.breakpoints[-1] * F(i, 101) for i in range(102)]
+    return [(points[i - 1], points[i + 1]) for i in range(1, 101)]
+
+
+def criterion_6_qs(name):
+    """(Q, m) for every valuation criterion 6 samples on the corpus fan `name`."""
+    from toricstab.valuations import restricted_volume
+    from toricstab.verification import concavity_battery
+    from toricstab.workbench import load_builtin_fan
+
+    fan = load_builtin_fan(name)
+    return [(restricted_volume(val), fan.dimension - 1) for val in concavity_battery(fan)]
+
+
+def test_concavity_sweep_evaluates_each_point_once(monkeypatch):
+    """A 100-triple criterion-6 sweep evaluates its 102 points once each: three
+    on the first call, then only y; a second sweep over the same Q again 102."""
+    q_fn, m = criterion_6_qs("P(1,2,3)")[0]
+    q_fn = PiecewisePolynomial(q_fn.breakpoints, q_fn.pieces)
+    calls = []
+    value = PiecewisePolynomial._value
+
+    def counted(self, p, q):
+        calls.append(F(p, q))
+        return value(self, p, q)
+
+    monkeypatch.setattr(PiecewisePolynomial, "_value", counted)
+    for sweep in range(2):
+        del calls[:]
+        assert all(midpoint_root_concave(q_fn, m, x, y) for x, y in criterion_6_triples(q_fn))
+        assert len(calls) == 102, sweep
+        assert calls == [q_fn.breakpoints[-1] * F(i, 101) for i in range(102)]
+
+
+def test_midpoint_root_concave_carry_never_changes_a_result():
+    """On the first three criterion-6 Q of P2, dP6, P(1,2,3), P3 and P4, and
+    on each Q shifted down to take negative values, every verdict, exception
+    type and message equals the stateless oracle's when the triples come in
+    order, shuffled, reversed, each twice in a row, interleaved call by call
+    with another Q's, or each followed by a call whose x alone matches the
+    carried midpoint and by calls that raise (a point outside the domain)."""
+    rng = random.Random(24)
+    oracle, seen = {}, set()
+
+    def check(calls):
+        for fn, m, x, y in calls:
+            key = (id(fn), m, x, y)
+            if key not in oracle:
+                oracle[key] = verdict(oracle_midpoint_root_concave, fn, m, x, y)
+            assert verdict(midpoint_root_concave, fn, m, x, y) == oracle[key], (fn, m, x, y)
+            seen.add(oracle[key])
+
+    qs = [q for name in ("P2", "dP6", "P(1,2,3)", "P3", "P4") for q in criterion_6_qs(name)[:3]]
+    shifted = []
+    for q_fn, m in qs:
+        drop = q_fn(q_fn.breakpoints[-1] / 2) / 2
+        pieces = tuple((p[0] - drop, *p[1:]) for p in q_fn.pieces)
+        shifted.append((PiecewisePolynomial(q_fn.breakpoints, pieces), m))
+    sweeps = [[(fn, m, x, y) for x, y in criterion_6_triples(fn)] for fn, m in qs + shifted]
+    for sweep, other in zip(sweeps, sweeps[1:] + sweeps[:1]):
+        fn, m = sweep[0][:2]
+        tau = fn.breakpoints[-1]
+        check(sweep)
+        check(rng.sample(sweep, len(sweep)))
+        check(sweep[::-1])
+        check([call for call in sweep for _ in range(2)])
+        check([call for pair in zip(sweep, other) for call in pair])
+        # after each triple: x at the carried mid but a wider y, so only x
+        # matches; y past tau (with x and mid the carried mid and y on the
+        # last triple); x below 0.  The next triple reuses the carry.
+        wider = [(fn, m, x + (y - x) / 2, min(y + (y - x), tau)) for _, _, x, y in sweep]
+        beyond = [(fn, m, x + (y - x) / 2, tau * F(102, 101)) for _, _, x, y in sweep]
+        below = [(fn, m, -tau / 101, y) for _, _, x, y in sweep]
+        check([c for calls in zip(sweep, wider, sweep, beyond, below) for c in calls])
+    assert {True, "ValueError: root concavity needs nonnegative values"} <= seen
+    assert any(str(v).endswith(f"outside domain [0, {tau}]") for v in seen)
+    assert {m for _, m in qs} == {1, 2, 3}
+
+
+def test_midpoint_root_concave_m4_sweep_with_unseparated_roots(monkeypatch):
+    """With `root_floor` patched to 0 as in the test above, the m = 4 sweep of
+    P5's equality-case Q (c x^4, every triple an exact tie) is still decided
+    by the rational roots, and the sweep of x on [0, 4] raises at every
+    triple with the oracle's message, built from the values reduced."""
+    from toricstab.valuations import ToricValuation, restricted_volume
+    from toricstab.workbench import load_builtin_fan
+
+    q_fn = restricted_volume(ToricValuation(load_builtin_fan("P5"), (1,) * 5))
+    line = PiecewisePolynomial((F(0), F(4)), ((F(0), F(1)),))
+    monkeypatch.setattr("toricstab.piecewise.root_floor", lambda num, den, m, scale: 0)
+    assert all(midpoint_root_concave(q_fn, 4, x, y) is True for x, y in criterion_6_triples(q_fn))
+    got = [verdict(midpoint_root_concave, line, 4, x, y) for x, y in criterion_6_triples(line)]
+    assert got == [verdict(oracle_midpoint_root_concave, line, 4, x, y) for x, y in criterion_6_triples(line)]
+    assert got[0] == "ArithmeticError: m-th roots of 0, 4/101, 8/101 not separable at width 1e-96"
+    assert got[50] == "ArithmeticError: m-th roots of 200/101, 204/101, 208/101 not separable at width 1e-96"

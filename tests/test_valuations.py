@@ -1,6 +1,7 @@
 """Per-valuation invariants: discrepancy, thresholds, volume functions, beta."""
 
 import math
+import operator
 from fractions import Fraction as F
 from itertools import product
 
@@ -475,7 +476,8 @@ def test_nef_threshold_bounded_by_tau(corpus_fans):
 
 def test_equality_bound_matches_the_fraction_test(q_fano_fans):
     """The bound read off the vertex row decides A >= (n/(n+1)) tau in
-    Fractions, tau taken as A plus a Fraction maximum over the vertices, on
+    Fractions, tau taken as A plus the maximum over the vertices (integer
+    rows over their lcm, built here from the Fraction vertices), on
     the radius-3 battery of every fan.  Where w has max-norm <= 2, or the fan
     has dimension <= 3, A and the center codim are also checked against an
     oracle that uses neither adjugates nor the vertex matrix: w's coordinates
@@ -485,13 +487,15 @@ def test_equality_bound_matches_the_fraction_test(q_fano_fans):
     for fan in q_fano_fans:
         n = fan.dimension
         vertices = fan.anticanonical_polytope().vertices
+        lcm = math.lcm(*(c.denominator for u in vertices for c in u))
+        rows = [[c.numerator * (lcm // c.denominator) for c in u] for u in vertices]
         for v in valuation_battery(fan, 3):
             a_disc = log_discrepancy(v)
             if n <= 3 or max(abs(x) for x in v.w) <= 2:
                 _, coords = cone_coordinates(fan, v.w)
                 assert a_disc == sum(coords), (fan.name, v.w)
                 assert center_codim(v) == sum(1 for c in coords if c > 0), (fan.name, v.w)
-            tau = a_disc + max(dot(u, v.w) for u in vertices)
+            tau = a_disc + F(max(sum(map(operator.mul, row, v.w)) for row in rows), lcm)
             assert pseff_threshold(v) == tau, (fan.name, v.w)
             expected = a_disc >= F(n, n + 1) * tau
             assert meets_equality_bound(v) is expected, (fan.name, v.w)
