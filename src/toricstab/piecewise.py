@@ -6,14 +6,18 @@ strictly increasing breakpoint grid; adjacent pieces with identical
 polynomials are merged at construction and exact continuity at interior
 breakpoints is enforced.
 
-Evaluation and every check run on an integer form built once per
-instance, on first use (at construction when there are interior
-breakpoints to check): the breakpoints as integers B_i over one common
-denominator D, and each piece as integer numerators c_k over one
-denominator e.  A point x = p/q (q > 0) lies at or right of breakpoint i
-exactly when B_i <= floor(p*D/q), so locating it is one floor division and
-an integer bisection; the value there is the homogeneous Horner sum
-sum_k c_k p^k q^(d-k)  over e * q^d, with d the piece degree.  One
+Every instance holds an integer form: the breakpoints as integers B_i
+over one common denominator D, and each piece as integer numerators c_k
+over one denominator e.  The dataclass constructor reads it off its
+Fractions; `_from_int_form` takes it directly from callers that compute in
+integers.  One canonicalisation serves both: it trims, reduces by gcds (to
+the lowest common denominators), merges identical neighbours and checks
+continuity, then builds one Fraction per breakpoint and per coefficient.
+Evaluation and every check run on this form.  A point x = p/q (q > 0)
+lies at or right of breakpoint i exactly when B_i <= floor(p*D/q), so
+locating it is one floor division and an integer bisection; the value
+there is the homogeneous Horner sum sum_k c_k p^k q^(d-k) over e * q^d,
+with d the piece degree.  One
 Fraction is built per value returned, and the root-concavity comparison
 works on the (numerator, denominator) pairs: in closed form for m <= 3;
 for m >= 4 by an exact test on rational m-th roots of the value ratios,
@@ -37,6 +41,7 @@ an integer denominator per knot.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -108,7 +113,7 @@ def spline_cdf_jumps(knots: Sequence[int]) -> dict[int, tuple[int, list[int]]]:
     d = tau - sigma, (d + h)^-mu agrees up to h^(m-1) with
     sum_l (-1)^l C(mu + l - 1, l) d^(m-1-l) h^l over d^(mu+m-1), so den is
     the product of those powers, reduced with the numerators to lowest
-    terms and made positive.
+    terms and made positive.  A simple knot (m = 1) needs no series or gcd.
     """
     n = len(knots) - 1
     counts: dict[int, int] = {}
@@ -118,6 +123,10 @@ def spline_cdf_jumps(knots: Sequence[int]) -> dict[int, tuple[int, list[int]]]:
         raise ValueError("spline knots must not all coincide")
     jumps = {}
     for tau, m in counts.items():
+        if m == 1:
+            den = math.prod((tau - sigma) ** mu for sigma, mu in counts.items() if sigma != tau)
+            jumps[tau] = (abs(den), [0] * n + [-1 if (n % 2 == 1) != (den < 0) else 1])
+            continue
         # series[l] / den: coefficient of h^l in the product over the other knots
         series = [1] + [0] * (m - 1)
         den = 1
@@ -126,9 +135,8 @@ def spline_cdf_jumps(knots: Sequence[int]) -> dict[int, tuple[int, list[int]]]:
                 continue
             d = tau - sigma
             den *= d ** (mu + m - 1)
-            if m > 1:
-                factor = [(-1) ** l * math.comb(mu + l - 1, l) * d ** (m - 1 - l) for l in range(m)]
-                series = [sum(series[i] * factor[l - i] for i in range(l + 1)) for l in range(m)]
+            factor = [(-1) ** l * math.comb(mu + l - 1, l) * d ** (m - 1 - l) for l in range(m)]
+            series = [sum(series[i] * factor[l - i] for i in range(l + 1)) for l in range(m)]
         # (x - tau - h)^n = sum_k C(n, k) (-h)^k (x - tau)^(n-k)
         jump = [0] * (n + 1)
         for k in range(m):
@@ -145,54 +153,72 @@ def spline_cdf_jumps(knots: Sequence[int]) -> dict[int, tuple[int, list[int]]]:
 class PiecewisePolynomial:
     """A continuous piecewise polynomial on [breakpoints[0], breakpoints[-1]].
 
-    Called for exact values; `integral()` is over the whole domain."""
+    Called for exact values; `integral()` is over the whole domain.  The
+    integer form is `_grid` = (D, [B_i]) and `_int_pieces` = ((e, (c_k)), ...)."""
 
     breakpoints: tuple[Fraction, ...]
     pieces: tuple[Poly, ...]
 
     def __post_init__(self):
-        if len(self.breakpoints) != len(self.pieces) + 1:
+        pieces = []
+        for piece in self.pieces:
+            cs = [_fraction(c) for c in piece]
+            e = math.lcm(*(c.denominator for c in cs))
+            pieces.append((e, [c.numerator * (e // c.denominator) for c in cs]))
+        bps = [_fraction(b) for b in self.breakpoints]
+        den = math.lcm(*(b.denominator for b in bps))
+        self._canonicalise(den, [b.numerator * (den // b.denominator) for b in bps], pieces, bps)
+
+    @classmethod
+    def _from_int_form(cls, den: int, grid: Sequence[int], pieces, breakpoints=None) -> "PiecewisePolynomial":
+        """Breakpoints B_i / den (optionally also as Fractions) and pieces (e, [c_k]), e > 0, as a function.
+
+        Raises the Fraction constructor's ValueErrors for the same input."""
+        fn = object.__new__(cls)
+        fn._canonicalise(den, grid, pieces, breakpoints)
+        return fn
+
+    def _canonicalise(self, den: int, grid: Sequence[int], pieces, breakpoints=None) -> None:
+        """Trim, reduce and merge an integer form, check continuity, then set every field from it.
+
+        A trimmed piece becomes (e / g, (c_k / g)) with g = gcd(e, c_0, ...),
+        so equal polynomials have equal forms; the merged grid becomes
+        (D / g, [B_i / g]) with g = gcd(D, B_0, ...).  `breakpoints` are kept
+        when no pieces merge."""
+        if len(grid) != len(pieces) + 1:
             raise ValueError("breakpoint/piece count mismatch")
-        if any(a >= b for a, b in zip(self.breakpoints, self.breakpoints[1:])):
+        if not all(map(operator.lt, grid, grid[1:])):
             raise ValueError("breakpoints must be strictly increasing")
-        # merge adjacent identical pieces into canonical form
-        bps = [self.breakpoints[0]]
-        ps: list[Poly] = []
-        for right, piece in zip(self.breakpoints[1:], self.pieces):
-            piece = poly_trim(piece)
+        bps = [grid[0]]
+        ps: list[tuple[int, tuple[int, ...]]] = []
+        for right, (e, cs) in zip(grid[1:], pieces):
+            end = len(cs)
+            while end > 1 and cs[end - 1] == 0:
+                end -= 1
+            cs = tuple(cs[:end]) or (0,)
+            g = math.gcd(e, *cs)
+            piece = (e // g, tuple(c // g for c in cs)) if g > 1 else (e, cs)
             if ps and ps[-1] == piece:
                 bps[-1] = right
             else:
                 ps.append(piece)
                 bps.append(right)
-        object.__setattr__(self, "breakpoints", tuple(bps))
-        object.__setattr__(self, "pieces", tuple(ps))
-        for i in range(1, len(self.breakpoints) - 1):
-            (a, da), (b, db) = self._values_at(i, self._int_pieces)
-            if a * db != b * da:
-                raise ValueError(
-                    f"discontinuity at breakpoint {self.breakpoints[i]}: "
-                    f"{Fraction(a, da)} != {Fraction(b, db)}"
-                )
+        g = math.gcd(den, *bps)
+        den, bps = den // g, [b // g for b in bps]
+        object.__setattr__(self, "_grid", (den, bps))
+        object.__setattr__(self, "_int_pieces", tuple(ps))
+        jump = self._mismatch(ps)
+        if jump is not None:
+            i, left, right = jump
+            raise ValueError(f"discontinuity at breakpoint {Fraction(bps[i], den)}: {left} != {right}")
+        if breakpoints is None or len(breakpoints) != len(bps):
+            breakpoints = [Fraction(b, den) for b in bps]
+        object.__setattr__(self, "breakpoints", tuple(breakpoints))
+        object.__setattr__(self, "pieces", tuple(tuple(Fraction(c, e) for c in cs) for e, cs in ps))
 
     @property
     def domain(self) -> tuple[Fraction, Fraction]:
         return self.breakpoints[0], self.breakpoints[-1]
-
-    @cached_property
-    def _grid(self) -> tuple[int, list[int]]:
-        """(D, [B_i]): breakpoint i is B_i / D, with D the common denominator."""
-        den = math.lcm(*(b.denominator for b in self.breakpoints))
-        return den, [b.numerator * (den // b.denominator) for b in self.breakpoints]
-
-    @cached_property
-    def _int_pieces(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
-        """Per piece (e, (c_0, ..., c_d)): the piece is sum_k (c_k / e) x^k."""
-        out = []
-        for piece in self.pieces:
-            den = math.lcm(*(c.denominator for c in piece))
-            out.append((den, tuple(c.numerator * (den // c.denominator) for c in piece)))
-        return tuple(out)
 
     @cached_property
     def _carry(self) -> list:
@@ -218,14 +244,16 @@ class PiecewisePolynomial:
         x = _fraction(x)
         return Fraction(*self._value(x.numerator, x.denominator))
 
-    def _values_at(self, i: int, pieces) -> list[tuple[int, int]]:
-        """Pieces i - 1 and i of an integer form at breakpoint i, as (numerator, denominator)."""
+    def _mismatch(self, pieces) -> Optional[tuple[int, Fraction, Fraction]]:
+        """(i, left value, right value) at the first interior breakpoint where an integer form jumps, or None."""
         den, grid = self._grid
-        out = []
-        for e, cs in pieces[i - 1 : i + 1]:
-            acc, q_power = _homogeneous(cs, grid[i], den)
-            out.append((acc, e * q_power))
-        return out
+        for i in range(1, len(grid) - 1):
+            (e, cs), (f, ds) = pieces[i - 1], pieces[i]
+            a, qa = _homogeneous(cs, grid[i], den)
+            b, qb = _homogeneous(ds, grid[i], den)
+            if a * f * qb != b * e * qa:
+                return i, Fraction(a, e * qa), Fraction(b, f * qb)
+        return None
 
     @cached_property
     def _integral(self) -> Fraction:
@@ -252,12 +280,8 @@ class PiecewisePolynomial:
 
     def is_c1(self) -> bool:
         """Exact one-sided derivative agreement at every interior breakpoint."""
-        slopes = [(e, tuple(k * c for k, c in enumerate(cs))[1:] or (0,)) for e, cs in self._int_pieces]
-        for i in range(1, len(self.breakpoints) - 1):
-            (a, da), (b, db) = self._values_at(i, slopes)
-            if a * db != b * da:
-                return False
-        return True
+        slopes = [(e, [k * c for k, c in enumerate(cs)][1:] or [0]) for e, cs in self._int_pieces]
+        return self._mismatch(slopes) is None
 
 
 # -- exact m-th root comparison -------------------------------------------------

@@ -48,8 +48,11 @@ denominators.  The simplex masses dim! vol(S) are integers over the shared
 denominator D^dim (`RationalPolytope.indexed_triangulation`).  The jumps
 are summed per breakpoint, grouped by denominator, brought to one common
 denominator L, expanded in powers of y by an integer Taylor shift and
-accumulated into the pieces.  Fractions are built only for the result:
-one per breakpoint k / D and one per coefficient c_j D^j / (D^dim L).
+accumulated into the pieces, numerators c_j D^j over D^dim L on the grid
+k / D.  `PiecewisePolynomial._from_int_form` reduces them and checks
+continuity, and the endpoint values and C^1 are checked, all in integers;
+Q is differentiated from the same integer form.  Fractions are built only
+for the results: one per breakpoint and one per coefficient.
 """
 
 from __future__ import annotations
@@ -208,6 +211,8 @@ def volume_function(val: ToricValuation) -> PiecewisePolynomial:
     common = math.lcm(*(den for by_den in grouped.values() for den in by_den))
     degree = sum(mass for _, mass in simplices)
     current = [degree * common] + [0] * n
+    # in x = y / D the coefficient of x^j is c_j D^j over mass_den * common
+    powers = [scale**j for j in range(n + 1)]
     pieces = []
     for t in values[:-1]:
         jump = [0] * (n + 1)
@@ -219,13 +224,11 @@ def volume_function(val: ToricValuation) -> PiecewisePolynomial:
                 jump[j] -= t * jump[j + 1]
         for j, c in enumerate(jump):
             current[j] -= c
-        pieces.append(current[:])
-    denominator = mass_den * common
-    result = PiecewisePolynomial(
-        tuple(Fraction(t, scale) for t in values),
-        tuple(tuple(Fraction(c * scale**j, denominator) for j, c in enumerate(p)) for p in pieces),
-    )
-    if result(0) != Fraction(degree, mass_den) or result(result.domain[1]) != 0:
+        pieces.append((mass_den * common, list(map(operator.mul, current, powers))))
+    result = PiecewisePolynomial._from_int_form(scale, values, pieces)
+    # the grid starts at 0, so vol(0) is the first piece's constant term
+    e, first = result._int_pieces[0]
+    if first[0] * mass_den != degree * e or result._value(top, scale)[0] != 0:
         raise AssertionError("volume function endpoint values are wrong")
     if not result.is_c1():
         raise AssertionError("volume function is not C^1 at a breakpoint")
@@ -264,16 +267,15 @@ def beta_invariant(val: ToricValuation) -> Fraction:
 
 
 def restricted_volume(val: ToricValuation) -> PiecewisePolynomial:
-    """Q(x) = -(1/n) d/dx vol(x), extended to the closed interval [0, tau]."""
+    """Q(x) = -(1/n) d/dx vol(x), extended to the closed interval [0, tau].
+
+    Built in integers on vol's breakpoints: vol's piece sum_k (c_k / e) x^k
+    gives numerators -k c_k (k >= 1) over n e, one Fraction per coefficient.
+    """
     vol = volume_function(val)
     n = val.fan.dimension
-    return PiecewisePolynomial(
-        vol.breakpoints,
-        tuple(
-            tuple(Fraction(-k * c.numerator, n * c.denominator) for k, c in enumerate(p[1:], 1))
-            for p in vol.pieces
-        ),
-    )
+    pieces = [(n * e, [-k * c for k, c in enumerate(cs)][1:]) for e, cs in vol._int_pieces]
+    return PiecewisePolynomial._from_int_form(*vol._grid, pieces, vol.breakpoints)
 
 
 def center_codim(val: ToricValuation) -> int:

@@ -237,7 +237,7 @@ def check_concavity() -> CheckOutcome:
         for val in concavity_battery(fan):
             q_fn = restricted_volume(val)
             tau = q_fn.breakpoints[-1]
-            points = [tau * Fraction(i, 101) for i in range(102)]
+            points = [Fraction(i * tau.numerator, 101 * tau.denominator) for i in range(102)]
             for x in points:
                 value = q_fn(x)
                 if value < 0 or (value == 0 and 0 < x < tau):

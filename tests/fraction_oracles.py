@@ -7,7 +7,9 @@ live here.  So do the geometric queries the package no longer needs: cone
 coordinates of a vector, from each maximal cone's Fraction inverse, the
 walls of a fan and half-space membership in a polytope.
 The lattice points of a dilated polytope are found by the Fraction scan of
-its bounding box that the package's integer scan replaced.
+its bounding box that the package's integer scan replaced.  The integer
+form a piecewise polynomial holds is read back off its Fractions by lowest
+common denominators, as the package once derived it.
 """
 
 import math
@@ -80,6 +82,20 @@ def lattice_points(poly, scale=1):
         keep = {v: v >= scale * b for v in set(dots)}
         points = [pt for pt, v in zip(points, dots) if keep[v]]
     return points
+
+
+def int_form(fn):
+    """((D, [B_i]), ((e, (c_k)), ...)) of a piecewise polynomial, read off its Fractions.
+
+    D is the lcm of the breakpoint denominators and each e the lcm of its
+    piece's coefficient denominators, so B_i / D and c_k / e are the values.
+    """
+    den = math.lcm(*(b.denominator for b in fn.breakpoints))
+    pieces = []
+    for piece in fn.pieces:
+        e = math.lcm(*(c.denominator for c in piece))
+        pieces.append((e, tuple(c.numerator * (e // c.denominator) for c in piece)))
+    return (den, [b.numerator * (den // b.denominator) for b in fn.breakpoints]), tuple(pieces)
 
 
 def poly_eval(coeffs, x):

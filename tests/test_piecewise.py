@@ -9,6 +9,7 @@ from fractions import Fraction as F
 import pytest
 
 from fraction_oracles import (
+    int_form,
     poly_antiderivative,
     poly_derivative,
     poly_eval,
@@ -402,6 +403,60 @@ def test_integer_checks_on_denominators_unlike_the_pieces():
         fn = PiecewisePolynomial((F(0), F(2, 3), F(3, 2)), (square, line))
         assert fn.is_c1() is smooth
         assert fn.integral() == F(8, 81) + F(4, 9) * F(5, 6) + slope * F(5, 6) ** 2 / 2
+
+
+def unreduced_int_form(rng, fn):
+    """An integer form of `fn` with spare factors, zero tails and one piece split in two."""
+    split = rng.randrange(len(fn.pieces))
+    left, right = fn.breakpoints[split : split + 2]
+    bps = list(fn.breakpoints)
+    bps.insert(split + 1, left + (right - left) * F(rng.randint(1, 6), 7))
+    pieces = list(fn.pieces)
+    pieces.insert(split, pieces[split])
+    den = math.lcm(*(b.denominator for b in bps)) * rng.randint(1, 6)
+    grid = [int(b * den) for b in bps]
+    form = []
+    for piece in pieces:
+        e = math.lcm(*(c.denominator for c in piece)) * rng.randint(1, 6)
+        form.append((e, [int(c * e) for c in piece] + [0] * rng.randint(0, 2)))
+    return den, grid, form
+
+
+def test_integer_form_constructor_matches_the_fraction_constructor():
+    """`_from_int_form` on an unreduced form, with trailing zeros and a piece
+    split at an extra breakpoint, gives the same function, Fractions and
+    integer form as the Fraction constructor, whose form is the one read
+    off the Fractions; a discontinuous or malformed form raises the same
+    ValueError text on both paths."""
+    rng = random.Random(25)
+    for _ in range(200):
+        fn = random_piecewise(rng)
+        den, grid, form = unreduced_int_form(rng, fn)
+        got = PiecewisePolynomial._from_int_form(den, grid, form)
+        assert got == fn
+        assert all(type(b) is F for b in got.breakpoints)
+        assert all(type(c) is F for piece in got.pieces for c in piece)
+        assert (got._grid, got._int_pieces) == (fn._grid, fn._int_pieces) == int_form(fn)
+        i = rng.randrange(1, len(form))
+        e, cs = form[i]
+        form[i] = (e, [cs[0] + rng.choice((-1, 1)) * rng.randint(1, e)] + cs[1:])
+        fractions = (
+            tuple(F(b, den) for b in grid),
+            tuple(tuple(F(c, e) for c in cs) for e, cs in form),
+        )
+        with pytest.raises(ValueError) as want:
+            PiecewisePolynomial(*fractions)
+        with pytest.raises(ValueError) as exc:
+            PiecewisePolynomial._from_int_form(den, grid, form)
+        assert str(exc.value) == str(want.value)
+        assert str(exc.value).startswith("discontinuity at breakpoint ")
+    with pytest.raises(ValueError) as exc:
+        PiecewisePolynomial._from_int_form(6, [0, 2, 12], [(4, [2, 4, 0]), (14, [10])])
+    assert str(exc.value) == "discontinuity at breakpoint 1/3: 5/6 != 5/7"
+    with pytest.raises(ValueError, match="breakpoint/piece count mismatch"):
+        PiecewisePolynomial._from_int_form(1, [0, 1, 2], [(1, [1])])
+    with pytest.raises(ValueError, match="strictly increasing"):
+        PiecewisePolynomial._from_int_form(1, [0, 2, 1], [(1, [1]), (1, [1])])
 
 
 # -- midpoint_root_concave against the Fraction implementation -------------------

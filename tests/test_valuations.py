@@ -8,13 +8,14 @@ from itertools import product
 import pytest
 
 from fraction_oracles import cone_coordinates, poly_antiderivative, poly_derivative, poly_eval
-from fraction_oracles import poly_from_shifted, walls
+from fraction_oracles import int_form, poly_from_shifted, walls
 from fraction_oracles import spline_cdf_jumps as oracle_spline_cdf_jumps
+import toricstab.valuations as valuations
 from toricstab.errors import InvariantViolation
 from toricstab.corpus import builtin_fan_specs
 from toricstab.fans import Fan
 from toricstab.lattice import dot, primitivize, solve_linear
-from toricstab.piecewise import PiecewisePolynomial, lagrange_interpolate
+from toricstab.piecewise import PiecewisePolynomial, lagrange_interpolate, poly_trim, spline_cdf_jumps
 from toricstab.valuations import (
     ToricValuation,
     beta_invariant,
@@ -231,6 +232,124 @@ def test_volume_function_matches_fraction_closed_form(corpus_fans, q_fano_fans):
         repeated += any(len(k) < n + 1 for k in knots)
     # most cases have a simplex with repeated knots: the confluent branch runs
     assert repeated > len(cases) // 2
+
+
+def corpus_batteries(corpus_fans):
+    """Each corpus fan with its battery: radius 3 up to dimension 2, radius 1 above."""
+    return [(fan, valuation_battery(fan, 3 if fan.dimension <= 2 else 1)) for fan in corpus_fans]
+
+
+def test_volume_functions_hold_the_derived_integer_form(corpus_fans):
+    """vol and Q are built from integer forms; the Fraction constructor,
+    given their Fractions, rebuilds them with the same integer form, and
+    that form is the one read off the Fractions by lowest common
+    denominators.  So evaluation and the concavity sweep see the integers
+    they saw when the form was derived from the Fractions."""
+    count = 0
+    for fan, battery in corpus_batteries(corpus_fans):
+        for v in battery:
+            for fn in (volume_function(v), restricted_volume(v)):
+                again = PiecewisePolynomial(fn.breakpoints, fn.pieces)
+                assert again == fn, (fan.name, v.w)
+                assert (fn._grid, fn._int_pieces) == (again._grid, again._int_pieces) == int_form(fn)
+                assert all(type(b) is F for b in fn.breakpoints)
+                assert all(type(c) is F for piece in fn.pieces for c in piece)
+            count += 1
+    assert count == 632
+
+
+def perturbed_jumps(top, change):
+    """`spline_cdf_jumps` with `change(numerators, t)` applied once: at the
+    first knot t < top, in the first simplex, for which it returns True."""
+    done = []
+
+    def jumps(knots):
+        out = spline_cdf_jumps(knots)
+        for t in sorted(out):
+            den, nums = out[t][0], list(out[t][1])
+            if not done and t < top and change(nums, t, top):
+                out[t] = (den, nums)
+                done.append(t)
+        return out
+
+    return jumps, done
+
+
+def bump_value(nums, t, top):
+    """Add 1 at an interior knot: vol jumps there."""
+    nums[0] += 1
+    return t > 0
+
+
+def bump_top_power(nums, t, top):
+    """Add (y - t)^n: continuous and C^1 at t, but vol(tau) moves."""
+    nums[-1] += 1
+    return True
+
+
+def bump_slope(nums, t, top):
+    """Add (top - t)(y - t) - (y - t)^2 at an interior knot: zero at t and at
+    top, so both endpoints and continuity hold, but the slope jumps at t."""
+    nums[1] += top - t
+    nums[2] -= 1
+    return t > 0
+
+
+EXPECTED_FAILURE = {
+    bump_value: (ValueError, "discontinuity at breakpoint "),
+    bump_top_power: (AssertionError, "volume function endpoint values are wrong"),
+    bump_slope: (AssertionError, "volume function is not C^1 at a breakpoint"),
+}
+
+
+def test_volume_function_checks_catch_a_perturbed_jump(monkeypatch):
+    """One spline jump off by an integer polynomial makes `volume_function`
+    raise, never return, so its integer checks are not vacuous: the
+    continuity check of `_from_int_form`, the endpoint check and the C^1
+    check each catch a perturbation that the other two pass."""
+    caught = dict.fromkeys(EXPECTED_FAILURE, 0)
+    for name in ("P2", "dP6", "P(1,2,3)", "Y(1,2,3)", "P3", "P1xP1xP1"):
+        fan = load_builtin_fan(name)
+        for v in valuation_battery(fan, 1):
+            row = v._values[1]
+            for change, (error, message) in EXPECTED_FAILURE.items():
+                jumps, done = perturbed_jumps(max(row) - min(row), change)
+                monkeypatch.setattr(valuations, "spline_cdf_jumps", jumps)
+                try:
+                    volume_function.__wrapped__(v)
+                except error as exc:
+                    assert done and str(exc).startswith(message), (name, v.w, change.__name__)
+                    caught[change] += 1
+                else:
+                    assert not done, (name, v.w, change.__name__)
+                finally:
+                    monkeypatch.undo()
+    assert all(count >= 20 for count in caught.values()), caught
+
+
+def test_volume_function_of_minus_w_is_the_complement(corpus_fans):
+    """Slicing P from the other side: tau(-w) = tau(w) and
+    vol_{-w}(x) = degree - vol_w(tau - x), checked as an identity of
+    polynomials on every piece by an exact Taylor shift, for every battery
+    pair.  Both sides are canonical, so their breakpoints mirror exactly."""
+    pairs = 0
+    for fan, battery in corpus_batteries(corpus_fans):
+        by_w = {v.w: v for v in battery}
+        degree = fan.degree()
+        for v in battery:
+            other = by_w[tuple(-x for x in v.w)]
+            tau = pseff_threshold(v)
+            assert pseff_threshold(other) == tau
+            vol, mirrored = volume_function(v), volume_function(other)
+            assert mirrored.breakpoints == tuple(tau - b for b in reversed(vol.breakpoints))
+            for piece, image in zip(reversed(vol.pieces), mirrored.pieces):
+                # p(tau - x) = sum_k c_k (-1)^k (x - tau)^k
+                flipped = poly_from_shifted([c * (-1) ** k for k, c in enumerate(piece)], tau)
+                expected = [-c for c in flipped]
+                expected[0] += degree
+                assert image == poly_trim(expected), (fan.name, v.w)
+            pairs += 1
+    assert pairs == 632
 
 
 def test_section_count_oracle(p123):
