@@ -324,7 +324,9 @@ def nef_threshold(val: ToricValuation) -> Fraction:
 
 @dataclass(frozen=True)
 class ValuationProfile:
-    """All per-valuation invariants, cross-validated at construction."""
+    """All per-valuation invariants, checked at construction: beta is
+    A * degree - integral of vol, and must equal -degree <b, w> by the
+    barycenter identity, read off `beta_form` = -degree b over one denominator."""
 
     w: LatticeVec
     degree: Fraction
@@ -332,35 +334,41 @@ class ValuationProfile:
     pseff_threshold: Fraction
     nef_threshold: Fraction
     integrated_volume: Fraction
-    beta: Fraction
+    beta: Fraction = field(init=False)
     volume_fn: PiecewisePolynomial
     restricted_volume_fn: PiecewisePolynomial
     center_codim: int
     is_primitive: bool
+    beta_form: tuple[int, tuple[int, ...]] = field(compare=False, repr=False)
 
     def __post_init__(self):
         if not 0 < self.nef_threshold <= self.pseff_threshold:
             raise AssertionError(
                 f"nef threshold {self.nef_threshold} outside (0, {self.pseff_threshold}]"
             )
-        expected = self.log_discrepancy * self.degree - self.integrated_volume
-        if self.beta != expected:
-            raise AssertionError("beta does not match A * degree - integrated volume")
+        object.__setattr__(self, "beta", self.log_discrepancy * self.degree - self.integrated_volume)
+        den, form = self.beta_form
+        if sum(map(operator.mul, form, self.w)) * self.beta.denominator != self.beta.numerator * den:
+            raise AssertionError(f"beta of {self.w} breaks the barycenter identity")
 
 
 def valuation_profile(val: ToricValuation) -> ValuationProfile:
+    degree, vol = val.fan.degree(), volume_function(val)
+    barycenter = val.fan.anticanonical_polytope().barycenter()
+    den = math.lcm(*(x.denominator for x in barycenter))
+    form = tuple(-degree.numerator * x.numerator * (den // x.denominator) for x in barycenter)
     return ValuationProfile(
         w=val.w,
-        degree=val.fan.degree(),
+        degree=degree,
         log_discrepancy=log_discrepancy(val),
         pseff_threshold=pseff_threshold(val),
         nef_threshold=nef_threshold(val),
-        integrated_volume=integrated_volume(val),
-        beta=beta_invariant(val),
-        volume_fn=volume_function(val),
+        integrated_volume=vol.integral(),
+        volume_fn=vol,
         restricted_volume_fn=restricted_volume(val),
         center_codim=center_codim(val),
         is_primitive=val.is_primitive,
+        beta_form=(degree.denominator * den, form),
     )
 
 

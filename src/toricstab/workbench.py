@@ -23,7 +23,6 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence, TextIO
 
 from .alpha import AlphaResult, alpha_invariant
@@ -251,7 +250,7 @@ def orbit_profiles(fan: Fan, battery: Sequence[ToricValuation]) -> tuple[Valuati
     automorphism A (`Fan.automorphisms`), so the battery splits into the
     orbits that stay inside it.  The first member of each orbit in battery
     order gets a computed profile; the others get a copy with their own w,
-    which `ValuationProfile.__post_init__` checks again.
+    whose beta is checked at that w, so a map that is no automorphism raises.
     """
     group = fan.automorphisms()
     members = {val.w for val in battery}
@@ -275,9 +274,9 @@ def analyze(fan: Fan, radius: int = 4) -> StabilityReport:
     """Full stability report over the primitive valuation battery.
 
     Profiles are computed once per fan-automorphism orbit of the battery
-    (`orbit_profiles`).  The semistability verdict comes from the exact
-    barycenter identity and is cross-checked against the minimum battery
-    beta; disagreement would be an internal error and raises.  The
+    (`orbit_profiles`), each beta checked against the exact barycenter
+    identity, from which the semistability verdict comes: the battery holds
+    every +-e_i, so its minimum beta is negative exactly when b != 0.  The
     projective-space screen runs on the same battery: `meets_equality_bound`
     decides the bound, and A, tau and beta come from the profiles.
     """
@@ -287,8 +286,6 @@ def analyze(fan: Fan, radius: int = 4) -> StabilityReport:
     profiles = orbit_profiles(fan, battery)
     min_profile = min(profiles, key=lambda p: (p.beta, p.w))
     semistable = all(x == 0 for x in barycenter)
-    if semistable != (min_profile.beta >= 0):
-        raise AssertionError("barycenter identity and battery betas disagree")
     witness = None
     if not semistable:
         negatives = [p for p in profiles if p.beta < 0]
@@ -345,7 +342,7 @@ def _json_lines(items: Sequence[str], indent: int, brackets: str = "[]") -> str:
 
 
 def _rat_json(x: Fraction | int) -> str:
-    return encode_basestring_ascii(rat_str(x))
+    return f'"{rat_str(x)}"'  # rat_str yields only digits, "-" and "/"
 
 
 def _piecewise_json(fn: PiecewisePolynomial) -> str:
@@ -400,7 +397,7 @@ def screen_result_dict(s: ScreenResult) -> dict:
 def report_json(r: StabilityReport) -> str:
     """`json.dumps(..., indent=2)` of the report, with the valuations array
     written by `_profile_json` and spliced in after its key line, which no
-    encoded string can contain (an encoded newline is escaped)."""
+    value can imitate: no rendered value contains a newline."""
     rendered: dict[int, str] = {}
     valuations = _json_lines([_profile_json(p, rendered) for p in r.profiles], 4)
     text = json.dumps({

@@ -2,6 +2,7 @@
 
 import math
 import operator
+from dataclasses import fields, replace
 from fractions import Fraction as F
 from itertools import product
 
@@ -18,6 +19,7 @@ from toricstab.lattice import dot, primitivize, solve_linear
 from toricstab.piecewise import PiecewisePolynomial, lagrange_interpolate, poly_trim, spline_cdf_jumps
 from toricstab.valuations import (
     ToricValuation,
+    ValuationProfile,
     beta_invariant,
     center_codim,
     equality_bound_vertices,
@@ -693,6 +695,21 @@ def test_valuation_profile_bundle(p123):
     scaled = valuation_profile(val(p123, (-2, 0)))
     assert not scaled.is_primitive
     assert scaled.beta == 0 and scaled.log_discrepancy == 4
+
+
+def test_profile_beta_is_checked_by_the_barycenter_identity(p123):
+    """beta is computed, never passed, and each copy checks it at its own w."""
+    profile = valuation_profile(val(p123, (0, 1)))
+    assert profile.beta == 2 and replace(profile, w=(0, 1)) == profile
+    with pytest.raises(AssertionError, match=r"^beta of \(0, 1\) breaks the barycenter identity$"):
+        replace(profile, integrated_volume=profile.integrated_volume + 1)
+    # beta(1, 0) = 0 != beta(0, 1) = 2
+    with pytest.raises(AssertionError, match=r"^beta of \(1, 0\) breaks the barycenter identity$"):
+        replace(profile, w=(1, 0))
+    kwargs = {f.name: getattr(profile, f.name) for f in fields(profile) if f.init}
+    assert ValuationProfile(**kwargs) == profile
+    with pytest.raises(TypeError):
+        ValuationProfile(**kwargs, beta=profile.beta)
 
 
 def test_profile_battery_consistency(square, dp8):

@@ -184,6 +184,24 @@ def test_one_profile_per_orbit(monkeypatch, name, radius, orbits, size):
     assert [p.w for p in profiles] == [val.w for val in valuation_battery(fan, radius)]
 
 
+def test_a_wrong_automorphism_breaks_the_barycenter_check(monkeypatch, tmp_path, capsys):
+    """The coordinate swap is no automorphism of dP7.  Each orbit copy checks
+    its own beta against -degree <b, w>, so `analyze` raises and the CLI
+    exits 5 with one line on stderr instead of printing wrong betas."""
+    from toricstab.fans import Fan
+
+    automorphisms = Fan.automorphisms
+    swap = ((0, 1), (1, 0))
+    monkeypatch.setattr(Fan, "automorphisms", lambda fan: automorphisms(fan) + (swap,))
+    spec = builtin_fan_specs()["dP7"]
+    with pytest.raises(AssertionError, match=r"^beta of \(-?\d+, -?\d+\) breaks the barycenter"):
+        analyze(parse_fan_spec(spec), 2)
+    assert main(["analyze", write_spec(tmp_path, spec), "--radius", "2"]) == 5
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("internal error: beta of (") and out.err.count("\n") == 1
+
+
 def test_analyze_builds_one_battery(monkeypatch):
     """`analyze` screens the battery it profiles: one `valuation_battery`, the
     bound decided once per valuation by `meets_equality_bound`, and no
