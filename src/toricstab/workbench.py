@@ -4,12 +4,8 @@ FanSpec documents are JSON objects with fields `name` (string), `dim`
 (integer), `rays` (array of integer arrays) and `cones` (array of ray-index
 arrays); unknown fields are ignored with a warning.  All rational values in
 emitted reports are serialized as exact "p/q" strings; reports are
-byte-deterministic for a fixed input.
-
-The projective-space screen refuses a bad radius or an over-budget battery
-first, then scans no battery vector when no vertex of the anticanonical
-polytope can meet the equality-case bound at any radius, and otherwise builds
-a `ToricValuation` only for the vectors whose integer vertex row meets it.
+byte-deterministic for a fixed input.  The projective-space screen is
+described at `ScreenResult`.
 """
 
 from __future__ import annotations
@@ -36,6 +32,7 @@ from .valuations import (
     ToricValuation,
     ValuationProfile,
     beta_invariant,
+    equality_bound_rays,
     equality_bound_vertices,
     log_discrepancy,
     meets_equality_bound,
@@ -162,13 +159,12 @@ class ScreenResult:
     space, so the screen asserts the recognition; a singular fan can carry a
     witness without the conclusion, and is flagged instead.  The bound is
     decided in integers as A >= n max_P <u, w> (`meets_equality_bound`).
-    The standalone screen first checks the radius and the battery budget,
-    then skips the battery when no vertex of P can meet the bound at any
-    radius (`equality_bound_vertices`); otherwise it builds a valuation and
-    its beta only for the battery vectors whose vertex row meets the bound,
-    and A and tau only for the witnesses.
-    `analyze` tests the bound per w on its own battery and reads all three
-    off the orbit profiles it already has.
+    The standalone screen checks the radius and the battery budget first.
+    Its candidates are none when no vertex of P qualifies
+    (`equality_bound_vertices`), else the generators of the bound's cones in
+    the radius, each checked again on its own row (`equality_bound_rays`),
+    or where that gives None, the battery vectors whose row meets the bound.
+    `analyze` tests the bound per w on its own battery.
     """
 
     fan_name: str
@@ -213,11 +209,18 @@ def screen_projective_space(fan: Fan, radius: int = 4) -> ScreenResult:
     if not equality_bound_vertices(fan):
         return _screen_result(fan, radius, [])
     poly, n = fan.anticanonical_polytope(), fan.dimension
+    generators = equality_bound_rays(fan)
+    if generators is None:
+        vectors = battery_vectors(fan, radius)
+    else:
+        vectors = [g for g in generators if max(map(abs, g)) <= radius]
     witnesses = []
-    for w in battery_vectors(fan, radius):
+    for w in vectors:
         if row_meets_equality_bound(n, positive_row(w, poly.vertex_values(w))):
             if (beta := beta_invariant(val := ToricValuation(fan, w))) <= 0:
                 witnesses.append(ScreenWitness(w, log_discrepancy(val), pseff_threshold(val), beta))
+        elif generators is not None:
+            raise AssertionError(f"cone generator {w} does not meet the equality-case bound")
     return _screen_result(fan, radius, witnesses)
 
 

@@ -712,6 +712,25 @@ def test_profile_beta_is_checked_by_the_barycenter_identity(p123):
         ValuationProfile(**kwargs, beta=profile.beta)
 
 
+def test_valuation_profile_builds_q_from_its_own_vol(monkeypatch, p123, cube):
+    """`valuation_profile` looks vol up once and differentiates that vol, with
+    the same Q as `restricted_volume`."""
+    original = valuations.volume_function
+    calls = []
+
+    def counted(v):
+        calls.append(v.w)
+        return original(v)
+
+    monkeypatch.setattr(valuations, "volume_function", counted)
+    for v in (val(p123, (-1, 0)), val(p123, (2, 1)), val(cube, (1, -1, 1))):
+        calls.clear()
+        profile = valuation_profile(v)
+        assert calls == [v.w]
+        assert profile.restricted_volume_fn == restricted_volume(v)
+        assert profile.restricted_volume_fn._int_pieces == restricted_volume(v)._int_pieces
+
+
 def test_profile_battery_consistency(square, dp8):
     for fan in (square, dp8):
         for v in valuation_battery(fan, 2):

@@ -18,6 +18,8 @@ from toricstab.polytopes import RationalPolytope
 from toricstab.valuations import (
     ToricValuation,
     beta_invariant,
+    equality_bound_rays,
+    equality_bound_vertices,
     meets_equality_bound,
     valuation_profile,
 )
@@ -358,9 +360,11 @@ def test_screen_smooth_non_pn_has_no_witnesses():
         assert screen.verdict == "no witnesses"
 
 
-def test_screen_skips_the_battery_without_a_qualifying_vertex(monkeypatch):
+def test_screen_skips_the_battery_without_a_qualifying_vertex(monkeypatch, corpus_fans, p123):
     """No vertex of P1xP1 or dP6 can meet the bound, so the screen generates no
-    battery vector; on P2, whose vertices qualify, the same patch is hit."""
+    battery vector.  No smooth corpus fan builds one either: the cones of its
+    bound-meeting set are {0} or rays.  P(1,2,3), with a 2-dimensional cone
+    K_sigma, still scans the box."""
     import toricstab.workbench as workbench
 
     def refuse(*args):
@@ -371,17 +375,25 @@ def test_screen_skips_the_battery_without_a_qualifying_vertex(monkeypatch):
         screen = screen_projective_space(load_builtin_fan(name), radius=4)
         assert screen.witnesses == ()
         assert screen.verdict == "no witnesses"
+    smooth = [fan for fan in corpus_fans if fan.is_smooth()]
+    assert len(smooth) == 10
+    for fan in smooth:
+        screen_projective_space(fan, radius=4 if fan.dimension <= 3 else 2)
+    assert equality_bound_rays(p123) is None
     with pytest.raises(AssertionError, match="the screen built a battery"):
-        screen_projective_space(load_builtin_fan("P2"), radius=4)
+        screen_projective_space(p123, radius=4)
 
 
-def test_screen_on_bare_vectors_equals_the_valuation_loop(q_fano_fans, p2, p3):
+def test_screen_on_bare_vectors_equals_the_valuation_loop(q_fano_fans):
     """The screen's witnesses, their order and its verdict equal the old loop's
     (a `ToricValuation` per battery vector, `meets_equality_bound`, then beta,
-    with no pre-test) on every Q-Fano test fan at radius 2 (1 above dimension
-    3), and on P2 at radius 10 and P3 at radius 3, the bench radii."""
-    cases = [(fan, 2 if fan.dimension <= 3 else 1) for fan in q_fano_fans]
-    cases += [(p2, 10), (p3, 3)]
+    with no pre-test) on every Q-Fano test fan at radii 1-10 in dimension 2,
+    1-3 in dimension 3 and 1 above: 412 cases, which hold the bench radii."""
+    cases = []
+    for fan in q_fano_fans:
+        top = {2: 10, 3: 3}.get(fan.dimension, 1)
+        cases += [(fan, radius) for radius in range(1, top + 1)]
+    assert len(cases) == 412
     verdicts = set()
     for fan, radius in cases:
         screen = screen_projective_space(fan, radius)
@@ -392,20 +404,90 @@ def test_screen_on_bare_vectors_equals_the_valuation_loop(q_fano_fans, p2, p3):
     assert {"no witnesses", "witnesses on projective space (equality case)", "singular counterexample"} <= verdicts
 
 
-def test_screen_checks_positivity_on_every_battery_vector(monkeypatch, p2):
-    """A vertex row with min >= 0 raises the positivity error in the screen,
-    also for a vector that does not meet the bound (the last of the radius-2
-    battery), so the check runs before the bound decides anything."""
-    last = battery_vectors(p2, 2)[-1]
-    assert last == (2, 1) and not meets_equality_bound(ToricValuation(p2, last))
+def test_equality_bound_cones_are_rays_on_smooth_fans(q_fano_fans):
+    """On every smooth Q-Fano test fan each cone K_sigma of the bound-meeting set
+    is {0} or a ray, so the screen decides it at every radius at once: 26 fans
+    by their generators, and 16 have no qualifying vertex.  The 25 singular
+    fans with a qualifying vertex all have a larger K_sigma and fall back to
+    the box scan."""
+    split = {"no vertex": 0, "cones": 0, "fallback": 0}
+    for fan in q_fano_fans:
+        generators = equality_bound_rays(fan)
+        if fan.is_smooth():
+            assert generators is not None, fan.name
+        if not equality_bound_vertices(fan):
+            assert generators == [], fan.name
+            split["no vertex"] += 1
+        elif generators is None:
+            assert not fan.is_smooth(), fan.name
+            split["fallback"] += 1
+        else:
+            assert fan.is_smooth(), fan.name
+            assert all(meets_equality_bound(ToricValuation(fan, g)) for g in generators), fan.name
+            split["cones"] += 1
+    assert split == {"no vertex": 16, "cones": 26, "fallback": 25}
+
+
+def test_equality_bound_rays_give_up_over_the_work_bound(monkeypatch, p2, p3):
+    """With the work bound patched down, the elimination gives up on P2 and P3
+    and the screen scans the box, with the same result."""
+    import toricstab.workbench as workbench
+
+    expected = {fan.name: screen_projective_space(fan, 10 if fan.dimension == 2 else 3) for fan in (p2, p3)}
+    scanned = []
+    original = workbench.battery_vectors
+
+    def recorded(fan, radius):
+        scanned.append(fan.name)
+        return original(fan, radius)
+
+    monkeypatch.setattr(workbench, "battery_vectors", recorded)
+    monkeypatch.setattr(valuations, "default_oracle_budget", lambda: 1)
+    for fan in (p2, p3):
+        assert equality_bound_rays(fan) is None
+        assert screen_projective_space(fan, expected[fan.name].radius) == expected[fan.name]
+    assert scanned == ["P2", "P3"]
+
+
+def _patch_row(monkeypatch, at, change):
     original = RationalPolytope.vertex_values
 
     def values(self, w):
         row = original(self, w)
-        return [abs(s) for s in row] if tuple(w) == last else row
+        return change(row) if tuple(w) == at else row
 
     monkeypatch.setattr(RationalPolytope, "vertex_values", values)
+
+
+def test_screen_checks_positivity_on_every_battery_vector(monkeypatch, p123):
+    """A vertex row with min >= 0 raises the positivity error in the box scan,
+    also for a vector that does not meet the bound (the last of the radius-2
+    battery), so the check runs before the bound decides anything."""
+    last = battery_vectors(p123, 2)[-1]
+    assert last == (2, 1) and not meets_equality_bound(ToricValuation(p123, last))
+    assert equality_bound_rays(p123) is None
+    _patch_row(monkeypatch, last, lambda row: [abs(s) for s in row])
     with pytest.raises(AssertionError, match=r"^log discrepancy of \(2, 1\) not positive$"):
+        screen_projective_space(p123, 2)
+
+
+def test_screen_checks_each_cone_generator_on_its_own_row(monkeypatch, p2):
+    """On the cone path each generator's vertex row is read again: a row with
+    min >= 0 raises the positivity error, and a row, or a generator from a
+    wrong elimination, that fails the bound raises."""
+    import toricstab.workbench as workbench
+
+    assert (1, 1) in equality_bound_rays(p2)
+    with monkeypatch.context() as m:
+        _patch_row(m, (1, 1), lambda row: [abs(s) for s in row])
+        with pytest.raises(AssertionError, match=r"^log discrepancy of \(1, 1\) not positive$"):
+            screen_projective_space(p2, 2)
+    with monkeypatch.context() as m:
+        _patch_row(m, (1, 1), lambda row: [-1] + [1] * (len(row) - 1))
+        with pytest.raises(AssertionError, match=r"^cone generator \(1, 1\) does not meet the equality-case bound$"):
+            screen_projective_space(p2, 2)
+    monkeypatch.setattr(workbench, "equality_bound_rays", lambda fan: [(-1, 0), (0, -1), (1, 0), (1, 1)])
+    with pytest.raises(AssertionError, match=r"^cone generator \(1, 0\) does not meet the equality-case bound$"):
         screen_projective_space(p2, 2)
 
 
@@ -522,6 +604,26 @@ def test_screen_bytes_pinned(tmp_path, capsys):
     specs = builtin_fan_specs()
     assert {name for name, _ in SCREEN_DIGESTS} == set(specs)
     for (name, radius), digest in SCREEN_DIGESTS.items():
+        path = write_spec(tmp_path, specs[name])
+        assert main(["screen", path, "--radius", str(radius)]) == 0
+        assert sha256(capsys.readouterr().out) == digest, (name, radius)
+
+
+# SHA-256 of `toricstab screen` stdout at the screen-smooth bench radii and on
+# P(1,2,3), which scans the box, recorded before the screen read the extreme
+# rays of the bound-meeting cones
+BENCH_SCREEN_DIGESTS = {
+    ("P2", 10): "85b191056d5399a8bc1fdbda9a4019834f38da2571101d1359ffaaeacd9ff26f",
+    ("dP8", 10): "ce52b45e642d2ee7395aee54d262088be3669edd6e557c969d83955ca72ffe56",
+    ("dP7", 10): "b89be08bd12b264cdad9d8f032b02c724754125b56254b577ac3aad189d705db",
+    ("P3", 3): "30029b30837e3661855e14541a24149d57e0e58ec1d7ba8cbc388fc6f0928b2f",
+    ("P(1,2,3)", 4): "461fba37fcd8187a2b6455009148d3b7c902c3cece1b74fd1af545fbfaa40f68",
+}
+
+
+def test_screen_bytes_pinned_at_the_bench_radii(tmp_path, capsys):
+    specs = builtin_fan_specs()
+    for (name, radius), digest in BENCH_SCREEN_DIGESTS.items():
         path = write_spec(tmp_path, specs[name])
         assert main(["screen", path, "--radius", str(radius)]) == 0
         assert sha256(capsys.readouterr().out) == digest, (name, radius)
