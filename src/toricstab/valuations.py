@@ -16,8 +16,11 @@ So, with min and max taken over the row:
   * volume function    vol(x) = n! * vol(P cut to {<u, w> >= x - A(w)});
   * pseudo-effective threshold  tau(w) = A(w) + max_P <u, w>
                        = (max - min) / D, so the equality-case bound
-                       A >= (n/(n+1)) tau is -min >= n max
-                       (`meets_equality_bound`, `equality_bound_rays`);
+                       A >= (n/(n+1)) tau is equivalent to -min >= n max
+                       (`meets_equality_bound`), which no w at any
+                       radius meets unless some vertex m has
+                       <m, v_i> >= n at a ray v_i
+                       (`equality_bound_vertices`, `equality_bound_rays`);
   * beta invariant     beta(w) = A(w) * degree - integral of vol over [0, tau];
   * nef threshold      eps(w) = (second-smallest distinct value - min) / D,
                        the first positive knot of vol;
@@ -158,11 +161,13 @@ def equality_bound_vertices(fan: Fan) -> list[int]:
 
     Radius-free (Fact 2): for w in a cone sigma the vertex m_sigma attains
     the minimum, so w meets -min >= n max exactly when <n v + m_sigma, w> <= 0
-    for every vertex v: the w that meet the bound fill the union of the cones
-    K_sigma = sigma cap C_sigma, C_sigma = {w : <n v + m_sigma, w> <= 0 for
-    every vertex v}.  C_sigma is not {0} exactly when -m_sigma / n is not
-    interior to P = {u : <u, v_i> >= -1}, that is, row . v_i >= n D at some
-    ray v_i.  With no such vertex no w at any radius meets the bound.
+    for every vertex v, and the w that meet the bound fill the union of the
+    cones C_sigma = {w : <n v + m_sigma, w> <= 0 for every vertex v}.
+    C_sigma holds a nonzero w exactly when m_sigma + nP lies in a closed
+    half-space through 0, that is, when -m_sigma / n is not interior to
+    P = {u : <u, v_i> >= -1}: when <m_sigma, v_i> >= n for some ray v_i.  On
+    the integer rows that is row . v_i >= n D.  With no such vertex, no w at
+    any radius meets the bound, and `equality_bound_rays` cuts no cone.
     """
     n = fan.dimension
     d, rows = fan.anticanonical_polytope().vertex_matrix
@@ -174,21 +179,26 @@ def equality_bound_vertices(fan: Fan) -> list[int]:
 
 
 def equality_bound_rays(fan: Fan) -> list[LatticeVec] | None:
-    """The primitive generators of the cones K_sigma, in battery order, if each
-    is {0} or a ray; None if one has two or more extreme rays, or once a cut's
-    work |pos| |neg| |rays| would exceed `default_oracle_budget()`.
+    """The primitive generators of the cones K_sigma = sigma cap C_sigma, in
+    battery order, if each is {0} or a ray; None if one has two or more
+    extreme rays, or once the call's work, summed over its cuts as
+    |pos| |neg| |rays|, would exceed `default_oracle_budget()`.
 
-    An integer double description (Fukuda-Prodon 1996) in each maximal cone's
-    coordinates c >= 0, w = sum c_i rho_i: as <m_sigma, rho_i> = -1, vertex v
-    cuts sum c_i (n R_v . rho_i - D) <= 0.  A cut drops the rays it cuts off
-    and joins each to each kept ray on the other side that is adjacent to it:
-    no third ray is tight at every constraint where both are.
+    A cone whose m_sigma is not in `equality_bound_vertices` is {0} and is
+    skipped.  The others run an integer double description (Fukuda-Prodon
+    1996) in the coordinates c >= 0, w = sum c_i rho_i: as <m_sigma, rho_i>
+    = -1, vertex v cuts sum c_i (n R_v . rho_i - D) <= 0.  A cut drops the
+    rays it cuts off and joins each to each kept ray on the other side that
+    is adjacent to it: no third ray is tight at every constraint where both are.
     """
     n, budget = fan.dimension, default_oracle_budget()
     d, rows = fan.anticanonical_polytope().vertex_matrix
-    found = set()
+    qualifying = [rows[k] for k in equality_bound_vertices(fan)]
+    found, work = set(), 0
     for cone in fan.max_cones:
         basis = [fan.rays[i] for i in cone]
+        if not any(all(sum(map(operator.mul, m, b)) == -d for b in basis) for m in qualifying):
+            continue  # m_sigma does not qualify: K_sigma = {0}
         # (c, indices of the constraints tight at c), from the unit vectors
         rays = [(tuple(int(i == j) for i in range(n)), frozenset(range(n)) - {j}) for j in range(n)]
         for k, row in enumerate(rows, n):
@@ -197,12 +207,14 @@ def equality_bound_rays(fan: Fan) -> list[LatticeVec] | None:
                 continue
             signed = [(sum(map(operator.mul, cut, c)), c, tight) for c, tight in rays]
             pos, neg = [r for r in signed if r[0] > 0], [r for r in signed if r[0] < 0]
-            if len(pos) * len(neg) * len(rays) > budget:
+            work += len(pos) * len(neg) * len(rays)
+            if work > budget:
                 return None
             kept = [(c, tight | {k} if s == 0 else tight) for s, c, tight in signed if s <= 0]
             for (sp, cp, tp), (sq, cq, tq) in product(pos, neg):
-                if not any(tp & tq <= t for c, t in rays if c != cp and c != cq):
-                    kept.append((primitivize([sp * y - sq * x for x, y in zip(cp, cq)]), tp & tq | {k}))
+                common = tp & tq
+                if len(common) >= n - 2 and not any(common <= t for c, t in rays if c != cp and c != cq):
+                    kept.append((primitivize([sp * y - sq * x for x, y in zip(cp, cq)]), common | {k}))
             rays = kept
         if len(rays) > 1:
             return None

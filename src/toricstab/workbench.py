@@ -4,8 +4,14 @@ FanSpec documents are JSON objects with fields `name` (string), `dim`
 (integer), `rays` (array of integer arrays) and `cones` (array of ray-index
 arrays); unknown fields are ignored with a warning.  All rational values in
 emitted reports are serialized as exact "p/q" strings; reports are
-byte-deterministic for a fixed input.  The projective-space screen is
-described at `ScreenResult`.
+byte-deterministic for a fixed input.
+
+The projective-space screen refuses a bad radius or an over-budget battery
+first.  It then takes the generators of the cones of vectors that meet the
+equality-case bound, none when no vertex of the anticanonical polytope can
+meet it (`equality_bound_rays`); where a cone is larger than a ray, or the
+elimination is over budget, it builds a `ToricValuation` only for the
+battery vectors whose integer vertex row meets the bound.
 """
 
 from __future__ import annotations
@@ -33,7 +39,6 @@ from .valuations import (
     ValuationProfile,
     beta_invariant,
     equality_bound_rays,
-    equality_bound_vertices,
     log_discrepancy,
     meets_equality_bound,
     positive_row,
@@ -160,10 +165,10 @@ class ScreenResult:
     witness without the conclusion, and is flagged instead.  The bound is
     decided in integers as A >= n max_P <u, w> (`meets_equality_bound`).
     The standalone screen checks the radius and the battery budget first.
-    Its candidates are none when no vertex of P qualifies
-    (`equality_bound_vertices`), else the generators of the bound's cones in
-    the radius, each checked again on its own row (`equality_bound_rays`),
-    or where that gives None, the battery vectors whose row meets the bound.
+    Its candidates are the generators of the bound's cones in the radius,
+    none when no vertex of P qualifies, each checked again on its own row
+    (`equality_bound_rays`); where that gives None, they are the battery
+    vectors whose row meets the bound.
     `analyze` tests the bound per w on its own battery.
     """
 
@@ -206,8 +211,6 @@ def _screen_result(fan: Fan, radius: int, witnesses: Sequence[ScreenWitness]) ->
 
 def screen_projective_space(fan: Fan, radius: int = 4) -> ScreenResult:
     check_battery_radius(fan, radius)
-    if not equality_bound_vertices(fan):
-        return _screen_result(fan, radius, [])
     poly, n = fan.anticanonical_polytope(), fan.dimension
     generators = equality_bound_rays(fan)
     if generators is None:

@@ -449,6 +449,20 @@ def test_equality_bound_rays_give_up_over_the_work_bound(monkeypatch, p2, p3):
     assert scanned == ["P2", "P3"]
 
 
+def test_equality_bound_rays_bound_the_work_of_the_whole_call(monkeypatch, p3, square):
+    """The work bound holds for the call, not per cut, and cones whose vertex
+    does not qualify cost none of it.  P3 spends 88 over 12 cuts of at most
+    16 each; dP7 spends 4 on its one qualifying cone of 5, where cutting all
+    five would spend 10; P1xP1 has no qualifying vertex and spends 0."""
+    dp7 = load_builtin_fan("dP7")
+    for fan, work, count in ((p3, 88, 4), (dp7, 4, 1), (square, 0, 0)):
+        monkeypatch.setattr(valuations, "default_oracle_budget", lambda: work)
+        assert len(equality_bound_rays(fan)) == count, fan.name
+        if work:
+            monkeypatch.setattr(valuations, "default_oracle_budget", lambda: work - 1)
+            assert equality_bound_rays(fan) is None, fan.name
+
+
 def _patch_row(monkeypatch, at, change):
     original = RationalPolytope.vertex_values
 
