@@ -20,8 +20,11 @@ built only for Q-Fano fans, where the support function of -K is strictly
 convex.  It is read off the cones: for ample -K its vertices are exactly
 the points m_sigma with <m_sigma, v> = -1 on the rays of a maximal cone
 sigma (Cox-Little-Schenck, *Toric Varieties*, ch. 6), which the Q-Fano
-check computes anyway, and it is bounded because the fan is complete.  Its
-lattice points at dilation k index the degree-k anticanonical sections.
+check computes anyway, and it is bounded because the fan is complete.  The
+fan keeps that pairing of vertices and maximal cones (`Fan.vertex_cones`),
+and as the check makes every ray off sigma strictly slack at m_sigma, the
+rays tight at a vertex are exactly those of its cone.  Its lattice points
+at dilation k index the degree-k anticanonical sections.
 
 The automorphisms of a fan (`Fan.automorphisms`) are the integer matrices
 that permute its rays and its maximal cones; they act on the anticanonical
@@ -73,6 +76,7 @@ class Fan:
         self.max_cones: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(c)) for c in max_cones)
         self._ray_lookup = {ray: i for i, ray in enumerate(self.rays)}
         self._polytope: Optional[RationalPolytope] = None
+        self._vertex_cones: Optional[tuple[tuple[int, ...], ...]] = None
         self._automorphisms: Optional[tuple[Matrix, ...]] = None
         self._validate()
 
@@ -174,7 +178,7 @@ class Fan:
         polytope is bounded because the fan is complete.
         """
         if self._polytope is None:
-            vertices = []
+            paired = []
             for ci, cone in enumerate(self.max_cones):
                 # mult * m_sigma = adj^T (-1, ..., -1), so <m_sigma, v> <= -1 is an integer test
                 mult = self._cone_mults[ci]
@@ -182,10 +186,18 @@ class Fan:
                 outside = (v for j, v in enumerate(self.rays) if j not in cone)
                 if any(sum(map(operator.mul, m, v)) <= -mult for v in outside):
                     raise InvariantViolation(f"not Q-Fano: -K is not ample on maximal cone {ci}")
-                vertices.append(tuple(Fraction(x, mult) for x in m))
+                paired.append((tuple(Fraction(x, mult) for x in m), cone))
+            paired.sort()  # the vertices are distinct, so no two cones are compared
             halfspaces = [(ray, Fraction(-1)) for ray in self.rays]
-            self._polytope = RationalPolytope(halfspaces, sorted(vertices), self.dimension)
+            self._vertex_cones = tuple(cone for _, cone in paired)
+            self._polytope = RationalPolytope(halfspaces, [m for m, _ in paired], self.dimension)
         return self._polytope
+
+    def vertex_cones(self) -> tuple[tuple[int, ...], ...]:
+        """Entry k is the maximal cone sigma whose m_sigma is vertex k of the
+        anticanonical polytope, in its sorted vertex order; built with it."""
+        self.anticanonical_polytope()
+        return self._vertex_cones
 
     def degree(self) -> Fraction:
         """The anticanonical self-intersection number n! * vol(P)."""

@@ -19,14 +19,13 @@ So, with min and max taken over the row:
                        A >= (n/(n+1)) tau is equivalent to -min >= n max
                        (`meets_equality_bound`), which no w at any
                        radius meets unless some vertex m has
-                       <m, v_i> >= n at a ray v_i
-                       (`equality_bound_vertices`, `equality_bound_rays`);
+                       <m, v_i> >= n at a ray v_i (`equality_bound_rays`);
   * beta invariant     beta(w) = A(w) * degree - integral of vol over [0, tau];
   * nef threshold      eps(w) = (second-smallest distinct value - min) / D,
                        the first positive knot of vol;
-  * center codimension the number of rays tight at every vertex attaining
-                       the min, whose face of P is dual to the minimal cone
-                       containing w.
+  * center codimension the number of rays common to the cones of the
+                       vertices attaining the min (`Fan.vertex_cones`), whose
+                       face of P is dual to the minimal cone containing w.
 
 The volume function is piecewise polynomial with breakpoints exactly at the
 values A(w) + <vertex, w>.  It is read in closed form from the triangulation
@@ -156,49 +155,35 @@ def meets_equality_bound(val: ToricValuation) -> bool:
     return row_meets_equality_bound(val.fan.dimension, val._values[1])
 
 
-def equality_bound_vertices(fan: Fan) -> list[int]:
-    """Indices of the vertices m_sigma of P whose cone C_sigma (below) is not {0}.
+def equality_bound_rays(fan: Fan) -> list[LatticeVec] | None:
+    """The primitive generators of the cones K_sigma below, in battery order,
+    if each is {0} or a ray; None if one has two or more extreme rays, or
+    once the call's work, summed over its cuts as |pos| |neg| |rays|, would
+    exceed `default_oracle_budget()`.
 
     Radius-free (Fact 2): for w in a cone sigma the vertex m_sigma attains
     the minimum, so w meets -min >= n max exactly when <n v + m_sigma, w> <= 0
     for every vertex v, and the w that meet the bound fill the union of the
-    cones C_sigma = {w : <n v + m_sigma, w> <= 0 for every vertex v}.
-    C_sigma holds a nonzero w exactly when m_sigma + nP lies in a closed
-    half-space through 0, that is, when -m_sigma / n is not interior to
-    P = {u : <u, v_i> >= -1}: when <m_sigma, v_i> >= n for some ray v_i.  On
-    the integer rows that is row . v_i >= n D.  With no such vertex, no w at
-    any radius meets the bound, and `equality_bound_rays` cuts no cone.
-    """
-    n = fan.dimension
-    d, rows = fan.anticanonical_polytope().vertex_matrix
-    return [
-        k
-        for k, row in enumerate(rows)
-        if any(sum(map(operator.mul, row, ray)) >= n * d for ray in fan.rays)
-    ]
-
-
-def equality_bound_rays(fan: Fan) -> list[LatticeVec] | None:
-    """The primitive generators of the cones K_sigma = sigma cap C_sigma, in
-    battery order, if each is {0} or a ray; None if one has two or more
-    extreme rays, or once the call's work, summed over its cuts as
-    |pos| |neg| |rays|, would exceed `default_oracle_budget()`.
-
-    A cone whose m_sigma is not in `equality_bound_vertices` is {0} and is
-    skipped.  The others run an integer double description (Fukuda-Prodon
-    1996) in the coordinates c >= 0, w = sum c_i rho_i: as <m_sigma, rho_i>
-    = -1, vertex v cuts sum c_i (n R_v . rho_i - D) <= 0.  A cut drops the
-    rays it cuts off and joins each to each kept ray on the other side that
-    is adjacent to it: no third ray is tight at every constraint where both are.
+    cones K_sigma = sigma cap C_sigma, C_sigma = {w : <n v + m_sigma, w> <= 0
+    for every vertex v}.  C_sigma holds a nonzero w exactly when
+    m_sigma + nP lies in a closed half-space through 0, that is, when
+    -m_sigma / n is not interior to P = {u : <u, v_i> >= -1}: when
+    <m_sigma, v_i> >= n for some ray v_i, on the integer rows R . v_i >= n D.
+    The cones (`Fan.vertex_cones`) of the other vertices are skipped; with
+    no such vertex, no w at any radius meets the bound, and the result is [].
+    The rest run an integer double description (Fukuda-Prodon 1996) in the
+    coordinates c >= 0, w = sum c_i rho_i: as <m_sigma, rho_i> = -1, vertex
+    v cuts sum c_i (n R_v . rho_i - D) <= 0.  A cut drops the rays it cuts
+    off and joins each to each kept ray on the other side that is adjacent
+    to it: no third ray is tight at every constraint where both are.
     """
     n, budget = fan.dimension, default_oracle_budget()
     d, rows = fan.anticanonical_polytope().vertex_matrix
-    qualifying = [rows[k] for k in equality_bound_vertices(fan)]
     found, work = set(), 0
-    for cone in fan.max_cones:
-        basis = [fan.rays[i] for i in cone]
-        if not any(all(sum(map(operator.mul, m, b)) == -d for b in basis) for m in qualifying):
+    for m, cone in zip(rows, fan.vertex_cones()):
+        if all(sum(map(operator.mul, m, ray)) < n * d for ray in fan.rays):
             continue  # m_sigma does not qualify: K_sigma = {0}
+        basis = [fan.rays[i] for i in cone]
         # (c, indices of the constraints tight at c), from the unit vectors
         rays = [(tuple(int(i == j) for i in range(n)), frozenset(range(n)) - {j}) for j in range(n)]
         for k, row in enumerate(rows, n):
@@ -330,19 +315,16 @@ def center_codim(val: ToricValuation) -> int:
     """Dimension of the minimal fan cone containing w.
 
     The vertices attaining min_P <u, w> are the m_sigma of the maximal cones
-    containing w, and they span the face of P dual to the minimal cone tau
-    containing w.  A ray is tight (<m, v> = -1) at all of them exactly when
-    it is a ray of tau, since -K is ample.  The result is the codimension
-    of the valuation's center: the center is a point exactly when it is
-    the fan dimension.
+    sigma containing w (`Fan.vertex_cones`); they span the face of P dual to
+    the minimal cone tau containing w.  A ray is tight at m_sigma exactly
+    when it is a ray of sigma, since -K is ample, so tau's rays are those
+    common to these cones.  The result is the codimension of the valuation's
+    center: the center is a point exactly when it is the fan dimension.
     """
-    d, values = val._values
+    values = val._values[1]
     low = min(values)
-    rows = val.fan.anticanonical_polytope().vertex_matrix[1]
-    face = [row for row, s in zip(rows, values) if s == low]
-    return sum(
-        1 for ray in val.fan.rays if all(sum(map(operator.mul, row, ray)) == -d for row in face)
-    )
+    face = [set(cone) for cone, s in zip(val.fan.vertex_cones(), values) if s == low]
+    return len(face[0].intersection(*face[1:]))
 
 
 @lru_cache(maxsize=CACHE_SIZE)

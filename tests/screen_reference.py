@@ -7,10 +7,15 @@ before the screen tested the bound on bare vectors, kept as references.
 `workbench.screen_projective_space` reads each vector's vertex row and
 builds a `ToricValuation` only where the row meets the bound;
 `reference_screen_witnesses` builds one per battery vector, tests
-`meets_equality_bound` on it, and runs on every fan, with no
-`equality_bound_vertices` skip.
+`meets_equality_bound` on it, and runs on every fan, with no skip of the
+fans whose vertices cannot meet the bound.
+
+`qualifying_vertices` is that per-vertex test on its own: the vertices m
+of the anticanonical polytope with <m, v_i> >= n at some ray v_i, read off
+the integer vertex rows.  `equality_bound_rays` cuts only their cones.
 """
 
+import operator
 from itertools import product
 
 from toricstab.lattice import gcd_vec
@@ -40,3 +45,15 @@ def reference_screen_witnesses(fan, radius):
         if meets_equality_bound(val) and (beta := beta_invariant(val)) <= 0:
             witnesses.append(ScreenWitness(val.w, log_discrepancy(val), pseff_threshold(val), beta))
     return tuple(witnesses)
+
+
+def qualifying_vertices(fan):
+    """Indices of the vertices m of P with <m, v_i> >= n at some ray v_i,
+    decided on the integer rows as R . v_i >= n D."""
+    n = fan.dimension
+    d, rows = fan.anticanonical_polytope().vertex_matrix
+    return [
+        k
+        for k, row in enumerate(rows)
+        if any(sum(map(operator.mul, row, ray)) >= n * d for ray in fan.rays)
+    ]

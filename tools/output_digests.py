@@ -1,0 +1,73 @@
+"""Print a digest of every command-line output of one checkout on the corpus.
+
+Usage, from any directory:
+
+    python3 tools/output_digests.py CHECKOUT > digests.txt
+
+For each built-in corpus fan the script writes the fan's spec into a
+temporary directory and runs `python -m toricstab.cli` there, with
+CHECKOUT/src on PYTHONPATH: `analyze` and `screen` at radius 4 in dimension
+<= 2 and radius 1 above, `alpha`, `beta --w 1,...,1` and
+`volfn --w -1,...,-1 --csv volfn.csv`; then `verify` once.  Each run prints
+one line: the command, the SHA-256 of its stdout and of its stderr and its
+exit code, and for `volfn` the SHA-256 of the CSV.  Every path is relative
+to the temporary directory, so two checkouts print the same lines exactly
+when their outputs are byte-identical: diff the files of two checkouts.
+Standard library only.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+LIST_SPECS = "import json; from toricstab.corpus import builtin_fan_specs; print(json.dumps(builtin_fan_specs()))"
+
+
+def sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run(env: dict, cwd: str, args: list[str]) -> str:
+    """One CLI run, as 'command  stdout=... stderr=... exit=...'."""
+    proc = subprocess.run([sys.executable, "-m", "toricstab.cli", *args], cwd=cwd, env=env, capture_output=True)
+    return f"{' '.join(args)}  stdout={sha(proc.stdout)} stderr={sha(proc.stderr)} exit={proc.returncode}"
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    env = dict(os.environ, PYTHONPATH=str(Path(argv[0], "src").resolve()))
+    specs = json.loads(subprocess.run(
+        [sys.executable, "-c", LIST_SPECS], env=env, capture_output=True, check=True
+    ).stdout)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, spec in specs.items():
+            path, n = f"{name}.json", spec["dim"]
+            Path(tmp, path).write_text(json.dumps(spec), encoding="utf-8")
+            radius = "4" if n <= 2 else "1"
+            for args in (
+                ["analyze", path, "--radius", radius],
+                ["screen", path, "--radius", radius],
+                ["alpha", path],
+                ["beta", path, "--w", ",".join(["1"] * n)],
+                ["volfn", path, "--w", ",".join(["-1"] * n), "--csv", "volfn.csv"],
+            ):
+                line = run(env, tmp, args)
+                if args[0] == "volfn":
+                    csv = Path(tmp, "volfn.csv")
+                    line += f" csv={sha(csv.read_bytes()) if csv.exists() else '-'}"
+                    csv.unlink(missing_ok=True)
+                print(line, flush=True)
+        print(run(env, tmp, ["verify"]), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
