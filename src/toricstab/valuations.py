@@ -17,9 +17,10 @@ So, with min and max taken over the row:
   * pseudo-effective threshold  tau(w) = A(w) + max_P <u, w>
                        = (max - min) / D, so the equality-case bound
                        A >= (n/(n+1)) tau is equivalent to -min >= n max
-                       (`meets_equality_bound`), which no w at any
-                       radius meets unless some vertex m has
-                       <m, v_i> >= n at a ray v_i (`equality_bound_rays`);
+                       (`meets_equality_bound`), met by no w when
+                       alpha > 1/(n+1) and, when alpha = 1/(n+1), on the
+                       cones of the negated alpha-extremal rays
+                       (`equality_bound_rays`);
   * beta invariant     beta(w) = A(w) * degree - integral of vol over [0, tau];
   * nef threshold      eps(w) = (second-smallest distinct value - min) / D,
                        the first positive knot of vol;
@@ -61,13 +62,11 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import product
 
 from .errors import InvariantViolation
 from .fans import Fan
 from .lattice import LatticeVec, gcd_vec, primitivize
 from .piecewise import PiecewisePolynomial, spline_cdf_jumps
-from .polytopes import default_oracle_budget
 
 # Entries kept by the volume-function and nef-threshold caches.  Their keys
 # hold a Fan hashed by identity, so a fan parsed again never hits and only a
@@ -156,55 +155,35 @@ def meets_equality_bound(val: ToricValuation) -> bool:
 
 
 def equality_bound_rays(fan: Fan) -> list[LatticeVec] | None:
-    """The primitive generators of the cones K_sigma below, in battery order,
-    if each is {0} or a ray; None if one has two or more extreme rays, or
-    once the call's work, summed over its cuts as |pos| |neg| |rays|, would
-    exceed `default_oracle_budget()`.
+    """The primitive generators, in battery order, of the cones K_sigma of
+    the w in sigma that meet the bound, when each is {0} or a ray; else None.
 
-    Radius-free (Fact 2): for w in a cone sigma the vertex m_sigma attains
-    the minimum, so w meets -min >= n max exactly when <n v + m_sigma, w> <= 0
-    for every vertex v, and the w that meet the bound fill the union of the
-    cones K_sigma = sigma cap C_sigma, C_sigma = {w : <n v + m_sigma, w> <= 0
-    for every vertex v}.  C_sigma holds a nonzero w exactly when
-    m_sigma + nP lies in a closed half-space through 0, that is, when
-    -m_sigma / n is not interior to P = {u : <u, v_i> >= -1}: when
-    <m_sigma, v_i> >= n for some ray v_i, on the integer rows R . v_i >= n D.
-    The cones (`Fan.vertex_cones`) of the other vertices are skipped; with
-    no such vertex, no w at any radius meets the bound, and the result is [].
-    The rest run an integer double description (Fukuda-Prodon 1996) in the
-    coordinates c >= 0, w = sum c_i rho_i: as <m_sigma, rho_i> = -1, vertex
-    v cuts sum c_i (n R_v . rho_i - D) <= 0.  A cut drops the rays it cuts
-    off and joins each to each kept ray on the other side that is adjacent
-    to it: no third ray is tight at every constraint where both are.
+    Read off T[v][k] = R_v . v_k over the vertex rows R_v (denominator D)
+    and the rays v_k: with t_k = max_v T[v][k], tau(v_k) = 1 + t_k / D.
+    Every t_k < n D (alpha > 1/(n+1)) gives []; some t_k > n D
+    (alpha < 1/(n+1)), or a row equal to n D at two rays, gives None;
+    otherwise the result is the -v_k with t_k = n D, the negated rays that
+    set alpha = 1/(n+1).
+
+    Proof.  For w in sigma the vertex m_sigma attains the minimum, so w
+    meets -min >= n max exactly when u_0 = -m_sigma / n has
+    <u_0, w> >= <u, w> on P.  P's normal fan is the fan (Cox-Little-Schenck,
+    *Toric Varieties*, ch. 6), so -v_k lies in sigma exactly when m_sigma
+    maximises <., v_k>: when row sigma attains t_k.  If it attains some
+    t_k > n D, then <u_0, -v_k> = t_k / (n D) > 1 = max_P <u, -v_k>, so
+    K_sigma holds a neighbourhood of -v_k in sigma.  Otherwise u_0 lies in
+    P = {u : <u, v_i> >= -1} and the bound holds exactly when u_0
+    maximises <., w> on P, that is, on cone(-v_i : T[sigma][i] = n D).
+    Each of these -v_i lies in sigma, so that cone is K_sigma.
     """
-    n, budget = fan.dimension, default_oracle_budget()
-    d, rows = fan.anticanonical_polytope().vertex_matrix
-    found, work = set(), 0
-    for m, cone in zip(rows, fan.vertex_cones()):
-        if all(sum(map(operator.mul, m, ray)) < n * d for ray in fan.rays):
-            continue  # m_sigma does not qualify: K_sigma = {0}
-        basis = [fan.rays[i] for i in cone]
-        # (c, indices of the constraints tight at c), from the unit vectors
-        rays = [(tuple(int(i == j) for i in range(n)), frozenset(range(n)) - {j}) for j in range(n)]
-        for k, row in enumerate(rows, n):
-            cut = [n * sum(map(operator.mul, row, b)) - d for b in basis]
-            if max(cut) <= 0:
-                continue
-            signed = [(sum(map(operator.mul, cut, c)), c, tight) for c, tight in rays]
-            pos, neg = [r for r in signed if r[0] > 0], [r for r in signed if r[0] < 0]
-            work += len(pos) * len(neg) * len(rays)
-            if work > budget:
-                return None
-            kept = [(c, tight | {k} if s == 0 else tight) for s, c, tight in signed if s <= 0]
-            for (sp, cp, tp), (sq, cq, tq) in product(pos, neg):
-                common = tp & tq
-                if len(common) >= n - 2 and not any(common <= t for c, t in rays if c != cp and c != cq):
-                    kept.append((primitivize([sp * y - sq * x for x, y in zip(cp, cq)]), common | {k}))
-            rays = kept
-        if len(rays) > 1:
-            return None
-        found.update(primitivize([sum(map(operator.mul, col, c)) for col in zip(*basis)]) for c, _ in rays)
-    return sorted(found, key=lambda g: (max(map(abs, g)), g))
+    n, poly = fan.dimension, fan.anticanonical_polytope()
+    bound = n * poly.vertex_matrix[0]
+    columns = [poly.vertex_values(ray) for ray in fan.rays]
+    tops = [max(column) for column in columns]
+    if max(tops) > bound or any(row.count(bound) > 1 for row in zip(*columns)):
+        return None
+    rays = (tuple(-x for x in ray) for ray, top in zip(fan.rays, tops) if top == bound)
+    return sorted(rays, key=lambda g: (max(map(abs, g)), g))
 
 
 @lru_cache(maxsize=CACHE_SIZE)

@@ -8,10 +8,10 @@ byte-deterministic for a fixed input.
 
 The projective-space screen refuses a bad radius or an over-budget battery
 first.  It then takes the generators of the cones of vectors that meet the
-equality-case bound, cut only in the maximal cones whose own vertex of the
-anticanonical polytope can meet it (`equality_bound_rays`); where a cone is
-larger than a ray, or the elimination is over budget, it builds a
-`ToricValuation` only for the battery vectors whose integer vertex row meets it.
+equality-case bound, the negated rays that set the alpha invariant when it
+is 1/(n+1) (`equality_bound_rays`); where a cone is larger than a ray, it
+builds a `ToricValuation` only for the battery vectors whose integer vertex
+row meets it.
 """
 
 from __future__ import annotations
@@ -166,9 +166,9 @@ class ScreenResult:
     decided in integers as A >= n max_P <u, w> (`meets_equality_bound`).
     The standalone screen checks the radius and the battery budget first.
     Its candidates are the generators of the bound's cones in the radius,
-    sought only in the maximal cones whose vertex of P qualifies, and each
-    is checked again on its own row (`equality_bound_rays`); where that
-    gives None, they are the battery vectors whose row meets the bound.
+    read off the rays that set alpha (`equality_bound_rays`), and each is
+    checked again on its own row; where that gives None, they are the
+    battery vectors whose row meets the bound.
     `analyze` tests the bound per w on its own battery.
     """
 

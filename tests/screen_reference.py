@@ -12,13 +12,20 @@ fans whose vertices cannot meet the bound.
 
 `qualifying_vertices` is that per-vertex test on its own: the vertices m
 of the anticanonical polytope with <m, v_i> >= n at some ray v_i, read off
-the integer vertex rows.  `equality_bound_rays` cuts only their cones.
+the integer vertex rows.
+
+`valuations.equality_bound_rays` reads the generators of the bound's cones
+off the rays that set the alpha invariant.
+`reference_equality_bound_rays` is the integer double description it
+replaced, kept verbatim, work budget included: it cuts the cone of each
+qualifying vertex and returns the extreme rays found, or None.
 """
 
 import operator
 from itertools import product
 
-from toricstab.lattice import gcd_vec
+from toricstab.lattice import gcd_vec, primitivize
+from toricstab.polytopes import default_oracle_budget
 from toricstab.valuations import (
     beta_invariant,
     log_discrepancy,
@@ -57,3 +64,55 @@ def qualifying_vertices(fan):
         for k, row in enumerate(rows)
         if any(sum(map(operator.mul, row, ray)) >= n * d for ray in fan.rays)
     ]
+
+
+def reference_equality_bound_rays(fan):
+    """The primitive generators of the cones K_sigma below, in battery order,
+    if each is {0} or a ray; None if one has two or more extreme rays, or
+    once the call's work, summed over its cuts as |pos| |neg| |rays|, would
+    exceed `default_oracle_budget()`.
+
+    Radius-free (Fact 2): for w in a cone sigma the vertex m_sigma attains
+    the minimum, so w meets -min >= n max exactly when <n v + m_sigma, w> <= 0
+    for every vertex v, and the w that meet the bound fill the union of the
+    cones K_sigma = sigma cap C_sigma, C_sigma = {w : <n v + m_sigma, w> <= 0
+    for every vertex v}.  C_sigma holds a nonzero w exactly when
+    m_sigma + nP lies in a closed half-space through 0, that is, when
+    -m_sigma / n is not interior to P = {u : <u, v_i> >= -1}: when
+    <m_sigma, v_i> >= n for some ray v_i, on the integer rows R . v_i >= n D.
+    The cones (`Fan.vertex_cones`) of the other vertices are skipped; with
+    no such vertex, no w at any radius meets the bound, and the result is [].
+    The rest run an integer double description (Fukuda-Prodon 1996) in the
+    coordinates c >= 0, w = sum c_i rho_i: as <m_sigma, rho_i> = -1, vertex
+    v cuts sum c_i (n R_v . rho_i - D) <= 0.  A cut drops the rays it cuts
+    off and joins each to each kept ray on the other side that is adjacent
+    to it: no third ray is tight at every constraint where both are.
+    """
+    n, budget = fan.dimension, default_oracle_budget()
+    d, rows = fan.anticanonical_polytope().vertex_matrix
+    found, work = set(), 0
+    for m, cone in zip(rows, fan.vertex_cones()):
+        if all(sum(map(operator.mul, m, ray)) < n * d for ray in fan.rays):
+            continue  # m_sigma does not qualify: K_sigma = {0}
+        basis = [fan.rays[i] for i in cone]
+        # (c, indices of the constraints tight at c), from the unit vectors
+        rays = [(tuple(int(i == j) for i in range(n)), frozenset(range(n)) - {j}) for j in range(n)]
+        for k, row in enumerate(rows, n):
+            cut = [n * sum(map(operator.mul, row, b)) - d for b in basis]
+            if max(cut) <= 0:
+                continue
+            signed = [(sum(map(operator.mul, cut, c)), c, tight) for c, tight in rays]
+            pos, neg = [r for r in signed if r[0] > 0], [r for r in signed if r[0] < 0]
+            work += len(pos) * len(neg) * len(rays)
+            if work > budget:
+                return None
+            kept = [(c, tight | {k} if s == 0 else tight) for s, c, tight in signed if s <= 0]
+            for (sp, cp, tp), (sq, cq, tq) in product(pos, neg):
+                common = tp & tq
+                if len(common) >= n - 2 and not any(common <= t for c, t in rays if c != cp and c != cq):
+                    kept.append((primitivize([sp * y - sq * x for x, y in zip(cp, cq)]), common | {k}))
+            rays = kept
+        if len(rays) > 1:
+            return None
+        found.update(primitivize([sum(map(operator.mul, col, c)) for col in zip(*basis)]) for c, _ in rays)
+    return sorted(found, key=lambda g: (max(map(abs, g)), g))

@@ -8,11 +8,19 @@ from fractions import Fraction as F
 
 import pytest
 from report_reference import reference_json
-from screen_reference import qualifying_vertices, reference_battery_vectors, reference_screen_witnesses
+from screen_reference import (
+    qualifying_vertices,
+    reference_battery_vectors,
+    reference_equality_bound_rays,
+    reference_screen_witnesses,
+)
+from test_fans import bench_workloads
 
 from toricstab import valuations
+from toricstab.alpha import alpha_invariant
 from toricstab.cli import main
 from toricstab.errors import BudgetExceeded, InvariantViolation, ParseError
+from toricstab.fans import Fan
 from toricstab.corpus import builtin_fan_specs
 from toricstab.polytopes import RationalPolytope
 from toricstab.valuations import (
@@ -427,9 +435,67 @@ def test_equality_bound_cones_are_rays_on_smooth_fans(q_fano_fans):
     assert split == {"no vertex": 16, "cones": 26, "fallback": 25}
 
 
-def test_equality_bound_rays_give_up_over_the_work_bound(monkeypatch, p2, p3):
-    """With the work bound patched down, the elimination gives up on P2 and P3
-    and the screen scans the box, with the same result."""
+def test_equality_bound_rays_equal_the_elimination(monkeypatch, q_fano_fans):
+    """The alpha rule gives what the double description over each qualifying
+    cone gave (`reference_equality_bound_rays`) on every Q-Fano test fan and
+    every relabelled spec of the three bench workloads for seeds 1-10."""
+    workloads = bench_workloads(monkeypatch)
+    fans = list(q_fano_fans) + [
+        Fan(spec["dim"], spec["rays"], spec["cones"])
+        for name in workloads.WORKLOADS
+        for seed in range(1, 11)
+        for spec in workloads.build(name, seed).specs
+    ]
+    assert len(fans) == len(q_fano_fans) + 270
+    for fan in fans:
+        assert equality_bound_rays(fan) == reference_equality_bound_rays(fan), fan
+
+
+# the generators of every smooth corpus fan, in battery order
+SMOOTH_BOUND_RAYS = {
+    "P1": [(-1,), (1,)],
+    "P2": [(-1, 0), (0, -1), (1, 1)],
+    "P3": [(-1, 0, 0), (0, -1, 0), (0, 0, -1), (1, 1, 1)],
+    "P4": [(-1, 0, 0, 0), (0, -1, 0, 0), (0, 0, -1, 0), (0, 0, 0, -1), (1, 1, 1, 1)],
+    "P5": [(-1, 0, 0, 0, 0), (0, -1, 0, 0, 0), (0, 0, -1, 0, 0), (0, 0, 0, -1, 0), (0, 0, 0, 0, -1), (1, 1, 1, 1, 1)],
+    "P1xP1": [], "P1xP1xP1": [], "dP6": [],
+    "dP8": [(-1, 0), (0, -1)],
+    "dP7": [(0, -1)],
+}
+
+
+def test_equality_bound_rays_read_off_alpha(q_fano_fans, corpus_fans, p3):
+    """alpha > 1/(n+1) gives [] (16 test fans), alpha < 1/(n+1) gives None
+    (25), and alpha = 1/(n+1) gives the negated rays whose threshold
+    tau(v_k) is n + 1, in battery order (26).  A star subdivision of P3 with
+    alpha = 1/4 and a vertex at n D on two rays gives None, as the
+    elimination does, and its screen scans the box."""
+    split = {"above": 0, "below": 0, "equal": 0}
+    for fan in q_fano_fans:
+        n, alpha = fan.dimension, alpha_invariant(fan)
+        generators = equality_bound_rays(fan)
+        if alpha.alpha > F(1, n + 1):
+            assert generators == [], fan.name
+            split["above"] += 1
+        elif alpha.alpha < F(1, n + 1):
+            assert generators is None, fan.name
+            split["below"] += 1
+        else:
+            extremal = [tuple(-x for x in ray) for ray, t in zip(fan.rays, alpha.ray_thresholds) if t == n + 1]
+            assert generators == sorted(extremal, key=lambda g: (max(map(abs, g)), g)), fan.name
+            split["equal"] += 1
+    assert split == {"above": 16, "below": 25, "equal": 26}
+    assert {fan.name: equality_bound_rays(fan) for fan in corpus_fans if fan.is_smooth()} == SMOOTH_BOUND_RAYS
+    twice = p3.star_subdivision((0, 1, 1)).star_subdivision((-1, 1, 1))
+    assert alpha_invariant(twice).alpha == F(1, 4)
+    assert equality_bound_rays(twice) is None and reference_equality_bound_rays(twice) is None
+    for radius in (1, 2, 3):
+        assert screen_projective_space(twice, radius).witnesses == reference_screen_witnesses(twice, radius)
+
+
+def test_screen_box_scan_equals_the_cone_path(monkeypatch, p2, p3):
+    """With `equality_bound_rays` patched to give None, the screen scans the
+    box on P2 and P3, with the same result as the cone path."""
     import toricstab.workbench as workbench
 
     expected = {fan.name: screen_projective_space(fan, 10 if fan.dimension == 2 else 3) for fan in (p2, p3)}
@@ -441,25 +507,10 @@ def test_equality_bound_rays_give_up_over_the_work_bound(monkeypatch, p2, p3):
         return original(fan, radius)
 
     monkeypatch.setattr(workbench, "battery_vectors", recorded)
-    monkeypatch.setattr(valuations, "default_oracle_budget", lambda: 1)
+    monkeypatch.setattr(workbench, "equality_bound_rays", lambda fan: None)
     for fan in (p2, p3):
-        assert equality_bound_rays(fan) is None
         assert screen_projective_space(fan, expected[fan.name].radius) == expected[fan.name]
     assert scanned == ["P2", "P3"]
-
-
-def test_equality_bound_rays_bound_the_work_of_the_whole_call(monkeypatch, p3, square):
-    """The work bound holds for the call, not per cut, and cones whose vertex
-    does not qualify cost none of it.  P3 spends 88 over 12 cuts of at most
-    16 each; dP7 spends 4 on its one qualifying cone of 5, where cutting all
-    five would spend 10; P1xP1 has no qualifying vertex and spends 0."""
-    dp7 = load_builtin_fan("dP7")
-    for fan, work, count in ((p3, 88, 4), (dp7, 4, 1), (square, 0, 0)):
-        monkeypatch.setattr(valuations, "default_oracle_budget", lambda: work)
-        assert len(equality_bound_rays(fan)) == count, fan.name
-        if work:
-            monkeypatch.setattr(valuations, "default_oracle_budget", lambda: work - 1)
-            assert equality_bound_rays(fan) is None, fan.name
 
 
 def _patch_row(monkeypatch, at, change):

@@ -7,12 +7,13 @@ Usage, from any directory:
 For each built-in corpus fan the script writes the fan's spec into a
 temporary directory and runs `python -m toricstab.cli` there, with
 CHECKOUT/src on PYTHONPATH: `analyze` and `screen` at radius 4 in dimension
-<= 2 and radius 1 above, `alpha`, `beta --w 1,...,1` and
-`volfn --w -1,...,-1 --csv volfn.csv`; then `verify` once.  Each run prints
-one line: the command, the SHA-256 of its stdout and of its stderr and its
-exit code, and for `volfn` the SHA-256 of the CSV.  Every path is relative
-to the temporary directory, so two checkouts print the same lines exactly
-when their outputs are byte-identical: diff the files of two checkouts.
+<= 2 and radius 1 above, `screen` also at radius 1 in dimension <= 2,
+`alpha`, `beta --w 1,...,1` and `volfn --w -1,...,-1 --csv volfn.csv`; then
+`verify` once.  Each run prints one line: the command, the SHA-256 of its
+stdout and of its stderr and its exit code, and for `volfn` the SHA-256 of
+the CSV.  Every path is relative to the temporary directory, so two
+checkouts print the same lines exactly when their outputs are
+byte-identical: diff the files of two checkouts.
 Standard library only.
 """
 
@@ -55,6 +56,7 @@ def main(argv: list[str]) -> int:
             for args in (
                 ["analyze", path, "--radius", radius],
                 ["screen", path, "--radius", radius],
+                *([["screen", path, "--radius", "1"]] if n <= 2 else []),
                 ["alpha", path],
                 ["beta", path, "--w", ",".join(["1"] * n)],
                 ["volfn", path, "--w", ",".join(["-1"] * n), "--csv", "volfn.csv"],
