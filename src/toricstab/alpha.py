@@ -7,7 +7,8 @@ The feasible m form the anticanonical polytope itself, so
 
     alpha(X) = 1 / max_j (1 + max over P of <u, v_j>) = 1 / max_j tau(v_j),
 
-computed by exact vertex evaluation, with an explicit extremal witness
+read off the polytope's integer vertex-by-ray table T[k][j] = D <m_k, v_j>
+(`normal_table`) as its column maxima, with an explicit extremal witness
 divisor.  `AlphaResult` checks the witness on construction: the divisor is
 effective and alpha times its largest coefficient is 1, so (X, alpha D) is
 log canonical with a coefficient at the boundary.
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fans import Fan
-from .lattice import RatVec, dot
+from .lattice import RatVec
 
 
 @dataclass(frozen=True)
@@ -44,24 +45,18 @@ class AlphaResult:
 def alpha_invariant(fan: Fan) -> AlphaResult:
     """Exact alpha invariant with witness divisor and per-ray thresholds."""
     poly = fan.anticanonical_polytope()
-    d, rows = poly.vertex_matrix
-    thresholds = []
-    argmax_vertices = []
-    for ray in fan.rays:
-        values = poly.vertex_values(ray)
-        # ties go to the lexicographically largest vertex: its row D * u, as D > 0
-        k = max(range(len(values)), key=lambda i: (values[i], rows[i]))
-        thresholds.append(1 + Fraction(values[k], d))
-        argmax_vertices.append(k)
-    worst = max(range(len(fan.rays)), key=lambda j: (thresholds[j], -j))
-    k = argmax_vertices[worst]
-    m = poly.vertices[k]
-    divisor = tuple(1 + Fraction(dot(rows[k], ray), d) for ray in fan.rays)
+    (d, rows), table = poly.vertex_matrix, poly.normal_table
+    # per ray, the top of its column; ties go to the lexicographically largest
+    # vertex: its row D * u, as D > 0
+    argmax = [max(range(len(rows)), key=lambda k: (column[k], rows[k])) for column in zip(*table)]
+    tops = [table[k][j] for j, k in enumerate(argmax)]
+    worst = max(range(len(tops)), key=lambda j: (tops[j], -j))
+    k = argmax[worst]
     return AlphaResult(
-        alpha=1 / thresholds[worst],
+        alpha=Fraction(d, d + tops[worst]),
         witness_ray_index=worst,
-        witness_divisor=divisor,
-        witness_m=m,
-        ray_thresholds=tuple(thresholds),
+        witness_divisor=tuple(Fraction(d + t, d) for t in table[k]),
+        witness_m=tuple(Fraction(x, d) for x in rows[k]),
+        ray_thresholds=tuple(Fraction(d + t, d) for t in tops),
     )
 

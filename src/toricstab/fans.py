@@ -19,12 +19,14 @@ The anticanonical polytope is { u : <u, v_i> >= -1 for all rays v_i }; it is
 built only for Q-Fano fans, where the support function of -K is strictly
 convex.  It is read off the cones: for ample -K its vertices are exactly
 the points m_sigma with <m_sigma, v> = -1 on the rays of a maximal cone
-sigma (Cox-Little-Schenck, *Toric Varieties*, ch. 6), which the Q-Fano
-check computes anyway, and it is bounded because the fan is complete.  The
-fan keeps that pairing of vertices and maximal cones (`Fan.vertex_cones`),
-and as the check makes every ray off sigma strictly slack at m_sigma, the
-rays tight at a vertex are exactly those of its cone.  Its lattice points
-at dilation k index the degree-k anticanonical sections.
+sigma (Cox-Little-Schenck, *Toric Varieties*, ch. 6), and it is bounded
+because the fan is complete.  It is built in integers: each cone's adjugate
+gives mult * m_sigma and its products with every ray, which the Q-Fano check
+reads; scaled to D, sorted and reduced, they are the vertex matrix and the
+one table T[k][j] = D <m_k, v_j>.  The fan keeps the vertex-cone pairing
+(`Fan.vertex_cones`); as the check makes every ray off sigma strictly slack
+at m_sigma, the rays tight at a vertex (T = -D) are those of its cone.  Its
+lattice points at dilation k index the degree-k anticanonical sections.
 
 The automorphisms of a fan (`Fan.automorphisms`) are the integer matrices
 that permute its rays and its maximal cones; they act on the anticanonical
@@ -175,22 +177,27 @@ class Fan:
         Requires Q-Fano, i.e. -K ample: for each maximal cone, the m with
         <m, v> = -1 on its rays must satisfy <m, v_j> > -1 at every other ray.
         Those points m are then the vertices, one per maximal cone, and the
-        polytope is bounded because the fan is complete.
+        polytope is bounded because the fan is complete.  Half-space j is
+        ray j's, so column j of the polytope's `normal_table` is ray j's.
         """
         if self._polytope is None:
-            paired = []
+            d, paired = math.lcm(*self._cone_mults), []
             for ci, cone in enumerate(self.max_cones):
-                # mult * m_sigma = adj^T (-1, ..., -1), so <m_sigma, v> <= -1 is an integer test
+                # mult * m_sigma = adj^T (-1, ..., -1): its products are -mult on
+                # sigma's n rays, so Q-Fano is that no other one is <= -mult
                 mult = self._cone_mults[ci]
                 m = [-sum(col) for col in zip(*self._cone_adjugates[ci])]
-                outside = (v for j, v in enumerate(self.rays) if j not in cone)
-                if any(sum(map(operator.mul, m, v)) <= -mult for v in outside):
+                products = [sum(map(operator.mul, m, v)) for v in self.rays]
+                if sum(p <= -mult for p in products) > len(cone):
                     raise InvariantViolation(f"not Q-Fano: -K is not ample on maximal cone {ci}")
-                paired.append((tuple(Fraction(x, mult) for x in m), cone))
-            paired.sort()  # the vertices are distinct, so no two cones are compared
-            halfspaces = [(ray, Fraction(-1)) for ray in self.rays]
-            self._vertex_cones = tuple(cone for _, cone in paired)
-            self._polytope = RationalPolytope(halfspaces, [m for m, _ in paired], self.dimension)
+                paired.append(([d // mult * x for x in m], cone, [d // mult * p for p in products]))
+            paired.sort()  # by the rows D * m_sigma, D > 0: the vertices are distinct
+            g = math.gcd(d, *(x for row, _, _ in paired for x in row))
+            rows = [tuple(x // g for x in row) for row, _, _ in paired]
+            table = [tuple(p // g for p in products) for _, _, products in paired]
+            halfspaces = tuple((ray, Fraction(-1)) for ray in self.rays)
+            self._vertex_cones = tuple(cone for _, cone, _ in paired)
+            self._polytope = RationalPolytope._from_int_form(halfspaces, d // g, rows, table, self.dimension)
         return self._polytope
 
     def vertex_cones(self) -> tuple[tuple[int, ...], ...]:

@@ -1,31 +1,31 @@
 """Exact rational polytopes: triangulation, volume, centroid, lattice points.
 
 A polytope carries both an H-representation (half-spaces ``<u, normal> >=
-offset`` with integer normals and rational offsets) and a V-representation
-(rational vertex tuples), and is built from the two together.  The
-anticanonical polytope of a fan gets its vertices from the fan's cones (see
-`fans`); a slice of a polytope, which only the tests take, finds its
-vertices by `enumerate_vertices`, the n-subset intersection of boundary
-hyperplanes with feasibility filtering.
+offset`` with integer normals and rational offsets) and a V-representation,
+and is built from the two together.  A slice of a polytope, which only the
+tests take, finds its vertices by `enumerate_vertices`, the n-subset
+intersection of boundary hyperplanes with feasibility filtering.
 
-On first use a polytope also keeps its vertices once as an integer matrix
-over one common denominator D (`vertex_matrix`), so a linear functional
-<v, w> at integer w is one integer dot product per vertex.  For the
-anticanonical polytope D divides the lcm of the cone multiplicities: the
-denominator of the vertex m_sigma divides the multiplicity of sigma.
+The vertices are kept as integer rows over one common denominator D
+(`vertex_matrix`), with one integer table T[k][j] = D <v_k, a_j> over the
+vertices and the half-space normals a_j (`normal_table`): the constructor
+derives both from Fraction vertices, the anticanonical polytope of a fan
+gets them from the fan's cones (`_from_int_form`, see `fans`), and the
+Fraction vertices are derived when read.  There D divides the lcm of the
+cone multiplicities: the denominator of m_sigma divides sigma's.
 
 Each polytope triangulates itself once, lazily, on first use: the pulling
 triangulation for its lex-sorted vertex order (De Loera-Rambau-Santos,
 *Triangulations*, 2010, Sec. 4.3), a fan-out from vertex 0 over the facets
 that avoid it, each facet pulled the same way from its own lowest vertex.
-`triangulate` reads it off which rows of the vertex matrix lie on which
-half-space boundaries, decided in integers, and returns vertex indices, so
-no coordinate is projected out and every simplex vertex is a vertex of the
+`triangulate` reads it off the table's entries equal to D times the offsets
+(-D on an anticanonical polytope) and returns vertex indices, so no
+coordinate is projected out and every simplex vertex is a vertex of the
 polytope.  The cached form (`indexed_triangulation`) keeps each simplex as
 vertex indices with dim! times its volume, `det_int` of its edge rows in
-the vertex matrix, an integer over D^dim.  Volume, centroid and the
-closed-form volume functions in `valuations` all read it; the volume and
-centroid are integer sums with one Fraction per value.
+the vertex matrix, an integer over D^dim.  Volume, centroid, first moment
+(`moment_form`) and the closed-form volume functions in `valuations` all
+read it, with one Fraction per value and none for the moment.
 
 Lattice points of a dilation k P are scanned over the bounding box of the
 vertex matrix, and each half-space <u, a> >= b with b = p / q is tested in
@@ -73,25 +73,22 @@ def enumerate_vertices(halfspaces: Sequence[HalfSpace], dim: int) -> list[RatVec
 
 
 def triangulate(
-    halfspaces: Sequence[HalfSpace], rows: Sequence[Sequence[int]], den: int, dim: int
+    halfspaces: Sequence[HalfSpace], table: Sequence[Sequence[int]], den: int, dim: int
 ) -> list[tuple[int, ...]]:
-    """The pulling triangulation of the polytope spanned by the points rows / den.
+    """The pulling triangulation of the points p_k given as table[k][j] = den <p_k, a_j>.
 
     The points are pulled in their given order, so the triangulation fans
     out from point 0 over the facets that do not contain it, and each facet
     is triangulated the same way from its own lowest point.  Only incidence
     is used: a face is the set of points on it, and its facets are the
     maximal proper, nonempty intersections of it with the tight sets (the
-    points on each half-space's boundary, <row, a> * q == den * p for the
-    offset b = p / q).  Each simplex is returned as a (dim+1)-tuple of point
+    points on each half-space's boundary, q * table[k][j] == den * p for its
+    normal a_j and offset b = p / q).  Each simplex is returned as a (dim+1)-tuple of point
     indices and is nondegenerate, so a lower-dimensional polytope gives [].
     """
     tight = {
-        frozenset(
-            k for k, row in enumerate(rows)
-            if b.denominator * sum(map(operator.mul, row, a)) == b.numerator * den
-        )
-        for a, b in halfspaces
+        frozenset(k for k, row in enumerate(table) if q * row[j] == p)
+        for j, (p, q) in enumerate((den * b.numerator, b.denominator) for _, b in halfspaces)
     }
 
     def pull(face: frozenset) -> list[tuple[int, ...]]:
@@ -102,7 +99,7 @@ def triangulate(
             return [(top,)]
         return [(top,) + rest for g in facets if top not in g for rest in pull(g)]
 
-    return [simplex for simplex in pull(frozenset(range(len(rows)))) if len(simplex) == dim + 1]
+    return [simplex for simplex in pull(frozenset(range(len(table)))) if len(simplex) == dim + 1]
 
 
 class RationalPolytope:
@@ -115,25 +112,32 @@ class RationalPolytope:
     """
 
     def __init__(self, halfspaces: Sequence[HalfSpace], vertices: Sequence[RatVec], dim: int):
-        self.dim = dim
-        self.halfspaces: tuple[HalfSpace, ...] = tuple(
-            (tuple(a), Fraction(b)) for a, b in halfspaces
-        )
-        self.vertices: tuple[RatVec, ...] = tuple(vertices)
-        if not self.vertices:
+        halfspaces = tuple((tuple(a), Fraction(b)) for a, b in halfspaces)
+        d = math.lcm(*(x.denominator for v in vertices for x in v))
+        rows = [tuple(x.numerator * (d // x.denominator) for x in v) for v in vertices]
+        table = [tuple(sum(map(operator.mul, row, a)) for a, _ in halfspaces) for row in rows]
+        self._setup(halfspaces, d, rows, table, dim)
+
+    @classmethod
+    def _from_int_form(cls, halfspaces: tuple[HalfSpace, ...], d: int, rows, table, dim: int) -> "RationalPolytope":
+        """The polytope from the half-spaces, vertex matrix and table the constructor would derive."""
+        poly = object.__new__(cls)
+        poly._setup(halfspaces, d, rows, table, dim)
+        return poly
+
+    def _setup(self, halfspaces: tuple[HalfSpace, ...], d: int, rows, table, dim: int) -> None:
+        if not rows:
             raise InvariantViolation("empty polytope")
+        self.dim, self.halfspaces = dim, halfspaces
+        self.vertex_matrix, self.normal_table = (d, tuple(rows)), tuple(table)
 
     # -- basic queries ----------------------------------------------------
 
     @cached_property
-    def vertex_matrix(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """(D, rows): the vertices as integer rows over one common denominator.
-
-        D is the least common denominator of all vertex coordinates and
-        vertices[i] == rows[i] / D.  Built once, on first use.
-        """
-        d = math.lcm(*(x.denominator for v in self.vertices for x in v))
-        return d, tuple(tuple(x.numerator * (d // x.denominator) for x in v) for v in self.vertices)
+    def vertices(self) -> tuple[RatVec, ...]:
+        """The vertices as Fraction tuples, rows / D; built on first use."""
+        d, rows = self.vertex_matrix
+        return tuple(tuple(Fraction(x, d) for x in row) for row in rows)
 
     def vertex_values(self, w: Sequence[int]) -> list[int]:
         """D * <v, w> for each vertex v, in vertex order: one integer dot product each."""
@@ -152,18 +156,18 @@ class RationalPolytope:
         """
         d, rows = self.vertex_matrix
         simplices = []
-        for ks in triangulate(self.halfspaces, rows, d, self.dim):
+        for ks in triangulate(self.halfspaces, self.normal_table, d, self.dim):
             base = rows[ks[0]]
             edges = [[x - y for x, y in zip(rows[k], base)] for k in ks[1:]]
             simplices.append((ks, abs(det_int(edges))))
         return d**self.dim, tuple(simplices)
 
     @cached_property
-    def _volume_data(self) -> tuple[Fraction, Optional[RatVec]]:
+    def _volume_data(self) -> tuple[Fraction, Optional[RatVec], tuple[int, tuple[int, ...]]]:
         den, simplices = self.indexed_triangulation
         if not simplices:
             warnings.warn("lower-dimensional polytope: volume 0", stacklevel=4)
-            return Fraction(0), None
+            return Fraction(0), None, (1, (0,) * self.dim)
         d, rows = self.vertex_matrix
         total = sum(mass for _, mass in simplices)
         # a simplex's centroid is the sum of its vertex rows over (dim + 1) * D
@@ -175,6 +179,7 @@ class RationalPolytope:
         return (
             Fraction(total, den * math.factorial(self.dim)),
             tuple(Fraction(x, total * (self.dim + 1) * d) for x in weighted),
+            ((self.dim + 1) * d * den, tuple(weighted)),
         )
 
     def volume(self) -> Fraction:
@@ -186,6 +191,13 @@ class RationalPolytope:
         if not self.indexed_triangulation[1]:
             raise InvariantViolation("barycenter of a degenerate polytope")
         return self._volume_data[1]
+
+    def moment_form(self) -> tuple[int, tuple[int, ...]]:
+        """(E, M): dim! times the integral of u over P, as integer numerators
+        M over E = (dim + 1) D^(dim + 1).  It is dim! vol(P) times the
+        barycenter: degree * b on a fan's anticanonical polytope, so there
+        beta(w) = -<M, w> / E (Blum-Jonsson 2020, Sec. 7)."""
+        return self._volume_data[2]
 
     # -- derived structure -------------------------------------------------
 
@@ -221,7 +233,7 @@ class RationalPolytope:
     def __repr__(self) -> str:
         return (
             f"RationalPolytope(dim={self.dim}, facets={len(self.halfspaces)}, "
-            f"vertices={len(self.vertices)})"
+            f"vertices={len(self.vertex_matrix[1])})"
         )
 
 

@@ -158,8 +158,9 @@ def equality_bound_rays(fan: Fan) -> list[LatticeVec] | None:
     """The primitive generators, in battery order, of the cones K_sigma of
     the w in sigma that meet the bound, when each is {0} or a ray; else None.
 
-    Read off T[v][k] = R_v . v_k over the vertex rows R_v (denominator D)
-    and the rays v_k: with t_k = max_v T[v][k], tau(v_k) = 1 + t_k / D.
+    Read off the polytope's table T[v][k] = R_v . v_k over the vertex rows
+    R_v (denominator D) and the rays v_k (`normal_table`): with
+    t_k = max_v T[v][k], tau(v_k) = 1 + t_k / D.
     Every t_k < n D (alpha > 1/(n+1)) gives []; some t_k > n D
     (alpha < 1/(n+1)), or a row equal to n D at two rays, gives None;
     otherwise the result is the -v_k with t_k = n D, the negated rays that
@@ -177,10 +178,9 @@ def equality_bound_rays(fan: Fan) -> list[LatticeVec] | None:
     Each of these -v_i lies in sigma, so that cone is K_sigma.
     """
     n, poly = fan.dimension, fan.anticanonical_polytope()
-    bound = n * poly.vertex_matrix[0]
-    columns = [poly.vertex_values(ray) for ray in fan.rays]
-    tops = [max(column) for column in columns]
-    if max(tops) > bound or any(row.count(bound) > 1 for row in zip(*columns)):
+    bound, table = n * poly.vertex_matrix[0], poly.normal_table
+    tops = [max(column) for column in zip(*table)]
+    if max(tops) > bound or any(row.count(bound) > 1 for row in table):
         return None
     rays = (tuple(-x for x in ray) for ray, top in zip(fan.rays, tops) if top == bound)
     return sorted(rays, key=lambda g: (max(map(abs, g)), g))
@@ -334,8 +334,8 @@ def nef_threshold(val: ToricValuation) -> Fraction:
 @dataclass(frozen=True)
 class ValuationProfile:
     """All per-valuation invariants, checked at construction: beta is
-    A * degree - integral of vol, and must equal -degree <b, w> by the
-    barycenter identity, read off `beta_form` = -degree b over one denominator."""
+    A * degree - integral of vol, and must equal -degree <b, w> = -<M, w> / E by
+    the barycenter identity, read off `beta_form`, the polytope's `moment_form`."""
 
     w: LatticeVec
     degree: Fraction
@@ -357,18 +357,15 @@ class ValuationProfile:
             )
         object.__setattr__(self, "beta", self.log_discrepancy * self.degree - self.integrated_volume)
         den, form = self.beta_form
-        if sum(map(operator.mul, form, self.w)) * self.beta.denominator != self.beta.numerator * den:
+        if -sum(map(operator.mul, form, self.w)) * self.beta.denominator != self.beta.numerator * den:
             raise AssertionError(f"beta of {self.w} breaks the barycenter identity")
 
 
 def valuation_profile(val: ToricValuation) -> ValuationProfile:
-    degree, vol = val.fan.degree(), volume_function(val)
-    barycenter = val.fan.anticanonical_polytope().barycenter()
-    den = math.lcm(*(x.denominator for x in barycenter))
-    form = tuple(-degree.numerator * x.numerator * (den // x.denominator) for x in barycenter)
+    vol = volume_function(val)
     return ValuationProfile(
         w=val.w,
-        degree=degree,
+        degree=val.fan.degree(),
         log_discrepancy=log_discrepancy(val),
         pseff_threshold=pseff_threshold(val),
         nef_threshold=nef_threshold(val),
@@ -377,7 +374,7 @@ def valuation_profile(val: ToricValuation) -> ValuationProfile:
         restricted_volume_fn=_restricted_from(vol, val.fan.dimension),
         center_codim=center_codim(val),
         is_primitive=val.is_primitive,
-        beta_form=(degree.denominator * den, form),
+        beta_form=val.fan.anticanonical_polytope().moment_form(),
     )
 
 

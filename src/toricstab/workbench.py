@@ -10,8 +10,9 @@ The projective-space screen refuses a bad radius or an over-budget battery
 first.  It then takes the generators of the cones of vectors that meet the
 equality-case bound, the negated rays that set the alpha invariant when it
 is 1/(n+1) (`equality_bound_rays`); where a cone is larger than a ray, it
-builds a `ToricValuation` only for the battery vectors whose integer vertex
-row meets it.
+tests the battery vectors' integer vertex rows instead.  A witness's A and
+tau come from its row and its beta from the barycenter identity: no
+valuation is built and no volume function computed.
 """
 
 from __future__ import annotations
@@ -37,12 +38,9 @@ from .polytopes import default_oracle_budget
 from .valuations import (
     ToricValuation,
     ValuationProfile,
-    beta_invariant,
     equality_bound_rays,
-    log_discrepancy,
     meets_equality_bound,
     positive_row,
-    pseff_threshold,
     restricted_volume,
     row_meets_equality_bound,
     valuation_profile,
@@ -168,7 +166,8 @@ class ScreenResult:
     Its candidates are the generators of the bound's cones in the radius,
     read off the rays that set alpha (`equality_bound_rays`), and each is
     checked again on its own row; where that gives None, they are the
-    battery vectors whose row meets the bound.
+    battery vectors whose row meets the bound.  A and tau are read off the
+    row, and beta = -degree <b, w> off the polytope's `moment_form`.
     `analyze` tests the bound per w on its own battery.
     """
 
@@ -212,6 +211,7 @@ def _screen_result(fan: Fan, radius: int, witnesses: Sequence[ScreenWitness]) ->
 def screen_projective_space(fan: Fan, radius: int = 4) -> ScreenResult:
     check_battery_radius(fan, radius)
     poly, n = fan.anticanonical_polytope(), fan.dimension
+    d = poly.vertex_matrix[0]
     generators = equality_bound_rays(fan)
     if generators is None:
         vectors = battery_vectors(fan, radius)
@@ -219,9 +219,11 @@ def screen_projective_space(fan: Fan, radius: int = 4) -> ScreenResult:
         vectors = [g for g in generators if max(map(abs, g)) <= radius]
     witnesses = []
     for w in vectors:
-        if row_meets_equality_bound(n, positive_row(w, poly.vertex_values(w))):
-            if (beta := beta_invariant(val := ToricValuation(fan, w))) <= 0:
-                witnesses.append(ScreenWitness(w, log_discrepancy(val), pseff_threshold(val), beta))
+        if row_meets_equality_bound(n, row := positive_row(w, poly.vertex_values(w))):
+            den, moment = poly.moment_form()  # beta(w) = -<moment, w> / den
+            if (moment_w := sum(map(operator.mul, moment, w))) >= 0:
+                a_disc, tau = Fraction(-min(row), d), Fraction(max(row) - min(row), d)
+                witnesses.append(ScreenWitness(w, a_disc, tau, Fraction(-moment_w, den)))
         elif generators is not None:
             raise AssertionError(f"cone generator {w} does not meet the equality-case bound")
     return _screen_result(fan, radius, witnesses)

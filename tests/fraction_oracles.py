@@ -7,7 +7,9 @@ live here.  So do the geometric queries the package no longer needs: cone
 coordinates of a vector, from each maximal cone's Fraction inverse, the
 walls of a fan and half-space membership in a polytope.
 The lattice points of a dilated polytope are found by the Fraction scan of
-its bounding box that the package's integer scan replaced.  The integer
+its bounding box that the package's integer scan replaced.  A fan's
+anticanonical polytope is built from sorted Fraction vertex tuples, as
+`Fan.anticanonical_polytope` built it before it worked on integer rows.  The integer
 form a piecewise polynomial holds is read back off its Fractions by lowest
 common denominators, as the package once derived it.
 """
@@ -18,8 +20,10 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations, product
 
+from toricstab.errors import InvariantViolation
 from toricstab.lattice import dot, solve_linear
 from toricstab.piecewise import poly_trim
+from toricstab.polytopes import RationalPolytope
 
 
 @cache
@@ -50,6 +54,25 @@ def cone_coordinates(fan, w):
         if all(c >= 0 for c in coords):
             return ci, tuple(Fraction(c, d) for c in coords)
     raise AssertionError(f"no maximal cone contains {tuple(w)}")
+
+
+def anticanonical_polytope(fan):
+    """(P, vertices, vertex cones): the Fraction vertices m_sigma sorted as
+    tuples, each one's cone, and P built from them by the public constructor."""
+    paired = []
+    for ci, cone in enumerate(fan.max_cones):
+        # mult * m_sigma = adj^T (-1, ..., -1), so <m_sigma, v> <= -1 is an integer test
+        mult = fan._cone_mults[ci]
+        m = [-sum(col) for col in zip(*fan._cone_adjugates[ci])]
+        outside = (v for j, v in enumerate(fan.rays) if j not in cone)
+        if any(sum(map(operator.mul, m, v)) <= -mult for v in outside):
+            raise InvariantViolation(f"not Q-Fano: -K is not ample on maximal cone {ci}")
+        paired.append((tuple(Fraction(x, mult) for x in m), cone))
+    paired.sort()  # the vertices are distinct, so no two cones are compared
+    halfspaces = [(ray, Fraction(-1)) for ray in fan.rays]
+    vertices = tuple(m for m, _ in paired)
+    vertex_cones = tuple(cone for _, cone in paired)
+    return RationalPolytope(halfspaces, vertices, fan.dimension), vertices, vertex_cones
 
 
 def walls(fan):

@@ -4,11 +4,13 @@ before the screen tested the bound on bare vectors, kept as references.
 `workbench.battery_vectors` filters the box with `math.gcd` and sorts on
 `(max(map(abs, w)), w)`; `reference_battery_vectors` is the `any` plus
 `gcd_vec` filter and generator-expression key it replaced.
-`workbench.screen_projective_space` reads each vector's vertex row and
-builds a `ToricValuation` only where the row meets the bound;
+`workbench.screen_projective_space` reads each vector's vertex row, and
+where the row meets the bound takes A and tau off it and beta from the
+barycenter identity, building no `ToricValuation`;
 `reference_screen_witnesses` builds one per battery vector, tests
-`meets_equality_bound` on it, and runs on every fan, with no skip of the
-fans whose vertices cannot meet the bound.
+`meets_equality_bound` on it, computes beta by the spline
+(`beta_invariant`), and runs on every fan, with no skip of the fans whose
+vertices cannot meet the bound.
 
 `qualifying_vertices` is that per-vertex test on its own: the vertices m
 of the anticanonical polytope with <m, v_i> >= n at some ray v_i, read off

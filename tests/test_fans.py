@@ -1,6 +1,7 @@
 """Fan validation, smoothness, anticanonical polytopes, star subdivision."""
 
 import importlib
+import math
 import operator
 import random
 from fractions import Fraction as F
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import fraction_oracles
 from fraction_oracles import cone_coordinates, contains, walls
 from toricstab.corpus import builtin_fan_specs
 from toricstab.errors import InvariantViolation
@@ -249,6 +251,47 @@ def test_vertex_cones_pair_each_vertex_with_its_tight_rays(q_fano_fans):
         for row, cone in zip(rows, cones):
             tight = tuple(i for i, ray in enumerate(fan.rays) if sum(map(operator.mul, row, ray)) == -d)
             assert cone == tight, (fan.name, row)
+
+
+def test_integer_polytope_equals_the_fraction_construction(monkeypatch, q_fano_fans):
+    """The polytope built in integers from the cone adjugates equals the one
+    built from sorted Fraction vertices (`fraction_oracles.anticanonical_polytope`):
+    the same D, rows in the same order, vertices, half-spaces, vertex cones,
+    normal table and triangulation, on every Q-Fano test fan and every
+    relabelled spec of the three bench workloads for seeds 1-10.  The
+    table's entries equal to -D are exactly the Fraction half-space test's
+    tight pairs."""
+    workloads = bench_workloads(monkeypatch)
+    inputs = [(fan.dimension, fan.rays, fan.max_cones) for fan in q_fano_fans]
+    inputs += [
+        (spec["dim"], spec["rays"], spec["cones"])
+        for name in workloads.WORKLOADS
+        for seed in range(1, 11)
+        for spec in workloads.build(name, seed).specs
+    ]
+    assert len(inputs) == len(q_fano_fans) + 270
+    for dim, rays, cones in inputs:
+        fan = Fan(dim, rays, cones)
+        oracle, vertices, vertex_cones = fraction_oracles.anticanonical_polytope(fan)
+        poly = fan.anticanonical_polytope()
+        assert poly.vertex_matrix == oracle.vertex_matrix, fan
+        d, rows = poly.vertex_matrix
+        assert d == math.lcm(*(x.denominator for v in vertices for x in v)), fan
+        assert tuple(tuple(F(x, d) for x in row) for row in rows) == vertices, fan
+        assert poly.vertices == vertices, fan
+        assert all(type(x) is F for v in poly.vertices for x in v), fan
+        assert poly.halfspaces == oracle.halfspaces, fan
+        assert fan.vertex_cones() == vertex_cones, fan
+        assert poly.normal_table == oracle.normal_table, fan
+        assert poly.indexed_triangulation == oracle.indexed_triangulation, fan
+        tight = {(k, j) for k, row in enumerate(poly.normal_table) for j, t in enumerate(row) if t == -d}
+        expected = {
+            (k, j)
+            for k, v in enumerate(vertices)
+            for j, (a, b) in enumerate(oracle.halfspaces)
+            if sum(F(x) * y for x, y in zip(v, a)) == b
+        }
+        assert tight == expected, fan
 
 
 def test_degree_positive_origin_interior(corpus_fans):

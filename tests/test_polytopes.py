@@ -21,11 +21,12 @@ def polytope(halfspaces, dim):
 
 def pulled(poly, apex):
     """The pulling triangulation for the point order apex, then the vertices,
-    as point tuples: `triangulate` on the rows of (apex, *vertices)."""
+    as point tuples: `triangulate` on the table of (apex, *vertices) against
+    the half-space normals."""
     points = (tuple(apex), *poly.vertices)
     den = math.lcm(*(F(x).denominator for p in points for x in p))
-    rows = [[int(x * den) for x in p] for p in points]
-    return [tuple(points[k] for k in s) for s in triangulate(poly.halfspaces, rows, den, poly.dim)]
+    table = [[int(sum(x * y for x, y in zip(p, a)) * den) for a, _ in poly.halfspaces] for p in points]
+    return [tuple(points[k] for k in s) for s in triangulate(poly.halfspaces, table, den, poly.dim)]
 
 
 def vertex_average(poly):
@@ -156,9 +157,9 @@ def test_volume_triangulation_independent():
 def test_triangulate_simplex_count():
     hs = [((1, 0), F(0)), ((0, 1), F(0)), ((-1, -1), F(-1))]
     poly = polytope(hs, 2)
-    d, rows = poly.vertex_matrix
+    d = poly.vertex_matrix[0]
     simplices = [
-        [poly.vertices[k] for k in ks] for ks in triangulate(poly.halfspaces, rows, d, 2)
+        [poly.vertices[k] for k in ks] for ks in triangulate(poly.halfspaces, poly.normal_table, d, 2)
     ]
     total = sum(
         abs(

@@ -214,7 +214,7 @@ def test_a_wrong_automorphism_breaks_the_barycenter_check(monkeypatch, tmp_path,
 def test_analyze_builds_one_battery(monkeypatch):
     """`analyze` screens the battery it profiles: one `valuation_battery`, the
     bound decided once per valuation by `meets_equality_bound`, and no
-    standalone screen or `beta_invariant` call."""
+    standalone screen."""
     import toricstab.workbench as workbench
 
     batteries, bounds = [], []
@@ -233,7 +233,6 @@ def test_analyze_builds_one_battery(monkeypatch):
     monkeypatch.setattr(workbench, "valuation_battery", counted_battery)
     monkeypatch.setattr(workbench, "meets_equality_bound", counted_bound)
     monkeypatch.setattr(workbench, "screen_projective_space", refuse)
-    monkeypatch.setattr(workbench, "beta_invariant", refuse)
     report = analyze(load_builtin_fan("dP6"), 4)
     assert batteries == [4]
     assert bounds == [p.w for p in report.profiles]
@@ -511,6 +510,41 @@ def test_screen_box_scan_equals_the_cone_path(monkeypatch, p2, p3):
     for fan in (p2, p3):
         assert screen_projective_space(fan, expected[fan.name].radius) == expected[fan.name]
     assert scanned == ["P2", "P3"]
+
+
+def test_screen_builds_no_volume_function(monkeypatch, corpus_fans):
+    """The screen takes each witness's beta from the barycenter identity, A and
+    tau from its vertex row: with `valuations.volume_function` and the
+    screen's `ToricValuation` refusing, it screens P2, dP8 and dP7 at radius
+    10 and P3 at radius 3, base and relabelled as in screen-smooth for seeds
+    1-10, and the singular corpus fans on the box-scan path at radius 4,
+    each with the reference loop's witnesses and verdict."""
+    import toricstab.workbench as workbench
+
+    workloads = bench_workloads(monkeypatch)
+    names = ("P2", "dP8", "dP7", "P3")
+    cases = [(load_builtin_fan(name), 10 if name != "P3" else 3) for name in names]
+    cases += [
+        (parse_fan_spec(spec), 10 if spec["dim"] == 2 else 3)
+        for seed in range(1, 11)
+        for spec in workloads.build("screen-smooth", seed).specs
+        if spec["name"] in names
+    ]
+    singular = [fan for fan in corpus_fans if not fan.is_smooth()]
+    assert len(cases) == 44 and [fan.name for fan in singular] == ["P(1,2,3)", "P(1,1,2)", "Y(1,2,3)"]
+    cases += [(fan, 4) for fan in singular]
+
+    def refuse(*args):
+        raise AssertionError("the screen built a volume function or a valuation")
+
+    with monkeypatch.context() as m:
+        m.setattr(valuations, "volume_function", refuse)
+        m.setattr(workbench, "ToricValuation", refuse)
+        screens = [screen_projective_space(fan, radius) for fan, radius in cases]
+    # P2 and P3 in all 22 copies, and P(1,2,3) with its singular witness (-1, 0)
+    assert sum(bool(screen.witnesses) for screen in screens) == 23
+    for (fan, radius), screen in zip(cases, screens):
+        assert screen == _screen_result(fan, radius, reference_screen_witnesses(fan, radius)), (fan.name, radius)
 
 
 def _patch_row(monkeypatch, at, change):

@@ -7,7 +7,8 @@ Usage, from any directory:
 For each built-in corpus fan the script writes the fan's spec into a
 temporary directory and runs `python -m toricstab.cli` there, with
 CHECKOUT/src on PYTHONPATH: `analyze` and `screen` at radius 4 in dimension
-<= 2 and radius 1 above, `screen` also at radius 1 in dimension <= 2,
+<= 2 and radius 1 above, `screen` also at radius 1 in dimension <= 2 and at
+the screen-smooth benchmark radii (10 in dimension 2, 3 in dimension 3),
 `alpha`, `beta --w 1,...,1` and `volfn --w -1,...,-1 --csv volfn.csv`; then
 `verify` once.  Each run prints one line: the command, the SHA-256 of its
 stdout and of its stderr and its exit code, and for `volfn` the SHA-256 of
@@ -53,10 +54,12 @@ def main(argv: list[str]) -> int:
             path, n = f"{name}.json", spec["dim"]
             Path(tmp, path).write_text(json.dumps(spec), encoding="utf-8")
             radius = "4" if n <= 2 else "1"
+            bench_radius = {2: "10", 3: "3"}.get(n)
             for args in (
                 ["analyze", path, "--radius", radius],
                 ["screen", path, "--radius", radius],
                 *([["screen", path, "--radius", "1"]] if n <= 2 else []),
+                *([["screen", path, "--radius", bench_radius]] if bench_radius else []),
                 ["alpha", path],
                 ["beta", path, "--w", ",".join(["1"] * n)],
                 ["volfn", path, "--w", ",".join(["-1"] * n), "--csv", "volfn.csv"],
