@@ -368,9 +368,9 @@ def test_screen_smooth_non_pn_has_no_witnesses():
 
 def test_screen_skips_the_battery_without_a_qualifying_vertex(monkeypatch, corpus_fans, p123):
     """No vertex of P1xP1 or dP6 can meet the bound, so the screen generates no
-    battery vector.  No smooth corpus fan builds one either: the cones of its
-    bound-meeting set are {0} or rays.  P(1,2,3), with a 2-dimensional cone
-    K_sigma, still scans the box."""
+    battery vector and triangulates nothing.  No smooth corpus fan builds a
+    battery either: the cones of its bound-meeting set are {0} or rays.
+    P(1,2,3), with a 2-dimensional cone K_sigma, still scans the box."""
     import toricstab.workbench as workbench
 
     def refuse(*args):
@@ -381,6 +381,10 @@ def test_screen_skips_the_battery_without_a_qualifying_vertex(monkeypatch, corpu
         screen = screen_projective_space(load_builtin_fan(name), radius=4)
         assert screen.witnesses == ()
         assert screen.verdict == "no witnesses"
+        # with no candidate, a fresh fan's polytope is not even triangulated
+        fresh = parse_fan_spec(builtin_fan_specs()[name])
+        assert screen_projective_space(fresh, radius=4) == screen
+        assert "indexed_triangulation" not in vars(fresh.anticanonical_polytope())
     smooth = [fan for fan in corpus_fans if fan.is_smooth()]
     assert len(smooth) == 10
     for fan in smooth:
