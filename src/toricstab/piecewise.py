@@ -6,32 +6,31 @@ strictly increasing breakpoint grid; adjacent pieces with identical
 polynomials are merged at construction and exact continuity at interior
 breakpoints is enforced.
 
-Every instance holds an integer form: the breakpoints as integers B_i
+An instance is its integer form only: the breakpoints as integers B_i
 over one common denominator D, and each piece as integer numerators c_k
-over one denominator e.  The dataclass constructor reads it off its
-Fractions; `_from_int_form` takes it directly from callers that compute in
-integers.  One canonicalisation serves both: it trims, reduces by gcds (to
-the lowest common denominators), merges identical neighbours and checks
-continuity, then builds one Fraction per breakpoint and per coefficient.
+over one denominator e.  The constructor reads it off its Fractions;
+`_from_int_form` takes it from callers that compute in integers.  One
+canonicalisation serves both: it trims, reduces by gcds (to the lowest
+common denominators), merges identical neighbours and checks continuity.
+The canonical form is what equality and hashing compare; the Fraction
+`breakpoints` and `pieces` are built only when read.
 Evaluation and every check run on this form.  A point x = p/q (q > 0)
 lies at or right of breakpoint i exactly when B_i <= floor(p*D/q), so
 locating it is one floor division and an integer bisection; the value
 there is the homogeneous Horner sum sum_k c_k p^k q^(d-k) over e * q^d,
-with d the piece degree.  One
-Fraction is built per value returned, and the root-concavity comparison
-works on the (numerator, denominator) pairs: in closed form for m <= 3;
-for m >= 4 by an exact test on rational m-th roots of the value ratios,
-which decides every tie, and otherwise by integer root brackets.  It
-reuses its last call's values at mid and y when they are exactly this
-call's x and mid, so a sweep of adjacent triples evaluates each point once.
+with d the piece degree.  One Fraction is built per value returned, and
+the root-concavity comparison works on the (numerator, denominator)
+pairs: in closed form for m <= 3; for m >= 4 by an exact test on rational
+m-th roots of the value ratios, which decides every tie, and otherwise by
+integer root brackets.  It reuses its last call's values at mid and y
+when they are exactly this call's x and mid, so a sweep of adjacent
+triples evaluates each point once.
 
-Continuity at construction and `is_c1` compare the two pieces' Horner
-sums at each interior breakpoint B_i / D by cross-multiplication (for C^1,
-on the derivative numerators k c_k); a Fraction is built only for the
-error message.  The integral, always over the whole domain, takes one
-integer antiderivative per piece scaled by lcm(1, ..., d + 1), sums its
-Horner differences at the breakpoints B_i / D over one common denominator
-and builds one Fraction at the end.
+Continuity compares the two pieces' Horner sums at each interior
+breakpoint by cross-multiplication.  `is_c1` is the construction of the
+derivative (numerators k c_k), cached for callers that scale it.  The
+integral sums integer antiderivatives, scaled by lcm(1, ..., d + 1), at
+the breakpoints over one common denominator: one Fraction in all.
 
 The B-spline jumps behind the closed-form volume functions
 (`spline_cdf_jumps`) take integer knots and return integer numerators over
@@ -43,7 +42,6 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
@@ -149,42 +147,36 @@ def spline_cdf_jumps(knots: Sequence[int]) -> dict[int, tuple[int, list[int]]]:
     return jumps
 
 
-@dataclass(frozen=True)
 class PiecewisePolynomial:
-    """A continuous piecewise polynomial on [breakpoints[0], breakpoints[-1]].
+    """A continuous piecewise polynomial on [breakpoints[0], breakpoints[-1]], called
+    for exact values.  Its state is the canonical integer form `_grid` = (D, [B_i])
+    and `_int_pieces` = ((e, (c_k)), ...); `integral()` is over the whole domain."""
 
-    Called for exact values; `integral()` is over the whole domain.  The
-    integer form is `_grid` = (D, [B_i]) and `_int_pieces` = ((e, (c_k)), ...)."""
-
-    breakpoints: tuple[Fraction, ...]
-    pieces: tuple[Poly, ...]
-
-    def __post_init__(self):
-        pieces = []
-        for piece in self.pieces:
+    def __init__(self, breakpoints: Sequence[Fraction], pieces: Sequence[Poly]):
+        int_pieces = []
+        for piece in pieces:
             cs = [_fraction(c) for c in piece]
             e = math.lcm(*(c.denominator for c in cs))
-            pieces.append((e, [c.numerator * (e // c.denominator) for c in cs]))
-        bps = [_fraction(b) for b in self.breakpoints]
+            int_pieces.append((e, [c.numerator * (e // c.denominator) for c in cs]))
+        bps = [_fraction(b) for b in breakpoints]
         den = math.lcm(*(b.denominator for b in bps))
-        self._canonicalise(den, [b.numerator * (den // b.denominator) for b in bps], pieces, bps)
+        self._canonicalise(den, [b.numerator * (den // b.denominator) for b in bps], int_pieces)
 
     @classmethod
-    def _from_int_form(cls, den: int, grid: Sequence[int], pieces, breakpoints=None) -> "PiecewisePolynomial":
-        """Breakpoints B_i / den (optionally also as Fractions) and pieces (e, [c_k]), e > 0, as a function.
+    def _from_int_form(cls, den: int, grid: Sequence[int], pieces) -> "PiecewisePolynomial":
+        """Breakpoints B_i / den and pieces (e, [c_k]), e > 0, as a function.
 
         Raises the Fraction constructor's ValueErrors for the same input."""
         fn = object.__new__(cls)
-        fn._canonicalise(den, grid, pieces, breakpoints)
+        fn._canonicalise(den, grid, pieces)
         return fn
 
-    def _canonicalise(self, den: int, grid: Sequence[int], pieces, breakpoints=None) -> None:
-        """Trim, reduce and merge an integer form, check continuity, then set every field from it.
+    def _canonicalise(self, den: int, grid: Sequence[int], pieces) -> None:
+        """Trim, reduce and merge an integer form, check continuity, then keep it.
 
         A trimmed piece becomes (e / g, (c_k / g)) with g = gcd(e, c_0, ...),
         so equal polynomials have equal forms; the merged grid becomes
-        (D / g, [B_i / g]) with g = gcd(D, B_0, ...).  `breakpoints` are kept
-        when no pieces merge."""
+        (D / g, [B_i / g]) with g = gcd(D, B_0, ...)."""
         if len(grid) != len(pieces) + 1:
             raise ValueError("breakpoint/piece count mismatch")
         if not all(map(operator.lt, grid, grid[1:])):
@@ -205,16 +197,30 @@ class PiecewisePolynomial:
                 bps.append(right)
         g = math.gcd(den, *bps)
         den, bps = den // g, [b // g for b in bps]
-        object.__setattr__(self, "_grid", (den, bps))
-        object.__setattr__(self, "_int_pieces", tuple(ps))
-        jump = self._mismatch(ps)
-        if jump is not None:
-            i, left, right = jump
-            raise ValueError(f"discontinuity at breakpoint {Fraction(bps[i], den)}: {left} != {right}")
-        if breakpoints is None or len(breakpoints) != len(bps):
-            breakpoints = [Fraction(b, den) for b in bps]
-        object.__setattr__(self, "breakpoints", tuple(breakpoints))
-        object.__setattr__(self, "pieces", tuple(tuple(Fraction(c, e) for c in cs) for e, cs in ps))
+        self._grid, self._int_pieces = (den, bps), tuple(ps)
+        for i in range(1, len(bps) - 1):
+            (e, cs), (f, ds) = ps[i - 1], ps[i]
+            (a, qa), (b, qb) = _homogeneous(cs, bps[i], den), _homogeneous(ds, bps[i], den)
+            if a * f * qb != b * e * qa:
+                left, right = Fraction(a, e * qa), Fraction(b, f * qb)
+                raise ValueError(f"discontinuity at breakpoint {Fraction(bps[i], den)}: {left} != {right}")
+
+    @cached_property
+    def breakpoints(self) -> tuple[Fraction, ...]:
+        den, grid = self._grid
+        return tuple(Fraction(b, den) for b in grid)
+
+    @cached_property
+    def pieces(self) -> tuple[Poly, ...]:
+        return tuple(tuple(Fraction(c, e) for c in cs) for e, cs in self._int_pieces)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PiecewisePolynomial):
+            return NotImplemented
+        return self._grid == other._grid and self._int_pieces == other._int_pieces
+
+    def __hash__(self) -> int:
+        return hash((self._grid[0], tuple(self._grid[1]), self._int_pieces))
 
     @property
     def domain(self) -> tuple[Fraction, Fraction]:
@@ -232,7 +238,7 @@ class PiecewisePolynomial:
         if not grid[0] * q <= t <= grid[-1] * q:
             lo, hi = self.domain
             raise ValueError(f"{Fraction(p, q)} outside domain [{lo}, {hi}]")
-        return min(bisect_right(grid, t // q) - 1, len(self.pieces) - 1)
+        return min(bisect_right(grid, t // q) - 1, len(self._int_pieces) - 1)
 
     def _value(self, p: int, q: int) -> tuple[int, int]:
         """fn(p/q) for q > 0, as a (numerator, positive denominator) pair."""
@@ -243,17 +249,6 @@ class PiecewisePolynomial:
     def __call__(self, x) -> Fraction:
         x = _fraction(x)
         return Fraction(*self._value(x.numerator, x.denominator))
-
-    def _mismatch(self, pieces) -> Optional[tuple[int, Fraction, Fraction]]:
-        """(i, left value, right value) at the first interior breakpoint where an integer form jumps, or None."""
-        den, grid = self._grid
-        for i in range(1, len(grid) - 1):
-            (e, cs), (f, ds) = pieces[i - 1], pieces[i]
-            a, qa = _homogeneous(cs, grid[i], den)
-            b, qb = _homogeneous(ds, grid[i], den)
-            if a * f * qb != b * e * qa:
-                return i, Fraction(a, e * qa), Fraction(b, f * qb)
-        return None
 
     @cached_property
     def _integral(self) -> Fraction:
@@ -278,10 +273,28 @@ class PiecewisePolynomial:
         """Exact integral over the domain, computed once."""
         return self._integral
 
+    @cached_property
+    def _derivative(self) -> "PiecewisePolynomial":
+        """The derivative, (e, [k c_k]) per piece; building it raises where slopes jump."""
+        slopes = [(e, [k * c for k, c in enumerate(cs)][1:] or [0]) for e, cs in self._int_pieces]
+        return PiecewisePolynomial._from_int_form(*self._grid, slopes)
+
     def is_c1(self) -> bool:
         """Exact one-sided derivative agreement at every interior breakpoint."""
-        slopes = [(e, [k * c for k, c in enumerate(cs)][1:] or [0]) for e, cs in self._int_pieces]
-        return self._mismatch(slopes) is None
+        try:
+            self._derivative
+        except ValueError:
+            return False
+        return True
+
+    def _scaled(self, num: int, den: int) -> "PiecewisePolynomial":
+        """num / den (num != 0 < den) times the function: only each piece needs reducing."""
+        fn, pieces = object.__new__(PiecewisePolynomial), []
+        for e, cs in self._int_pieces:
+            g = math.gcd(e * den, *(c * num for c in cs))
+            pieces.append((e * den // g, tuple(c * num // g for c in cs)))
+        fn._grid, fn._int_pieces = self._grid, tuple(pieces)
+        return fn
 
 
 # -- exact m-th root comparison -------------------------------------------------

@@ -50,9 +50,10 @@ are summed per breakpoint, grouped by denominator, brought to one common
 denominator L, expanded in powers of y by an integer Taylor shift and
 accumulated into the pieces, numerators c_j D^j over D^dim L on the grid
 k / D.  `PiecewisePolynomial._from_int_form` reduces them and checks
-continuity, and the endpoint values and C^1 are checked, all in integers;
-Q is differentiated from the same integer form.  Fractions are built only
-for the results: one per breakpoint and one per coefficient.
+continuity, and the endpoint values are checked, all in integers.  C^1 is
+checked once, by building vol's derivative (`PiecewisePolynomial.is_c1`),
+which Q = -vol'/n scales.  No Fraction is built for the pieces.  The
+profile of -w gives w's with no spline (`mirrored_profile`).
 """
 
 from __future__ import annotations
@@ -235,14 +236,20 @@ def volume_function(val: ToricValuation) -> PiecewisePolynomial:
         for j, c in enumerate(jump):
             current[j] -= c
         pieces.append((mass_den * common, list(map(operator.mul, current, powers))))
-    result = PiecewisePolynomial._from_int_form(scale, values, pieces)
+    vol = PiecewisePolynomial._from_int_form(scale, values, pieces)
+    return _checked_volume(vol, Fraction(degree, mass_den))
+
+
+def _checked_volume(vol: PiecewisePolynomial, degree: Fraction) -> PiecewisePolynomial:
+    """vol, once vol(0) = degree, vol(tau) = 0 and vol is C^1, all in integers."""
     # the grid starts at 0, so vol(0) is the first piece's constant term
-    e, first = result._int_pieces[0]
-    if first[0] * mass_den != degree * e or result._value(top, scale)[0] != 0:
+    e, first = vol._int_pieces[0]
+    den, grid = vol._grid
+    if first[0] * degree.denominator != degree.numerator * e or vol._value(grid[-1], den)[0] != 0:
         raise AssertionError("volume function endpoint values are wrong")
-    if not result.is_c1():
+    if not vol.is_c1():
         raise AssertionError("volume function is not C^1 at a breakpoint")
-    return result
+    return vol
 
 
 def section_count(val: ToricValuation, k: int, j: int) -> int:
@@ -280,14 +287,10 @@ def restricted_volume(val: ToricValuation) -> PiecewisePolynomial:
     """Q(x) = -(1/n) d/dx vol(x), extended to the closed interval [0, tau].
 
     Built in integers on vol's breakpoints: vol's piece sum_k (c_k / e) x^k
-    gives numerators -k c_k (k >= 1) over n e, one Fraction per coefficient.
+    gives numerators -k c_k (k >= 1) over n e: vol's C^1 check built that
+    derivative, which is scaled with no second continuity check.
     """
-    return _restricted_from(volume_function(val), val.fan.dimension)
-
-
-def _restricted_from(vol: PiecewisePolynomial, n: int) -> PiecewisePolynomial:
-    pieces = [(n * e, [-k * c for k, c in enumerate(cs)][1:]) for e, cs in vol._int_pieces]
-    return PiecewisePolynomial._from_int_form(*vol._grid, pieces, vol.breakpoints)
+    return volume_function(val)._derivative._scaled(-1, val.fan.dimension)
 
 
 def center_codim(val: ToricValuation) -> int:
@@ -356,22 +359,59 @@ class ValuationProfile:
                 f"nef threshold {self.nef_threshold} outside (0, {self.pseff_threshold}]"
             )
         object.__setattr__(self, "beta", self.log_discrepancy * self.degree - self.integrated_volume)
+        self._check_beta()
+
+    def _check_beta(self) -> None:
         den, form = self.beta_form
         if -sum(map(operator.mul, form, self.w)) * self.beta.denominator != self.beta.numerator * den:
             raise AssertionError(f"beta of {self.w} breaks the barycenter identity")
 
+    def moved(self, w: LatticeVec) -> "ValuationProfile":
+        """This profile at w, an automorphism image of its own w: only beta is checked again."""
+        copy = object.__new__(ValuationProfile)
+        copy.__dict__.update(self.__dict__, w=w)
+        copy._check_beta()
+        return copy
+
 
 def valuation_profile(val: ToricValuation) -> ValuationProfile:
     vol = volume_function(val)
+    return _profile(val, vol, vol.integral(), pseff_threshold(val))
+
+
+def mirrored_profile(val: ToricValuation, other: ValuationProfile) -> ValuationProfile:
+    """The profile of val from `other`, that of -w: vol_w(x) = V - vol_{-w}(tau - x)
+    (proof at `workbench.orbit_profiles`), so each piece p on [B_i, B_(i+1)] / D,
+    T / D = tau, becomes V - p(tau - x) on [T - B_(i+1), T - B_i] / D by an integer
+    Taylor shift.  vol passes `volume_function`'s endpoint and C^1 checks."""
+    degree, (den, grid) = other.degree, other.volume_fn._grid
+    top, pieces = grid[-1], []
+    for e, cs in reversed(other.volume_fn._int_pieces):
+        d = len(cs) - 1
+        shifted = [(-c if k % 2 else c) * den ** (d - k) for k, c in enumerate(cs)]
+        for i in range(d):
+            for j in range(d - 1, i - 1, -1):
+                shifted[j] -= top * shifted[j + 1]
+        # V - p(tau - x), over V's denominator times e D^d
+        nums = [-degree.denominator * c * den**j for j, c in enumerate(shifted)]
+        nums[0] += degree.numerator * e * den**d
+        pieces.append((degree.denominator * e * den**d, nums))
+    vol = PiecewisePolynomial._from_int_form(den, [top - b for b in reversed(grid)], pieces)
+    _checked_volume(vol, degree)
+    tau = other.pseff_threshold
+    return _profile(val, vol, degree * tau - other.integrated_volume, tau)
+
+
+def _profile(val: ToricValuation, vol: PiecewisePolynomial, integral: Fraction, tau: Fraction):
     return ValuationProfile(
         w=val.w,
         degree=val.fan.degree(),
         log_discrepancy=log_discrepancy(val),
-        pseff_threshold=pseff_threshold(val),
+        pseff_threshold=tau,
         nef_threshold=nef_threshold(val),
-        integrated_volume=vol.integral(),
+        integrated_volume=integral,
         volume_fn=vol,
-        restricted_volume_fn=_restricted_from(vol, val.fan.dimension),
+        restricted_volume_fn=vol._derivative._scaled(-1, val.fan.dimension),
         center_codim=center_codim(val),
         is_primitive=val.is_primitive,
         beta_form=val.fan.anticanonical_polytope().moment_form(),

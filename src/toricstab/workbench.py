@@ -21,7 +21,7 @@ import json
 import math
 import operator
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
@@ -40,6 +40,7 @@ from .valuations import (
     ValuationProfile,
     equality_bound_rays,
     meets_equality_bound,
+    mirrored_profile,
     positive_row,
     restricted_volume,
     row_meets_equality_bound,
@@ -252,13 +253,18 @@ class StabilityReport:
 
 
 def orbit_profiles(fan: Fan, battery: Sequence[ToricValuation]) -> tuple[ValuationProfile, ...]:
-    """`valuation_profile` of every battery valuation, computed once per orbit.
+    """`valuation_profile` of every battery valuation, once per orbit of the
+    fan automorphisms (`Fan.automorphisms`) together with -1.
 
-    Every invariant of a profile is the same at w and at A w for a fan
-    automorphism A (`Fan.automorphisms`), so the battery splits into the
-    orbits that stay inside it.  The first member of each orbit in battery
-    order gets a computed profile; the others get a copy with their own w,
-    whose beta is checked at that w, so a map that is no automorphism raises.
+    Every invariant is the same at w and at A w for an automorphism A, so
+    the first member of each orbit in battery order gets a profile and the
+    others a copy at their own w (`ValuationProfile.moved`) whose beta is
+    checked there: a map that is no automorphism raises.  A first member
+    whose -w has a profile gets the mirrored one (`mirrored_profile`).
+    Proof: f = <u, w> + A(w) runs over [0, tau] on P, and <u, -w> + A(-w)
+    = tau - f as A(w) + A(-w) = max <u, w> - min <u, w>.  So tau(-w) = tau,
+    {tau - f >= tau - x} is the complement of {f > x} in P, and
+    vol_w(x) = V - vol_{-w}(tau - x); integrating, beta(w) = -beta(-w).
     """
     group = fan.automorphisms()
     members = {val.w for val in battery}
@@ -266,11 +272,12 @@ def orbit_profiles(fan: Fan, battery: Sequence[ToricValuation]) -> tuple[Valuati
     for val in battery:
         if val.w in profiles:
             continue
-        profile = valuation_profile(val)
+        minus = profiles.get(tuple(-x for x in val.w))
+        profile = valuation_profile(val) if minus is None else mirrored_profile(val, minus)
         for matrix in group:
             image = tuple(sum(map(operator.mul, row, val.w)) for row in matrix)
             if image in members and image not in profiles:
-                profiles[image] = profile if image == val.w else replace(profile, w=image)
+                profiles[image] = profile if image == val.w else profile.moved(image)
     return tuple(profiles[val.w] for val in battery)
 
 
@@ -281,7 +288,7 @@ def _profile_witness(p: ValuationProfile) -> ScreenWitness:
 def analyze(fan: Fan, radius: int = 4) -> StabilityReport:
     """Full stability report over the primitive valuation battery.
 
-    Profiles are computed once per fan-automorphism orbit of the battery
+    Profiles are computed once per orbit of the fan automorphisms and -1
     (`orbit_profiles`), each beta checked against the exact barycenter
     identity, from which the semistability verdict comes: the battery holds
     every +-e_i, so its minimum beta is negative exactly when b != 0.  The
@@ -353,10 +360,18 @@ def _rat_json(x: Fraction | int) -> str:
     return f'"{rat_str(x)}"'  # rat_str yields only digits, "-" and "/"
 
 
+def _ratio_json(p: int, q: int) -> str:
+    """p / q (q > 0) as `_rat_json` writes it, with one gcd."""
+    g = math.gcd(p, q)
+    return f'"{p // g}/{q // g}"'
+
+
 def _piecewise_json(fn: PiecewisePolynomial) -> str:
-    """A piecewise polynomial's report text, as the value of a member six spaces in."""
-    breakpoints = _json_lines([_rat_json(b) for b in fn.breakpoints], 10)
-    pieces = _json_lines([_json_lines([_rat_json(c) for c in cs], 12) for cs in fn.pieces], 10)
+    """A piecewise polynomial's report text, as the value of a member six spaces
+    in, written from its integer form."""
+    den, grid = fn._grid
+    breakpoints = _json_lines([_ratio_json(b, den) for b in grid], 10)
+    pieces = _json_lines([_json_lines([_ratio_json(c, e) for c in cs], 12) for e, cs in fn._int_pieces], 10)
     return '{\n        "breakpoints": ' + breakpoints + ',\n        "pieces": ' + pieces + "\n      }"
 
 

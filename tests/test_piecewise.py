@@ -7,6 +7,8 @@ from bisect import bisect_right
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fraction_oracles import (
     int_form,
@@ -306,6 +308,11 @@ def oracle_piece_index(fn, x):
 
 def random_piecewise(rng, max_degree=5):
     """A continuous piecewise polynomial with rational breakpoints, pieces of degree <= max_degree."""
+    return PiecewisePolynomial(*random_piecewise_parts(rng, max_degree))
+
+
+def random_piecewise_parts(rng, max_degree=5):
+    """The breakpoints and pieces of `random_piecewise`."""
     count = rng.randint(1, 5)
     start = F(rng.randint(-20, 20), rng.randint(1, 7))
     bps = [start]
@@ -319,7 +326,7 @@ def random_piecewise(rng, max_degree=5):
         bump = poly_from_shifted([F(0)] * k + [F(rng.randint(-9, 9), rng.randint(1, 5))], b)
         prev = pieces[-1] + (F(0),) * (len(bump) - len(pieces[-1]))
         pieces.append(poly_trim([c + (bump[i] if i < len(bump) else 0) for i, c in enumerate(prev)]))
-    return PiecewisePolynomial(tuple(bps), tuple(pieces))
+    return tuple(bps), tuple(pieces)
 
 
 def test_integer_evaluation_matches_fraction_path():
@@ -457,6 +464,72 @@ def test_integer_form_constructor_matches_the_fraction_constructor():
         PiecewisePolynomial._from_int_form(1, [0, 1, 2], [(1, [1])])
     with pytest.raises(ValueError, match="strictly increasing"):
         PiecewisePolynomial._from_int_form(1, [0, 2, 1], [(1, [1]), (1, [1])])
+
+
+def eager_fields(breakpoints, pieces):
+    """The Fraction fields the constructor once built eagerly: each piece
+    trimmed and identical neighbours merged."""
+    bps, ps = [F(breakpoints[0])], []
+    for right, piece in zip(breakpoints[1:], pieces):
+        piece = poly_trim(piece)
+        if ps and ps[-1] == piece:
+            bps[-1] = F(right)
+        else:
+            ps.append(piece)
+            bps.append(F(right))
+    return tuple(bps), tuple(ps)
+
+
+@st.composite
+def piecewise_pairs(draw):
+    """Two (breakpoints, pieces) inputs: a random continuous function and
+    the same function written another way, a multiple of it, it plus
+    c (x - b)^k right of an interior breakpoint b, or another function."""
+    rng = draw(st.randoms(use_true_random=False))
+    bps, pieces = random_piecewise_parts(rng, max_degree=draw(st.integers(1, 4)))
+    kind = draw(st.sampled_from(("split", "scale", "bump", "other")))
+    if kind == "split":
+        # one piece split at an inner point, zero tails, ints where exact
+        i = draw(st.integers(0, len(pieces) - 1))
+        mid = bps[i] + (bps[i + 1] - bps[i]) * F(draw(st.integers(1, 6)), 7)
+        other_bps = bps[: i + 1] + (mid,) + bps[i + 1 :]
+        padded = tuple(tuple(int(c) if c.denominator == 1 else c for c in p) + (0,) * draw(st.integers(0, 2)) for p in pieces)
+        return (bps, pieces), (other_bps, padded[: i + 1] + padded[i:])
+    if kind == "scale":
+        r = F(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+        return (bps, pieces), (bps, tuple(tuple(r * c for c in p) for p in pieces))
+    if kind == "bump" and len(bps) > 2:
+        i = draw(st.integers(1, len(bps) - 2))
+        bump = poly_from_shifted([F(0)] * draw(st.integers(1, 3)) + [F(draw(st.integers(-2, 2)), 3)], bps[i])
+        bumped = [p if j < i else tuple(a + b for a, b in itertools.zip_longest(p, bump, fillvalue=F(0))) for j, p in enumerate(pieces)]
+        return (bps, pieces), (bps, tuple(bumped))
+    return (bps, pieces), random_piecewise_parts(rng)
+
+
+def test_equality_and_hash_of_the_integer_form_follow_the_fraction_fields():
+    """Two functions compare equal, have equal integer forms and have equal
+    hashes exactly when the Fraction fields once built at construction are
+    equal; `breakpoints` and `pieces`, derived when read, equal those
+    fields, and a function is rebuilt from them."""
+    seen = set()
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(pair=piecewise_pairs())
+    def check(pair):
+        (a, b), want = pair, eager_fields(*pair[0]) == eager_fields(*pair[1])
+        f, g = PiecewisePolynomial(*a), PiecewisePolynomial(*b)
+        assert (f == g) is want and (f != g) is not want
+        assert ((f._grid, f._int_pieces) == (g._grid, g._int_pieces)) is want
+        assert (hash(f) == hash(g)) is want
+        for fn, parts in ((f, a), (g, b)):
+            assert "breakpoints" not in vars(fn) and "pieces" not in vars(fn)
+            assert (fn.breakpoints, fn.pieces) == eager_fields(*parts)
+            assert all(type(x) is F for x in fn.breakpoints + sum(fn.pieces, ()))
+            assert PiecewisePolynomial(fn.breakpoints, fn.pieces) == fn
+        seen.add(want)
+
+    check()
+    assert seen == {True, False}
 
 
 # -- midpoint_root_concave against the Fraction implementation -------------------

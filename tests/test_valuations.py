@@ -731,6 +731,28 @@ def test_valuation_profile_builds_q_from_its_own_vol(monkeypatch, p123, cube):
         assert profile.restricted_volume_fn._int_pieces == restricted_volume(v)._int_pieces
 
 
+def test_c1_is_checked_once_per_volume_function(monkeypatch, p123, cube):
+    """vol's C^1 check builds its derivative once, and Q scales that
+    derivative: building Q checks no continuity again, directly or in a
+    profile."""
+    built = []
+    original = PiecewisePolynomial._from_int_form.__func__
+
+    def counted(cls, den, grid, pieces):
+        built.append(len(grid))
+        return original(cls, den, grid, pieces)
+
+    for v in (val(p123, (2, 1)), val(cube, (1, -1, 1)), val(cube, (-1, 0, 0))):
+        vol = volume_function(v)
+        assert "_derivative" in vars(vol) and vol.is_c1()
+        monkeypatch.setattr(PiecewisePolynomial, "_from_int_form", classmethod(counted))
+        q_fn = restricted_volume(v)
+        assert valuation_profile(v).restricted_volume_fn == q_fn and built == []
+        monkeypatch.undo()
+        n = v.fan.dimension
+        assert q_fn == PiecewisePolynomial(vol.breakpoints, tuple(tuple(-c / n for c in poly_derivative(p)) for p in vol.pieces))
+
+
 def test_profile_battery_consistency(square, dp8):
     for fan in (square, dp8):
         for v in valuation_battery(fan, 2):

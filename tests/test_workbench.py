@@ -1,5 +1,6 @@
 """Fan documents, batteries, reports, screening, CSV, CLI exit codes."""
 
+import copy
 import hashlib
 import io
 import json
@@ -21,6 +22,7 @@ from toricstab.alpha import alpha_invariant
 from toricstab.cli import main
 from toricstab.errors import BudgetExceeded, InvariantViolation, ParseError
 from toricstab.fans import Fan
+from toricstab.piecewise import PiecewisePolynomial
 from toricstab.corpus import builtin_fan_specs
 from toricstab.polytopes import RationalPolytope
 from toricstab.valuations import (
@@ -28,6 +30,7 @@ from toricstab.valuations import (
     beta_invariant,
     equality_bound_rays,
     meets_equality_bound,
+    mirrored_profile,
     valuation_profile,
 )
 from toricstab.workbench import (
@@ -162,22 +165,61 @@ def test_battery_vectors_match_the_reference_generator():
 # -- analyze -----------------------------------------------------------------
 
 
-def test_orbit_profiles_equal_direct_profiles(corpus_fans):
-    """Every orbit-copied profile equals a freshly computed one, field by field."""
+def test_orbit_profiles_equal_direct_profiles(monkeypatch, corpus_fans):
+    """Every orbit-copied or mirrored profile equals a freshly computed one,
+    field by field and in the integer forms of vol and Q, at radius 4 up to
+    dimension 2 and radius 2 above."""
+    import toricstab.workbench as workbench
+
+    mirrored = []
+
+    def counted(val, other):
+        mirrored.append(val.w)
+        return mirrored_profile(val, other)
+
+    monkeypatch.setattr(workbench, "mirrored_profile", counted)
     for fan in corpus_fans:
-        battery = valuation_battery(fan, 2)
+        battery = valuation_battery(fan, 4 if fan.dimension <= 2 else 2)
         for val, profile in zip(battery, orbit_profiles(fan, battery)):
             direct = valuation_profile(ToricValuation(fan, val.w))
             for f in fields(profile):
                 assert getattr(profile, f.name) == getattr(direct, f.name), (fan.name, val.w, f.name)
+            for got, want in (
+                (profile.volume_fn, direct.volume_fn),
+                (profile.restricted_volume_fn, direct.restricted_volume_fn),
+            ):
+                assert (got._grid, got._int_pieces) == (want._grid, want._int_pieces), (fan.name, val.w)
+    # the mirror ran, on P(1,2,3) and Y(1,2,3) for every second orbit
+    assert len(mirrored) >= 48
+
+
+def test_a_tampered_minus_w_profile_breaks_the_mirror(p123):
+    """A mirrored profile built from a -w profile whose vol or integral was
+    changed raises: vol's endpoint check catches a moved end value, and the
+    barycenter check a changed integral."""
+    w, minus = (2, 1), (-2, -1)
+    other = valuation_profile(ToricValuation(p123, minus))
+    assert mirrored_profile(ToricValuation(p123, w), other) == valuation_profile(ToricValuation(p123, w))
+    vol = other.volume_fn
+    den, grid = vol._grid
+    # vol_{-w} + 1 is continuous and C^1, but its value at 0 is not the degree
+    raised = PiecewisePolynomial._from_int_form(den, grid, [(e, [cs[0] + e, *cs[1:]]) for e, cs in vol._int_pieces])
+    with pytest.raises(AssertionError, match="^volume function endpoint values are wrong$"):
+        mirrored_profile(ToricValuation(p123, w), replace(other, volume_fn=raised))
+    # replace would fail -w's own barycenter check, so change a copy's field
+    tampered = copy.copy(other)
+    object.__setattr__(tampered, "integrated_volume", other.integrated_volume + 1)
+    with pytest.raises(AssertionError, match=r"^beta of \(2, 1\) breaks the barycenter identity$"):
+        mirrored_profile(ToricValuation(p123, w), tampered)
 
 
 @pytest.mark.parametrize("name,radius,orbits,size", [
-    ("dP6", 4, 7, 48), ("P1xP1", 4, 7, 48), ("P1xP1xP1", 1, 3, 26), ("P3", 1, 6, 26),
-    ("P(1,2,3)", 4, 48, 48), ("Y(1,2,3)", 4, 48, 48),
+    ("dP6", 4, 7, 48), ("P1xP1", 4, 7, 48), ("P1xP1xP1", 1, 3, 26), ("P3", 1, 4, 26),
+    ("P(1,2,3)", 4, 24, 48), ("Y(1,2,3)", 4, 24, 48),
 ])
 def test_one_profile_per_orbit(monkeypatch, name, radius, orbits, size):
-    """`valuation_profile` runs once per automorphism orbit inside the battery."""
+    """`valuation_profile` runs once per orbit of the automorphism group
+    together with -1 inside the battery."""
     import toricstab.workbench as workbench
 
     calls = []

@@ -9,8 +9,10 @@ temporary directory and runs `python -m toricstab.cli` there, with
 CHECKOUT/src on PYTHONPATH: `analyze` and `screen` at radius 4 in dimension
 <= 2 and radius 1 above, `screen` also at radius 1 in dimension <= 2 and at
 the screen-smooth benchmark radii (10 in dimension 2, 3 in dimension 3),
-`alpha`, `beta --w 1,...,1` and `volfn --w -1,...,-1 --csv volfn.csv`; then
-`verify` once.  Each run prints one line: the command, the SHA-256 of its
+`alpha`, `beta --w 1,...,1` and `volfn --w -1,...,-1 --csv volfn.csv`;
+then `analyze --radius 1` on the product 3-folds P1xP2 and P1xP(1,2,3),
+built from the corpus specs with rays (v, 0), (0, v') and cones
+sigma x sigma'; then `verify` once.  Each run prints one line: the command, the SHA-256 of its
 stdout and of its stderr and its exit code, and for `volfn` the SHA-256 of
 the CSV.  Every path is relative to the temporary directory, so two
 checkouts print the same lines exactly when their outputs are
@@ -29,6 +31,17 @@ import tempfile
 from pathlib import Path
 
 LIST_SPECS = "import json; from toricstab.corpus import builtin_fan_specs; print(json.dumps(builtin_fan_specs()))"
+
+
+# the product fans of the analyze-lowdim benchmark workload, as (first, second) corpus names
+PRODUCTS = (("P1", "P2"), ("P1", "P(1,2,3)"))
+
+
+def product_spec(a: dict, b: dict) -> dict:
+    """FanSpec of the product fan: rays (v, 0), (0, v'), cones sigma x sigma'."""
+    rays = [list(r) + [0] * b["dim"] for r in a["rays"]] + [[0] * a["dim"] + list(r) for r in b["rays"]]
+    cones = [list(c) + [len(a["rays"]) + i for i in c2] for c in a["cones"] for c2 in b["cones"]]
+    return {"name": f"{a['name']}x{b['name']}", "dim": a["dim"] + b["dim"], "rays": rays, "cones": cones}
 
 
 def sha(data: bytes) -> str:
@@ -70,6 +83,11 @@ def main(argv: list[str]) -> int:
                     line += f" csv={sha(csv.read_bytes()) if csv.exists() else '-'}"
                     csv.unlink(missing_ok=True)
                 print(line, flush=True)
+        for first, second in PRODUCTS:
+            spec = product_spec(specs[first], specs[second])
+            path = f"{spec['name']}.json"
+            Path(tmp, path).write_text(json.dumps(spec), encoding="utf-8")
+            print(run(env, tmp, ["analyze", path, "--radius", "1"]), flush=True)
         print(run(env, tmp, ["verify"]), flush=True)
     return 0
 
