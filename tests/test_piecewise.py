@@ -493,7 +493,10 @@ def piecewise_pairs(draw):
         i = draw(st.integers(0, len(pieces) - 1))
         mid = bps[i] + (bps[i + 1] - bps[i]) * F(draw(st.integers(1, 6)), 7)
         other_bps = bps[: i + 1] + (mid,) + bps[i + 1 :]
-        padded = tuple(tuple(int(c) if c.denominator == 1 else c for c in p) + (0,) * draw(st.integers(0, 2)) for p in pieces)
+        padded = tuple(
+            tuple(int(c) if c.denominator == 1 else c for c in p) + (0,) * draw(st.integers(0, 2))
+            for p in pieces
+        )
         return (bps, pieces), (other_bps, padded[: i + 1] + padded[i:])
     if kind == "scale":
         r = F(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
@@ -501,8 +504,11 @@ def piecewise_pairs(draw):
     if kind == "bump" and len(bps) > 2:
         i = draw(st.integers(1, len(bps) - 2))
         bump = poly_from_shifted([F(0)] * draw(st.integers(1, 3)) + [F(draw(st.integers(-2, 2)), 3)], bps[i])
-        bumped = [p if j < i else tuple(a + b for a, b in itertools.zip_longest(p, bump, fillvalue=F(0))) for j, p in enumerate(pieces)]
-        return (bps, pieces), (bps, tuple(bumped))
+        bumped = tuple(
+            p if j < i else tuple(a + b for a, b in itertools.zip_longest(p, bump, fillvalue=F(0)))
+            for j, p in enumerate(pieces)
+        )
+        return (bps, pieces), (bps, bumped)
     return (bps, pieces), random_piecewise_parts(rng)
 
 

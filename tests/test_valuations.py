@@ -750,7 +750,8 @@ def test_c1_is_checked_once_per_volume_function(monkeypatch, p123, cube):
         assert valuation_profile(v).restricted_volume_fn == q_fn and built == []
         monkeypatch.undo()
         n = v.fan.dimension
-        assert q_fn == PiecewisePolynomial(vol.breakpoints, tuple(tuple(-c / n for c in poly_derivative(p)) for p in vol.pieces))
+        derivative = tuple(tuple(-c / n for c in poly_derivative(p)) for p in vol.pieces)
+        assert q_fn == PiecewisePolynomial(vol.breakpoints, derivative)
 
 
 def test_profile_battery_consistency(square, dp8):

@@ -203,7 +203,7 @@ def test_a_tampered_minus_w_profile_breaks_the_mirror(p123):
     vol = other.volume_fn
     den, grid = vol._grid
     # vol_{-w} + 1 is continuous and C^1, but its value at 0 is not the degree
-    raised = PiecewisePolynomial._from_int_form(den, grid, [(e, [cs[0] + e, *cs[1:]]) for e, cs in vol._int_pieces])
+    raised = PiecewisePolynomial._from_int_form(den, grid, [(e, [c + e, *cs]) for e, (c, *cs) in vol._int_pieces])
     with pytest.raises(AssertionError, match="^volume function endpoint values are wrong$"):
         mirrored_profile(ToricValuation(p123, w), replace(other, volume_fn=raised))
     # replace would fail -w's own barycenter check, so change a copy's field
