@@ -6,27 +6,29 @@ index lists, kept as sorted tuples.  Validation enforces, eagerly and exactly:
   * a dimension, ray coordinates and cone indices of exact type int;
   * primitive, nonzero, pairwise distinct rays, each used by some cone;
   * every maximal cone simplicial and full-dimensional: one elimination
-    gives the first cone's adjugate, and across a wall where ray p gives
-    way to v, c = adj . v gives the next cone's multiplicity |c_p| and, by
-    Bareiss's exact rank-one update, its adjugate;
+    gives the first cone's adjugate adj and table adj . [I | V | x0] (rays
+    V, x0 inside the cone); across a wall where ray p gives way to v, the
+    column c = adj . v gives the next cone's multiplicity |c_p| and, by
+    Bareiss's exact rank-one update, its table;
   * completeness: every wall (facet of a maximal cone) is shared by exactly
-    two cones lying on opposite sides of it (c_p < 0), and an interior point
-    of the first cone lies in no other cone.  Crossing a wall then never
-    changes how many cones cover a generic point, so that number is 1
-    everywhere: the cones cover R^n without overlapping.
+    two cones lying on opposite sides of it (c_p < 0), and x0 lies in no
+    other cone.  Crossing a wall then never changes how many cones cover a
+    generic point, so that number is 1 everywhere: the cones cover R^n
+    without overlapping.
 
 The anticanonical polytope is { u : <u, v_i> >= -1 for all rays v_i }; it is
 built only for Q-Fano fans, where the support function of -K is strictly
 convex.  It is read off the cones: for ample -K its vertices are exactly
 the points m_sigma with <m_sigma, v> = -1 on the rays of a maximal cone
 sigma (Cox-Little-Schenck, *Toric Varieties*, ch. 6), and it is bounded
-because the fan is complete.  It is built in integers: each cone's adjugate
-gives mult * m_sigma and its products with every ray, which the Q-Fano check
-reads; scaled to D, sorted and reduced, they are the vertex matrix and the
-one table T[k][j] = D <m_k, v_j>.  The fan keeps the vertex-cone pairing
+because the fan is complete.  It is built in integers: minus the column
+sums of a cone's table are mult * m_sigma and its products with every ray,
+which the Q-Fano check reads (lazily: a valid fan need not be Q-Fano);
+scaled to D, sorted and reduced, they are the vertex matrix and the one
+table T[k][j] = D <m_k, v_j>.  The fan keeps the vertex-cone pairing
 (`Fan.vertex_cones`); as the check makes every ray off sigma strictly slack
-at m_sigma, the rays tight at a vertex (T = -D) are those of its cone.  Its
-lattice points at dilation k index the degree-k anticanonical sections.
+at m_sigma, the rays tight at a vertex (T = -D) are those of its cone, and
+with their multiplicities they triangulate P (`polytopes.triangulate`).
 
 The automorphisms of a fan (`Fan.automorphisms`) are the integer matrices
 that permute its rays and its maximal cones; they act on the anticanonical
@@ -92,41 +94,46 @@ class Fan:
         for i, ray in enumerate(self.rays):
             if len(ray) != n:
                 raise InvariantViolation(f"ray {i} has length {len(ray)}, expected {n}")
-            if all(x == 0 for x in ray):
+            if not any(ray):
                 raise InvariantViolation(f"ray {i} is the zero vector")
-            if primitivize(ray) != ray:
+            if math.gcd(*ray) != 1:
                 raise InvariantViolation(f"ray {i} = {ray} is not primitive")
             if ray in seen:
                 raise InvariantViolation(f"duplicate ray {ray} at indices {seen[ray]}, {i}")
             seen[ray] = i
         rays, cones = self.rays, self.max_cones
         shaped = [ci for ci, c in enumerate(cones) if len(c) == n and 0 <= c[0] and c[-1] < len(rays)]
-        walls, adjs, mults = {}, [None] * len(cones), [0] * len(cones)
+        walls, tables, mults, around = {}, [None] * len(cones), [0] * len(cones), [[None] * n for _ in cones]
         for ci, p in product(shaped, range(n)):  # by wall: each cone and its ray off it
-            walls.setdefault(cones[ci][:p] + cones[ci][p + 1 :], []).append((ci, p))
+            sides = around[ci][p] = walls.setdefault(cones[ci][:p] + cones[ci][p + 1 :], [])
+            sides.append((ci, p))
+        # x0 inside the first cone the walk may start from, which is cone 0 on a valid fan
+        inner = [sum(col) for col in zip(*(rays[j] for j in cones[shaped[0]]))] if shaped else []
         # breadth first from each cone that no walk reached; c_p = 0 leaves a singular cone None
-        for seed in (ci for ci in shaped if adjs[ci] is None):
+        for seed in (ci for ci in shaped if tables[ci] is None):
             solved = adjugate([[rays[j][i] for j in cones[seed]] for i in range(n)])
             if solved is None:
                 continue
             d, adj = solved
-            mults[seed], adjs[seed] = abs(d), tuple(tuple(x if d > 0 else -x for x in row) for row in adj)
+            adj, mults[seed] = [[x if d > 0 else -x for x in row] for row in adj], abs(d)
+            tables[seed] = [(*row, *(sum(map(operator.mul, row, v)) for v in (*rays, inner))) for row in adj]
             for ci in (queue := [seed]):
-                adj, mult = adjs[ci], mults[ci]
+                table, mult = tables[ci], mults[ci]
                 for p in range(n):
-                    for cj, q in walls[cones[ci][:p] + cones[ci][p + 1 :]]:
-                        if adjs[cj] is not None:
+                    for cj, q in around[ci][p]:
+                        if tables[cj] is not None:
                             continue
-                        c = [sum(map(operator.mul, row, rays[cones[cj][q]])) for row in adj]
+                        j = cones[cj][q]
+                        c = [row[n + j] for row in table]  # adj . v_j
                         if c[p] == 0:  # singular
                             continue
-                        s, ap = (1 if c[p] > 0 else -1), adj[p]
-                        new = {
-                            j: tuple(s * (c[p] * x - ck * y) // mult for x, y in zip(row, ap))
-                            for j, row, ck in zip(cones[ci], adj, c)
-                        }
-                        new[cones[cj][q]] = tuple(s * y for y in ap)
-                        adjs[cj], mults[cj] = tuple(new[j] for j in cones[cj]), s * c[p]
+                        s, tp = (1 if c[p] > 0 else -1), table[p]
+                        a, new = s * c[p], {j: tp if s > 0 else tuple([-y for y in tp])}
+                        for i, (k, row, ck) in enumerate(zip(cones[ci], table, c)):
+                            if i != p:
+                                b = s * ck
+                                new[k] = tuple([(a * x - b * y) // mult for x, y in zip(row, tp)])
+                        tables[cj], mults[cj] = [new[k] for k in cones[cj]], a
                         queue.append(cj)
         for ci, cone in enumerate(cones):
             if len(cone) != n:
@@ -136,31 +143,26 @@ class Fan:
                 )
             if cone[0] < 0 or cone[-1] >= len(rays):
                 raise InvariantViolation(f"maximal cone {ci} references a missing ray")
-            if adjs[ci] is None:
+            if tables[ci] is None:
                 raise InvariantViolation(f"maximal cone {ci} is not simplicial")
         unused = sorted(set(range(len(rays))).difference(*cones))
         if unused:
             raise InvariantViolation(f"rays {unused} appear in no maximal cone")
-        if not walls or any(len(pair) != 2 for pair in walls.values()):
+        if not walls or any(len(sides) != 2 for sides in walls.values()):
             raise InvariantViolation("fan not complete")
-        # per cone, |det| and |det| * inverse of the ray-column matrix, from one
-        # elimination and then a rank-one update per wall: adj . w is w's cone
-        # coordinates times |det|, so sign tests decide membership exactly
-        self._cone_adjugates: list[Matrix] = adjs
-        self._cone_mults: list[int] = mults
+        # table[k][n + j] is ray j's k-th cone coordinate times |det|: sign tests are entry tests
         for (ci, p), (cj, q) in walls.values():  # c_p of the wall, from its first cone
-            if sum(map(operator.mul, adjs[ci][p], rays[cones[cj][q]])) >= 0:
+            if tables[ci][p][n + cones[cj][q]] >= 0:
                 raise InvariantViolation("overlapping maximal cones")
-        inner = [sum(col) for col in zip(*(rays[i] for i in cones[0]))]
-        for ci in range(1, len(cones)):
-            if all(s >= 0 for s in self._scaled_coords(ci, inner)):
+        for table in tables[1:]:
+            if min(map(operator.itemgetter(-1), table)) >= 0:
                 raise InvariantViolation("overlapping maximal cones")
+        self._cone_adjugates: list[Matrix] = [tuple([row[:n] for row in table]) for table in tables]
+        self._cone_mults: list[int] = mults
+        # column sums: -mult * m_sigma, -mult * <m_sigma, v_j> for every ray j, and x0's
+        self._cone_sums: list[list[int]] = [list(map(sum, zip(*table))) for table in tables]
 
     # -- cone queries ---------------------------------------------------------
-
-    def _scaled_coords(self, cone_index: int, w: Sequence) -> tuple:
-        """w's coordinates in the cone's ray basis, times the cone's |det|."""
-        return tuple(sum(map(operator.mul, row, w)) for row in self._cone_adjugates[cone_index])
 
     def ray_index(self, v: Sequence[int]) -> Optional[int]:
         return self._ray_lookup.get(_int_vector(v))
@@ -181,23 +183,21 @@ class Fan:
         ray j's, so column j of the polytope's `normal_table` is ray j's.
         """
         if self._polytope is None:
-            d, paired = math.lcm(*self._cone_mults), []
-            for ci, cone in enumerate(self.max_cones):
-                # mult * m_sigma = adj^T (-1, ..., -1): its products are -mult on
-                # sigma's n rays, so Q-Fano is that no other one is <= -mult
-                mult = self._cone_mults[ci]
-                m = [-sum(col) for col in zip(*self._cone_adjugates[ci])]
-                products = [sum(map(operator.mul, m, v)) for v in self.rays]
-                if sum(p <= -mult for p in products) > len(cone):
+            n, d, paired = self.dimension, math.lcm(*self._cone_mults), []
+            for ci, (cone, mult, sums) in enumerate(zip(self.max_cones, self._cone_mults, self._cone_sums)):
+                # minus the products are mult on sigma's n rays: Q-Fano is no other one >= mult
+                if sum(x >= mult for x in sums[n:-1]) > n:
                     raise InvariantViolation(f"not Q-Fano: -K is not ample on maximal cone {ci}")
-                paired.append(([d // mult * x for x in m], cone, [d // mult * p for p in products]))
+                scaled = [x * (d // -mult) for x in sums]
+                paired.append((scaled[:n], cone, mult, scaled[n:-1]))
             paired.sort()  # by the rows D * m_sigma, D > 0: the vertices are distinct
-            g = math.gcd(d, *(x for row, _, _ in paired for x in row))
-            rows = [tuple(x // g for x in row) for row, _, _ in paired]
-            table = [tuple(p // g for p in products) for _, _, products in paired]
+            rows, self._vertex_cones, mults, products = zip(*paired)
+            g = math.gcd(d, *(x for row in rows for x in row))
             halfspaces = tuple((ray, Fraction(-1)) for ray in self.rays)
-            self._vertex_cones = tuple(cone for _, cone, _ in paired)
-            self._polytope = RationalPolytope._from_int_form(halfspaces, d // g, rows, table, self.dimension)
+            self._polytope = RationalPolytope._from_int_form(
+                halfspaces, d // g, [tuple(x // g for x in row) for row in rows],
+                [tuple(x // g for x in row) for row in products], n, (self._vertex_cones, mults)
+            )
         return self._polytope
 
     def vertex_cones(self) -> tuple[tuple[int, ...], ...]:
@@ -275,8 +275,8 @@ class Fan:
         new_rays = list(self.rays) + [w]
         w_index = len(self.rays)
         new_cones: list[tuple[int, ...]] = []
-        for ci, cone in enumerate(self.max_cones):
-            signs = self._scaled_coords(ci, w)
+        for cone, adj in zip(self.max_cones, self._cone_adjugates):
+            signs = [sum(map(operator.mul, row, w)) for row in adj]  # w's cone coordinates times |det|
             if any(s < 0 for s in signs):
                 new_cones.append(cone)
                 continue

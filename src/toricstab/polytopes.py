@@ -10,22 +10,19 @@ The vertices are kept as integer rows over one common denominator D
 (`vertex_matrix`), with one integer table T[k][j] = D <v_k, a_j> over the
 vertices and the half-space normals a_j (`normal_table`): the constructor
 derives both from Fraction vertices, the anticanonical polytope of a fan
-gets them from the fan's cones (`_from_int_form`, see `fans`), and the
-Fraction vertices are derived when read.  There D divides the lcm of the
-cone multiplicities: the denominator of m_sigma divides sigma's.
+gets them and each vertex's cone and multiplicity from the fan's cones
+(`_from_int_form`, see `fans`), and the Fraction vertices are derived
+when read.  There D divides the lcm of the cone multiplicities.
 
 Each polytope triangulates itself once, lazily, on first use: the pulling
 triangulation for its lex-sorted vertex order (De Loera-Rambau-Santos,
 *Triangulations*, 2010, Sec. 4.3), a fan-out from vertex 0 over the facets
 that avoid it, each facet pulled the same way from its own lowest vertex.
-`triangulate` reads it off the table's entries equal to D times the offsets
-(-D on an anticanonical polytope) and returns vertex indices, so no
-coordinate is projected out and every simplex vertex is a vertex of the
-polytope.  The cached form (`indexed_triangulation`) keeps each simplex as
-vertex indices with dim! times its volume, `det_int` of its edge rows in
-the vertex matrix, an integer over D^dim.  Volume, centroid, first moment
-(`moment_form`) and the closed-form volume functions in `valuations` all
-read it, with one Fraction per value and none for the moment.
+A fan's polytope is read off its cones (`triangulate`), any other off the
+table's tight entries with `det_int` masses (`incidence_triangulation`).
+`indexed_triangulation` keeps each simplex, sorted, as vertex indices with
+dim! times its volume, an integer over D^dim, for volume, centroid, first
+moment (`moment_form`) and the volume functions in `valuations`.
 
 Lattice points of a dilation k P are scanned over the bounding box of the
 vertex matrix, and each half-space <u, a> >= b with b = p / q is tested in
@@ -45,12 +42,7 @@ from itertools import combinations, product
 from typing import Optional, Sequence
 
 from .errors import BudgetExceeded, InvariantViolation
-from .lattice import (
-    RatVec,
-    det_int,
-    dot,
-    solve_linear,
-)
+from .lattice import RatVec, det_int, dot, solve_linear
 
 HalfSpace = tuple[tuple[int, ...], Fraction]  # (normal a, offset b): <u, a> >= b
 
@@ -72,9 +64,44 @@ def enumerate_vertices(halfspaces: Sequence[HalfSpace], dim: int) -> list[RatVec
     return sorted(seen)
 
 
-def triangulate(
-    halfspaces: Sequence[HalfSpace], table: Sequence[Sequence[int]], den: int, dim: int
-) -> list[tuple[int, ...]]:
+def triangulate(table, den: int, cones, mults) -> list[tuple[tuple[int, ...], int]]:
+    """The pulling triangulation of a fan's polytope P, read off its cones.
+
+    Vertex k is m_sigma for sigma = cones[k], of multiplicity mults[k], and
+    table[k][j] = den <m_k, v_j> is -den exactly on sigma's rays.  So P is
+    simple: a face F_tau = {k : tau in cones[k]} meets the facet F_j (tight[j])
+    of a ray j off tau in a facet of F_tau or not at all: no maximality filter
+    (Cox-Little-Schenck, ch. 6).  A simplex (v_0, ..., v_n) cut by rays j_1,
+    ..., j_n has mass den^n n! vol = prod_k (table[v_(k-1)][j_k] + den) /
+    mults[v_n]: u -> (<u, v_(j_i)>)_i has |det| mults[v_n] (the j_i span v_n's
+    cone) and sends v_(k-1) - v_n to 0 before entry k and table[v_(k-1)][j_k]
+    / den + 1 at entry k, a triangular image.  An inexact division raises
+    AssertionError.  off[k] pairs each F_j off vertex k with its factor.
+    """
+    tight = [0] * len(table[0])
+    for k, cone in enumerate(cones):
+        for j in cone:
+            tight[j] |= 1 << k
+    off = [[(t, row[j] + den) for j, t in enumerate(tight) if not t >> k & 1] for k, row in enumerate(table)]
+    simplices = []
+
+    def pull(face: int, head: tuple[int, ...], num: int) -> None:
+        top = (face & -face).bit_length() - 1
+        head += (top,)
+        cuts = [(face & t, num * h) for t, h in off[top] if face & t]
+        if not cuts:  # a vertex: the rays cut so far are its cone's
+            mass, rest = divmod(num, mults[top])
+            if rest:
+                raise AssertionError(f"simplex {head}: mass {num}/{mults[top]} is not an integer")
+            simplices.append((head, mass))
+        for g, m in cuts:
+            pull(g, head, m)
+
+    pull((1 << len(table)) - 1, (), 1)
+    return sorted(simplices)
+
+
+def incidence_triangulation(halfspaces: Sequence[HalfSpace], table, den: int, dim: int) -> list[tuple[int, ...]]:
     """The pulling triangulation of the points p_k given as table[k][j] = den <p_k, a_j>.
 
     The points are pulled in their given order, so the triangulation fans
@@ -84,7 +111,7 @@ def triangulate(
     maximal proper, nonempty intersections of it with the tight sets (the
     points on each half-space's boundary, q * table[k][j] == den * p for its
     normal a_j and offset b = p / q).  Each simplex is returned as a (dim+1)-tuple of point
-    indices and is nondegenerate, so a lower-dimensional polytope gives [].
+    indices and is nondegenerate, so a lower-dimensional polytope gives []; they are sorted.
     """
     tight = {
         frozenset(k for k, row in enumerate(table) if q * row[j] == p)
@@ -99,7 +126,7 @@ def triangulate(
             return [(top,)]
         return [(top,) + rest for g in facets if top not in g for rest in pull(g)]
 
-    return [simplex for simplex in pull(frozenset(range(len(table)))) if len(simplex) == dim + 1]
+    return sorted(simplex for simplex in pull(frozenset(range(len(table)))) if len(simplex) == dim + 1)
 
 
 class RationalPolytope:
@@ -116,19 +143,19 @@ class RationalPolytope:
         d = math.lcm(*(x.denominator for v in vertices for x in v))
         rows = [tuple(x.numerator * (d // x.denominator) for x in v) for v in vertices]
         table = [tuple(sum(map(operator.mul, row, a)) for a, _ in halfspaces) for row in rows]
-        self._setup(halfspaces, d, rows, table, dim)
+        self._setup(halfspaces, d, rows, table, dim, None)
 
     @classmethod
-    def _from_int_form(cls, halfspaces: tuple[HalfSpace, ...], d: int, rows, table, dim: int) -> "RationalPolytope":
-        """The polytope from the half-spaces, vertex matrix and table the constructor would derive."""
+    def _from_int_form(cls, halfspaces: tuple[HalfSpace, ...], d: int, rows, table, dim: int, cones):
+        """A fan's polytope from what the constructor would derive and cones = (vertex cones, mults)."""
         poly = object.__new__(cls)
-        poly._setup(halfspaces, d, rows, table, dim)
+        poly._setup(halfspaces, d, rows, table, dim, cones)
         return poly
 
-    def _setup(self, halfspaces: tuple[HalfSpace, ...], d: int, rows, table, dim: int) -> None:
+    def _setup(self, halfspaces: tuple[HalfSpace, ...], d: int, rows, table, dim: int, cones) -> None:
         if not rows:
             raise InvariantViolation("empty polytope")
-        self.dim, self.halfspaces = dim, halfspaces
+        self.dim, self.halfspaces, self._cones = dim, halfspaces, cones
         self.vertex_matrix, self.normal_table = (d, tuple(rows)), tuple(table)
 
     # -- basic queries ----------------------------------------------------
@@ -150,17 +177,16 @@ class RationalPolytope:
         """(D^dim, simplices): the cached triangulation on the vertex matrix.
 
         Each simplex is its vertex indices and dim! times its volume, an
-        integer over D^dim: |det| of its integer edge rows.  The vertices
-        are pulled in vertex order, so every simplex contains vertex 0.
-        Built once, on first use.
+        integer over D^dim: read off the cones on a fan's polytope, else
+        |det| of its integer edge rows.  The vertices are pulled in vertex
+        order, so every simplex contains vertex 0.  Built once, on first use.
         """
         d, rows = self.vertex_matrix
-        simplices = []
-        for ks in triangulate(self.halfspaces, self.normal_table, d, self.dim):
-            base = rows[ks[0]]
-            edges = [[x - y for x, y in zip(rows[k], base)] for k in ks[1:]]
-            simplices.append((ks, abs(det_int(edges))))
-        return d**self.dim, tuple(simplices)
+        if self._cones is not None:
+            return d**self.dim, tuple(triangulate(self.normal_table, d, *self._cones))
+        simplices = incidence_triangulation(self.halfspaces, self.normal_table, d, self.dim)
+        edges = [[[x - y for x, y in zip(rows[k], rows[ks[0]])] for k in ks[1:]] for ks in simplices]
+        return d**self.dim, tuple((ks, abs(det_int(e))) for ks, e in zip(simplices, edges))
 
     @cached_property
     def _volume_data(self) -> tuple[Fraction, Optional[RatVec], tuple[int, tuple[int, ...]]]:

@@ -1,10 +1,15 @@
 """Shared fixtures: validated corpus fans (cached at module scope)."""
 
+import importlib
 import itertools
+import random
+from pathlib import Path
 
 import pytest
 
+from toricstab.corpus import builtin_fan_specs
 from toricstab.errors import InvariantViolation
+from toricstab.fans import Fan
 from toricstab.workbench import load_builtin_fan
 
 
@@ -45,8 +50,6 @@ def dp8():
 
 @pytest.fixture(scope="session")
 def corpus_fans():
-    from toricstab.corpus import builtin_fan_specs
-
     return [load_builtin_fan(name) for name in builtin_fan_specs()]
 
 
@@ -69,3 +72,24 @@ def q_fano_fans(corpus_fans):
         out.append(fan)
     assert len(out) == len(corpus_fans) + 54
     return out
+
+
+@pytest.fixture(scope="session")
+def relabelled_fans():
+    """Five seeded relabellings (the bench's `workloads.relabel`) of every
+    corpus fan and of the products P1xP2, P1xP(1,2,3), P1xdP6, P1xdP8, P2xP2
+    and P1xP3 (95 fans).  A relabelling lists the rays, the cones and the
+    ray indices inside each cone in a seeded order, so the wall walk starts
+    from another cone and crosses the walls in another order."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        workloads = importlib.import_module("workloads")
+    specs = builtin_fan_specs()
+    products = [("P1", "P2"), ("P1", "P(1,2,3)"), ("P1", "dP6"), ("P1", "dP8"), ("P2", "P2"), ("P1", "P3")]
+    rng = random.Random(32)
+    fans = []
+    for base in [*specs.values(), *(workloads.product_spec(specs[a], specs[b]) for a, b in products)]:
+        for spec in (workloads.relabel(base, rng) for _ in range(5)):
+            fans.append(Fan(spec["dim"], spec["rays"], spec["cones"], name=spec["name"]))
+    assert len(fans) == 5 * (len(specs) + len(products))
+    return fans

@@ -1,6 +1,7 @@
 """Fan validation, smoothness, anticanonical polytopes, star subdivision."""
 
 import importlib
+import itertools
 import math
 import operator
 import random
@@ -418,6 +419,54 @@ def test_cone_adjugates_equal_one_elimination_per_cone(monkeypatch, q_fano_fans)
             ), (fan, ci)
         multiplicities.update(fan._cone_mults)
     assert {1, 2, 3} <= multiplicities
+
+
+def test_the_walk_on_relabelled_fans_equals_one_elimination_per_cone(relabelled_fans):
+    """On every relabelled fan, where the walk starts from another cone and
+    crosses the walls in another order, each cone's adjugate and
+    multiplicity are those of `lattice.adjugate` on its ray matrix, its
+    column sums are those of adj . [I | V], and the polytope's vertex
+    matrix, normal table and vertex cones are the Fraction construction's."""
+    for fan in relabelled_fans:
+        n = fan.dimension
+        for ci, cone in enumerate(fan.max_cones):
+            d, adj = adjugate([[fan.rays[j][i] for j in cone] for i in range(n)])
+            adj = tuple(tuple(x if d > 0 else -x for x in row) for row in adj)
+            assert (fan._cone_mults[ci], fan._cone_adjugates[ci]) == (abs(d), adj), (fan, ci)
+            columns = [*zip(*adj), *([sum(map(operator.mul, row, v)) for row in adj] for v in fan.rays)]
+            assert fan._cone_sums[ci][: n + len(fan.rays)] == [sum(col) for col in columns], (fan, ci)
+        oracle, vertices, vertex_cones = fraction_oracles.anticanonical_polytope(fan)
+        poly = fan.anticanonical_polytope()
+        assert poly.vertex_matrix == oracle.vertex_matrix, fan
+        assert poly.normal_table == oracle.normal_table, fan
+        assert fan.vertex_cones() == vertex_cones, fan
+
+
+def test_q_fano_is_checked_only_by_the_polytope(corpus_fans):
+    """Every star subdivision of a corpus fan of dimension <= 3 at a nonzero
+    point of {-1, 0, 1}^n constructs, Q-Fano or not.  Only
+    `anticanonical_polytope` raises, with the message the Fraction
+    construction raises, naming the same first cone: 23 of the 77 are not
+    Q-Fano, and the other 54 are the star subdivisions in `q_fano_fans`."""
+    failures = 0
+    for fan in corpus_fans:
+        if fan.dimension > 3:
+            continue
+        for w in itertools.product((-1, 0, 1), repeat=fan.dimension):
+            if not any(w) or fan.ray_index(w) is not None:
+                continue
+            sub = fan.star_subdivision(w)
+            fresh = Fan(sub.dimension, sub.rays, sub.max_cones)
+            try:
+                fraction_oracles.anticanonical_polytope(sub)
+            except InvariantViolation as exc:
+                failures += 1
+                with pytest.raises(InvariantViolation) as excinfo:
+                    fresh.anticanonical_polytope()
+                assert str(excinfo.value) == str(exc), sub
+            else:
+                fresh.anticanonical_polytope()
+    assert failures == 23
 
 
 # -- automorphisms ---------------------------------------------------------------

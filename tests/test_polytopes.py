@@ -9,9 +9,12 @@ import pytest
 
 import fraction_oracles
 from fraction_oracles import contains
+from toricstab import polytopes
+from toricstab.corpus import builtin_fan_specs
 from toricstab.errors import BudgetExceeded, InvariantViolation
-from toricstab.lattice import det, matrix_rank, primitivize
-from toricstab.polytopes import RationalPolytope, enumerate_vertices, triangulate
+from toricstab.fans import Fan
+from toricstab.lattice import det, det_int, matrix_rank, primitivize
+from toricstab.polytopes import RationalPolytope, enumerate_vertices, incidence_triangulation
 
 
 def polytope(halfspaces, dim):
@@ -21,12 +24,13 @@ def polytope(halfspaces, dim):
 
 def pulled(poly, apex):
     """The pulling triangulation for the point order apex, then the vertices,
-    as point tuples: `triangulate` on the table of (apex, *vertices) against
-    the half-space normals."""
+    as point tuples: `incidence_triangulation` on the table of (apex,
+    *vertices) against the half-space normals."""
     points = (tuple(apex), *poly.vertices)
     den = math.lcm(*(F(x).denominator for p in points for x in p))
     table = [[int(sum(x * y for x, y in zip(p, a)) * den) for a, _ in poly.halfspaces] for p in points]
-    return [tuple(points[k] for k in s) for s in triangulate(poly.halfspaces, table, den, poly.dim)]
+    simplices = incidence_triangulation(poly.halfspaces, table, den, poly.dim)
+    return [tuple(points[k] for k in s) for s in simplices]
 
 
 def vertex_average(poly):
@@ -159,7 +163,8 @@ def test_triangulate_simplex_count():
     poly = polytope(hs, 2)
     d = poly.vertex_matrix[0]
     simplices = [
-        [poly.vertices[k] for k in ks] for ks in triangulate(poly.halfspaces, poly.normal_table, d, 2)
+        [poly.vertices[k] for k in ks]
+        for ks in incidence_triangulation(poly.halfspaces, poly.normal_table, d, 2)
     ]
     total = sum(
         abs(
@@ -241,6 +246,60 @@ def test_every_simplex_contains_vertex_0(q_fano_fans):
     for fan in q_fano_fans:
         simplices = fan.anticanonical_polytope().indexed_triangulation[1]
         assert simplices and all(0 in ks for ks, _ in simplices), fan.name
+
+
+def test_fan_triangulation_equals_the_incidence_triangulation(q_fano_fans, relabelled_fans):
+    """On every Q-Fano test fan and every relabelled fan, the triangulation
+    read off the cones, with masses from the vertex table, is the incidence
+    triangulation of the same table with masses |det| of the integer edge
+    rows.  Both list their simplices in lexicographic order."""
+    for fan in [*q_fano_fans, *relabelled_fans]:
+        poly = fan.anticanonical_polytope()
+        d, rows = poly.vertex_matrix
+        ks_list = incidence_triangulation(poly.halfspaces, poly.normal_table, d, poly.dim)
+        expected = [
+            (ks, abs(det_int([[x - y for x, y in zip(rows[k], rows[ks[0]])] for k in ks[1:]])))
+            for ks in ks_list
+        ]
+        den, simplices = poly.indexed_triangulation
+        assert ks_list == sorted(ks_list) and list(simplices) == sorted(simplices), fan
+        assert den == d**poly.dim and list(simplices) == expected, fan
+
+
+def test_fan_polytope_never_calls_det_int(monkeypatch, q_fano_fans):
+    """A fan's polytope takes its simplex masses from its table alone."""
+
+    def refuse(rows):
+        raise AssertionError("det_int called")
+
+    monkeypatch.setattr(polytopes, "det_int", refuse)
+    for fan in q_fano_fans:
+        poly = Fan(fan.dimension, fan.rays, fan.max_cones).anticanonical_polytope()
+        assert poly.indexed_triangulation[1], fan.name
+        assert poly.volume() == fan.anticanonical_polytope().volume(), fan.name
+
+
+def test_a_tampered_vertex_multiplicity_breaks_the_mass():
+    """A multiplicity that does not divide a simplex's product of table
+    entries raises AssertionError: on P2 every product is 3 * 3."""
+    spec = builtin_fan_specs()["P2"]
+    poly = Fan(spec["dim"], spec["rays"], spec["cones"]).anticanonical_polytope()
+    cones, mults = poly._cones
+    assert mults == (1, 1, 1)
+    poly._cones = (cones, (2, 2, 2))
+    with pytest.raises(AssertionError, match="is not an integer"):
+        poly.indexed_triangulation
+
+
+def test_p1_to_the_6_has_720_simplices():
+    """The cube [-1, 1]^6 of (P1)^6 is pulled into 6! simplices of volume 2^6 / 6! each."""
+    rays = [[s * (i == j) for j in range(6)] for i in range(6) for s in (1, -1)]
+    cones = [[2 * i + b for i, b in enumerate(bits)] for bits in itertools.product((0, 1), repeat=6)]
+    poly = Fan(6, rays, cones).anticanonical_polytope()
+    den, simplices = poly.indexed_triangulation
+    assert den == 1 and len(simplices) == 720
+    assert {mass for _, mass in simplices} == {2**6}
+    assert poly.volume() == 2**6
 
 
 def test_lower_dimensional_volume_warns():

@@ -10,9 +10,11 @@ CHECKOUT/src on PYTHONPATH: `analyze` and `screen` at radius 4 in dimension
 <= 2 and radius 1 above, `screen` also at radius 1 in dimension <= 2 and at
 the screen-smooth benchmark radii (10 in dimension 2, 3 in dimension 3),
 `alpha`, `beta --w 1,...,1` and `volfn --w -1,...,-1 --csv volfn.csv`;
-then `analyze --radius 1` on the product 3-folds P1xP2 and P1xP(1,2,3),
+then `analyze --radius 1` on the product fans of the benchmark workloads,
 built from the corpus specs with rays (v, 0), (0, v') and cones
-sigma x sigma'; then `verify` once.  Each run prints one line: the command, the SHA-256 of its
+sigma x sigma', with `screen --radius 3` on the 3-folds (P1xP2,
+P1xP(1,2,3), P1xdP6, P1xdP8) and `beta --w 1,1,1,1` on the 4-folds (P2xP2,
+P1xP3); then `verify` once.  Each run prints one line: the command, the SHA-256 of its
 stdout and of its stderr and its exit code, and for `volfn` the SHA-256 of
 the CSV.  Every path is relative to the temporary directory, so two
 checkouts print the same lines exactly when their outputs are
@@ -33,8 +35,8 @@ from pathlib import Path
 LIST_SPECS = "import json; from toricstab.corpus import builtin_fan_specs; print(json.dumps(builtin_fan_specs()))"
 
 
-# the product fans of the analyze-lowdim benchmark workload, as (first, second) corpus names
-PRODUCTS = (("P1", "P2"), ("P1", "P(1,2,3)"))
+# the product fans of the benchmark workloads, as (first, second) corpus names
+PRODUCTS = (("P1", "P2"), ("P1", "P(1,2,3)"), ("P1", "dP6"), ("P1", "dP8"), ("P2", "P2"), ("P1", "P3"))
 
 
 def product_spec(a: dict, b: dict) -> dict:
@@ -87,7 +89,12 @@ def main(argv: list[str]) -> int:
             spec = product_spec(specs[first], specs[second])
             path = f"{spec['name']}.json"
             Path(tmp, path).write_text(json.dumps(spec), encoding="utf-8")
-            print(run(env, tmp, ["analyze", path, "--radius", "1"]), flush=True)
+            for args in (
+                ["analyze", path, "--radius", "1"],
+                *([["screen", path, "--radius", "3"]] if spec["dim"] == 3 else []),
+                *([["beta", path, "--w", "1,1,1,1"]] if spec["dim"] == 4 else []),
+            ):
+                print(run(env, tmp, args), flush=True)
         print(run(env, tmp, ["verify"]), flush=True)
     return 0
 
