@@ -29,19 +29,12 @@ def dot(u: Sequence, v: Sequence):
     return sum(a * b for a, b in zip(u, v))
 
 
-def gcd_vec(v: Sequence[int]) -> int:
-    g = 0
-    for a in v:
-        g = math.gcd(g, abs(a))
-    return g
-
-
 def primitivize(v: LatticeVec) -> LatticeVec:
     """Divide an integer vector by the gcd of its coordinates.
 
     The result spans the same ray and has coordinate gcd 1.
     """
-    g = gcd_vec(v)
+    g = math.gcd(*v)
     if g == 0:
         raise ValueError("zero vector has no direction")
     return tuple(a // g for a in v)

@@ -307,8 +307,10 @@ def int_nth_root(value: int, m: int) -> int:
     floor(floor(v^(1/2))^(1/k)) = floor(v^(1/(2k))).  The seed is the float
     m-th root of value's leading bits.  One integer Newton step from any
     positive r lands at or above the answer (AM-GM), and from there the
-    steps decrease strictly until they reach it.
+    steps decrease strictly until they reach it.  m < 1 raises ValueError.
     """
+    if m < 1:
+        raise ValueError(f"root order must be at least 1, got {m}")
     if value < 0:
         raise ValueError("negative radicand")
     if value == 0 or m == 1:

@@ -66,7 +66,7 @@ from functools import cached_property, lru_cache
 
 from .errors import InvariantViolation
 from .fans import Fan
-from .lattice import LatticeVec, gcd_vec, primitivize
+from .lattice import LatticeVec, primitivize
 from .piecewise import PiecewisePolynomial, spline_cdf_jumps
 
 # Entries kept by the volume-function and nef-threshold caches.  Their keys
@@ -100,7 +100,7 @@ class ToricValuation:
 
     @property
     def multiplicity(self) -> int:
-        return gcd_vec(self.w)
+        return math.gcd(*self.w)
 
     @property
     def is_primitive(self) -> bool:

@@ -39,7 +39,6 @@ from .valuations import (
     ToricValuation,
     ValuationProfile,
     equality_bound_rays,
-    meets_equality_bound,
     mirrored_profile,
     positive_row,
     restricted_volume,
@@ -103,7 +102,7 @@ def load_fan(path: str) -> Fan:
         raise ParseError(f"cannot read fan spec {path!r}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"fan spec {path!r} is not UTF-8 text: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"invalid JSON in {path!r}: {exc}") from exc
     return parse_fan_spec(document, name_fallback=path)
 
@@ -162,14 +161,13 @@ class ScreenResult:
     On a smooth fan such a witness forces the variety to be projective
     space, so the screen asserts the recognition; a singular fan can carry a
     witness without the conclusion, and is flagged instead.  The bound is
-    decided in integers as A >= n max_P <u, w> (`meets_equality_bound`).
-    The standalone screen checks the radius and the battery budget first.
-    Its candidates are the generators of the bound's cones in the radius,
+    decided in integers as A >= n max_P <u, w> (`row_meets_equality_bound`).
+    The screen checks the radius and the battery budget first.  Its
+    candidates are the generators of the bound's cones in the radius,
     read off the rays that set alpha (`equality_bound_rays`), and each is
     checked again on its own row; where that gives None, they are the
     battery vectors whose row meets the bound.  A and tau are read off the
     row, and beta = -degree <b, w> off the polytope's `moment_form`.
-    `analyze` tests the bound per w on its own battery.
     """
 
     fan_name: str
@@ -281,10 +279,6 @@ def orbit_profiles(fan: Fan, battery: Sequence[ToricValuation]) -> tuple[Valuati
     return tuple(profiles[val.w] for val in battery)
 
 
-def _profile_witness(p: ValuationProfile) -> ScreenWitness:
-    return ScreenWitness(p.w, p.log_discrepancy, p.pseff_threshold, p.beta)
-
-
 def analyze(fan: Fan, radius: int = 4) -> StabilityReport:
     """Full stability report over the primitive valuation battery.
 
@@ -292,8 +286,7 @@ def analyze(fan: Fan, radius: int = 4) -> StabilityReport:
     (`orbit_profiles`), each beta checked against the exact barycenter
     identity, from which the semistability verdict comes: the battery holds
     every +-e_i, so its minimum beta is negative exactly when b != 0.  The
-    projective-space screen runs on the same battery: `meets_equality_bound`
-    decides the bound, and A, tau and beta come from the profiles.
+    projective-space screen is `screen_projective_space`'s.
     """
     poly = fan.anticanonical_polytope()
     barycenter = poly.barycenter()
@@ -308,12 +301,7 @@ def analyze(fan: Fan, radius: int = 4) -> StabilityReport:
             negatives,
             key=lambda p: (max(abs(x) for x in p.w), sum(abs(x) for x in p.w), p.w),
         )
-        witness = _profile_witness(cited)
-    screen_witnesses = [
-        _profile_witness(p)
-        for val, p in zip(battery, profiles)
-        if meets_equality_bound(val) and p.beta <= 0
-    ]
+        witness = ScreenWitness(cited.w, cited.log_discrepancy, cited.pseff_threshold, cited.beta)
     reason = (
         "beta(-w) = -beta(w) exactly for every valuation, so the minimum battery "
         "beta is never positive; toric Fano varieties are at best semistable over "
@@ -333,7 +321,7 @@ def analyze(fan: Fan, radius: int = 4) -> StabilityReport:
         instability_witness=witness,
         strictly_stable_over_toric=False,
         strict_stability_reason=reason,
-        projective_space_screen=_screen_result(fan, radius, screen_witnesses),
+        projective_space_screen=screen_projective_space(fan, radius),
         assumptions=ASSUMPTION_LEDGER,
     )
 

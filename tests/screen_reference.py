@@ -3,7 +3,7 @@ before the screen tested the bound on bare vectors, kept as references.
 
 `workbench.battery_vectors` filters the box with `math.gcd` and sorts on
 `(max(map(abs, w)), w)`; `reference_battery_vectors` is the `any` plus
-`gcd_vec` filter and generator-expression key it replaced.
+per-vector `math.gcd(*w)` filter and generator-expression key it replaced.
 `workbench.screen_projective_space` reads each vector's vertex row, and
 where the row meets the bound takes A and tau off it and beta from the
 barycenter identity, building no `ToricValuation`;
@@ -23,10 +23,11 @@ replaced, kept verbatim, work budget included: it cuts the cone of each
 qualifying vertex and returns the extreme rays found, or None.
 """
 
+import math
 import operator
 from itertools import product
 
-from toricstab.lattice import gcd_vec, primitivize
+from toricstab.lattice import primitivize
 from toricstab.polytopes import default_oracle_budget
 from toricstab.valuations import (
     beta_invariant,
@@ -41,7 +42,7 @@ def reference_battery_vectors(n, radius):
     """Primitive integer vectors of max-norm <= radius in shell-lex order."""
     vectors = []
     for w in product(range(-radius, radius + 1), repeat=n):
-        if any(w) and gcd_vec(w) == 1:
+        if any(w) and math.gcd(*w) == 1:
             vectors.append(w)
     vectors.sort(key=lambda w: (max(abs(x) for x in w), w))
     return vectors

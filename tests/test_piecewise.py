@@ -26,6 +26,7 @@ from toricstab.piecewise import (
     midpoint_root_concave,
     nth_root_bounds,
     poly_trim,
+    root_floor,
     spline_cdf_jumps,
 )
 
@@ -122,6 +123,19 @@ def test_int_nth_root_matches_newton():
             k = rng.getrandbits(rng.randint(1, 900 // m)) + 2
             assert int_nth_root(k**m, m) == newton_nth_root(k**m, m) == k
             assert int_nth_root(k**m - 1, m) == newton_nth_root(k**m - 1, m) == k - 1
+
+
+def test_root_order_below_one_is_refused():
+    """m < 1 raises the same ValueError as `midpoint_root_concave`, directly
+    and through `root_floor` and `nth_root_bounds`."""
+    for m in (0, -1, -2):
+        message = rf"^root order must be at least 1, got {m}$"
+        with pytest.raises(ValueError, match=message):
+            int_nth_root(27, m)
+        with pytest.raises(ValueError, match=message):
+            root_floor(27, 1, m, 10)
+        with pytest.raises(ValueError, match=message):
+            nth_root_bounds(F(2), m, 10)
 
 
 def test_nth_root_bounds_bracket():

@@ -79,11 +79,24 @@ def test_load_fan_example_documents(tmp_path):
     assert x.degree() == 6
 
 
-def test_load_fan_parse_errors(tmp_path):
+def test_load_fan_parse_errors(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(ParseError, match="invalid JSON"):
         load_fan(str(bad))
+    # a nesting deeper than the decoder's recursion limit, and an integer
+    # longer than int() converts, are unreadable documents too
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    long_ray = tmp_path / "long.json"
+    long_ray.write_text(json.dumps(P123_SPEC).replace("[-2, -3]", "[-2, " + "3" * 5000 + "]"))
+    for path in (deep, long_ray):
+        with pytest.raises(ParseError, match="invalid JSON"):
+            load_fan(str(path))
+        assert main(["analyze", str(path)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: invalid JSON") and out.err.count("\n") == 1
     with pytest.raises(ParseError, match="cannot read"):
         load_fan(str(tmp_path / "missing.json"))
     with pytest.raises(ParseError, match="missing required field"):
@@ -254,37 +267,33 @@ def test_a_wrong_automorphism_breaks_the_barycenter_check(monkeypatch, tmp_path,
 
 
 def test_analyze_builds_one_battery(monkeypatch):
-    """`analyze` screens the battery it profiles: one `valuation_battery`, the
-    bound decided once per valuation by `meets_equality_bound`, and no
-    standalone screen."""
+    """`analyze` profiles one `valuation_battery` and takes its screen from
+    one `screen_projective_space` call, at the same radius."""
     import toricstab.workbench as workbench
 
-    batteries, bounds = [], []
+    batteries, screens = [], []
 
     def counted_battery(fan, radius):
-        batteries.append(radius)
+        batteries.append((fan.name, radius))
         return valuation_battery(fan, radius)
 
-    def counted_bound(val):
-        bounds.append(val.w)
-        return meets_equality_bound(val)
-
-    def refuse(*args):
-        raise AssertionError("analyze ran a second screen")
+    def counted_screen(fan, radius):
+        screens.append((fan.name, radius))
+        return screen_projective_space(fan, radius)
 
     monkeypatch.setattr(workbench, "valuation_battery", counted_battery)
-    monkeypatch.setattr(workbench, "meets_equality_bound", counted_bound)
-    monkeypatch.setattr(workbench, "screen_projective_space", refuse)
-    report = analyze(load_builtin_fan("dP6"), 4)
-    assert batteries == [4]
-    assert bounds == [p.w for p in report.profiles]
+    monkeypatch.setattr(workbench, "screen_projective_space", counted_screen)
+    analyze(load_builtin_fan("dP6"), 4)
+    assert batteries == [("dP6", 4)]
+    assert screens == [("dP6", 4)]
 
 
 def test_analyze_screen_equals_standalone_screen(q_fano_fans, corpus_fans):
-    """The screen `analyze` reads off its profiles equals `screen_projective_space`,
+    """The screen in `analyze`'s report equals `screen_projective_space`,
     witnesses and verdict, on every Q-Fano test fan at radius 1 and on the
-    corpus surfaces at radius 4 (the singular witness fans among them); the
-    report text equals the dumped reference dict on the same reports."""
+    corpus surfaces at radius 4 (the singular witness fans among them): it
+    holds by construction, as `analyze` calls the screen.  The report text
+    equals the dumped reference dict on the same reports."""
     cases = [(fan, 1) for fan in q_fano_fans]
     cases += [(fan, 4) for fan in corpus_fans if fan.dimension <= 2]
     verdicts = set()

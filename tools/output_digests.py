@@ -14,11 +14,16 @@ then `analyze --radius 1` on the product fans of the benchmark workloads,
 built from the corpus specs with rays (v, 0), (0, v') and cones
 sigma x sigma', with `screen --radius 3` on the 3-folds (P1xP2,
 P1xP(1,2,3), P1xdP6, P1xdP8) and `beta --w 1,1,1,1` on the 4-folds (P2xP2,
-P1xP3); then `verify` once.  Each run prints one line: the command, the SHA-256 of its
-stdout and of its stderr and its exit code, and for `volfn` the SHA-256 of
-the CSV.  Every path is relative to the temporary directory, so two
-checkouts print the same lines exactly when their outputs are
-byte-identical: diff the files of two checkouts.
+P1xP3); then `verify` once.  Last come one run for each documented
+failure exit code, so that the error paths are compared too: `analyze` on
+three unreadable documents and a missing file (exit 2: `{not json`, an
+array nested 100,000 deep, a P(1,2,3) spec whose last ray has a 5,000-digit
+entry), `analyze --radius 0` on P2 (exit 3) and `analyze --radius 4` on P2
+with TKS_ORACLE_BUDGET=10 (exit 4).  Each run prints one line: the command,
+the SHA-256 of its stdout and of its stderr and its exit code, and for
+`volfn` the SHA-256 of the CSV.  Every path is relative to the temporary
+directory, so two checkouts print the same lines exactly when their
+outputs are byte-identical: diff the files of two checkouts.
 Standard library only.
 """
 
@@ -50,10 +55,20 @@ def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run(env: dict, cwd: str, args: list[str]) -> str:
-    """One CLI run, as 'command  stdout=... stderr=... exit=...'."""
+def run(env: dict, cwd: str, args: list[str], label: str = "") -> str:
+    """One CLI run, as '[label ]command  stdout=... stderr=... exit=...'."""
     proc = subprocess.run([sys.executable, "-m", "toricstab.cli", *args], cwd=cwd, env=env, capture_output=True)
-    return f"{' '.join(args)}  stdout={sha(proc.stdout)} stderr={sha(proc.stderr)} exit={proc.returncode}"
+    return f"{label}{' '.join(args)}  stdout={sha(proc.stdout)} stderr={sha(proc.stderr)} exit={proc.returncode}"
+
+
+def failure_documents() -> dict[str, str]:
+    """The text of each unreadable fan document, by file name."""
+    long_ray = '{"name": "P(1,2,3)", "dim": 2, "rays": [[1, 0], [0, 1], [-2, -%s]], "cones": [[0, 1], [1, 2], [2, 0]]}'
+    return {
+        "not-json.json": "{not json",
+        "deep-array.json": "[" * 100000 + "]" * 100000,
+        "long-integer.json": long_ray % ("3" * 5000),
+    }
 
 
 def main(argv: list[str]) -> int:
@@ -96,6 +111,13 @@ def main(argv: list[str]) -> int:
             ):
                 print(run(env, tmp, args), flush=True)
         print(run(env, tmp, ["verify"]), flush=True)
+        for path, text in failure_documents().items():
+            Path(tmp, path).write_text(text, encoding="utf-8")
+            print(run(env, tmp, ["analyze", path]), flush=True)
+        print(run(env, tmp, ["analyze", "missing.json"]), flush=True)
+        print(run(env, tmp, ["analyze", "P2.json", "--radius", "0"]), flush=True)
+        budget = dict(env, TKS_ORACLE_BUDGET="10")
+        print(run(budget, tmp, ["analyze", "P2.json", "--radius", "4"], "TKS_ORACLE_BUDGET=10 "), flush=True)
     return 0
 
 
