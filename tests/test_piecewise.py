@@ -126,8 +126,8 @@ def test_int_nth_root_matches_newton():
 
 
 def test_root_order_below_one_is_refused():
-    """m < 1 raises the same ValueError as `midpoint_root_concave`, directly
-    and through `root_floor` and `nth_root_bounds`."""
+    """m < 1 raises the same ValueError as `midpoint_root_concave`, directly,
+    through `root_floor`, and through `nth_root_bounds` at a nonzero f."""
     for m in (0, -1, -2):
         message = rf"^root order must be at least 1, got {m}$"
         with pytest.raises(ValueError, match=message):

@@ -37,6 +37,15 @@ import sys
 import tempfile
 from pathlib import Path
 
+# unreadable fan documents, by file name: not JSON, nested past the decoder's
+# recursion limit, and a ray entry longer than int() converts
+FAILURE_DOCUMENTS = {
+    "not-json.json": "{not json",
+    "deep-array.json": "[" * 100000 + "]" * 100000,
+    "long-integer.json": '{"name": "P(1,2,3)", "dim": 2, "rays": [[1, 0], [0, 1], [-2, -%s]], '
+    '"cones": [[0, 1], [1, 2], [2, 0]]}' % ("3" * 5000),
+}
+
 LIST_SPECS = "import json; from toricstab.corpus import builtin_fan_specs; print(json.dumps(builtin_fan_specs()))"
 
 
@@ -55,20 +64,10 @@ def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run(env: dict, cwd: str, args: list[str], label: str = "") -> str:
-    """One CLI run, as '[label ]command  stdout=... stderr=... exit=...'."""
+def run(env: dict, cwd: str, args: list[str]) -> str:
+    """One CLI run, as 'command  stdout=... stderr=... exit=...'."""
     proc = subprocess.run([sys.executable, "-m", "toricstab.cli", *args], cwd=cwd, env=env, capture_output=True)
-    return f"{label}{' '.join(args)}  stdout={sha(proc.stdout)} stderr={sha(proc.stderr)} exit={proc.returncode}"
-
-
-def failure_documents() -> dict[str, str]:
-    """The text of each unreadable fan document, by file name."""
-    long_ray = '{"name": "P(1,2,3)", "dim": 2, "rays": [[1, 0], [0, 1], [-2, -%s]], "cones": [[0, 1], [1, 2], [2, 0]]}'
-    return {
-        "not-json.json": "{not json",
-        "deep-array.json": "[" * 100000 + "]" * 100000,
-        "long-integer.json": long_ray % ("3" * 5000),
-    }
+    return f"{' '.join(args)}  stdout={sha(proc.stdout)} stderr={sha(proc.stderr)} exit={proc.returncode}"
 
 
 def main(argv: list[str]) -> int:
@@ -111,13 +110,13 @@ def main(argv: list[str]) -> int:
             ):
                 print(run(env, tmp, args), flush=True)
         print(run(env, tmp, ["verify"]), flush=True)
-        for path, text in failure_documents().items():
+        for path, text in FAILURE_DOCUMENTS.items():
             Path(tmp, path).write_text(text, encoding="utf-8")
             print(run(env, tmp, ["analyze", path]), flush=True)
         print(run(env, tmp, ["analyze", "missing.json"]), flush=True)
         print(run(env, tmp, ["analyze", "P2.json", "--radius", "0"]), flush=True)
         budget = dict(env, TKS_ORACLE_BUDGET="10")
-        print(run(budget, tmp, ["analyze", "P2.json", "--radius", "4"], "TKS_ORACLE_BUDGET=10 "), flush=True)
+        print("TKS_ORACLE_BUDGET=10 " + run(budget, tmp, ["analyze", "P2.json", "--radius", "4"]), flush=True)
     return 0
 
 
