@@ -46,12 +46,11 @@ def alpha_invariant(fan: Fan) -> AlphaResult:
     """Exact alpha invariant with witness divisor and per-ray thresholds."""
     poly = fan.anticanonical_polytope()
     (d, rows), table = poly.vertex_matrix, poly.normal_table
-    # per ray, the top of its column; ties go to the lexicographically largest
-    # vertex: its row D * u, as D > 0
-    argmax = [max(range(len(rows)), key=lambda k: (column[k], rows[k])) for column in zip(*table)]
-    tops = [table[k][j] for j, k in enumerate(argmax)]
-    worst = max(range(len(tops)), key=lambda j: (tops[j], -j))
-    k = argmax[worst]
+    # per ray, the top of its column; the witness is the first ray with the largest top, at
+    # the lexicographically largest vertex attaining it: its row D * u, as D > 0
+    tops = [max(column) for column in zip(*table)]
+    worst = tops.index(max(tops))
+    k = max(range(len(rows)), key=lambda k: (table[k][worst], rows[k]))
     return AlphaResult(
         alpha=Fraction(d, d + tops[worst]),
         witness_ray_index=worst,

@@ -5,11 +5,11 @@ index lists, kept as sorted tuples.  Validation enforces, eagerly and exactly:
 
   * a dimension, ray coordinates and cone indices of exact type int;
   * primitive, nonzero, pairwise distinct rays, each used by some cone;
-  * every maximal cone simplicial and full-dimensional: one elimination
-    gives the first cone's adjugate adj and table adj . [I | V | x0] (rays
-    V, x0 inside the cone); across a wall where ray p gives way to v, the
-    column c = adj . v gives the next cone's multiplicity |c_p| and, by
-    Bareiss's exact rank-one update, its table;
+  * every maximal cone simplicial and full-dimensional: one exact rank-one
+    step (Bareiss) carries the table adj . [I | V | x0] (rays V, x0 inside
+    the first cone) from the standard basis to the first cone, one ray at a
+    time, and then across each wall: where p gives way to v, the column
+    c = adj . v gives the new multiplicity |c_p| (c_p = 0: singular);
   * completeness: every wall (facet of a maximal cone) is shared by exactly
     two cones lying on opposite sides of it (c_p < 0), and x0 lies in no
     other cone.  Crossing a wall then never changes how many cones cover a
@@ -40,11 +40,12 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from itertools import permutations, product
+from functools import cached_property
+from itertools import chain, permutations, product, repeat
 from typing import Optional, Sequence
 
 from .errors import InvariantViolation
-from .lattice import LatticeVec, adjugate, primitivize
+from .lattice import LatticeVec, primitivize
 from .polytopes import RationalPolytope, default_oracle_budget
 
 
@@ -57,6 +58,16 @@ def _int_vector(v: Sequence[int], what: str = "vector entries") -> tuple[int, ..
 
 
 Matrix = tuple[tuple[int, ...], ...]
+
+
+def _exchange(table: Sequence[LatticeVec], mult: int, p: int, col: int) -> tuple[list[LatticeVec], int]:
+    """table = mult . B^-1 . M (mult = |det B|) once basis vector p gives way to M's column col:
+    for c that column of the table, mult becomes |c_p|, row p sign(c_p) table[p] and row i
+    (|c_p| table[i] - c_i sign(c_p) table[p]) / mult, an exact division (Bareiss's update)."""
+    tp = table[p] if table[p][col] > 0 else tuple([-y for y in table[p]])
+    a = tp[col]
+    return [tp if i == p else tuple([(a * x - row[col] * y) // mult for x, y in zip(row, tp)])
+            for i, row in enumerate(table)], a
 
 
 class Fan:
@@ -111,30 +122,27 @@ class Fan:
         inner = [sum(col) for col in zip(*(rays[j] for j in cones[shaped[0]]))] if shaped else []
         # breadth first from each cone that no walk reached; c_p = 0 leaves a singular cone None
         for seed in (ci for ci in shaped if tables[ci] is None):
-            solved = adjugate([[rays[j][i] for j in cones[seed]] for i in range(n)])
-            if solved is None:
-                continue
-            d, adj = solved
-            adj, mults[seed] = [[x if d > 0 else -x for x in row] for row in adj], abs(d)
-            tables[seed] = [(*row, *(sum(map(operator.mul, row, v)) for v in (*rays, inner))) for row in adj]
-            for ci in (queue := [seed]):
-                table, mult = tables[ci], mults[ci]
-                for p in range(n):
-                    for cj, q in around[ci][p]:
-                        if tables[cj] is not None:
-                            continue
-                        j = cones[cj][q]
-                        c = [row[n + j] for row in table]  # adj . v_j
-                        if c[p] == 0:  # singular
-                            continue
-                        s, tp = (1 if c[p] > 0 else -1), table[p]
-                        a, new = s * c[p], {j: tp if s > 0 else tuple([-y for y in tp])}
-                        for i, (k, row, ck) in enumerate(zip(cones[ci], table, c)):
-                            if i != p:
-                                b = s * ck
-                                new[k] = tuple([(a * x - b * y) // mult for x, y in zip(row, tp)])
-                        tables[cj], mults[cj] = [new[k] for k in cones[cj]], a
-                        queue.append(cj)
+            # from [I | V | x0] over the standard basis, ray k of the seed takes the place of a standard
+            # vector where its column is nonzero; with none left, it is in the span of rays 0..k-1
+            table, mult = [(*(int(i == k) for k in range(n)), *col) for i, col in enumerate(zip(*rays, inner))], 1
+            for k, j in enumerate(cones[seed]):
+                p = next((p for p in range(k, n) if table[p][n + j]), None)
+                if p is None:  # singular
+                    break
+                table, mult = _exchange(table, mult, p, n + j)
+                table.insert(k, table.pop(p))  # rows 0..k hold rays 0..k, standard vectors below
+            else:
+                tables[seed], mults[seed] = table, mult
+                for ci in (queue := [seed]):
+                    table, mult = tables[ci], mults[ci]
+                    for p in range(n):
+                        for cj, q in around[ci][p]:
+                            col = n + cones[cj][q]
+                            if tables[cj] is not None or table[p][col] == 0:  # reached, or singular
+                                continue
+                            tables[cj], mults[cj] = _exchange(table, mult, p, col)
+                            tables[cj].insert(q, tables[cj].pop(p))  # into cone cj's ray order
+                            queue.append(cj)
         for ci, cone in enumerate(cones):
             if len(cone) != n:
                 raise InvariantViolation(
@@ -145,22 +153,25 @@ class Fan:
                 raise InvariantViolation(f"maximal cone {ci} references a missing ray")
             if tables[ci] is None:
                 raise InvariantViolation(f"maximal cone {ci} is not simplicial")
-        unused = sorted(set(range(len(rays))).difference(*cones))
-        if unused:
+        if unused := sorted(set(range(len(rays))).difference(*cones)):
             raise InvariantViolation(f"rays {unused} appear in no maximal cone")
         if not walls or any(len(sides) != 2 for sides in walls.values()):
             raise InvariantViolation("fan not complete")
-        # table[k][n + j] is ray j's k-th cone coordinate times |det|: sign tests are entry tests
-        for (ci, p), (cj, q) in walls.values():  # c_p of the wall, from its first cone
-            if tables[ci][p][n + cones[cj][q]] >= 0:
-                raise InvariantViolation("overlapping maximal cones")
-        for table in tables[1:]:
-            if min(map(operator.itemgetter(-1), table)) >= 0:
-                raise InvariantViolation("overlapping maximal cones")
-        self._cone_adjugates: list[Matrix] = [tuple([row[:n] for row in table]) for table in tables]
+        # table[k][n + j] is ray j's k-th cone coordinate times |det|, so the signs of c_p on each
+        # wall (from its first cone) and of x0's coordinates in every other cone are entry tests
+        if any(tables[ci][p][n + cones[cj][q]] >= 0 for (ci, p), (cj, q) in walls.values()) or any(
+            min(map(operator.itemgetter(-1), table)) >= 0 for table in tables[1:]
+        ):
+            raise InvariantViolation("overlapping maximal cones")
+        self._cone_tables: list[list[tuple[int, ...]]] = tables
         self._cone_mults: list[int] = mults
         # column sums: -mult * m_sigma, -mult * <m_sigma, v_j> for every ray j, and x0's
         self._cone_sums: list[list[int]] = [list(map(sum, zip(*table))) for table in tables]
+
+    @cached_property
+    def _cone_adjugates(self) -> list[Matrix]:
+        """Each maximal cone's adj = mult . B^-1, the first n columns of its table."""
+        return [tuple([row[: self.dimension] for row in table]) for table in self._cone_tables]
 
     # -- cone queries ---------------------------------------------------------
 
@@ -188,15 +199,16 @@ class Fan:
                 # minus the products are mult on sigma's n rays: Q-Fano is no other one >= mult
                 if sum(x >= mult for x in sums[n:-1]) > n:
                     raise InvariantViolation(f"not Q-Fano: -K is not ample on maximal cone {ci}")
-                scaled = [x * (d // -mult) for x in sums]
-                paired.append((scaled[:n], cone, mult, scaled[n:-1]))
+                k = d // -mult
+                paired.append((tuple([x * k for x in sums[:n]]), cone, mult, tuple([x * k for x in sums[n:-1]])))
             paired.sort()  # by the rows D * m_sigma, D > 0: the vertices are distinct
             rows, self._vertex_cones, mults, products = zip(*paired)
-            g = math.gcd(d, *(x for row in rows for x in row))
-            halfspaces = tuple((ray, Fraction(-1)) for ray in self.rays)
+            g = math.gcd(d, *chain.from_iterable(rows))
+            if g > 1:
+                rows = [tuple([x // g for x in row]) for row in rows]
+                d, products = d // g, [tuple([x // g for x in row]) for row in products]
             self._polytope = RationalPolytope._from_int_form(
-                halfspaces, d // g, [tuple(x // g for x in row) for row in rows],
-                [tuple(x // g for x in row) for row in products], n, (self._vertex_cones, mults)
+                tuple(zip(self.rays, repeat(Fraction(-1)))), d, rows, products, n, (self._vertex_cones, mults)
             )
         return self._polytope
 

@@ -8,8 +8,8 @@ here is a pure function; no floating point is used anywhere.
 Every determinant, rank, solve, inverse and adjugate here goes through
 `echelon`: forward fraction-free elimination (Bareiss, Math. Comp. 22, 1968)
 on rows scaled to integers one at a time, and solves finish with integer
-back-substitution.  Only a fan's first cone is eliminated: `fans` updates the
-adjugate across each wall by the same exact division, a rank-one step.
+back-substitution.  A fan eliminates no cone: `fans` reaches every cone's
+adjugate from the standard basis by rank-one steps with the same division.
 """
 
 from __future__ import annotations

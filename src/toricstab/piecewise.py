@@ -334,7 +334,9 @@ def root_floor(num: int, den: int, m: int, scale: int) -> int:
 
 
 def nth_root_bounds(f: Fraction, m: int, scale: int) -> tuple[Fraction, Fraction]:
-    """Rational bracket lo <= f^(1/m) <= hi of width 1/scale, exactly verified."""
+    """Rational bracket lo <= f^(1/m) <= hi of width 1/scale, exactly verified; m < 1 raises ValueError."""
+    if m < 1:
+        raise ValueError(f"root order must be at least 1, got {m}")
     if f < 0:
         raise ValueError("negative radicand")
     if m == 1 or f == 0:

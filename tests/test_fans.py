@@ -15,7 +15,7 @@ from fraction_oracles import cone_coordinates, contains, walls
 from toricstab.corpus import builtin_fan_specs
 from toricstab.errors import InvariantViolation
 from toricstab.fans import Fan
-from toricstab.lattice import adjugate, matrix_inverse
+from toricstab.lattice import adjugate, echelon, matrix_inverse
 from toricstab.workbench import load_builtin_fan
 
 
@@ -383,12 +383,18 @@ def bench_workloads(monkeypatch):
 
 
 def test_cone_adjugates_equal_one_elimination_per_cone(monkeypatch, q_fano_fans):
-    """The wall walk stores what eliminating every cone gives, with one elimination per fan.
+    """`Fan(...)` runs no elimination, yet every cone's table is the one
+    that eliminating that cone gives.
 
-    The fans are every corpus fan, every Q-Fano star subdivision of the test
-    corpus (which has cones of multiplicity > 1, so the walk divides by a
-    multiplicity other than 1) and every relabelled spec of the three bench
-    workloads for seeds 1-10.
+    No `lattice.echelon` call is made while the fans are built; afterwards
+    each cone's multiplicity and adjugate are those of `lattice.adjugate` on
+    its ray matrix, and its table is adj . [I | V | x0], x0 the sum of cone
+    0's rays.  The fans are every corpus fan, every Q-Fano star subdivision
+    of the test corpus (which has cones of multiplicity > 1, so the walk
+    divides by a multiplicity other than 1), every relabelled spec of the
+    three bench workloads for seeds 1-10, and two fans whose seed cone 0
+    tests the exchanges from the standard basis: P2 with first ray (0, 1),
+    which cannot take position 0, and P(1,1,2) with cone 0 of multiplicity 2.
     """
     workloads = bench_workloads(monkeypatch)
     inputs = [(fan.dimension, fan.rays, fan.max_cones) for fan in q_fano_fans]
@@ -399,24 +405,30 @@ def test_cone_adjugates_equal_one_elimination_per_cone(monkeypatch, q_fano_fans)
         for spec in workloads.build(name, seed).specs
     ]
     assert len(inputs) == len(q_fano_fans) + 270
+    inputs += [(2, [[0, 1], [1, 0], [-1, -1]], [[0, 1], [1, 2], [0, 2]])]
+    inputs += [(2, [[1, 0], [0, 1], [-1, -2]], [[0, 2], [0, 1], [1, 2]])]
     calls = []
 
-    def counted(rows):
-        calls.append(rows)
-        return adjugate(rows)
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return echelon(*args, **kwargs)
 
-    monkeypatch.setattr("toricstab.fans.adjugate", counted)
+    with monkeypatch.context() as patch:
+        patch.setattr("toricstab.lattice.echelon", counted)
+        fans = [Fan(dim, rays, cones) for dim, rays, cones in inputs]
+    assert calls == []
+    assert fans[-2].rays[fans[-2].max_cones[0][0]][0] == 0
+    assert fans[-1]._cone_mults[0] == 2
     multiplicities = set()
-    for dim, rays, cones in inputs:
-        calls.clear()
-        fan = Fan(dim, rays, cones)
-        assert len(calls) == 1, fan
+    for fan in fans:
+        x0 = [sum(col) for col in zip(*(fan.rays[j] for j in fan.max_cones[0]))]
         for ci, cone in enumerate(fan.max_cones):
-            d, adj = adjugate([[fan.rays[j][i] for j in cone] for i in range(dim)])
-            assert fan._cone_mults[ci] == abs(d), (fan, ci)
-            assert fan._cone_adjugates[ci] == tuple(
-                tuple(x if d > 0 else -x for x in row) for row in adj
-            ), (fan, ci)
+            d, adj = adjugate([[fan.rays[j][i] for j in cone] for i in range(fan.dimension)])
+            adj = tuple(tuple(x if d > 0 else -x for x in row) for row in adj)
+            assert (fan._cone_mults[ci], fan._cone_adjugates[ci]) == (abs(d), adj), (fan, ci)
+            columns = (*fan.rays, x0)
+            table = [(*row, *(sum(map(operator.mul, row, v)) for v in columns)) for row in adj]
+            assert fan._cone_tables[ci] == table, (fan, ci)
         multiplicities.update(fan._cone_mults)
     assert {1, 2, 3} <= multiplicities
 

@@ -127,7 +127,8 @@ def test_int_nth_root_matches_newton():
 
 def test_root_order_below_one_is_refused():
     """m < 1 raises the same ValueError as `midpoint_root_concave`, directly,
-    through `root_floor`, and through `nth_root_bounds` at a nonzero f."""
+    through `root_floor`, and through `nth_root_bounds` at a nonzero f and
+    at f = 0, which `nth_root_bounds` would otherwise return unrooted."""
     for m in (0, -1, -2):
         message = rf"^root order must be at least 1, got {m}$"
         with pytest.raises(ValueError, match=message):
@@ -136,6 +137,8 @@ def test_root_order_below_one_is_refused():
             root_floor(27, 1, m, 10)
         with pytest.raises(ValueError, match=message):
             nth_root_bounds(F(2), m, 10)
+        with pytest.raises(ValueError, match=message):
+            nth_root_bounds(F(0), m, 10)
 
 
 def test_nth_root_bounds_bracket():

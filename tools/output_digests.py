@@ -14,17 +14,19 @@ then `analyze --radius 1` on the product fans of the benchmark workloads,
 built from the corpus specs with rays (v, 0), (0, v') and cones
 sigma x sigma', with `screen --radius 3` on the 3-folds (P1xP2,
 P1xP(1,2,3), P1xdP6, P1xdP8) and `beta --w 1,1,1,1` on the 4-folds (P2xP2,
-P1xP3); then `verify` once.  Last come one run for each documented
+P1xP3); then `verify` once.  Last come runs that end in each documented
 failure exit code, so that the error paths are compared too: `analyze` on
 three unreadable documents and a missing file (exit 2: `{not json`, an
 array nested 100,000 deep, a P(1,2,3) spec whose last ray has a 5,000-digit
-entry), `analyze --radius 0` on P2 (exit 3) and `analyze --radius 4` on P2
-with TKS_ORACLE_BUDGET=10 (exit 4).  Each run prints one line: the command,
-the SHA-256 of its stdout and of its stderr and its exit code, and for
-`volfn` the SHA-256 of the CSV.  Every path is relative to the temporary
-directory, so two checkouts print the same lines exactly when their
-outputs are byte-identical: diff the files of two checkouts.
-Standard library only.
+entry), on four fans that fail validation (exit 3: cone 0 singular, so the
+walk starts from another cone; a gap; a pentagram, whose cones overlap; a
+fan that is not Q-Fano), `analyze --radius 0` on P2 (exit 3) and
+`analyze --radius 4` on P2 with TKS_ORACLE_BUDGET=10 (exit 4).  Each run
+prints one line: the command, the SHA-256 of its stdout and of its stderr
+and its exit code, and for `volfn` the SHA-256 of the CSV.  Every path is
+relative to the temporary directory, so two checkouts print the same lines
+exactly when their outputs are byte-identical: diff the files of two
+checkouts.  Standard library only.
 """
 
 from __future__ import annotations
@@ -37,13 +39,23 @@ import sys
 import tempfile
 from pathlib import Path
 
-# unreadable fan documents, by file name: not JSON, nested past the decoder's
-# recursion limit, and a ray entry longer than int() converts
+# failing fan documents, by file name: not JSON, nested past the decoder's
+# recursion limit, a ray entry longer than int() converts, and four fans that
+# fail validation: cone 0 singular, a gap, overlapping cones, not Q-Fano
 FAILURE_DOCUMENTS = {
     "not-json.json": "{not json",
     "deep-array.json": "[" * 100000 + "]" * 100000,
     "long-integer.json": '{"name": "P(1,2,3)", "dim": 2, "rays": [[1, 0], [0, 1], [-2, -%s]], '
     '"cones": [[0, 1], [1, 2], [2, 0]]}' % ("3" * 5000),
+    **{
+        f"{name}.json": json.dumps({"name": name, "dim": 2, "rays": rays, "cones": cones})
+        for name, rays, cones in (
+            ("singular-cone", [[1, 0], [0, 1], [-1, 0], [0, -1]], [[0, 2], [1, 2], [2, 3], [3, 0]]),
+            ("gap", [[1, 0], [0, 1], [-1, -1]], [[0, 1], [1, 2]]),
+            ("pentagram", [[1, 0], [1, 2], [-1, 1], [-1, -1], [1, -2]], [[0, 2], [2, 4], [4, 1], [1, 3], [3, 0]]),
+            ("not-q-fano", [[1, 0], [0, 1], [-1, 2], [0, -1]], [[0, 1], [1, 2], [2, 3], [3, 0]]),
+        )
+    },
 }
 
 LIST_SPECS = "import json; from toricstab.corpus import builtin_fan_specs; print(json.dumps(builtin_fan_specs()))"
