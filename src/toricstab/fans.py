@@ -30,9 +30,10 @@ table T[k][j] = D <m_k, v_j>.  The fan keeps the vertex-cone pairing
 at m_sigma, the rays tight at a vertex (T = -D) are those of its cone, and
 with their multiplicities they triangulate P (`polytopes.triangulate`).
 
-The automorphisms of a fan (`Fan.automorphisms`) are the integer matrices
-that permute its rays and its maximal cones; they act on the anticanonical
-polytope, so valuation invariants are constant on their orbits.
+The automorphisms of a fan are the integer matrices that permute its rays
+and its maximal cones; they act on the anticanonical polytope, so valuation
+invariants are constant on their orbits.  `Fan.automorphism_generators`
+returns a strong generating set of them, never the whole group.
 """
 
 from __future__ import annotations
@@ -40,8 +41,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from functools import cached_property
-from itertools import chain, permutations, product, repeat
+from itertools import chain, product, repeat
 from typing import Optional, Sequence
 
 from .errors import InvariantViolation
@@ -92,7 +92,7 @@ class Fan:
         self._ray_lookup = {ray: i for i, ray in enumerate(self.rays)}
         self._polytope: Optional[RationalPolytope] = None
         self._vertex_cones: Optional[tuple[tuple[int, ...], ...]] = None
-        self._automorphisms: Optional[tuple[Matrix, ...]] = None
+        self._generators: Optional[tuple[Matrix, ...]] = None
         self._validate()
 
     # -- validation ---------------------------------------------------------
@@ -168,11 +168,6 @@ class Fan:
         # column sums: -mult * m_sigma, -mult * <m_sigma, v_j> for every ray j, and x0's
         self._cone_sums: list[list[int]] = [list(map(sum, zip(*table))) for table in tables]
 
-    @cached_property
-    def _cone_adjugates(self) -> list[Matrix]:
-        """Each maximal cone's adj = mult . B^-1, the first n columns of its table."""
-        return [tuple([row[: self.dimension] for row in table]) for table in self._cone_tables]
-
     # -- cone queries ---------------------------------------------------------
 
     def ray_index(self, v: Sequence[int]) -> Optional[int]:
@@ -222,55 +217,56 @@ class Fan:
         """The anticanonical self-intersection number n! * vol(P)."""
         return math.factorial(self.dimension) * self.anticanonical_polytope().volume()
 
-    def automorphisms(self) -> tuple[Matrix, ...]:
-        """The integer matrices that permute the rays and the maximal cones, as row tuples.
+    def automorphism_generators(self) -> tuple[Matrix, ...]:
+        """A strong generating set of the fan's automorphisms, as row tuples.
 
-        Such a matrix A is fixed by the images of cone 0's rays, which are the
-        rays of some maximal cone in some order.  With those targets as the
-        columns of T, A = T . adj / mult for cone 0's stored adjugate and
-        multiplicity; a candidate is kept when it is integral and maps the
-        rays and the cones onto themselves.  Every kept A has finite order,
-        so det A = +-1, and it acts on the anticanonical polytope: every
-        invariant of a valuation is the same at w and at A w.
-
-        The group is built on first call and cached.  When its |cones| * n!
-        candidates exceed the oracle budget, none is tried and the group is
-        the identity alone, a valid subgroup for every caller.
+        An automorphism A is fixed by the images t_k of cone 0's rays b_k,
+        the rays of a maximal cone: ray j goes to sum_k c_jk v_(t_k) / mult,
+        c_j its column of cone 0's table.  Sims's stabiliser chain of b_0,
+        b_1, ... is searched deepest level first (Seress, *Permutation Group
+        Algorithms*, ch. 4): at level k each ray that the generators so far
+        cannot carry b_k to is tried as its image, b_0 ... b_(k-1) fixed, by
+        a backtrack over images of b_(k+1), ... that share a maximal cone
+        with those placed.  Ray j is tested once the last base ray it uses
+        is placed, and the first automorphism found is kept.  Cached; when
+        the |cones| * n! candidates exceed the oracle budget, no search runs
+        and, as for a rigid fan, there are no generators.
         """
-        if self._automorphisms is None:
-            n = self.dimension
-            if len(self.max_cones) * math.factorial(n) > default_oracle_budget():
-                identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-                self._automorphisms = (identity,)
-            else:
-                self._automorphisms = tuple(self._search_automorphisms())
-        return self._automorphisms
+        n, rays, cones = self.dimension, self.rays, self.max_cones
+        if self._generators is not None or len(cones) * math.factorial(n) > default_oracle_budget():
+            return self._generators or ()
+        mult, base, cone_set = self._cone_mults[0], cones[0], set(cones)
+        cols = list(zip(*self._cone_tables[0]))  # adj's columns, then ray j's c_j at n + j
+        due = [[j for j, c in enumerate(cols[n:-1]) if c[k] and not any(c[k + 1 :])] for k in range(n)]
+        lookup = {tuple([mult * x for x in ray]): j for j, ray in enumerate(rays)}
+        perm, found = list(range(len(rays))), []  # found: (matrix, ray permutation) pairs
 
-    def _search_automorphisms(self) -> list[Matrix]:
-        n = self.dimension
-        adj, mult = self._cone_adjugates[0], self._cone_mults[0]
-        cones = set(self.max_cones)
-        found = []
-        for cone in self.max_cones:
-            for targets in permutations(cone):
-                # A B = T, with B cone 0's rays and T the targets as columns
-                columns = [self.rays[t] for t in targets]
-                scaled = [
-                    [sum(v[row] * adj[k][col] for k, v in enumerate(columns)) for col in range(n)]
-                    for row in range(n)
-                ]
-                if any(x % mult for r in scaled for x in r):
-                    continue
-                matrix = tuple(tuple(x // mult for x in r) for r in scaled)
-                perm = [
-                    self._ray_lookup.get(tuple(sum(map(operator.mul, row, v)) for row in matrix))
-                    for v in self.rays
-                ]
-                if None not in perm and all(
-                    tuple(sorted(perm[i] for i in c)) in cones for c in self.max_cones
-                ):
-                    found.append(matrix)
-        return found
+        def extend(t: list[int], shared: set[int]) -> bool:
+            """Send ray j due at b_(len(t) - 1) to c_j . t / mult, then place t's next ray."""
+            rows = list(zip(*map(rays.__getitem__, t)))  # T, with the rays t as columns
+            for j in due[len(t) - 1]:
+                perm[j] = lookup.get(tuple([sum(map(operator.mul, cols[n + j], row)) for row in rows]))
+                if perm[j] is None:
+                    return False
+            if len(t) < n:
+                free = sorted({r for ci in shared for r in cones[ci]}.difference(t))
+                return any(extend([*t, s], {ci for ci in shared if s in cones[ci]}) for s in free)
+            scaled = [[sum(map(operator.mul, col, row)) for col in cols[:n]] for row in rows]  # T . adj
+            images = {tuple(sorted(map(perm.__getitem__, c))) for c in cones}
+            if images != cone_set or any(x % mult for row in scaled for x in row):
+                return False
+            found.append((tuple(tuple([x // mult for x in row]) for row in scaled), tuple(perm)))
+            return True
+
+        for k in reversed(range(n)):
+            orbit = [base[k]]
+            for target in range(len(rays)):
+                for x in orbit:  # b_k's orbit under the generators so far
+                    orbit.extend({p[x] for _, p in found}.difference(orbit))
+                if target not in orbit and target not in base[:k]:
+                    extend(t := [*base[:k], target], {ci for ci, c in enumerate(cones) if {*t} <= {*c}})
+        self._generators = tuple(a for a, _ in found)
+        return self._generators
 
     def star_subdivision(self, w: Sequence[int]) -> "Fan":
         """The stellar refinement inserting the primitive ray w.
@@ -287,8 +283,9 @@ class Fan:
         new_rays = list(self.rays) + [w]
         w_index = len(self.rays)
         new_cones: list[tuple[int, ...]] = []
-        for cone, adj in zip(self.max_cones, self._cone_adjugates):
-            signs = [sum(map(operator.mul, row, w)) for row in adj]  # w's cone coordinates times |det|
+        for cone, table in zip(self.max_cones, self._cone_tables):
+            # w's cone coordinates times |det|: map stops at w's length, so it reads adj's n columns
+            signs = [sum(map(operator.mul, row, w)) for row in table]
             if any(s < 0 for s in signs):
                 new_cones.append(cone)
                 continue

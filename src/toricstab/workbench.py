@@ -252,19 +252,20 @@ class StabilityReport:
 
 def orbit_profiles(fan: Fan, battery: Sequence[ToricValuation]) -> tuple[ValuationProfile, ...]:
     """`valuation_profile` of every battery valuation, once per orbit of the
-    fan automorphisms (`Fan.automorphisms`) together with -1.
+    fan automorphisms together with -1.
 
     Every invariant is the same at w and at A w for an automorphism A, so
     the first member of each orbit in battery order gets a profile and the
     others a copy at their own w (`ValuationProfile.moved`) whose beta is
-    checked there: a map that is no automorphism raises.  A first member
-    whose -w has a profile gets the mirrored one (`mirrored_profile`).
-    Proof: f = <u, w> + A(w) runs over [0, tau] on P, and <u, -w> + A(-w)
-    = tau - f as A(w) + A(-w) = max <u, w> - min <u, w>.  So tau(-w) = tau,
-    {tau - f >= tau - x} is the complement of {f > x} in P, and
-    vol_w(x) = V - vol_{-w}(tau - x); integrating, beta(w) = -beta(-w).
+    checked there: a map that is no automorphism raises.  Orbits are closed
+    under `Fan.automorphism_generators` over all points, not only the box's.
+    A first member whose -w has a profile gets the mirrored one
+    (`mirrored_profile`): f = <u, w> + A(w) runs over [0, tau] on P, and
+    <u, -w> + A(-w) = tau - f as A(w) + A(-w) = max <u, w> - min <u, w>.
+    So tau(-w) = tau, {tau - f >= tau - x} is the complement of {f > x} in
+    P, and vol_w(x) = V - vol_{-w}(tau - x); integrating, beta(w) = -beta(-w).
     """
-    group = fan.automorphisms()
+    generators = fan.automorphism_generators()
     members = {val.w for val in battery}
     profiles: dict[tuple[int, ...], ValuationProfile] = {}
     for val in battery:
@@ -272,21 +273,23 @@ def orbit_profiles(fan: Fan, battery: Sequence[ToricValuation]) -> tuple[Valuati
             continue
         minus = profiles.get(tuple(-x for x in val.w))
         profile = valuation_profile(val) if minus is None else mirrored_profile(val, minus)
-        for matrix in group:
-            image = tuple(sum(map(operator.mul, row, val.w)) for row in matrix)
-            if image in members and image not in profiles:
-                profiles[image] = profile if image == val.w else profile.moved(image)
+        orbit = {val.w}  # the group need not preserve the battery's box
+        for w in (queue := [val.w]):
+            fresh = {tuple(sum(map(operator.mul, row, w)) for row in a) for a in generators} - orbit
+            orbit |= fresh
+            queue += fresh
+        profiles.update({image: profile if image == val.w else profile.moved(image) for image in members & orbit})
     return tuple(profiles[val.w] for val in battery)
 
 
 def analyze(fan: Fan, radius: int = 4) -> StabilityReport:
     """Full stability report over the primitive valuation battery.
 
-    Profiles are computed once per orbit of the fan automorphisms and -1
-    (`orbit_profiles`), each beta checked against the exact barycenter
-    identity, from which the semistability verdict comes: the battery holds
-    every +-e_i, so its minimum beta is negative exactly when b != 0.  The
-    projective-space screen is `screen_projective_space`'s.
+    Profiles are computed once per orbit of the automorphisms and -1, closed
+    under the fan's generators (`orbit_profiles`); each beta is checked
+    against the exact barycenter identity, the source of the semistability
+    verdict: the battery holds every +-e_i, so its minimum beta is negative
+    exactly when b != 0.  The screen is `screen_projective_space`'s.
     """
     poly = fan.anticanonical_polytope()
     barycenter = poly.barycenter()

@@ -63,7 +63,7 @@ def anticanonical_polytope(fan):
     for ci, cone in enumerate(fan.max_cones):
         # mult * m_sigma = adj^T (-1, ..., -1), so <m_sigma, v> <= -1 is an integer test
         mult = fan._cone_mults[ci]
-        m = [-sum(col) for col in zip(*fan._cone_adjugates[ci])]
+        m = [-sum(col) for col in zip(*(row[: fan.dimension] for row in fan._cone_tables[ci]))]
         outside = (v for j, v in enumerate(fan.rays) if j not in cone)
         if any(sum(map(operator.mul, m, v)) <= -mult for v in outside):
             raise InvariantViolation(f"not Q-Fano: -K is not ample on maximal cone {ci}")

@@ -205,6 +205,16 @@ def test_overlapping_cones_detected():
         )
 
 
+def test_double_cover_with_x0_on_a_second_sheet_face_is_rejected():
+    """The eight rays of the octagon taken in order wind twice around the
+    origin, and every wall has one cone on each side of it.  x0 = (1, 1),
+    inside cone 0, lies on ray 4, a face of the two second-sheet cones
+    (3, 4) and (4, 5): a point on a cone's face counts as covered."""
+    rays = [[1, 0], [0, 1], [-1, 0], [0, -1], [1, 1], [-1, 1], [-1, -1], [1, -1]]
+    with pytest.raises(InvariantViolation, match="overlapping maximal cones"):
+        Fan(2, rays, [[i, (i + 1) % 8] for i in range(8)])
+
+
 def test_is_smooth(p2, p123, square, p3):
     assert p2.is_smooth()
     assert square.is_smooth()
@@ -425,7 +435,8 @@ def test_cone_adjugates_equal_one_elimination_per_cone(monkeypatch, q_fano_fans)
         for ci, cone in enumerate(fan.max_cones):
             d, adj = adjugate([[fan.rays[j][i] for j in cone] for i in range(fan.dimension)])
             adj = tuple(tuple(x if d > 0 else -x for x in row) for row in adj)
-            assert (fan._cone_mults[ci], fan._cone_adjugates[ci]) == (abs(d), adj), (fan, ci)
+            adjugate_columns = tuple(row[: fan.dimension] for row in fan._cone_tables[ci])
+            assert (fan._cone_mults[ci], adjugate_columns) == (abs(d), adj), (fan, ci)
             columns = (*fan.rays, x0)
             table = [(*row, *(sum(map(operator.mul, row, v)) for v in columns)) for row in adj]
             assert fan._cone_tables[ci] == table, (fan, ci)
@@ -444,7 +455,8 @@ def test_the_walk_on_relabelled_fans_equals_one_elimination_per_cone(relabelled_
         for ci, cone in enumerate(fan.max_cones):
             d, adj = adjugate([[fan.rays[j][i] for j in cone] for i in range(n)])
             adj = tuple(tuple(x if d > 0 else -x for x in row) for row in adj)
-            assert (fan._cone_mults[ci], fan._cone_adjugates[ci]) == (abs(d), adj), (fan, ci)
+            adjugate_columns = tuple(row[:n] for row in fan._cone_tables[ci])
+            assert (fan._cone_mults[ci], adjugate_columns) == (abs(d), adj), (fan, ci)
             columns = [*zip(*adj), *([sum(map(operator.mul, row, v)) for row in adj] for v in fan.rays)]
             assert fan._cone_sums[ci][: n + len(fan.rays)] == [sum(col) for col in columns], (fan, ci)
         oracle, vertices, vertex_cones = fraction_oracles.anticanonical_polytope(fan)
@@ -484,14 +496,36 @@ def test_q_fano_is_checked_only_by_the_polytope(corpus_fans):
 # -- automorphisms ---------------------------------------------------------------
 
 
-def test_automorphisms_match_the_bench_reference(monkeypatch, corpus_fans):
-    """Fan.automorphisms equals the bench's search over all ordered ray tuples."""
+def group_closure(generators, n):
+    """The matrix group the generators generate, by closure from the identity."""
+    group = [tuple(tuple(int(i == j) for j in range(n)) for i in range(n))]
+    seen = set(group)
+    for a in group:
+        for g in generators:
+            product = tuple(tuple(sum(map(operator.mul, row, col)) for col in zip(*a)) for row in g)
+            if product not in seen:
+                seen.add(product)
+                group.append(product)
+    return seen
+
+
+def test_automorphisms_match_the_bench_reference(monkeypatch, corpus_fans, relabelled_fans):
+    """The group that `Fan.automorphism_generators` generates equals the
+    bench's search over all ordered ray tuples, on the corpus, on every
+    relabelled fan and on the products P1xP2, P2xP2 and P1xP3.  There are at
+    most log2 |G| generators: each lies outside the group of those before it."""
     workloads = bench_workloads(monkeypatch)
     specs = builtin_fan_specs()
-    for fan in corpus_fans:
-        group = fan.automorphisms()
-        assert len(set(group)) == len(group)
-        assert set(group) == set(workloads.automorphisms(specs[fan.name])), fan.name
+    cases = [(fan, specs[fan.name]) for fan in corpus_fans]
+    for a, b in (("P1", "P2"), ("P2", "P2"), ("P1", "P3")):
+        spec = workloads.product_spec(specs[a], specs[b])
+        cases.append((Fan(spec["dim"], spec["rays"], spec["cones"], name=spec["name"]), spec))
+    cases += [(fan, {"dim": fan.dimension, "rays": fan.rays, "cones": fan.max_cones}) for fan in relabelled_fans]
+    for fan, spec in cases:
+        generators = fan.automorphism_generators()
+        group = group_closure(generators, fan.dimension)
+        assert group == set(workloads.automorphisms(spec)), fan.name
+        assert 2 ** len(generators) <= len(group), fan.name  # each generator at least doubles the group
 
 
 @pytest.mark.parametrize("name,order", [
@@ -499,19 +533,28 @@ def test_automorphisms_match_the_bench_reference(monkeypatch, corpus_fans):
     ("dP6", 12), ("P1xP1xP1", 48), ("P(1,2,3)", 1), ("Y(1,2,3)", 1),
 ])
 def test_automorphism_group_orders(name, order):
-    group = load_builtin_fan(name).automorphisms()
-    assert len(group) == order
-    n = len(group[0])
-    assert tuple(tuple(int(i == j) for j in range(n)) for i in range(n)) in group
+    fan = load_builtin_fan(name)
+    assert len(group_closure(fan.automorphism_generators(), fan.dimension)) == order
+
+
+class UnreadableTables:
+    """Stands in for `Fan._cone_tables`: any read fails the test."""
+
+    def __getitem__(self, index):
+        raise AssertionError("cone table read over budget")
+
+    def __iter__(self):
+        raise AssertionError("cone table read over budget")
 
 
 def test_automorphisms_bounded_by_the_oracle_budget(monkeypatch):
-    """More candidates than the budget: no candidate is tried, the group is the identity."""
+    """More candidates than the budget: no search runs, so no cone table is
+    read, and there are no generators; at the budget the group is found."""
     fan = Fan(3, *[builtin_fan_specs()["P1xP1xP1"][k] for k in ("rays", "cones")])
+    tables = fan._cone_tables
     monkeypatch.setenv("TKS_ORACLE_BUDGET", str(8 * 6 - 1))
-
-    def refuse(*args):
-        raise AssertionError("candidate built over budget")
-
-    monkeypatch.setattr("toricstab.fans.permutations", refuse)
-    assert fan.automorphisms() == (((1, 0, 0), (0, 1, 0), (0, 0, 1)),)
+    monkeypatch.setattr(fan, "_cone_tables", UnreadableTables())
+    assert fan.automorphism_generators() == ()
+    monkeypatch.setenv("TKS_ORACLE_BUDGET", str(8 * 6))
+    monkeypatch.setattr(fan, "_cone_tables", tables)
+    assert len(group_closure(fan.automorphism_generators(), 3)) == 48

@@ -4,6 +4,7 @@ import copy
 import hashlib
 import io
 import json
+import operator
 from dataclasses import fields, replace
 from fractions import Fraction as F
 
@@ -15,7 +16,7 @@ from screen_reference import (
     reference_equality_bound_rays,
     reference_screen_witnesses,
 )
-from test_fans import bench_workloads
+from test_fans import UnreadableTables, bench_workloads
 
 from toricstab import valuations
 from toricstab.alpha import alpha_invariant
@@ -162,6 +163,11 @@ def test_battery_bounded_by_the_oracle_budget(monkeypatch, p2):
     with pytest.raises(BudgetExceeded, match="radius-5 battery scans 121 points"):
         valuation_battery(p2, 5)
     assert len(valuation_battery(p2, 4)) == 48
+    monkeypatch.setenv("TKS_ORACLE_BUDGET", str(9**2))  # a box exactly at the budget is scanned
+    assert len(valuation_battery(p2, 4)) == 48
+    monkeypatch.setenv("TKS_ORACLE_BUDGET", str(9**2 - 1))
+    with pytest.raises(BudgetExceeded, match="radius-4 battery scans 81 points"):
+        valuation_battery(p2, 4)
 
 
 def test_battery_vectors_match_the_reference_generator():
@@ -248,15 +254,49 @@ def test_one_profile_per_orbit(monkeypatch, name, radius, orbits, size):
     assert [p.w for p in profiles] == [val.w for val in valuation_battery(fan, radius)]
 
 
+def test_orbit_partition_equals_the_reference_group(monkeypatch, corpus_fans):
+    """The battery's orbits in `orbit_profiles`, closed under the generators
+    and -1, are those of the bench's reference group together with -1, on
+    the corpus at radius 1 and on the corpus surfaces at radius 4."""
+    import toricstab.workbench as workbench
+
+    class Tag:
+        """Stands in for a profile: the representative of its orbit."""
+
+        def __init__(self, w):
+            self.w = w
+
+        def moved(self, image):
+            return self
+
+    monkeypatch.setattr(workbench, "valuation_profile", lambda val: Tag(val.w))
+    monkeypatch.setattr(workbench, "mirrored_profile", lambda val, minus: minus)
+    workloads = bench_workloads(monkeypatch)
+    specs = builtin_fan_specs()
+    cases = [(fan, 1) for fan in corpus_fans] + [(fan, 4) for fan in corpus_fans if fan.dimension == 2]
+    for fan, radius in cases:
+        battery = valuation_battery(fan, radius)
+        tags = orbit_profiles(fan, battery)
+        partition = {frozenset(val.w for val, tag in zip(battery, tags) if tag is t) for t in tags}
+        group = workloads.automorphisms(specs[fan.name])
+        group += [tuple(tuple(-x for x in row) for row in a) for a in group]
+        members = {val.w for val in battery}
+        reference = {
+            frozenset(members.intersection(tuple(sum(map(operator.mul, row, val.w)) for row in a) for a in group))
+            for val in battery
+        }
+        assert partition == reference, (fan.name, radius)
+
+
 def test_a_wrong_automorphism_breaks_the_barycenter_check(monkeypatch, tmp_path, capsys):
     """The coordinate swap is no automorphism of dP7.  Each orbit copy checks
     its own beta against -degree <b, w>, so `analyze` raises and the CLI
     exits 5 with one line on stderr instead of printing wrong betas."""
     from toricstab.fans import Fan
 
-    automorphisms = Fan.automorphisms
+    generators = Fan.automorphism_generators
     swap = ((0, 1), (1, 0))
-    monkeypatch.setattr(Fan, "automorphisms", lambda fan: automorphisms(fan) + (swap,))
+    monkeypatch.setattr(Fan, "automorphism_generators", lambda fan: generators(fan) + (swap,))
     spec = builtin_fan_specs()["dP7"]
     with pytest.raises(AssertionError, match=r"^beta of \(-?\d+, -?\d+\) breaks the barycenter"):
         analyze(parse_fan_spec(spec), 2)
@@ -307,18 +347,19 @@ def test_analyze_screen_equals_standalone_screen(q_fano_fans, corpus_fans):
 
 
 def test_automorphism_budget_keeps_the_report(monkeypatch):
-    """Over budget every orbit is a singleton and the report bytes are unchanged."""
-    spec = builtin_fan_specs()["P1xP1xP1"]
-    expected = report_json(analyze(parse_fan_spec(spec), 1))
-    fan = parse_fan_spec(spec)
-    monkeypatch.setenv("TKS_ORACLE_BUDGET", str(8 * 6 - 1))
-
-    def refuse(*args):
-        raise AssertionError("candidate built over budget")
-
-    monkeypatch.setattr("toricstab.fans.permutations", refuse)
-    assert report_json(analyze(fan, 1)) == expected
-    assert len(fan.automorphisms()) == 1
+    """Over budget on P1xP1xP1 and on P1^4, no cone table is read, there are
+    no generators, every orbit is a singleton and the report bytes are unchanged."""
+    specs = builtin_fan_specs()
+    cube = specs["P1xP1xP1"]
+    p1_4 = bench_workloads(monkeypatch).product_spec(cube, specs["P1"])
+    for spec, candidates in ((cube, 8 * 6), (p1_4, 16 * 24)):
+        expected = report_json(analyze(parse_fan_spec(spec), 1))
+        fan = parse_fan_spec(spec)
+        with monkeypatch.context() as patch:
+            patch.setenv("TKS_ORACLE_BUDGET", str(candidates - 1))
+            patch.setattr(fan, "_cone_tables", UnreadableTables())
+            assert report_json(analyze(fan, 1)) == expected, spec["name"]
+            assert fan.automorphism_generators() == ()
 
 
 def test_analyze_keeps_the_valuation_caches_bounded():

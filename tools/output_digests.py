@@ -10,11 +10,13 @@ CHECKOUT/src on PYTHONPATH: `analyze` and `screen` at radius 4 in dimension
 <= 2 and radius 1 above, `screen` also at radius 1 in dimension <= 2 and at
 the screen-smooth benchmark radii (10 in dimension 2, 3 in dimension 3),
 `alpha`, `beta --w 1,...,1` and `volfn --w -1,...,-1 --csv volfn.csv`;
-then `analyze --radius 1` on the product fans of the benchmark workloads,
-built from the corpus specs with rays (v, 0), (0, v') and cones
-sigma x sigma', with `screen --radius 3` on the 3-folds (P1xP2,
-P1xP(1,2,3), P1xdP6, P1xdP8) and `beta --w 1,1,1,1` on the 4-folds (P2xP2,
-P1xP3); then `verify` once.  Last come runs that end in each documented
+then `analyze --radius 1` on the product fans of the benchmark workloads
+and on the cube fans P1^4, P1^5 and P1^6 (P1xP1xP1 times P1, P1xP1 and
+P1xP1xP1, with automorphism groups of order 384, 3,840 and 46,080), built
+from the corpus specs with rays (v, 0), (0, v') and cones sigma x sigma',
+with `screen --radius 3` on the 3-folds (P1xP2, P1xP(1,2,3), P1xdP6,
+P1xdP8) and `beta --w 1,1,1,1` on the 4-folds (P2xP2, P1xP3, P1xP1xP1xP1);
+then `verify` once.  Last come runs that end in each documented
 failure exit code, so that the error paths are compared too: `analyze` on
 three unreadable documents and a missing file (exit 2: `{not json`, an
 array nested 100,000 deep, a P(1,2,3) spec whose last ray has a 5,000-digit
@@ -61,8 +63,13 @@ FAILURE_DOCUMENTS = {
 LIST_SPECS = "import json; from toricstab.corpus import builtin_fan_specs; print(json.dumps(builtin_fan_specs()))"
 
 
-# the product fans of the benchmark workloads, as (first, second) corpus names
-PRODUCTS = (("P1", "P2"), ("P1", "P(1,2,3)"), ("P1", "dP6"), ("P1", "dP8"), ("P2", "P2"), ("P1", "P3"))
+# the product fans of the benchmark workloads, then the cube fans P1^4, P1^5 and P1^6, whose
+# automorphism groups (orders 384, 3,840 and 46,080) put the orbit closure to the test,
+# as (first, second) corpus names
+PRODUCTS = (
+    ("P1", "P2"), ("P1", "P(1,2,3)"), ("P1", "dP6"), ("P1", "dP8"), ("P2", "P2"), ("P1", "P3"),
+    ("P1xP1xP1", "P1"), ("P1xP1xP1", "P1xP1"), ("P1xP1xP1", "P1xP1xP1"),
+)
 
 
 def product_spec(a: dict, b: dict) -> dict:
