@@ -5,11 +5,12 @@ index lists, kept as sorted tuples.  Validation enforces, eagerly and exactly:
 
   * a dimension, ray coordinates and cone indices of exact type int;
   * primitive, nonzero, pairwise distinct rays, each used by some cone;
-  * every maximal cone simplicial and full-dimensional: one exact rank-one
-    step (Bareiss) carries the table adj . [I | V | x0] (rays V, x0 inside
-    the first cone) from the standard basis to the first cone, one ray at a
-    time, and then across each wall: where p gives way to v, the column
-    c = adj . v gives the new multiplicity |c_p| (c_p = 0: singular);
+  * every maximal cone simplicial and full-dimensional: the table
+    adj . [I | V | x0] (rays V, x0 inside the first cone) of the first cone
+    is `lattice.eliminate` of [I | V | x0] on that cone's ray columns, and
+    one exact rank-one step (`lattice.exchange`, Bareiss) carries it across
+    each wall: where p gives way to v, the column c = adj . v gives the new
+    multiplicity |c_p| (c_p = 0: singular);
   * completeness: every wall (facet of a maximal cone) is shared by exactly
     two cones lying on opposite sides of it (c_p < 0), and x0 lies in no
     other cone.  Crossing a wall then never changes how many cones cover a
@@ -45,7 +46,7 @@ from itertools import chain, product, repeat
 from typing import Optional, Sequence
 
 from .errors import InvariantViolation
-from .lattice import LatticeVec, primitivize
+from .lattice import LatticeVec, eliminate, exchange, primitivize
 from .polytopes import RationalPolytope, default_oracle_budget
 
 
@@ -58,16 +59,6 @@ def _int_vector(v: Sequence[int], what: str = "vector entries") -> tuple[int, ..
 
 
 Matrix = tuple[tuple[int, ...], ...]
-
-
-def _exchange(table: Sequence[LatticeVec], mult: int, p: int, col: int) -> tuple[list[LatticeVec], int]:
-    """table = mult . B^-1 . M (mult = |det B|) once basis vector p gives way to M's column col:
-    for c that column of the table, mult becomes |c_p|, row p sign(c_p) table[p] and row i
-    (|c_p| table[i] - c_i sign(c_p) table[p]) / mult, an exact division (Bareiss's update)."""
-    tp = table[p] if table[p][col] > 0 else tuple([-y for y in table[p]])
-    a = tp[col]
-    return [tp if i == p else tuple([(a * x - row[col] * y) // mult for x, y in zip(row, tp)])
-            for i, row in enumerate(table)], a
 
 
 class Fan:
@@ -122,17 +113,11 @@ class Fan:
         inner = [sum(col) for col in zip(*(rays[j] for j in cones[shaped[0]]))] if shaped else []
         # breadth first from each cone that no walk reached; c_p = 0 leaves a singular cone None
         for seed in (ci for ci in shaped if tables[ci] is None):
-            # from [I | V | x0] over the standard basis, ray k of the seed takes the place of a standard
-            # vector where its column is nonzero; with none left, it is in the span of rays 0..k-1
-            table, mult = [(*(int(i == k) for k in range(n)), *col) for i, col in enumerate(zip(*rays, inner))], 1
-            for k, j in enumerate(cones[seed]):
-                p = next((p for p in range(k, n) if table[p][n + j]), None)
-                if p is None:  # singular
-                    break
-                table, mult = _exchange(table, mult, p, n + j)
-                table.insert(k, table.pop(p))  # rows 0..k hold rays 0..k, standard vectors below
-            else:
-                tables[seed], mults[seed] = table, mult
+            # [I | V | x0] over the standard basis, the seed's rays exchanged in: row k holds ray k
+            start = [(*(int(i == k) for k in range(n)), *col) for i, col in enumerate(zip(*rays, inner))]
+            pivots, table, det = eliminate(start, [n + j for j in cones[seed]])
+            if len(pivots) == n:  # else singular
+                tables[seed], mults[seed] = table, abs(det)
                 for ci in (queue := [seed]):
                     table, mult = tables[ci], mults[ci]
                     for p in range(n):
@@ -140,7 +125,7 @@ class Fan:
                             col = n + cones[cj][q]
                             if tables[cj] is not None or table[p][col] == 0:  # reached, or singular
                                 continue
-                            tables[cj], mults[cj] = _exchange(table, mult, p, col)
+                            tables[cj], mults[cj] = exchange(table, mult, p, col)
                             tables[cj].insert(q, tables[cj].pop(p))  # into cone cj's ray order
                             queue.append(cj)
         for ci, cone in enumerate(cones):

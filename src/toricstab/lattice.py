@@ -5,11 +5,12 @@ terms, positive denominator, exact arithmetic).  Lattice vectors are plain
 tuples of ints, dual/rational vectors are tuples of Fractions.  Everything
 here is a pure function; no floating point is used anywhere.
 
-Every determinant, rank, solve, inverse and adjugate here goes through
-`echelon`: forward fraction-free elimination (Bareiss, Math. Comp. 22, 1968)
-on rows scaled to integers one at a time, and solves finish with integer
-back-substitution.  A fan eliminates no cone: `fans` reaches every cone's
-adjugate from the standard basis by rank-one steps with the same division.
+Every determinant, rank, solve, inverse and adjugate here is one run of
+`eliminate` on rows scaled to integers: Gauss-Jordan elimination by the
+fraction-free rank-one step `exchange` (Bareiss, Math. Comp. 22, 1968),
+which leaves |det| times the solution in the right-hand columns.  `fans`
+shares both: the wall walk's seed cone is one `eliminate`, and every other
+cone's table is one `exchange` from a neighbour's.
 """
 
 from __future__ import annotations
@@ -54,49 +55,37 @@ def integer_rows(rows: Sequence[Sequence]) -> tuple[list[list[int]], int]:
     return out, scale
 
 
-def echelon(
-    rows: Sequence[Sequence[int]], ncols: Optional[int] = None
-) -> tuple[list[int], list[list[int]], int]:
-    """Forward fraction-free (Bareiss) elimination of integer rows.
+def exchange(table: Sequence[LatticeVec], mult: int, p: int, col: int) -> tuple[list[LatticeVec], int]:
+    """table = mult . B^-1 . M (mult = |det B|) once basis vector p gives way to M's column col:
+    for c that column of the table, mult becomes |c_p|, row p sign(c_p) table[p] and row i
+    (|c_p| table[i] - c_i sign(c_p) table[p]) / mult, an exact division (Bareiss's update)."""
+    tp = table[p] if table[p][col] > 0 else tuple([-y for y in table[p]])
+    a = tp[col]
+    return [tp if i == p else tuple([(a * x - row[col] * y) // mult for x, y in zip(row, tp)])
+            for i, row in enumerate(table)], a
 
-    Pivots are searched in the first `ncols` columns (default: all); a column
-    without a pivot is skipped, so rank-deficient and non-square input is
-    fine.  Returns (pivot columns, echelon rows, signed last pivot).  Every
-    entry on or right of a row's pivot is a minor of the row-swapped input,
-    so every division is exact, and for square input of full rank the signed
-    last pivot is the determinant.  With no pivot at all it is 1.
+
+def eliminate(rows: Sequence[Sequence[int]], cols: Optional[Sequence[int]] = None) -> tuple[list[int], list, int]:
+    """Gauss-Jordan elimination of integer rows by `exchange` steps, from the standard basis.
+
+    Each column of `cols` (default: all), in order, takes the place of the
+    first row at or below the next pivot row where it is nonzero, and that
+    row moves up to the pivot row; a column with no such row is in the span
+    of the pivots so far and is skipped.  Returns (pivot columns, table, d):
+    the table is |d| B^-1 M for B the pivot columns in order, and d = det B,
+    signed by each step's pivot entry c_p and the parity of its row cycle.
     """
-    m = [list(row) for row in rows]
-    nrows = len(m)
-    width = len(m[0]) if m else 0
-    if ncols is None:
-        ncols = width
-    pivots: list[int] = []
-    sign = 1
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        top = m[r]
-        if top[c] == 0:
-            piv = next((i for i in range(r + 1, nrows) if m[i][c] != 0), None)
-            if piv is None:
-                continue
-            m[r], m[piv] = m[piv], top
-            top = m[r]
-            sign = -sign
-        p = top[c]
-        cols = range(c + 1, width)
-        for row in m[r + 1 :]:
-            f = row[c]
-            row[c] = 0
-            for j in cols:
-                row[j] = (row[j] * p - f * top[j]) // prev
-        prev = p
-        pivots.append(c)
-        r += 1
-    return pivots, m, sign * prev
+    table, mult, sign, pivots = list(rows), 1, 1, []
+    for col in range(len(table[0]) if table else 0) if cols is None else cols:
+        k = len(pivots)
+        p = next((p for p in range(k, len(table)) if table[p][col]), None)
+        if p is None:
+            continue
+        sign *= (1 if table[p][col] > 0 else -1) * (-1) ** (p - k)
+        table, mult = exchange(table, mult, p, col)
+        table.insert(k, table.pop(p))
+        pivots.append(col)
+    return pivots, table, sign * mult
 
 
 def _solve_columns(
@@ -105,22 +94,16 @@ def _solve_columns(
     """(d, ys) with A x_k = b_k and ys[k] = d * x_k in integers; None if A is singular.
 
     A is square with int or rational entries; d is its determinant after
-    the rows of [A | b] were scaled to integers, so d * x_k is a Cramer
-    numerator and back-substitution against d * b divides exactly.
+    the rows of [A | b] were scaled to integers, and eliminating A's columns
+    leaves |d| A^-1 b in column b, so d * x_k is a Cramer numerator.
     """
     n = len(rows)
     aug, _ = integer_rows([list(row) + [b[i] for b in rhs_columns] for i, row in enumerate(rows)])
-    pivots, m, d = echelon(aug, n)
+    pivots, table, d = eliminate(aug, range(n))
     if len(pivots) < n:
         return None
-    ys = []
-    for col in range(n, n + len(rhs_columns)):
-        y = [0] * n
-        for i in range(n - 1, -1, -1):
-            row = m[i]
-            y[i] = (d * row[col] - sum(row[c] * y[c] for c in range(i + 1, n))) // row[i]
-        ys.append(y)
-    return d, ys
+    s = 1 if d > 0 else -1
+    return d, [[s * row[col] for row in table] for col in range(n, n + len(rhs_columns))]
 
 
 # -- public operations ----------------------------------------------------------
@@ -143,7 +126,7 @@ def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> RatVec:
 
 def det_int(rows: Sequence[Sequence[int]]) -> int:
     """Exact determinant of a square integer matrix."""
-    pivots, _, d = echelon(rows)
+    pivots, _, d = eliminate(rows)
     return d if len(pivots) == len(rows) else 0
 
 
@@ -177,5 +160,5 @@ def matrix_inverse(rows: Sequence[Sequence]) -> Optional[tuple[RatVec, ...]]:
 
 def matrix_rank(rows: Sequence[Sequence]) -> int:
     """Exact rank (row space dimension)."""
-    return len(echelon(integer_rows(rows)[0])[0])
+    return len(eliminate(integer_rows(rows)[0])[0])
 

@@ -1,7 +1,7 @@
 """The input contract under mutation: every run ends in output or a documented exit code.
 
-Corpus specs of dimension at most 3 get one to three mutations and go
-through `cli.main` with every command that reads a fan spec.  A run
+Corpus specs of dimension at most 3 get one to three mutations, among them
+star subdivisions of a document that validates, and go through `cli.main` with every command that reads a fan spec.  A run
 either succeeds or fails with exit 2, 3 or 4 and exactly one `error: `
 line on stderr and nothing on stdout; exit 5 (an internal error) or a
 traceback is a fault of the program.
@@ -9,7 +9,9 @@ traceback is a fault of the program.
 
 import copy
 import io
+import itertools
 import json
+import math
 from contextlib import redirect_stderr, redirect_stdout
 
 from hypothesis import given, settings
@@ -17,11 +19,13 @@ from hypothesis import strategies as st
 
 from toricstab.cli import main
 from toricstab.corpus import builtin_fan_specs
+from toricstab.errors import ToricstabError
+from toricstab.workbench import parse_fan_spec
 
 SPECS = [spec for spec in builtin_fan_specs().values() if spec["dim"] <= 3]
 KINDS = (
     "ray entry", "cone entry", "drop cone", "duplicate cone", "append ray", "dim", "bad entry",
-    "non-object",
+    "non-object", "star subdivision",
 )
 BAD_VALUES = (True, 1.5, None, "x")
 vectors = st.lists(st.integers(-2, 2), min_size=1, max_size=3).map(lambda w: ",".join(map(str, w)))
@@ -79,6 +83,18 @@ def mutate(draw, doc, kind):
         else:
             field, i, j = target
             doc[field][i][j] = value
+    elif kind == "star subdivision":
+        # refine a document that validates at a primitive w in [-2, 2]^n that is not a ray
+        try:
+            fan = parse_fan_spec(doc)
+        except ToricstabError:
+            return None
+        points = itertools.product(range(-2, 3), repeat=fan.dimension)
+        points = [w for w in points if math.gcd(*w) == 1 and fan.ray_index(w) is None]
+        if not points:  # P1: both primitive points are rays
+            return None
+        fan = fan.star_subdivision(draw(st.sampled_from(points)))
+        doc.update(rays=[list(ray) for ray in fan.rays], cones=[list(cone) for cone in fan.max_cones])
     else:
         doc = draw(st.sampled_from(([], [1, 2], 3, "fan", None, True)))
     return doc

@@ -15,7 +15,7 @@ from fraction_oracles import cone_coordinates, contains, walls
 from toricstab.corpus import builtin_fan_specs
 from toricstab.errors import InvariantViolation
 from toricstab.fans import Fan
-from toricstab.lattice import adjugate, echelon, matrix_inverse
+from toricstab.lattice import adjugate, eliminate, matrix_inverse
 from toricstab.workbench import load_builtin_fan
 
 
@@ -393,11 +393,12 @@ def bench_workloads(monkeypatch):
 
 
 def test_cone_adjugates_equal_one_elimination_per_cone(monkeypatch, q_fano_fans):
-    """`Fan(...)` runs no elimination, yet every cone's table is the one
-    that eliminating that cone gives.
+    """`Fan(...)` eliminates only its seed cone, yet every cone's table is
+    the one that eliminating that cone gives.
 
-    No `lattice.echelon` call is made while the fans are built; afterwards
-    each cone's multiplicity and adjugate are those of `lattice.adjugate` on
+    Each fan makes exactly one `lattice.eliminate` call while it is built,
+    the seed's, and the walk exchanges its way to every other cone;
+    afterwards each cone's multiplicity and adjugate are those of `lattice.adjugate` on
     its ray matrix, and its table is adj . [I | V | x0], x0 the sum of cone
     0's rays.  The fans are every corpus fan, every Q-Fano star subdivision
     of the test corpus (which has cones of multiplicity > 1, so the walk
@@ -420,13 +421,16 @@ def test_cone_adjugates_equal_one_elimination_per_cone(monkeypatch, q_fano_fans)
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(args)
-        return echelon(*args, **kwargs)
+        calls[-1] += 1
+        return eliminate(*args, **kwargs)
 
+    fans = []
     with monkeypatch.context() as patch:
-        patch.setattr("toricstab.lattice.echelon", counted)
-        fans = [Fan(dim, rays, cones) for dim, rays, cones in inputs]
-    assert calls == []
+        patch.setattr("toricstab.fans.eliminate", counted)
+        for dim, rays, cones in inputs:
+            calls.append(0)
+            fans.append(Fan(dim, rays, cones))
+    assert calls == [1] * len(inputs)
     assert fans[-2].rays[fans[-2].max_cones[0][0]][0] == 0
     assert fans[-1]._cone_mults[0] == 2
     multiplicities = set()

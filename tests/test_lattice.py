@@ -5,6 +5,7 @@ Laplace expansion for determinants and minors, and substitution for solves,
 inverses and kernel vectors.
 """
 
+import operator
 import random
 from fractions import Fraction as F
 from itertools import combinations, permutations
@@ -16,6 +17,7 @@ from toricstab.lattice import (
     adjugate,
     det,
     det_int,
+    eliminate,
     matrix_inverse,
     matrix_rank,
     primitivize,
@@ -190,6 +192,44 @@ def test_det_matches_laplace():
     for perm in permutations(range(4)):
         m = [[int(perm[i] == j) for j in range(4)] for i in range(4)]
         assert det_int(m) == laplace_det(m)
+
+
+def test_eliminate_takes_the_columns_in_the_order_given():
+    """`eliminate(rows, cols)` as the fan's seed calls it.
+
+    For a random order of a random square M's columns, d is the Laplace
+    determinant of M with its columns in that order, and the table is
+    |d| B^-1 M for B those columns.  On [B | v], v a combination of B's
+    first k columns placed right after them in `cols`, v is skipped, the
+    columns after it still pivot, and v's column of the table holds its
+    coordinates times |det B|.
+    """
+    rng = random.Random(29)
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        m = random_matrix(rng, n, n, rational=False)
+        cols = rng.sample(range(n), n)
+        b = [[row[c] for c in cols] for row in m]
+        pivots, table, d = eliminate(m, cols)
+        if laplace_det(b) == 0:
+            assert len(pivots) < n
+            continue
+        assert (pivots, d) == (cols, laplace_det(b))
+        for i in range(n):
+            assert [sum(b[i][k] * table[k][j] for k in range(n)) for j in range(n)] == [abs(d) * x for x in m[i]]
+    done = 0
+    while done < 100:
+        n = rng.randint(2, 5)
+        b = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        if laplace_det(b) == 0:
+            continue
+        k = rng.randint(1, n - 1)
+        coords = [rng.randint(-3, 3) for _ in range(k)] + [0] * (n - k)
+        m = [[*row, sum(map(operator.mul, row, coords))] for row in b]
+        pivots, table, d = eliminate(m, [*range(k), n, *range(k, n)])
+        assert (pivots, d) == (list(range(n)), laplace_det(b))
+        assert [row[n] for row in table] == [abs(d) * c for c in coords]
+        done += 1
 
 
 def test_adjugate_is_det_times_inverse():

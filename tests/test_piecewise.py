@@ -958,6 +958,28 @@ def test_midpoint_root_concave_m4_unseparated_roots_raise(monkeypatch):
     assert midpoint_root_concave(fn, 3, F(1), F(3)) is True
 
 
+def bracket_boundary_case(monkeypatch, floors):
+    """1 + x on [0, 2] at (0, 2) with m = 4: the values 1, 2, 3 have ratios
+    that are no 4th powers, so only the brackets decide; `root_floor` is
+    patched to floors[v] at value v, at every width."""
+    monkeypatch.setattr("toricstab.piecewise.root_floor", lambda num, den, m, scale: floors[num // den])
+    return PiecewisePolynomial((F(0), F(2)), ((F(1), F(1)),)), 4, F(0), F(2)
+
+
+def test_midpoint_root_concave_concave_at_the_bracket_boundary(monkeypatch):
+    """Floors 1, 2, 1: the midpoint's lower end 2 * 2 equals the outer upper
+    ends 1 + 1 + 1 + 1, which already proves 2 b^(1/m) >= a^(1/m) + c^(1/m)."""
+    assert midpoint_root_concave(*bracket_boundary_case(monkeypatch, {1: 1, 2: 2, 3: 1})) is True
+
+
+def test_midpoint_root_concave_not_separated_at_the_bracket_boundary(monkeypatch):
+    """Floors 1, 0, 1: the midpoint's upper end 2 * 0 + 2 equals the outer
+    lower ends 1 + 1, which does not yet prove convexity, so every width is
+    tried and the roots are not separable."""
+    with pytest.raises(ArithmeticError, match=r"^m-th roots of 1, 2, 3 not separable at width 1e-96$"):
+        midpoint_root_concave(*bracket_boundary_case(monkeypatch, {1: 1, 2: 0, 3: 1}))
+
+
 # -- the carried values of a concavity sweep --------------------------------------
 
 

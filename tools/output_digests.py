@@ -20,9 +20,11 @@ then `verify` once.  Last come runs that end in each documented
 failure exit code, so that the error paths are compared too: `analyze` on
 three unreadable documents and a missing file (exit 2: `{not json`, an
 array nested 100,000 deep, a P(1,2,3) spec whose last ray has a 5,000-digit
-entry), on four fans that fail validation (exit 3: cone 0 singular, so the
-walk starts from another cone; a gap; a pentagram, whose cones overlap; a
-fan that is not Q-Fano), `analyze --radius 0` on P2 (exit 3) and
+entry), on five fans that fail validation (exit 3: cone 0 singular, so the
+walk starts from another cone; the same in dimension 3, where cone 0's
+middle ray is minus its first, so the seed's elimination skips that column
+and goes on to the third; a gap; a pentagram, whose cones overlap; a fan
+that is not Q-Fano), `analyze --radius 0` on P2 (exit 3) and
 `analyze --radius 4` on P2 with TKS_ORACLE_BUDGET=10 (exit 4).  Each run
 prints one line: the command, the SHA-256 of its stdout and of its stderr
 and its exit code, and for `volfn` the SHA-256 of the CSV.  Every path is
@@ -42,17 +44,25 @@ import tempfile
 from pathlib import Path
 
 # failing fan documents, by file name: not JSON, nested past the decoder's
-# recursion limit, a ray entry longer than int() converts, and four fans that
-# fail validation: cone 0 singular, a gap, overlapping cones, not Q-Fano
+# recursion limit, a ray entry longer than int() converts, and five fans that
+# fail validation: cone 0 singular (in dimensions 2 and 3, the second with a
+# dependent ray in the middle of cone 0 followed by the eight octants), a gap,
+# overlapping cones, not Q-Fano
+OCTANTS = [[x, y, z] for x in (0, 1) for y in (3, 4) for z in (2, 5)]
 FAILURE_DOCUMENTS = {
     "not-json.json": "{not json",
     "deep-array.json": "[" * 100000 + "]" * 100000,
     "long-integer.json": '{"name": "P(1,2,3)", "dim": 2, "rays": [[1, 0], [0, 1], [-2, -%s]], '
     '"cones": [[0, 1], [1, 2], [2, 0]]}' % ("3" * 5000),
     **{
-        f"{name}.json": json.dumps({"name": name, "dim": 2, "rays": rays, "cones": cones})
+        f"{name}.json": json.dumps({"name": name, "dim": len(rays[0]), "rays": rays, "cones": cones})
         for name, rays, cones in (
             ("singular-cone", [[1, 0], [0, 1], [-1, 0], [0, -1]], [[0, 2], [1, 2], [2, 3], [3, 0]]),
+            (
+                "singular-seed-3d",
+                [[1, 0, 0], [-1, 0, 0], [0, 0, 1], [0, 1, 0], [0, -1, 0], [0, 0, -1]],
+                [[0, 1, 2], *OCTANTS],
+            ),
             ("gap", [[1, 0], [0, 1], [-1, -1]], [[0, 1], [1, 2]]),
             ("pentagram", [[1, 0], [1, 2], [-1, 1], [-1, -1], [1, -2]], [[0, 2], [2, 4], [4, 1], [1, 3], [3, 0]]),
             ("not-q-fano", [[1, 0], [0, 1], [-1, 2], [0, -1]], [[0, 1], [1, 2], [2, 3], [3, 0]]),
