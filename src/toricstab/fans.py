@@ -80,7 +80,6 @@ class Fan:
         self.name = name
         self.rays: tuple[LatticeVec, ...] = rays
         self.max_cones: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(c)) for c in max_cones)
-        self._ray_lookup = {ray: i for i, ray in enumerate(self.rays)}
         self._polytope: Optional[RationalPolytope] = None
         self._vertex_cones: Optional[tuple[tuple[int, ...], ...]] = None
         self._generators: Optional[tuple[Matrix, ...]] = None
@@ -92,7 +91,7 @@ class Fan:
         n = self.dimension
         if n < 1:
             raise InvariantViolation("dimension must be at least 1")
-        seen: dict[LatticeVec, int] = {}
+        self._ray_lookup: dict[LatticeVec, int] = {}
         for i, ray in enumerate(self.rays):
             if len(ray) != n:
                 raise InvariantViolation(f"ray {i} has length {len(ray)}, expected {n}")
@@ -100,9 +99,8 @@ class Fan:
                 raise InvariantViolation(f"ray {i} is the zero vector")
             if math.gcd(*ray) != 1:
                 raise InvariantViolation(f"ray {i} = {ray} is not primitive")
-            if ray in seen:
-                raise InvariantViolation(f"duplicate ray {ray} at indices {seen[ray]}, {i}")
-            seen[ray] = i
+            if (first := self._ray_lookup.setdefault(ray, i)) != i:
+                raise InvariantViolation(f"duplicate ray {ray} at indices {first}, {i}")
         rays, cones = self.rays, self.max_cones
         shaped = [ci for ci, c in enumerate(cones) if len(c) == n and 0 <= c[0] and c[-1] < len(rays)]
         walls, tables, mults, around = {}, [None] * len(cones), [0] * len(cones), [[None] * n for _ in cones]

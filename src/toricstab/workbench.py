@@ -159,8 +159,10 @@ class ScreenResult:
     """Search for valuations with A >= (n/(n+1)) tau and beta <= 0.
 
     On a smooth fan such a witness forces the variety to be projective
-    space, so the screen asserts the recognition; a singular fan can carry a
-    witness without the conclusion, and is flagged instead.  The bound is
+    space, so there `recognized_projective_space` asks for n + 1 rays (a
+    complete smooth fan with n + 1 rays is P^n's), and a witness without
+    them is a VIOLATION; a singular fan can carry a witness without the
+    conclusion, and is flagged instead, with None.  The bound is
     decided in integers as A >= n max_P <u, w> (`row_meets_equality_bound`).
     The screen checks the radius and the battery budget first.  Its
     candidates are the generators of the bound's cones in the radius,
@@ -177,34 +179,6 @@ class ScreenResult:
     witnesses: tuple[ScreenWitness, ...]
     recognized_projective_space: Optional[bool]
     verdict: str
-
-
-def recognize_projective_space(fan: Fan) -> bool:
-    """Smooth + complete + exactly n+1 rays recognizes the P^n fan."""
-    return fan.is_smooth() and len(fan.rays) == fan.dimension + 1
-
-
-def _screen_result(fan: Fan, radius: int, witnesses: Sequence[ScreenWitness]) -> ScreenResult:
-    """The screen's verdict on the witnesses found in the radius battery."""
-    smooth = fan.is_smooth()
-    recognized: Optional[bool] = None
-    if not witnesses:
-        verdict = "no witnesses" if smooth else "no witnesses (singular fan)"
-    elif smooth:
-        recognized = recognize_projective_space(fan)
-        verdict = (
-            "witnesses on projective space (equality case)"
-            if recognized
-            else "VIOLATION: equality-case witness on a smooth fan that is not projective space"
-        )
-    else:
-        verdict = (
-            "singular counterexample: equality-case witness on a singular fan; "
-            "the projective-space conclusion is not asserted"
-        )
-    return ScreenResult(
-        fan.name, fan.dimension, radius, smooth, tuple(witnesses), recognized, verdict
-    )
 
 
 def screen_projective_space(fan: Fan, radius: int = 4) -> ScreenResult:
@@ -225,7 +199,19 @@ def screen_projective_space(fan: Fan, radius: int = 4) -> ScreenResult:
                 witnesses.append(ScreenWitness(w, a_disc, tau, Fraction(-moment_w, den)))
         elif generators is not None:
             raise AssertionError(f"cone generator {w} does not meet the equality-case bound")
-    return _screen_result(fan, radius, witnesses)
+    smooth, recognized = fan.is_smooth(), None
+    if not witnesses:
+        verdict = "no witnesses" if smooth else "no witnesses (singular fan)"
+    elif not smooth:
+        verdict = (
+            "singular counterexample: equality-case witness on a singular fan; "
+            "the projective-space conclusion is not asserted"
+        )
+    elif recognized := len(fan.rays) == n + 1:
+        verdict = "witnesses on projective space (equality case)"
+    else:
+        verdict = "VIOLATION: equality-case witness on a smooth fan that is not projective space"
+    return ScreenResult(fan.name, n, radius, smooth, tuple(witnesses), recognized, verdict)
 
 
 # -- stability report ------------------------------------------------------------

@@ -3,11 +3,18 @@
 `workbench.report_json` writes the valuations array itself and renders
 each shared piecewise polynomial once; the text it must equal is
 `reference_json(r)`, the dict below dumped by `json.dumps(..., indent=2)`.
+It writes its own "p/q" strings and screen block, sharing no serializer
+with `workbench`.
 """
 
 import json
+from fractions import Fraction
 
-from toricstab.workbench import rat_str, screen_result_dict
+
+def rat_str(x) -> str:
+    """An exact rational as "p/q" in lowest terms."""
+    assert type(x) is Fraction or type(x) is int, f"{x!r} is not an exact rational"
+    return f"{x.numerator}/{x.denominator}"
 
 
 def _piecewise_dict(fn) -> dict:
@@ -43,6 +50,18 @@ def _witness_dict(w):
     }
 
 
+def _screen_dict(s) -> dict:
+    return {
+        "fan": s.fan_name,
+        "dimension": s.dimension,
+        "radius": s.radius,
+        "smooth": s.smooth,
+        "witnesses": [_witness_dict(w) for w in s.witnesses],
+        "recognized_projective_space": s.recognized_projective_space,
+        "verdict": s.verdict,
+    }
+
+
 def report_dict(r) -> dict:
     return {
         "fan": r.fan_name,
@@ -65,7 +84,7 @@ def report_dict(r) -> dict:
             "instability_witness": _witness_dict(r.instability_witness),
             "strictly_stable_over_toric": r.strictly_stable_over_toric,
             "strict_stability_reason": r.strict_stability_reason,
-            "projective_space_screen": screen_result_dict(r.projective_space_screen),
+            "projective_space_screen": _screen_dict(r.projective_space_screen),
         },
         "assumptions": list(r.assumptions),
     }

@@ -12,6 +12,11 @@ barycenter identity, building no `ToricValuation`;
 (`beta_invariant`), and runs on every fan, with no skip of the fans whose
 vertices cannot meet the bound.
 
+`reference_screen_result` writes out the verdict rule of the
+`ScreenResult` docstring on given witnesses, with its own smoothness test
+(|det| = 1 on every maximal cone, by cofactor expansion), so that the
+screen's verdict is checked by code it does not share.
+
 `qualifying_vertices` is that per-vertex test on its own: the vertices m
 of the anticanonical polytope with <m, v_i> >= n at some ray v_i, read off
 the integer vertex rows.
@@ -35,7 +40,7 @@ from toricstab.valuations import (
     meets_equality_bound,
     pseff_threshold,
 )
-from toricstab.workbench import ScreenWitness, valuation_battery
+from toricstab.workbench import ScreenResult, ScreenWitness, valuation_battery
 
 
 def reference_battery_vectors(n, radius):
@@ -55,6 +60,43 @@ def reference_screen_witnesses(fan, radius):
         if meets_equality_bound(val) and (beta := beta_invariant(val)) <= 0:
             witnesses.append(ScreenWitness(val.w, log_discrepancy(val), pseff_threshold(val), beta))
     return tuple(witnesses)
+
+
+def _laplace_det(m):
+    """Determinant by cofactor expansion along the first row."""
+    if not m:
+        return 1
+    return sum(
+        (-1) ** j * m[0][j] * _laplace_det([row[:j] + row[j + 1 :] for row in m[1:]])
+        for j in range(len(m))
+        if m[0][j] != 0
+    )
+
+
+def reference_screen_result(fan, radius, witnesses):
+    """The screen's result on `witnesses`: a fan is smooth when every maximal
+    cone's rays have determinant +-1.  With no witness the verdict says so,
+    and names a singular fan.  A witness on a singular fan is a singular
+    counterexample, with no recognition asserted.  On a smooth fan a witness
+    forces P^n, so the fan is recognized exactly when it has n + 1 rays, and
+    a witness on any other smooth fan is a violation of the theorem."""
+    n = fan.dimension
+    smooth = all(abs(_laplace_det([list(fan.rays[i]) for i in cone])) == 1 for cone in fan.max_cones)
+    recognized = None
+    if not witnesses:
+        verdict = "no witnesses" if smooth else "no witnesses (singular fan)"
+    elif not smooth:
+        verdict = (
+            "singular counterexample: equality-case witness on a singular fan; "
+            "the projective-space conclusion is not asserted"
+        )
+    else:
+        recognized = len(fan.rays) == n + 1
+        if recognized:
+            verdict = "witnesses on projective space (equality case)"
+        else:
+            verdict = "VIOLATION: equality-case witness on a smooth fan that is not projective space"
+    return ScreenResult(fan.name, n, radius, smooth, tuple(witnesses), recognized, verdict)
 
 
 def qualifying_vertices(fan):

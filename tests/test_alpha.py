@@ -1,7 +1,10 @@
 """Alpha invariant: values, witnesses, the ray-threshold identity, the
 stability threshold n/(n+1)."""
 
+from dataclasses import replace
 from fractions import Fraction as F
+
+import pytest
 
 from toricstab.alpha import AlphaResult, alpha_invariant
 from toricstab.lattice import dot
@@ -17,6 +20,18 @@ def test_alpha_weighted_plane(p123):
     assert result.witness_m == (-1, -1)
     assert result.witness_divisor == (0, 0, 6)
     assert result.ray_thresholds == (3, 2, 6)
+
+
+def test_alpha_result_checks_its_witness(p123):
+    """A result whose alpha is not positive, whose witness divisor is not
+    effective, or whose top coefficient is not 1/alpha raises."""
+    result = alpha_invariant(p123)
+    with pytest.raises(AssertionError, match="^alpha must be positive$"):
+        replace(result, alpha=F(0))
+    with pytest.raises(AssertionError, match="^witness divisor must be effective$"):
+        replace(result, witness_divisor=(F(-1), F(0), F(6)))
+    with pytest.raises(AssertionError, match="^witness extremal coefficient must equal 1/alpha$"):
+        replace(result, alpha=F(1, 3))
 
 
 def test_alpha_known_values():

@@ -17,6 +17,7 @@ from toricstab.lattice import (
     adjugate,
     det,
     det_int,
+    dot,
     eliminate,
     matrix_inverse,
     matrix_rank,
@@ -62,6 +63,12 @@ def random_matrix(rng, rows, cols, rational):
         return [[entry() for _ in range(cols)] for _ in range(rows)]
     return [[sum((b[i][k] * c[k][j] for k in range(r)), 0) for j in range(cols)]
             for i in range(rows)]
+
+
+def test_dot_refuses_vectors_of_different_lengths():
+    assert dot((1, 2), (F(1, 2), 3)) == F(13, 2)
+    with pytest.raises(ValueError, match="^dimension mismatch: 2 vs 1$"):
+        dot((1, 2), (1,))
 
 
 def test_primitivize_examples():

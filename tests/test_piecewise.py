@@ -94,6 +94,8 @@ def test_int_nth_root():
     assert int_nth_root(27, 3) == 3
     assert int_nth_root(10**24, 2) == 10**12
     assert int_nth_root(7**30 - 1, 5) == 7**6 - 1
+    with pytest.raises(ValueError, match="^negative radicand$"):
+        int_nth_root(-1, 3)
 
 
 def newton_nth_root(value, m):

@@ -712,6 +712,15 @@ def test_profile_beta_is_checked_by_the_barycenter_identity(p123):
         ValuationProfile(**kwargs, beta=profile.beta)
 
 
+def test_profile_refuses_a_nef_threshold_outside_its_range(p123):
+    """The nef threshold lies in (0, tau]: above tau or at 0 the profile raises."""
+    profile = valuation_profile(val(p123, (0, 1)))
+    assert profile.pseff_threshold == 2
+    for nef in (profile.pseff_threshold + 1, F(0)):
+        with pytest.raises(AssertionError, match=rf"^nef threshold {nef} outside \(0, 2\]$"):
+            replace(profile, nef_threshold=nef)
+
+
 def test_valuation_profile_builds_q_from_its_own_vol(monkeypatch, p123, cube):
     """`valuation_profile` looks vol up once and differentiates that vol, with
     the same Q as `restricted_volume`."""

@@ -14,6 +14,7 @@ from screen_reference import (
     qualifying_vertices,
     reference_battery_vectors,
     reference_equality_bound_rays,
+    reference_screen_result,
     reference_screen_witnesses,
 )
 from test_fans import UnreadableTables, bench_workloads
@@ -35,7 +36,6 @@ from toricstab.valuations import (
     valuation_profile,
 )
 from toricstab.workbench import (
-    _screen_result,
     analyze,
     battery_vectors,
     export_volume_csv,
@@ -489,7 +489,7 @@ def test_screen_skips_the_battery_without_a_qualifying_vertex(monkeypatch, corpu
 def test_screen_on_bare_vectors_equals_the_valuation_loop(q_fano_fans):
     """The screen's witnesses, their order and its verdict equal the old loop's
     (a `ToricValuation` per battery vector, `meets_equality_bound`, then beta,
-    with no pre-test) on every Q-Fano test fan at radii 1-10 in dimension 2,
+    with no pre-test) and the rule of `reference_screen_result` on every Q-Fano test fan at radii 1-10 in dimension 2,
     1-3 in dimension 3 and 1 above: 412 cases, which hold the bench radii."""
     cases = []
     for fan in q_fano_fans:
@@ -501,9 +501,25 @@ def test_screen_on_bare_vectors_equals_the_valuation_loop(q_fano_fans):
         screen = screen_projective_space(fan, radius)
         witnesses = reference_screen_witnesses(fan, radius)
         assert screen.witnesses == witnesses, (fan.name, radius)
-        assert screen == _screen_result(fan, radius, witnesses), (fan.name, radius)
+        assert screen == reference_screen_result(fan, radius, witnesses), (fan.name, radius)
         verdicts.add(screen.verdict.split(":")[0])
     assert {"no witnesses", "witnesses on projective space (equality case)", "singular counterexample"} <= verdicts
+
+
+def test_screen_flags_a_witness_on_a_smooth_fan_that_is_not_projective_space(monkeypatch):
+    """No smooth fan but P^n's carries a witness, so the violation verdict is
+    reached only with a bound that lets every vector through: on P1xP1, whose
+    barycenter is 0, each battery vector is then a witness with beta = 0."""
+    import toricstab.workbench as workbench
+
+    fan = load_builtin_fan("P1xP1")
+    monkeypatch.setattr(workbench, "equality_bound_rays", lambda fan: None)
+    monkeypatch.setattr(workbench, "row_meets_equality_bound", lambda n, row: True)
+    screen = screen_projective_space(fan, 1)
+    assert [w.w for w in screen.witnesses] == battery_vectors(fan, 1)
+    assert screen.smooth and screen.recognized_projective_space is False
+    assert screen.verdict.startswith("VIOLATION: ")
+    assert screen == reference_screen_result(fan, 1, screen.witnesses)
 
 
 def test_equality_bound_cones_are_rays_on_smooth_fans(q_fano_fans):
@@ -640,7 +656,8 @@ def test_screen_builds_no_volume_function(monkeypatch, corpus_fans):
     # P2 and P3 in all 22 copies, and P(1,2,3) with its singular witness (-1, 0)
     assert sum(bool(screen.witnesses) for screen in screens) == 23
     for (fan, radius), screen in zip(cases, screens):
-        assert screen == _screen_result(fan, radius, reference_screen_witnesses(fan, radius)), (fan.name, radius)
+        expected = reference_screen_result(fan, radius, reference_screen_witnesses(fan, radius))
+        assert screen == expected, (fan.name, radius)
 
 
 def _patch_row(monkeypatch, at, change):
