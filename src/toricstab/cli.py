@@ -8,7 +8,6 @@ Every failure is one line on stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .alpha import alpha_invariant
@@ -22,8 +21,8 @@ from .workbench import (
     load_fan,
     rat_str,
     report_json,
+    screen_json,
     screen_projective_space,
-    screen_result_dict,
 )
 
 
@@ -132,7 +131,7 @@ def _cmd_volfn(args) -> int:
 
 def _cmd_screen(args) -> int:
     result = screen_projective_space(load_fan(args.fanspec), radius=args.radius)
-    sys.stdout.write(json.dumps(screen_result_dict(result), indent=2) + "\n")
+    sys.stdout.write(screen_json(result) + "\n")
     return 0
 
 

@@ -81,7 +81,6 @@ class Fan:
         self.rays: tuple[LatticeVec, ...] = rays
         self.max_cones: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(c)) for c in max_cones)
         self._polytope: Optional[RationalPolytope] = None
-        self._vertex_cones: Optional[tuple[tuple[int, ...], ...]] = None
         self._generators: Optional[tuple[Matrix, ...]] = None
         self._validate()
 
@@ -180,21 +179,20 @@ class Fan:
                 k = d // -mult
                 paired.append((tuple([x * k for x in sums[:n]]), cone, mult, tuple([x * k for x in sums[n:-1]])))
             paired.sort()  # by the rows D * m_sigma, D > 0: the vertices are distinct
-            rows, self._vertex_cones, mults, products = zip(*paired)
+            rows, cones, mults, products = zip(*paired)
             g = math.gcd(d, *chain.from_iterable(rows))
             if g > 1:
                 rows = [tuple([x // g for x in row]) for row in rows]
                 d, products = d // g, [tuple([x // g for x in row]) for row in products]
             self._polytope = RationalPolytope._from_int_form(
-                tuple(zip(self.rays, repeat(Fraction(-1)))), d, rows, products, n, (self._vertex_cones, mults)
+                tuple(zip(self.rays, repeat(Fraction(-1)))), d, rows, products, n, (cones, mults)
             )
         return self._polytope
 
     def vertex_cones(self) -> tuple[tuple[int, ...], ...]:
         """Entry k is the maximal cone sigma whose m_sigma is vertex k of the
         anticanonical polytope, in its sorted vertex order; built with it."""
-        self.anticanonical_polytope()
-        return self._vertex_cones
+        return self.anticanonical_polytope()._cones[0]
 
     def degree(self) -> Fraction:
         """The anticanonical self-intersection number n! * vol(P)."""

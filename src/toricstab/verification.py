@@ -61,33 +61,18 @@ def check_example_regression() -> CheckOutcome:
     fan = load_builtin_fan("P(1,2,3)")
     val = ToricValuation(fan, (-1, 0))
     vol = volume_function(val)
-    got = {
-        "A": log_discrepancy(val),
-        "tau": pseff_threshold(val),
-        "eps": nef_threshold(val),
-        "vol_breakpoints": vol.breakpoints,
-        "vol_pieces": vol.pieces,
-        "S": integrated_volume(val),
-        "beta": beta_invariant(val),
-        "degree": fan.degree(),
-        "alpha": alpha_invariant(fan).alpha,
-    }
-    expected = {
-        "A": Fraction(2),
-        "tau": Fraction(3),
-        "eps": Fraction(3),
-        "vol_breakpoints": (Fraction(0), Fraction(3)),
-        "vol_pieces": ((Fraction(6), Fraction(0), Fraction(-2, 3)),),
-        "S": Fraction(12),
-        "beta": Fraction(0),
-        "degree": Fraction(6),
-        "alpha": Fraction(1, 6),
-    }
-    mismatches = [
-        f"{key}: expected {expected[key]}, got {got[key]}"
-        for key in expected
-        if got[key] != expected[key]
-    ]
+    checks = (
+        ("A", log_discrepancy(val), Fraction(2)),
+        ("tau", pseff_threshold(val), Fraction(3)),
+        ("eps", nef_threshold(val), Fraction(3)),
+        ("vol_breakpoints", vol.breakpoints, (Fraction(0), Fraction(3))),
+        ("vol_pieces", vol.pieces, ((Fraction(6), Fraction(0), Fraction(-2, 3)),)),
+        ("S", integrated_volume(val), Fraction(12)),
+        ("beta", beta_invariant(val), Fraction(0)),
+        ("degree", fan.degree(), Fraction(6)),
+        ("alpha", alpha_invariant(fan).alpha, Fraction(1, 6)),
+    )
+    mismatches = [f"{key}: expected {want}, got {got}" for key, got, want in checks if got != want]
     return _outcome(
         "example_regression",
         mismatches,

@@ -371,62 +371,61 @@ def _profile_json(p: ValuationProfile, rendered: dict[int, str]) -> str:
     ], 6, "{}")
 
 
-def _witness_dict(w: Optional[ScreenWitness]) -> Optional[dict]:
+def _witness_json(w: Optional[ScreenWitness], indent: int) -> str:
+    """A screen witness (or null) as the value of a member `indent` spaces in."""
     if w is None:
-        return None
-    return {
-        "w": list(w.w),
-        "log_discrepancy": rat_str(w.log_discrepancy),
-        "pseff_threshold": rat_str(w.pseff_threshold),
-        "beta": rat_str(w.beta),
-    }
+        return "null"
+    return _json_lines([
+        '"w": ' + _json_lines([str(x) for x in w.w], indent + 4),
+        '"log_discrepancy": ' + _rat_json(w.log_discrepancy),
+        '"pseff_threshold": ' + _rat_json(w.pseff_threshold),
+        '"beta": ' + _rat_json(w.beta),
+    ], indent + 2, "{}")
 
 
-def screen_result_dict(s: ScreenResult) -> dict:
-    return {
-        "fan": s.fan_name,
-        "dimension": s.dimension,
-        "radius": s.radius,
-        "smooth": s.smooth,
-        "witnesses": [_witness_dict(w) for w in s.witnesses],
-        "recognized_projective_space": s.recognized_projective_space,
-        "verdict": s.verdict,
-    }
+def screen_json(s: ScreenResult, indent: int = 0) -> str:
+    """The screen's JSON text as the value of a member `indent` spaces in; at 0,
+    the text of `toricstab screen`."""
+    return _json_lines([
+        '"fan": ' + json.dumps(s.fan_name),
+        '"dimension": ' + json.dumps(s.dimension),
+        '"radius": ' + json.dumps(s.radius),
+        '"smooth": ' + json.dumps(s.smooth),
+        '"witnesses": ' + _json_lines([_witness_json(w, indent + 4) for w in s.witnesses], indent + 4),
+        '"recognized_projective_space": ' + json.dumps(s.recognized_projective_space),
+        '"verdict": ' + json.dumps(s.verdict),
+    ], indent + 2, "{}")
 
 
 def report_json(r: StabilityReport) -> str:
-    """`json.dumps(..., indent=2)` of the report, with the valuations array
-    written by `_profile_json` and spliced in after its key line, which no
-    value can imitate: no rendered value contains a newline."""
+    """The report's JSON text and a newline, in the bytes of `json.dumps(..., indent=2)`, from
+    `_json_lines`, `_rat_json`, `_profile_json`, `screen_json` and `json.dumps` of single values."""
     rendered: dict[int, str] = {}
-    valuations = _json_lines([_profile_json(p, rendered) for p in r.profiles], 4)
-    text = json.dumps({
-        "fan": r.fan_name,
-        "dimension": r.dimension,
-        "degree": rat_str(r.degree),
-        "alpha": {
-            "alpha": rat_str(r.alpha.alpha),
-            "witness_ray_index": r.alpha.witness_ray_index,
-            "witness_divisor": [rat_str(d) for d in r.alpha.witness_divisor],
-            "witness_m": [rat_str(x) for x in r.alpha.witness_m],
-            "ray_thresholds": [rat_str(t) for t in r.alpha.ray_thresholds],
-        },
-        "barycenter": [rat_str(x) for x in r.barycenter],
-        "battery_radius": r.battery_radius,
-        "valuations": [],
-        "verdicts": {
-            "toric_divisorial_semistable": r.toric_divisorial_semistable,
-            "min_beta": rat_str(r.min_beta),
-            "min_beta_witness": list(r.min_beta_witness),
-            "instability_witness": _witness_dict(r.instability_witness),
-            "strictly_stable_over_toric": r.strictly_stable_over_toric,
-            "strict_stability_reason": r.strict_stability_reason,
-            "projective_space_screen": screen_result_dict(r.projective_space_screen),
-        },
-        "assumptions": list(r.assumptions),
-    }, indent=2)
-    cut = text.index('\n  "valuations": []') + len('\n  "valuations": ')
-    return text[:cut] + valuations + text[cut + 2:] + "\n"
+    return _json_lines([
+        '"fan": ' + json.dumps(r.fan_name),
+        '"dimension": ' + json.dumps(r.dimension),
+        '"degree": ' + _rat_json(r.degree),
+        '"alpha": ' + _json_lines([
+            '"alpha": ' + _rat_json(r.alpha.alpha),
+            '"witness_ray_index": ' + json.dumps(r.alpha.witness_ray_index),
+            '"witness_divisor": ' + _json_lines([_rat_json(x) for x in r.alpha.witness_divisor], 6),
+            '"witness_m": ' + _json_lines([_rat_json(x) for x in r.alpha.witness_m], 6),
+            '"ray_thresholds": ' + _json_lines([_rat_json(x) for x in r.alpha.ray_thresholds], 6),
+        ], 4, "{}"),
+        '"barycenter": ' + _json_lines([_rat_json(x) for x in r.barycenter], 4),
+        '"battery_radius": ' + json.dumps(r.battery_radius),
+        '"valuations": ' + _json_lines([_profile_json(p, rendered) for p in r.profiles], 4),
+        '"verdicts": ' + _json_lines([
+            '"toric_divisorial_semistable": ' + json.dumps(r.toric_divisorial_semistable),
+            '"min_beta": ' + _rat_json(r.min_beta),
+            '"min_beta_witness": ' + _json_lines([str(x) for x in r.min_beta_witness], 6),
+            '"instability_witness": ' + _witness_json(r.instability_witness, 4),
+            '"strictly_stable_over_toric": ' + json.dumps(r.strictly_stable_over_toric),
+            '"strict_stability_reason": ' + json.dumps(r.strict_stability_reason),
+            '"projective_space_screen": ' + screen_json(r.projective_space_screen, 4),
+        ], 4, "{}"),
+        '"assumptions": ' + _json_lines([json.dumps(x) for x in r.assumptions], 4),
+    ], 2, "{}") + "\n"
 
 
 # -- CSV export ----------------------------------------------------------------------

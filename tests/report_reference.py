@@ -1,10 +1,10 @@
 """The report as a plain dict, kept as the reference for `report_json`.
 
-`workbench.report_json` writes the valuations array itself and renders
-each shared piecewise polynomial once; the text it must equal is
-`reference_json(r)`, the dict below dumped by `json.dumps(..., indent=2)`.
-It writes its own "p/q" strings and screen block, sharing no serializer
-with `workbench`.
+`workbench.report_json` writes the whole report by hand and renders each
+shared piecewise polynomial once; the text it must equal is
+`reference_json(r)`, the dict below dumped by `json.dumps(..., indent=2)`,
+and `screen_json(s)` must equal `reference_screen_json(s)`.  It writes its
+own "p/q" strings and screen block, sharing no serializer with `workbench`.
 """
 
 import json
@@ -92,3 +92,7 @@ def report_dict(r) -> dict:
 
 def reference_json(r) -> str:
     return json.dumps(report_dict(r), indent=2) + "\n"
+
+
+def reference_screen_json(s) -> str:
+    return json.dumps(_screen_dict(s), indent=2)

@@ -562,3 +562,11 @@ def test_automorphisms_bounded_by_the_oracle_budget(monkeypatch):
     monkeypatch.setenv("TKS_ORACLE_BUDGET", str(8 * 6))
     monkeypatch.setattr(fan, "_cone_tables", tables)
     assert len(group_closure(fan.automorphism_generators(), 3)) == 48
+
+
+def test_fan_and_polytope_reprs_give_the_sizes(p2):
+    """A fan's repr names it only when it has a name; its polytope's repr
+    counts facets and vertices."""
+    assert repr(p2) == "Fan(dim=2 'P2', rays=3, cones=3)"
+    assert repr(Fan(1, [[1], [-1]], [[0], [1]])) == "Fan(dim=1, rays=2, cones=2)"
+    assert repr(p2.anticanonical_polytope()) == "RationalPolytope(dim=2, facets=3, vertices=3)"

@@ -535,7 +535,8 @@ def test_equality_and_hash_of_the_integer_form_follow_the_fraction_fields():
     """Two functions compare equal, have equal integer forms and have equal
     hashes exactly when the Fraction fields once built at construction are
     equal; `breakpoints` and `pieces`, derived when read, equal those
-    fields, and a function is rebuilt from them."""
+    fields, and a function is rebuilt from them.  Against anything else,
+    equality is NotImplemented."""
     seen = set()
 
     @settings(max_examples=400, derandomize=True, database=None, deadline=None)
@@ -546,6 +547,7 @@ def test_equality_and_hash_of_the_integer_form_follow_the_fraction_fields():
         assert (f == g) is want and (f != g) is not want
         assert ((f._grid, f._int_pieces) == (g._grid, g._int_pieces)) is want
         assert (hash(f) == hash(g)) is want
+        assert f.__eq__(0) is NotImplemented and f != 0
         for fn, parts in ((f, a), (g, b)):
             assert "breakpoints" not in vars(fn) and "pieces" not in vars(fn)
             assert (fn.breakpoints, fn.pieces) == eager_fields(*parts)

@@ -226,6 +226,8 @@ def test_triangulate_lower_dimensional_is_empty(halfspaces, dim):
     for apex in (vertex_average(poly), *poly.vertices):
         assert pulled(poly, apex) == []
     assert poly.indexed_triangulation[1] == ()
+    with pytest.raises(InvariantViolation, match="^barycenter of a degenerate polytope$"):
+        poly.barycenter()
 
 
 CORPUS_SIMPLEX_COUNTS = {

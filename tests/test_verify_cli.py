@@ -2,11 +2,17 @@
 
 import hashlib
 import io
+import sys
+from dataclasses import replace
 from fractions import Fraction as F
+from types import SimpleNamespace
+
+import pytest
 
 from toricstab import verification
 from toricstab.cli import main
 from toricstab.verification import run_builtin_suite
+from toricstab.workbench import ScreenWitness
 
 
 def test_builtin_suite_passes_and_is_deterministic():
@@ -21,16 +27,71 @@ def test_builtin_suite_passes_and_is_deterministic():
     assert lines[-1] == "verification: all criteria passed"
 
 
-def test_builtin_suite_reports_mismatch(monkeypatch):
-    """Perturbing a computed value must flip the exit code and show the diff."""
-    monkeypatch.setattr(
-        verification, "beta_invariant", lambda val: F(1), raising=True
-    )
+def _inverted_screen(real, *args, **kwargs):
+    """The screen with a witness exactly where it finds none, and no verdict."""
+    screen = real(*args, **kwargs)
+    fake = ScreenWitness((1,) * screen.dimension, F(1), F(1), F(0))
+    return replace(screen, witnesses=() if screen.witnesses else (fake,), verdict="")
+
+
+def _doubled_alpha(real, fan):
+    """alpha doubled and the witness divisor rotated: no AlphaResult can hold them."""
+    result = real(fan)
+    rotated = result.witness_divisor[1:] + result.witness_divisor[:1]
+    return SimpleNamespace(alpha=2 * result.alpha, witness_m=result.witness_m, witness_divisor=rotated)
+
+
+def _beta_one(real, val):
+    return F(1)
+
+
+# (criterion, a name it imports, wrong(real, *args), every kind of line in its FAIL detail)
+MISMATCHES = [
+    ("1", "beta_invariant", _beta_one, ["beta: expected 0, got 1"]),
+    ("2", "beta_invariant", _beta_one, ["P2: expected (A,tau,eps,beta)"]),
+    ("2", "screen_projective_space", _inverted_screen, ["P2: screen failed to recognize the equality case"]),
+    ("3", "screen_projective_space", _inverted_screen, [
+        "P2: expected an equality-case witness", "P1xP1: unexpected witnesses [(1, 1)]",
+        "P(1,2,3): expected a witness", "P(1,2,3): verdict ''",
+    ]),
+    ("4", "beta_invariant", _beta_one, [
+        "P1 w=(-1,): integration 1 != barycenter 0", "P1: beta((1,)) != -beta((-1,))",
+        "P1: beta(2*(-1,)) = 1 != 2*1",
+    ]),
+    ("5", "section_count", lambda real, val, k, j: real(val, k, j) + k * k * (k == 30), [
+        "x=1/2: error at k=30 is", "x=1/2: error sequence",
+    ]),
+    ("6", "midpoint_root_concave", lambda real, *args: False, ["concavity fails at midpoint"]),
+    ("7", "alpha_invariant", _doubled_alpha, [
+        "P1: alpha expected 1/2, got 1", "P1: alpha != 1/max_j tau(v_j)", "P1: witness divisor invalid",
+        "P1: witness extremal coefficient != 1/alpha",
+    ]),
+    ("8", "analyze", lambda real, *args, **kwargs: replace(real(*args, **kwargs), assumptions=()), [
+        "the dreaminess assumption", "the alpha reduction", "the verdict provenance",
+    ]),
+]
+
+
+@pytest.mark.parametrize(
+    "number, name, wrong, messages", MISMATCHES, ids=[f"{k}-{name}" for k, name, *_ in MISMATCHES]
+)
+def test_builtin_suite_reports_mismatch(monkeypatch, number, name, wrong, messages):
+    """A wrong value of a name that criterion k imports, seen by criterion k
+    only, fails criterion k alone, shows each diff and flips the exit code."""
+    check, real = dict(verification.ALL_CHECKS)[number], getattr(verification, name)
+
+    def patched(*args, **kwargs):
+        if sys._getframe(1).f_code is check.__code__:
+            return wrong(real, *args, **kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(verification, name, patched, raising=True)
     buf = io.StringIO()
     assert run_builtin_suite(buf) == 1
-    text = buf.getvalue()
-    assert "FAIL criterion 1" in text
-    assert "beta: expected 0, got 1" in text
+    lines = buf.getvalue().splitlines()
+    assert [line.split(" [")[0] for line in lines if line.startswith("FAIL")] == [f"FAIL criterion {number}"]
+    assert all(message in lines[int(number) - 1] for message in messages), lines[int(number) - 1]
+    assert lines[-1] == "verification: 1 criteria FAILED"
 
 
 # SHA-256 of `toricstab verify` stdout, recorded before the alpha gate and the

@@ -5,11 +5,13 @@ import hashlib
 import io
 import json
 import operator
+import runpy
+import sys
 from dataclasses import fields, replace
 from fractions import Fraction as F
 
 import pytest
-from report_reference import reference_json
+from report_reference import reference_json, reference_screen_json
 from screen_reference import (
     qualifying_vertices,
     reference_battery_vectors,
@@ -45,6 +47,7 @@ from toricstab.workbench import (
     parse_fan_spec,
     rat_str,
     report_json,
+    screen_json,
     screen_projective_space,
     valuation_battery,
 )
@@ -730,11 +733,14 @@ def test_report_determinism(tmp_path, p123):
 
 def test_report_json_equals_the_reference(corpus_fans):
     """The written report equals `json.dumps(report_dict(r), indent=2)` on every
-    corpus fan at radius 2 and on P4 at radius 4 (a 7.95 MB report)."""
+    corpus fan at radius 2 and on P4 at radius 4 (a 7.95 MB report), and the
+    screen text of the `screen` command equals its `json.dumps` too."""
     cases = [(fan, 2) for fan in corpus_fans] + [(load_builtin_fan("P4"), 4)]
     for fan, radius in cases:
         report = analyze(fan, radius)
         assert report_json(report) == reference_json(report), (fan.name, radius)
+        screen = report.projective_space_screen
+        assert screen_json(screen) == reference_screen_json(screen), (fan.name, radius)
 
 
 @pytest.mark.parametrize("name", [
@@ -746,10 +752,12 @@ def test_report_json_equals_the_reference(corpus_fans):
 ], ids=["sentinel", "key-name", "key-line", "escapes", "non-ascii"])
 def test_report_json_adversarial_fan_names(name):
     """Names that mimic the valuations key or need escapes change nothing but
-    the encoded name: the valuations array is spliced in by position."""
+    the encoded name, in the report and in its screen block: each member is
+    written in its place, with the name encoded by `json.dumps`."""
     report = analyze(parse_fan_spec({**P123_SPEC, "name": name}), 1)
     text = report_json(report)
     assert text == reference_json(report)
+    assert screen_json(report.projective_space_screen) == reference_screen_json(report.projective_space_screen)
     assert json.loads(text)["fan"] == name
 
 
@@ -964,6 +972,16 @@ def test_cli_analyze_and_exit_codes(tmp_path, capsys):
         tmp_path, dict(P123_SPEC, cones=[[0, 1], [1, 2]]), "gap.json"
     )
     assert main(["analyze", nonfano]) == 3
+
+
+def test_cli_module_exits_with_the_command_code(tmp_path, monkeypatch, capsys):
+    """`python -m toricstab.cli` runs `main` on sys.argv and exits with its code."""
+    monkeypatch.setattr(sys, "argv", ["toricstab", "alpha", str(tmp_path / "missing.json")])
+    monkeypatch.delitem(sys.modules, "toricstab.cli")  # run the module afresh, as -m does
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_module("toricstab.cli", run_name="__main__")
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err.startswith("error: cannot read fan spec")
 
 
 
