@@ -22,14 +22,6 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "toricstab"
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 SKIPPED = (*DEFS, ast.Import, ast.ImportFrom, ast.Try, ast.Global)
-ran: dict[str, set[int]] = defaultdict(set)
-
-
-def _trace(frame, event, arg):
-    """Global tracer on a call (tracing only the package's frames), local on a line."""
-    if event == "line":
-        ran[frame.f_code.co_filename].add(frame.f_lineno)
-    return _trace if frame.f_code.co_filename.startswith(str(PACKAGE)) else None
 
 
 def statements(tree: ast.Module):
@@ -43,8 +35,15 @@ def statements(tree: ast.Module):
 
 
 def main() -> int:
-    threading.settrace(_trace)
-    sys.settrace(_trace)
+    ran: dict[str, set[int]] = defaultdict(set)
+
+    def trace(frame, event, arg):  # global on a call, tracing only the package's frames; local on a line
+        if event == "line":
+            ran[frame.f_code.co_filename].add(frame.f_lineno)
+        return trace if frame.f_code.co_filename.startswith(str(PACKAGE)) else None
+
+    threading.settrace(trace)
+    sys.settrace(trace)
     status = pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests")])  # src/ on the path by pyproject
     sys.settrace(None)
     threading.settrace(None)
