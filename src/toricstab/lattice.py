@@ -3,8 +3,7 @@
 Rational scalars are ``fractions.Fraction`` throughout (always in lowest
 terms, positive denominator, exact arithmetic).  Lattice vectors are plain
 tuples of ints, dual/rational vectors are tuples of Fractions.  Everything
-here is a pure function in integers and Fractions; the package's one float
-seeds `piecewise.int_nth_root`, whose integer steps decide every result.
+here, as in the whole package, is a pure function in integers and Fractions.
 
 Every determinant, rank, solve, inverse and adjugate here is one run of
 `eliminate` on rows scaled to integers: Gauss-Jordan elimination by the

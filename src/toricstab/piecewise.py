@@ -34,7 +34,8 @@ the breakpoints over one common denominator: one Fraction in all.
 
 The B-spline jumps behind the closed-form volume functions
 (`spline_cdf_jumps`) take integer knots and return integer numerators over
-an integer denominator per knot.
+an integer denominator per knot; `taylor_shift` re-expands their sums, and
+mirrored pieces, about a new origin.
 """
 
 from __future__ import annotations
@@ -91,6 +92,14 @@ def lagrange_interpolate(points: Sequence[tuple[Fraction, Fraction]]) -> Poly:
         for k, c in enumerate(basis):
             coeffs[k] += w * c
     return poly_trim(coeffs)
+
+
+def taylor_shift(cs: list[int], t: int) -> list[int]:
+    """The coefficients cs of p(y), ascending, made those of p(y - t) in place; returns cs."""
+    for i in range(len(cs) - 1):
+        for j in range(len(cs) - 2, i - 1, -1):
+            cs[j] -= t * cs[j + 1]
+    return cs
 
 
 def spline_cdf_jumps(knots: Sequence[int]) -> dict[int, tuple[int, list[int]]]:
@@ -301,13 +310,13 @@ class PiecewisePolynomial:
 
 
 def int_nth_root(value: int, m: int) -> int:
-    """Largest r with r^m <= value: `math.isqrt` for even m, else Newton from a float seed.
+    """Largest r with r^m <= value: `math.isqrt` for even m, else integer Newton.
 
     For even m = 2k the answer is the k-th root of isqrt(value), as
-    floor(floor(v^(1/2))^(1/k)) = floor(v^(1/(2k))).  The seed is the float
-    m-th root of value's leading bits.  One integer Newton step from any
-    positive r lands at or above the answer (AM-GM), and from there the
-    steps decrease strictly until they reach it.  m < 1 raises ValueError.
+    floor(floor(v^(1/2))^(1/k)) = floor(v^(1/(2k))).  For odd m Newton starts
+    above the answer, at 2^ceil(b/m) for b = value.bit_length(); no step falls
+    below it (AM-GM) and each step from above decreases strictly, so the
+    first that does not decrease starts at it.  m < 1 raises ValueError.
     """
     if m < 1:
         raise ValueError(f"root order must be at least 1, got {m}")
@@ -317,10 +326,7 @@ def int_nth_root(value: int, m: int) -> int:
         return value
     if m % 2 == 0:
         return int_nth_root(math.isqrt(value), m // 2)
-    shift = max(0, value.bit_length() - 64)
-    shift -= shift % m
-    r = max(1, int(float(value >> shift) ** (1 / m))) << (shift // m)
-    r = ((m - 1) * r + value // r ** (m - 1)) // m
+    r = 1 << -(-value.bit_length() // m)
     while True:
         nxt = ((m - 1) * r + value // r ** (m - 1)) // m
         if nxt >= r:

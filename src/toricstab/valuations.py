@@ -46,8 +46,8 @@ variable y = D x the knots are the integers s_v - min, and the spline
 jumps, being homogeneous of degree 0, are integer vectors over integer
 denominators.  The simplex masses dim! vol(S) are integers over the shared
 denominator D^dim (`RationalPolytope.indexed_triangulation`).  The jumps
-are summed per breakpoint, grouped by denominator, brought to one common
-denominator L, expanded in powers of y by an integer Taylor shift and
+of all simplices are brought to one common denominator L, summed per
+breakpoint, expanded in powers of y by `piecewise.taylor_shift` and
 accumulated into the pieces, numerators c_j D^j over D^dim L on the grid
 k / D.  `PiecewisePolynomial._from_int_form` reduces them and checks
 continuity, and the endpoint values are checked, all in integers.  C^1 is
@@ -67,7 +67,7 @@ from functools import cached_property, lru_cache
 from .errors import InvariantViolation
 from .fans import Fan
 from .lattice import LatticeVec, primitivize
-from .piecewise import PiecewisePolynomial, spline_cdf_jumps
+from .piecewise import PiecewisePolynomial, spline_cdf_jumps, taylor_shift
 
 # Entries kept by the volume-function and nef-threshold caches.  Their keys
 # hold a Fan hashed by identity, so a fan parsed again never hits and only a
@@ -204,37 +204,25 @@ def volume_function(val: ToricValuation) -> PiecewisePolynomial:
     knots = [s - low for s in row]
     values = sorted(set(knots))
     top = values[-1]
-    # per breakpoint below the top: denominator -> sum of mass * jump numerators
-    grouped: dict[int, dict[int, list[int]]] = {t: {} for t in values[:-1]}
+    # each simplex's jumps below the top, listed once, then summed per breakpoint t
+    # over one common denominator: sum_j J_j (y - t)^j
     mass_den, simplices = poly.indexed_triangulation
-    for simplex, mass in simplices:
-        for t, (den, jump) in spline_cdf_jumps([knots[i] for i in simplex]).items():
-            if t == top:
-                continue
-            acc = grouped[t].get(den)
-            if acc is None:
-                grouped[t][den] = [mass * c for c in jump]
-            else:
-                for j, c in enumerate(jump):
-                    acc[j] += mass * c
-    # every piece over mass_den * common: the degree minus the jumps so far,
-    # each jump sum_j J_j (y - t)^j expanded in powers of y by a Taylor shift
-    common = math.lcm(*(den for by_den in grouped.values() for den in by_den))
+    listed = [(t, mass, den, jump) for simplex, mass in simplices
+              for t, (den, jump) in spline_cdf_jumps([knots[i] for i in simplex]).items() if t != top]
+    common = math.lcm(*(den for _, _, den, _ in listed))
+    sums = {t: [0] * (n + 1) for t in values[:-1]}
+    for t, mass, den, jump in listed:
+        acc, factor = sums[t], mass * (common // den)
+        for j, c in enumerate(jump):
+            acc[j] += factor * c
+    # every piece over mass_den * common: the degree minus the jumps so far, each
+    # expanded in powers of y; in x = y / D the coefficient of x^j is c_j D^j
     degree = sum(mass for _, mass in simplices)
     current = [degree * common] + [0] * n
-    # in x = y / D the coefficient of x^j is c_j D^j over mass_den * common
     powers = [scale**j for j in range(n + 1)]
     pieces = []
     for t in values[:-1]:
-        jump = [0] * (n + 1)
-        for den, acc in grouped[t].items():
-            for j, c in enumerate(acc):
-                jump[j] += c * (common // den)
-        for i in range(n):
-            for j in range(n - 1, i - 1, -1):
-                jump[j] -= t * jump[j + 1]
-        for j, c in enumerate(jump):
-            current[j] -= c
+        current = list(map(operator.sub, current, taylor_shift(sums[t], t)))
         pieces.append((mass_den * common, list(map(operator.mul, current, powers))))
     vol = PiecewisePolynomial._from_int_form(scale, values, pieces)
     return _checked_volume(vol, Fraction(degree, mass_den))
@@ -388,10 +376,7 @@ def mirrored_profile(val: ToricValuation, other: ValuationProfile) -> ValuationP
     top, pieces = grid[-1], []
     for e, cs in reversed(other.volume_fn._int_pieces):
         d = len(cs) - 1
-        shifted = [(-c if k % 2 else c) * den ** (d - k) for k, c in enumerate(cs)]
-        for i in range(d):
-            for j in range(d - 1, i - 1, -1):
-                shifted[j] -= top * shifted[j + 1]
+        shifted = taylor_shift([(-c if k % 2 else c) * den ** (d - k) for k, c in enumerate(cs)], top)
         # V - p(tau - x), over V's denominator times e D^d
         nums = [-degree.denominator * c * den**j for j, c in enumerate(shifted)]
         nums[0] += degree.numerator * e * den**d

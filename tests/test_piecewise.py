@@ -28,6 +28,7 @@ from toricstab.piecewise import (
     poly_trim,
     root_floor,
     spline_cdf_jumps,
+    taylor_shift,
 )
 
 
@@ -114,9 +115,11 @@ def newton_nth_root(value, m):
 
 
 def test_int_nth_root_matches_newton():
-    """The float-seeded root equals the Newton root on random values and at perfect powers."""
+    """The root (the `math.isqrt` chain for even m, integer Newton from 2^ceil(b/m)
+    for odd m) equals the earlier Newton root on random values and at perfect
+    powers, for m = 2 to 9."""
     rng = random.Random(900)
-    for m in range(2, 7):
+    for m in range(2, 10):
         for v in range(200):
             assert int_nth_root(v, m) == newton_nth_root(v, m)
         for _ in range(300):
@@ -252,6 +255,20 @@ def test_poly_from_shifted():
     assert poly_from_shifted([F(1), F(2), F(3)], F(1)) == (F(2), F(-4), F(3))
     assert poly_from_shifted([F(0), F(0), F(1)], F(-2)) == (F(4), F(4), F(1))
     assert poly_from_shifted([F(5)], F(7)) == (F(5),)
+
+
+def test_taylor_shift_matches_the_fraction_oracle():
+    """The integer shift to p(y - t), in place, equals `poly_from_shifted` on
+    seeded random integer polynomials of degree 0 to 6 at t < 0, t = 0 and t > 0."""
+    rng = random.Random(41)
+    for degree in range(7):
+        for t in (-rng.randint(1, 50), 0, rng.randint(1, 50)):
+            for _ in range(20):
+                cs = [rng.randint(-99, 99) for _ in range(degree + 1)]
+                given_list = list(cs)
+                shifted = taylor_shift(given_list, t)
+                assert shifted is given_list
+                assert poly_trim(shifted) == poly_from_shifted(cs, t), (cs, t)
 
 
 def test_spline_cdf_repeated_knots():
