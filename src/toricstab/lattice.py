@@ -5,12 +5,13 @@ terms, positive denominator, exact arithmetic).  Lattice vectors are plain
 tuples of ints, dual/rational vectors are tuples of Fractions.  Everything
 here, as in the whole package, is a pure function in integers and Fractions.
 
-Every determinant, rank, solve, inverse and adjugate here is one run of
-`eliminate` on rows scaled to integers: Gauss-Jordan elimination by the
-fraction-free rank-one step `exchange` (Bareiss, Math. Comp. 22, 1968),
-which leaves |det| times the solution in the right-hand columns.  `fans`
-shares both: the wall walk's seed cone is one `eliminate`, and every other
-cone's table is one `exchange` from a neighbour's.
+Every determinant, rank, inverse and adjugate here is one run of `eliminate`
+on rows scaled to integers: Gauss-Jordan elimination by the fraction-free
+rank-one step `exchange` (Bareiss, Math. Comp. 22, 1968), which leaves |det|
+times the solution in the right-hand columns.  A solve, interpolation
+(`piecewise.lagrange_interpolate`) included, is the inverse times the
+right-hand side.  `fans` shares both: the wall walk's seed cone is one
+`eliminate`, and every other cone's table is one `exchange` from a neighbour's.
 """
 
 from __future__ import annotations
@@ -88,40 +89,21 @@ def eliminate(rows: Sequence[Sequence[int]], cols: Optional[Sequence[int]] = Non
     return pivots, table, sign * mult
 
 
-def _solve_columns(
-    rows: Sequence[Sequence], rhs_columns: Sequence[Sequence]
-) -> Optional[tuple[int, list[list[int]]]]:
-    """(d, ys) with A x_k = b_k and ys[k] = d * x_k in integers; None if A is singular.
-
-    A is square with int or rational entries; d is its determinant after
-    the rows of [A | b] were scaled to integers, and eliminating A's columns
-    leaves |d| A^-1 b in column b, so d * x_k is a Cramer numerator.
-    """
-    n = len(rows)
-    aug, _ = integer_rows([list(row) + [b[i] for b in rhs_columns] for i, row in enumerate(rows)])
-    pivots, table, d = eliminate(aug, range(n))
-    if len(pivots) < n:
-        return None
-    s = 1 if d > 0 else -1
-    return d, [[s * row[col] for row in table] for col in range(n, n + len(rhs_columns))]
-
-
 # -- public operations ----------------------------------------------------------
 
 
 def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> RatVec:
-    """Solve the square system (rows)x = rhs exactly.
+    """Solve the square system (rows)x = rhs exactly, as `matrix_inverse(rows)` times rhs.
 
     Raises ValueError("singular system") when the matrix has no inverse.
     """
     n = len(rows)
     if any(len(r) != n for r in rows) or len(rhs) != n:
         raise ValueError("solve_linear expects a square system")
-    solved = _solve_columns(rows, [rhs])
-    if solved is None:
+    inverse = matrix_inverse(rows)
+    if inverse is None:
         raise ValueError("singular system")
-    d, (y,) = solved
-    return tuple(Fraction(v, d) for v in y)
+    return tuple(dot(row, rhs) for row in inverse)
 
 
 def det_int(rows: Sequence[Sequence[int]]) -> int:
@@ -139,14 +121,16 @@ def det(rows: Sequence[Sequence]) -> Fraction:
 def adjugate(rows: Sequence[Sequence]) -> Optional[tuple[int, tuple[LatticeVec, ...]]]:
     """(d, d * inverse) of a square matrix, or None when singular.
 
-    For integer rows d is the determinant and d * inverse the adjugate.
+    One `eliminate` of A's columns of [A | I], rows scaled to integers, leaves |d| A^-1
+    on the right; for integer rows d is the determinant and d * inverse the adjugate.
     """
     n = len(rows)
-    solved = _solve_columns(rows, [[int(i == j) for i in range(n)] for j in range(n)])
-    if solved is None:
+    aug, _ = integer_rows([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)])
+    pivots, table, d = eliminate(aug, range(n))
+    if len(pivots) < n:
         return None
-    d, ys = solved
-    return d, tuple(zip(*ys))
+    s = 1 if d > 0 else -1
+    return d, tuple(tuple([s * x for x in row[n:]]) for row in table)
 
 
 def matrix_inverse(rows: Sequence[Sequence]) -> Optional[tuple[RatVec, ...]]:

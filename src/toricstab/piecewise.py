@@ -47,6 +47,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
+from .lattice import solve_linear
+
 Poly = tuple[Fraction, ...]
 
 
@@ -72,26 +74,10 @@ def _homogeneous(cs: Sequence[int], p: int, q: int) -> tuple[int, int]:
 
 
 def lagrange_interpolate(points: Sequence[tuple[Fraction, Fraction]]) -> Poly:
-    """Exact interpolating polynomial through distinct rational points."""
-    n = len(points)
-    coeffs = [Fraction(0)] * n
-    for i, (xi, yi) in enumerate(points):
-        # basis polynomial prod_{j!=i} (x - xj)/(xi - xj)
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            new = [Fraction(0)] * (len(basis) + 1)
-            for k, c in enumerate(basis):
-                new[k] += -xj * c
-                new[k + 1] += c
-            basis = new
-            denom *= xi - xj
-        w = yi / denom
-        for k, c in enumerate(basis):
-            coeffs[k] += w * c
-    return poly_trim(coeffs)
+    """Exact interpolating polynomial through distinct rational points, by one Vandermonde
+    solve: a repeated x raises ValueError("singular system")."""
+    vandermonde = [[x**k for k in range(len(points))] for x, _ in points]
+    return poly_trim(solve_linear(vandermonde, [y for _, y in points]))
 
 
 def taylor_shift(cs: list[int], t: int) -> list[int]:

@@ -238,7 +238,7 @@ class StabilityReport:
 
 def orbit_profiles(fan: Fan, battery: Sequence[ToricValuation]) -> tuple[ValuationProfile, ...]:
     """`valuation_profile` of every battery valuation, once per orbit of the
-    fan automorphisms together with -1.
+    fan automorphisms, and mirrored (below) for an orbit's negative.
 
     Every invariant is the same at w and at A w for an automorphism A, so
     the first member of each orbit in battery order gets a profile and the
@@ -271,11 +271,11 @@ def orbit_profiles(fan: Fan, battery: Sequence[ToricValuation]) -> tuple[Valuati
 def analyze(fan: Fan, radius: int = 4) -> StabilityReport:
     """Full stability report over the primitive valuation battery.
 
-    Profiles are computed once per orbit of the automorphisms and -1, closed
-    under the fan's generators (`orbit_profiles`); each beta is checked
-    against the exact barycenter identity, the source of the semistability
-    verdict: the battery holds every +-e_i, so its minimum beta is negative
-    exactly when b != 0.  The screen is `screen_projective_space`'s.
+    Profiles are computed once per orbit of the automorphisms, closed under
+    the fan's generators, or mirrored from -w's (`orbit_profiles`); each
+    beta is checked against the exact barycenter identity, the source of the
+    semistability verdict: the battery holds every +-e_i, so its minimum beta
+    is negative exactly when b != 0.  The screen is `screen_projective_space`'s.
     """
     poly = fan.anticanonical_polytope()
     barycenter = poly.barycenter()

@@ -53,7 +53,7 @@ def test_record_alternates_and_summarizes(tmp_path, monkeypatch, capsys):
     assert bench_record.main(argv) == 0
     printed = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
     assert printed == ["pa", "ch", "ch", "pa", "pa", "ch", "ch", "pa"]
-    doc = json.loads((out / "BENCH_ch.json").read_text())
+    doc = json.loads((out / "BENCH_w-ch.json").read_text())
     assert doc["label"] == "ch" and doc["workload"] == "w"
     assert doc["command"] == "python3 bench/run.py --workload w --seed S"
     assert [r["seed"] for r in doc["runs"]] == [1, 2, 3, 4]
@@ -63,14 +63,37 @@ def test_record_alternates_and_summarizes(tmp_path, monkeypatch, capsys):
     assert summary["attempted"] == 12 and summary["failed"] == 0
     assert summary["metrics"]["jobs_per_s"]["median"] == 25.0
     assert summary["metrics"]["jobs_per_s"]["n"] == 4
-    parent = json.loads((out / "BENCH_pa.json").read_text())
+    parent = json.loads((out / "BENCH_w-pa.json").read_text())
     assert parent["summary"]["metrics"]["jobs_per_s"]["median"] == 2.5
-    paired = json.loads((out / "BENCH_ch_vs_pa.json").read_text())
+    paired = json.loads((out / "BENCH_w-ch_vs_w-pa.json").read_text())
     assert paired["first"] == "pa" and paired["second"] == "ch" and paired["workload"] == "w"
     jobs = paired["metrics"]["jobs_per_s"]
     assert jobs["pairs"] == 4 and jobs["second_wins"] == 4
     assert [r["ratio"] for r in jobs["seeds"]] == [10.0] * 4
     assert jobs["gain_rule"] is False  # fewer than 10 pairs
+
+
+def test_workloads_recorded_with_the_same_labels_keep_their_own_files(tmp_path, monkeypatch):
+    """Two workloads under the same labels in one directory: four per-label
+    files and two paired files, each holding its own workload's runs."""
+    a = stub_checkout(tmp_path / "a", 1.0)
+    b = stub_checkout(tmp_path / "b", 10.0)
+    out = tmp_path / "out"
+    out.mkdir()
+    monkeypatch.chdir(out)
+    for workload, seeds in (("w1", "1-2"), ("w2", "3-5")):
+        assert bench_record.main(["--workload", workload, "--seeds", seeds, f"pa={a}", f"ch={b}"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "BENCH_w1-ch.json", "BENCH_w1-ch_vs_w1-pa.json", "BENCH_w1-pa.json",
+        "BENCH_w2-ch.json", "BENCH_w2-ch_vs_w2-pa.json", "BENCH_w2-pa.json",
+    ]
+    for workload, seeds in (("w1", [1, 2]), ("w2", [3, 4, 5])):
+        for label in ("pa", "ch"):
+            doc = json.loads((out / f"BENCH_{workload}-{label}.json").read_text())
+            assert (doc["label"], doc["workload"]) == (label, workload)
+            assert [r["seed"] for r in doc["runs"]] == seeds
+        paired = json.loads((out / f"BENCH_{workload}-ch_vs_{workload}-pa.json").read_text())
+        assert paired["workload"] == workload and paired["metrics"]["jobs_per_s"]["pairs"] == len(seeds)
 
 
 def synthetic(values: dict[int, dict[str, float]]) -> list[dict]:

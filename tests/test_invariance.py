@@ -3,26 +3,36 @@
 A unimodular g in GL_n(Z) maps a fan to an isomorphic one: ray j goes to
 g v_j and the cones keep their ray indices.  The anticanonical polytope
 goes to g^-T P, so what belongs to the variety is unchanged: the degree,
-alpha and its witness ray, and at g w every invariant of w.  The
+alpha and its witness ray, the automorphism group (conjugated by g), and at
+g w every invariant of w, both certificates and the section count.  The
 barycenter maps as b = g^T b'.  The screen's battery is the coordinate box
 [-r, r]^n, which g does not preserve, so its verdict belongs to the fan's
 coordinates and the radius; one such case is pinned.
 """
 
+import functools
+import math
+import operator
 import random
 
 import pytest
 
+from test_fans import group_closure
+
 from toricstab.alpha import alpha_invariant
 from toricstab.corpus import builtin_fan_specs
 from toricstab.fans import Fan
+from toricstab.lattice import matrix_inverse
 from toricstab.valuations import (
     ToricValuation,
     beta_invariant,
     center_codim,
+    certify_equality_case,
+    certify_extremal_volume,
     log_discrepancy,
     nef_threshold,
     pseff_threshold,
+    section_count,
     volume_function,
 )
 from toricstab.workbench import load_builtin_fan, screen_projective_space
@@ -55,6 +65,15 @@ def moved(fan, g):
     return Fan(fan.dimension, [apply(g, v) for v in fan.rays], fan.max_cones, fan.name)
 
 
+def box_points(fan, scale):
+    """Points in the bounding box of scale * P that `lattice_points` scans."""
+    d, rows = fan.anticanonical_polytope().vertex_matrix
+    return math.prod(-(-scale * max(c) // d) - scale * min(c) // d + 1 for c in zip(*rows))
+
+
+SECTION_BOX = 10**4  # the largest box of 2P on which section_count(., 2, 1) is compared
+
+
 def pairs():
     rng = random.Random(41)
     for name in builtin_fan_specs():
@@ -82,6 +101,42 @@ def test_invariants_follow_a_change_of_basis(fan, g):
             center_codim,
         ):
             assert invariant(val_image) == invariant(val), (invariant.__name__, w)
+
+
+def times(a, b):
+    return tuple(tuple(sum(map(operator.mul, row, col)) for col in zip(*b)) for row in a)
+
+
+@functools.cache
+def corpus_group(name):
+    fan = load_builtin_fan(name)
+    return group_closure(fan.automorphism_generators(), fan.dimension)
+
+
+@pytest.mark.parametrize("fan, g", pairs())
+def test_certificates_group_and_sections_follow_a_change_of_basis(fan, g):
+    """Both certificates (status, quantities, checks) at g w equal those at w; the
+    image's automorphism group is g G g^-1: it has G's order and g^-1 h g lies in
+    G for each of its generators h; and section_count(., 2, 1) agrees where the
+    image's box of 2P is small enough."""
+    n, image = fan.dimension, moved(fan, g)
+    group, generators = corpus_group(fan.name), image.automorphism_generators()
+    assert len(group_closure(generators, n)) == len(group)
+    g_inverse = tuple(tuple(int(x) for x in row) for row in matrix_inverse(g))
+    assert all(times(times(g_inverse, h), g) in group for h in generators)
+    sections = box_points(image, 2) <= SECTION_BOX
+    for w in ((1,) + (0,) * (n - 1), (-1,) * n, tuple(range(1, n + 1))):
+        val, val_image = ToricValuation(fan, w), ToricValuation(image, apply(g, w))
+        for certify in (certify_extremal_volume, certify_equality_case):
+            assert certify(val_image) == certify(val), (certify.__name__, w)
+        if sections:
+            assert section_count(val_image, 2, 1) == section_count(val, 2, 1), w
+
+
+def test_section_count_comparison_skips_ten_pairs():
+    """The pairs whose image's box of 2P exceeds `SECTION_BOX`: 10 of 52."""
+    skipped = [p.id for p in pairs() if box_points(moved(*p.values), 2) > SECTION_BOX]
+    assert skipped == ["P3-0", *(f"P{n}-{k}" for n in (4, 5) for k in range(4)), "P1xP1xP1-3"]
 
 
 def test_screen_verdict_depends_on_the_basis():

@@ -256,6 +256,27 @@ def test_adjugate_is_det_times_inverse():
                 assert sum(adj[i][k] * m[k][j] for k in range(n)) == (d if i == j else 0)
 
 
+def test_adjugate_on_rational_rows():
+    """On rational rows d is the determinant of the rows scaled to integers,
+    and adj = d * inverse; None exactly when the matrix is singular."""
+    rng = random.Random(23)
+    singular = 0
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        m = random_matrix(rng, n, n, rational=True)
+        result = adjugate(m)
+        if laplace_det(m) == 0:
+            assert result is None
+            singular += 1
+            continue
+        d, adj = result
+        assert d != 0 and all(type(x) is int for row in adj for x in row)
+        for i in range(n):
+            for j in range(n):
+                assert sum(adj[i][k] * m[k][j] for k in range(n)) == (d if i == j else 0)
+    assert 0 < singular < 200
+
+
 def test_matrix_inverse_round_trip():
     rng = random.Random(13)
     for trial in range(300):

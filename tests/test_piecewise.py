@@ -38,6 +38,26 @@ def test_lagrange_exact():
     assert lagrange_interpolate(pts) == (F(6), F(0), F(-2, 3))
 
 
+def test_lagrange_through_seeded_distinct_points():
+    """For n = 0..7 seeded distinct rational points the trimmed interpolant has at
+    most max(n, 1) coefficients and takes every point's value."""
+    rng = random.Random(42)
+    candidates = sorted({F(p, q) for p in range(-9, 10) for q in range(1, 5)})
+    for n in range(8):
+        for _ in range(5):
+            xs = rng.sample(candidates, n)
+            points = [(x, F(rng.randint(-20, 20), rng.randint(1, 6))) for x in xs]
+            result = lagrange_interpolate(points)
+            assert 1 <= len(result) <= max(n, 1) and all(type(c) is F for c in result)
+            assert all(poly_eval(result, x) == y for x, y in points)
+
+
+def test_lagrange_empty_and_repeated():
+    assert lagrange_interpolate([]) == (F(0),)
+    with pytest.raises(ValueError, match="singular system"):
+        lagrange_interpolate([(F(1), F(2)), (F(3), F(0)), (F(1), F(5))])
+
+
 def test_poly_calculus():
     p = (F(6), F(0), F(-2, 3))
     assert poly_derivative(p) == (F(0), F(-4, 3))

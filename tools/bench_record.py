@@ -1,4 +1,4 @@
-"""Record benchmark runs of one or more checkouts as BENCH_<label>.json files.
+"""Record benchmark runs of one or more checkouts as BENCH_<workload>-<label>.json files.
 
 Usage, from any directory:
 
@@ -13,16 +13,17 @@ With several checkouts the runs alternate, and the order is rotated by one
 from each seed to the next (AB, BA, AB, ...) so that a slow drift of the
 host's speed falls on both sides alike.
 
-After every run it rewrites `BENCH_<label>.json` in the current directory.
-The file holds the workload, the command, the host and one entry per run:
+After every run it rewrites `BENCH_<workload>-<label>.json` in the current
+directory, so records of several workloads with the same labels sit side by
+side.  The file holds the workload, the command, the host and one entry per run:
 the seed, the position of the run in the alternation, UTC start time, the
 provenance that `bench/run.py` prints on the line before its result (git
 SHA, SHA-256 of `src/`, Python, nproc), its speed factor and the result
 line itself.  `summary` gives each metric's median and quartiles over the
 runs, with `failed` and `attempted` summed.
 
-With exactly two checkouts it also rewrites `BENCH_<second>_vs_<first>.json`:
-for every end-to-end metric of `BENCHMARK.json`, the per-seed ratio
+With exactly two checkouts it also rewrites
+`BENCH_<workload>-<second>_vs_<workload>-<first>.json`: for every end-to-end metric of `BENCHMARK.json`, the per-seed ratio
 second/first, both medians, the first side's interquartile range and the
 seeds the second side wins, in the direction that `better` names (ties
 count for neither side).  `gain_rule` records whether the second side wins
@@ -119,7 +120,7 @@ def write(label: str, workload: str, runs: list[dict]) -> None:
         "runs": runs,
         "summary": summarize(runs),
     }
-    Path(f"BENCH_{label}.json").write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
+    Path(f"BENCH_{workload}-{label}.json").write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
 
 
 def end_to_end_directions() -> dict[str, str]:
@@ -170,7 +171,7 @@ def write_paired(labels: list[str], workload: str, runs: dict[str, list[dict]]) 
         "workload": workload,
         "metrics": paired_summary(runs[first], runs[second], end_to_end_directions()),
     }
-    path = Path(f"BENCH_{second}_vs_{first}.json")
+    path = Path(f"BENCH_{workload}-{second}_vs_{workload}-{first}.json")
     path.write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
 
 
