@@ -184,7 +184,7 @@ class Fan:
             if g > 1:
                 rows = [tuple([x // g for x in row]) for row in rows]
                 d, products = d // g, [tuple([x // g for x in row]) for row in products]
-            self._polytope = RationalPolytope._from_int_form(
+            self._polytope = RationalPolytope(
                 tuple(zip(self.rays, repeat(Fraction(-1)))), d, rows, products, n, (cones, mults)
             )
         return self._polytope

@@ -8,11 +8,11 @@ intersection of boundary hyperplanes with feasibility filtering.
 
 The vertices are kept as integer rows over one common denominator D
 (`vertex_matrix`), with one integer table T[k][j] = D <v_k, a_j> over the
-vertices and the half-space normals a_j (`normal_table`): the constructor
-derives both from Fraction vertices, the anticanonical polytope of a fan
-gets them and each vertex's cone and multiplicity from the fan's cones
-(`_from_int_form`, see `fans`), and the Fraction vertices are derived
-when read.  There D divides the lcm of the cone multiplicities.
+vertices and the half-space normals a_j (`normal_table`).  The one
+constructor takes this integer form: a fan's anticanonical polytope passes
+it with each vertex's cone and multiplicity (see `fans`), `from_vertices`
+derives it from Fraction vertices, and the Fraction vertices are derived
+when read.  On a fan's polytope D divides the lcm of the cone multiplicities.
 
 Each polytope triangulates itself once, lazily, on first use: the pulling
 triangulation for its lex-sorted vertex order (De Loera-Rambau-Santos,
@@ -132,31 +132,27 @@ def incidence_triangulation(halfspaces: Sequence[HalfSpace], table, den: int, di
 class RationalPolytope:
     """A bounded rational polytope carrying both H- and V-representations.
 
-    The caller supplies both: the half-spaces and the lex-sorted vertices
-    of their intersection, which must be bounded.  Instances are immutable
-    in use (nothing mutates after construction) and cache their
-    triangulation and volume data.
+    The constructor takes the integer form: the half-spaces, the lex-sorted
+    vertices of their bounded intersection as rows over the denominator d,
+    the table T[k][j] = d <v_k, a_j>, and, on a fan's polytope, cones =
+    (vertex cones, multiplicities).  Instances are immutable in use and
+    cache their triangulation and volume data.
     """
 
-    def __init__(self, halfspaces: Sequence[HalfSpace], vertices: Sequence[RatVec], dim: int):
-        halfspaces = tuple((tuple(a), Fraction(b)) for a, b in halfspaces)
-        d = math.lcm(*(x.denominator for v in vertices for x in v))
-        rows = [tuple(x.numerator * (d // x.denominator) for x in v) for v in vertices]
-        table = [tuple(sum(map(operator.mul, row, a)) for a, _ in halfspaces) for row in rows]
-        self._setup(halfspaces, d, rows, table, dim, None)
-
-    @classmethod
-    def _from_int_form(cls, halfspaces: tuple[HalfSpace, ...], d: int, rows, table, dim: int, cones):
-        """A fan's polytope from what the constructor would derive and cones = (vertex cones, mults)."""
-        poly = object.__new__(cls)
-        poly._setup(halfspaces, d, rows, table, dim, cones)
-        return poly
-
-    def _setup(self, halfspaces: tuple[HalfSpace, ...], d: int, rows, table, dim: int, cones) -> None:
+    def __init__(self, halfspaces: tuple[HalfSpace, ...], d: int, rows, table, dim: int, cones=None):
         if not rows:
             raise InvariantViolation("empty polytope")
         self.dim, self.halfspaces, self._cones = dim, halfspaces, cones
         self.vertex_matrix, self.normal_table = (d, tuple(rows)), tuple(table)
+
+    @classmethod
+    def from_vertices(cls, halfspaces: Sequence[HalfSpace], vertices: Sequence[RatVec], dim: int):
+        """The polytope of the half-spaces and the lex-sorted Fraction vertices of their intersection."""
+        halfspaces = tuple((tuple(a), Fraction(b)) for a, b in halfspaces)
+        d = math.lcm(*(x.denominator for v in vertices for x in v))
+        rows = [tuple(x.numerator * (d // x.denominator) for x in v) for v in vertices]
+        table = [tuple(sum(map(operator.mul, row, a)) for a, _ in halfspaces) for row in rows]
+        return cls(halfspaces, d, rows, table, dim)
 
     # -- basic queries ----------------------------------------------------
 
@@ -230,7 +226,7 @@ class RationalPolytope:
     def sliced(self, normal: Sequence[int], offset: Fraction) -> "RationalPolytope":
         """The sub-polytope {u : <u, normal> >= offset} (bounded by construction)."""
         halfspaces = self.halfspaces + ((tuple(normal), Fraction(offset)),)
-        return RationalPolytope(halfspaces, enumerate_vertices(halfspaces, self.dim), self.dim)
+        return RationalPolytope.from_vertices(halfspaces, enumerate_vertices(halfspaces, self.dim), self.dim)
 
     def lattice_points(self, scale: int = 1) -> list[tuple[int, ...]]:
         """Integer points of `scale * P` in box order, by a scan of the vertices' bounding box.

@@ -421,6 +421,17 @@ class CertificateResult:
     checks: dict = field(default_factory=dict)
 
 
+def _certificate(name: str, val: ToricValuation, quantities: dict, met: bool, checks) -> CertificateResult:
+    """The verdict both certificates share: once the hypothesis is met, eps joins
+    the quantities, and "pass" means that checks(eps) and a point center all hold."""
+    if not met:
+        return CertificateResult(name, "hypothesis not met", quantities)
+    eps = nef_threshold(val)
+    quantities["eps"] = eps
+    checks = {**checks(eps), "center_is_point": center_codim(val) == val.fan.dimension}
+    return CertificateResult(name, "pass" if all(checks.values()) else "fail", quantities, checks)
+
+
 def certify_extremal_volume(val: ToricValuation) -> CertificateResult:
     """Check the certificate forced by (n/(n+1)) tau V <= integral of vol.
 
@@ -430,29 +441,23 @@ def certify_extremal_volume(val: ToricValuation) -> CertificateResult:
     scale-invariant, so w is primitivized first.
     """
     val = val.primitivized()
-    fan = val.fan
-    n = fan.dimension
-    degree = fan.degree()
+    n = val.fan.dimension
+    degree = val.fan.degree()
     tau = pseff_threshold(val)
     total = integrated_volume(val)
     lhs = Fraction(n, n + 1) * tau * degree
     quantities = {"threshold_bound": lhs, "integrated_volume": total, "tau": tau}
-    if lhs > total:
-        return CertificateResult("extremal_volume", "hypothesis not met", quantities)
-    eps = nef_threshold(val)
-    quantities["eps"] = eps
-    expected_vol = PiecewisePolynomial(
-        (Fraction(0), tau),
-        ((degree,) + (Fraction(0),) * (n - 1) + (-degree / tau**n,),),
-    )
-    checks = {
-        "inequality_is_equality": lhs == total,
-        "tau_equals_eps": tau == eps,
-        "center_is_point": center_codim(val) == n,
-        "volume_is_pure_power": volume_function(val) == expected_vol,
-    }
-    status = "pass" if all(checks.values()) else "fail"
-    return CertificateResult("extremal_volume", status, quantities, checks)
+
+    def checks(eps: Fraction) -> dict:
+        pure_power = (degree,) + (Fraction(0),) * (n - 1) + (-degree / tau**n,)
+        expected_vol = PiecewisePolynomial((Fraction(0), tau), (pure_power,))
+        return {
+            "inequality_is_equality": lhs == total,
+            "tau_equals_eps": tau == eps,
+            "volume_is_pure_power": volume_function(val) == expected_vol,
+        }
+
+    return _certificate("extremal_volume", val, quantities, lhs <= total, checks)
 
 
 def certify_equality_case(val: ToricValuation) -> CertificateResult:
@@ -463,21 +468,13 @@ def certify_equality_case(val: ToricValuation) -> CertificateResult:
     are stated for the underlying prime divisor, so w is primitivized first.
     """
     val = val.primitivized()
-    fan = val.fan
-    n = fan.dimension
+    n = val.fan.dimension
     a_disc = log_discrepancy(val)
     tau = pseff_threshold(val)
     beta = beta_invariant(val)
     quantities = {"A": a_disc, "tau": tau, "beta": beta}
-    if not meets_equality_bound(val) or beta > 0:
-        return CertificateResult("equality_case", "hypothesis not met", quantities)
-    eps = nef_threshold(val)
-    quantities["eps"] = eps
-    checks = {
-        "A_equals_n": a_disc == n,
-        "tau_is_n_plus_1": tau == n + 1,
-        "eps_is_n_plus_1": eps == n + 1,
-        "center_is_point": center_codim(val) == n,
-    }
-    status = "pass" if all(checks.values()) else "fail"
-    return CertificateResult("equality_case", status, quantities, checks)
+
+    def checks(eps: Fraction) -> dict:
+        return {"A_equals_n": a_disc == n, "tau_is_n_plus_1": tau == n + 1, "eps_is_n_plus_1": eps == n + 1}
+
+    return _certificate("equality_case", val, quantities, meets_equality_bound(val) and beta <= 0, checks)

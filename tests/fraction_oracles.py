@@ -58,7 +58,7 @@ def cone_coordinates(fan, w):
 
 def anticanonical_polytope(fan):
     """(P, vertices, vertex cones): the Fraction vertices m_sigma sorted as
-    tuples, each one's cone, and P built from them by the public constructor."""
+    tuples, each one's cone, and P built from them by `RationalPolytope.from_vertices`."""
     paired = []
     for ci, cone in enumerate(fan.max_cones):
         # mult * m_sigma = adj^T (-1, ..., -1), so <m_sigma, v> <= -1 is an integer test
@@ -72,7 +72,7 @@ def anticanonical_polytope(fan):
     halfspaces = [(ray, Fraction(-1)) for ray in fan.rays]
     vertices = tuple(m for m, _ in paired)
     vertex_cones = tuple(cone for _, cone in paired)
-    return RationalPolytope(halfspaces, vertices, fan.dimension), vertices, vertex_cones
+    return RationalPolytope.from_vertices(halfspaces, vertices, fan.dimension), vertices, vertex_cones
 
 
 def walls(fan):

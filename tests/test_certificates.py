@@ -2,6 +2,7 @@
 
 from fractions import Fraction as F
 
+from toricstab import valuations
 from toricstab.valuations import (
     ToricValuation,
     certify_equality_case,
@@ -94,3 +95,26 @@ def test_certificates_battery_never_fail(corpus_fans):
                     v.w,
                     certify.__name__,
                 )
+
+
+def test_unmet_hypothesis_gives_no_eps_and_no_checks(square):
+    for certify, w in ((certify_extremal_volume, (1, 0)), (certify_equality_case, (1, 1))):
+        result = certify(ToricValuation(square, w))
+        assert result.status == "hypothesis not met", certify.__name__
+        assert result.checks == {}, certify.__name__
+        assert "eps" not in result.quantities, certify.__name__
+
+
+def test_certificates_fail_when_the_center_is_not_a_point(monkeypatch, p2, p123):
+    """With center_codim patched to n - 1, each certificate whose hypothesis
+    holds fails on center_is_point alone, and still records eps."""
+    monkeypatch.setattr(valuations, "center_codim", lambda val: val.fan.dimension - 1)
+    for certify, val in (
+        (certify_equality_case, ToricValuation(p2, (1, 1))),
+        (certify_extremal_volume, ToricValuation(p123, (-1, 0))),
+    ):
+        result = certify(val)
+        assert result.status == "fail", certify.__name__
+        assert result.checks["center_is_point"] is False, certify.__name__
+        assert all(ok for name, ok in result.checks.items() if name != "center_is_point"), result.checks
+        assert "eps" in result.quantities, certify.__name__

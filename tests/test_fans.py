@@ -16,6 +16,7 @@ from toricstab.corpus import builtin_fan_specs
 from toricstab.errors import InvariantViolation
 from toricstab.fans import Fan
 from toricstab.lattice import adjugate, eliminate, matrix_inverse
+from toricstab.polytopes import RationalPolytope
 from toricstab.workbench import load_builtin_fan
 
 
@@ -266,7 +267,8 @@ def test_vertex_cones_pair_each_vertex_with_its_tight_rays(q_fano_fans):
 
 def test_integer_polytope_equals_the_fraction_construction(monkeypatch, q_fano_fans):
     """The polytope built in integers from the cone adjugates equals the one
-    built from sorted Fraction vertices (`fraction_oracles.anticanonical_polytope`):
+    that `RationalPolytope.from_vertices` builds from sorted Fraction vertices
+    (`fraction_oracles.anticanonical_polytope`):
     the same D, rows in the same order, vertices, half-spaces, vertex cones,
     normal table and triangulation, on every Q-Fano test fan and every
     relabelled spec of the three bench workloads for seeds 1-10.  The
@@ -303,6 +305,24 @@ def test_integer_polytope_equals_the_fraction_construction(monkeypatch, q_fano_f
             if sum(F(x) * y for x, y in zip(v, a)) == b
         }
         assert tight == expected, fan
+
+
+def test_every_fan_polytope_passes_through_the_constructor(monkeypatch, corpus_fans):
+    """A fresh corpus fan builds its polytope with one call of
+    `RationalPolytope.__init__`, so a call counter wrapped around the
+    constructor, as the bench tracer wraps it, sees every fan polytope."""
+    built, init = [], vars(RationalPolytope)["__init__"]
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(RationalPolytope, "__init__", counted)
+    for fan in corpus_fans:
+        start = len(built)
+        poly = Fan(fan.dimension, fan.rays, fan.max_cones).anticanonical_polytope()
+        assert built[start:] == [poly], fan.name
+    assert len(built) == len(corpus_fans) == 13
 
 
 def test_degree_positive_origin_interior(corpus_fans):

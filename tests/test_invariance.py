@@ -7,7 +7,9 @@ alpha and its witness ray, the automorphism group (conjugated by g), and at
 g w every invariant of w, both certificates and the section count.  The
 barycenter maps as b = g^T b'.  The screen's battery is the coordinate box
 [-r, r]^n, which g does not preserve, so its verdict belongs to the fan's
-coordinates and the radius; one such case is pinned.
+coordinates and the radius; one such case is pinned, and the image's
+witnesses are exactly the box vectors whose preimage is a witness.  The
+lattice-point box of kP behind `section_count` depends on g the same way.
 """
 
 import functools
@@ -17,12 +19,13 @@ import random
 
 import pytest
 
-from test_fans import group_closure
+from test_fans import bench_workloads, group_closure
 
 from toricstab.alpha import alpha_invariant
 from toricstab.corpus import builtin_fan_specs
 from toricstab.fans import Fan
 from toricstab.lattice import matrix_inverse
+from toricstab.polytopes import default_oracle_budget
 from toricstab.valuations import (
     ToricValuation,
     beta_invariant,
@@ -32,10 +35,11 @@ from toricstab.valuations import (
     log_discrepancy,
     nef_threshold,
     pseff_threshold,
+    row_meets_equality_bound,
     section_count,
     volume_function,
 )
-from toricstab.workbench import load_builtin_fan, screen_projective_space
+from toricstab.workbench import battery_vectors, load_builtin_fan, screen_projective_space
 
 
 def apply(g, v):
@@ -101,6 +105,53 @@ def test_invariants_follow_a_change_of_basis(fan, g):
             center_codim,
         ):
             assert invariant(val_image) == invariant(val), (invariant.__name__, w)
+
+
+def test_invariants_follow_a_change_of_basis_on_subdivisions_and_products(monkeypatch, corpus_fans, q_fano_fans):
+    """One seeded g for each of the 54 star subdivisions in `q_fano_fans` and
+    for P1xP2, P1xP(1,2,3), P1xdP6 and P1xdP8, each taken through the checks
+    of `test_invariants_follow_a_change_of_basis`."""
+    specs, workloads = builtin_fan_specs(), bench_workloads(monkeypatch)
+    products = [workloads.product_spec(specs["P1"], specs[b]) for b in ("P2", "P(1,2,3)", "dP6", "dP8")]
+    fans = q_fano_fans[len(corpus_fans) :] + [Fan(s["dim"], s["rays"], s["cones"], s["name"]) for s in products]
+    assert len(fans) == 58
+    rng = random.Random(43)
+    for fan in fans:
+        test_invariants_follow_a_change_of_basis(fan, unimodular(fan.dimension, rng))
+
+
+@pytest.mark.parametrize("fan, g", pairs())
+def test_image_witnesses_are_the_mapped_witnesses_in_the_box(fan, g):
+    """At radius 1, u in the image's box is a witness of the image's screen
+    exactly when g^-1 u meets the bound on the fan (`row_meets_equality_bound`
+    on its vertex row) and has beta <= 0 there (<M, g^-1 u> >= 0 for the
+    moment form (E, M)); each witness carries A, tau and beta of g^-1 u."""
+    n, image = fan.dimension, moved(fan, g)
+    g_inverse = tuple(tuple(int(x) for x in row) for row in matrix_inverse(g))
+    poly = fan.anticanonical_polytope()
+    moment = poly.moment_form()[1]
+    expected = []
+    for u in battery_vectors(image, 1):
+        w = apply(g_inverse, u)
+        if row_meets_equality_bound(n, poly.vertex_values(w)) and sum(map(operator.mul, moment, w)) >= 0:
+            expected.append(u)
+    witnesses = screen_projective_space(image, 1).witnesses
+    assert [s.w for s in witnesses] == expected
+    for s in witnesses:
+        val = ToricValuation(fan, apply(g_inverse, s.w))
+        assert (s.log_discrepancy, s.pseff_threshold, s.beta) == (
+            log_discrepancy(val),
+            pseff_threshold(val),
+            beta_invariant(val),
+        ), s.w
+
+
+def test_section_count_budget_depends_on_the_basis():
+    """`section_count` scans the coordinate box of kP: on pair P5-1 the
+    image's box of 2P exceeds the oracle budget and the original's does not."""
+    fan, g = next(p.values for p in pairs() if p.id == "P5-1")
+    assert box_points(moved(fan, g), 2) == 34_490_365 > default_oracle_budget()
+    assert box_points(fan, 2) == 371_293 <= default_oracle_budget()
 
 
 def times(a, b):

@@ -19,7 +19,7 @@ from toricstab.polytopes import RationalPolytope, enumerate_vertices, incidence_
 
 def polytope(halfspaces, dim):
     """The polytope cut out by bounded `halfspaces`, its vertices by `enumerate_vertices`."""
-    return RationalPolytope(halfspaces, enumerate_vertices(halfspaces, dim), dim)
+    return RationalPolytope.from_vertices(halfspaces, enumerate_vertices(halfspaces, dim), dim)
 
 
 def pulled(poly, apex):
