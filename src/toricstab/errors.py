@@ -6,8 +6,8 @@ written), InvariantViolation 3, BudgetExceeded 4.  Internal failures map to
 exit code 5: consistency checks raise AssertionError; exact computations
 that cannot proceed raise ValueError (a PiecewisePolynomial that is
 discontinuous, or negative where root concavity is tested) or
-ArithmeticError (m-th roots, m = n - 1 >= 4, so only for n >= 5, that
-`midpoint_root_concave` cannot separate; m <= 3 is decided in closed form).
+ArithmeticError (m-th roots, m = n - 1 >= 4, that `midpoint_root_concave`
+cannot separate on a Q where `root_concave_certificate` does not conclude).
 The verification suite signals mismatches through its exit code (1) rather
 than an exception.
 """

@@ -18,13 +18,15 @@ Evaluation and every check run on this form.  A point x = p/q (q > 0)
 lies at or right of breakpoint i exactly when B_i <= floor(p*D/q), so
 locating it is one floor division and an integer bisection; the value
 there is the homogeneous Horner sum sum_k c_k p^k q^(d-k) over e * q^d,
-with d the piece degree.  One Fraction is built per value returned, and
-the root-concavity comparison works on the (numerator, denominator)
-pairs: in closed form for m <= 3; for m >= 4 by an exact test on rational
-m-th roots of the value ratios, which decides every tie, and otherwise by
-integer root brackets.  It reuses its last call's values at mid and y
-when they are exactly this call's x and mid, so a sweep of adjacent
-triples evaluates each point once.
+with d the piece degree.  One Fraction is built per value returned.  The
+root-concavity comparison first asks `root_concave_certificate` once per m:
+signs of integer Bernstein coefficients that prove fn^(1/m) concave, so
+every in-domain triple is True with no value computed.  Otherwise it works
+on the (numerator, denominator) pairs: in closed form for m <= 3; for
+m >= 4 by an exact test on rational m-th roots of the value ratios, which
+decides every tie, and otherwise by integer root brackets.  It reuses its
+last call's values at mid and y when they are exactly this call's x and
+mid, so a sweep of adjacent triples evaluates each point once.
 
 Continuity compares the two pieces' Horner sums at each interior
 breakpoint by cross-multiplication.  `is_c1` is the construction of the
@@ -226,6 +228,11 @@ class PiecewisePolynomial:
         """[None], then [the last `midpoint_root_concave` call's (mid p, q, y p, q, value at mid, y)]."""
         return [None]
 
+    @cached_property
+    def _certified(self) -> dict:
+        """{m: `root_concave_certificate(self, m)`}, filled by `midpoint_root_concave`."""
+        return {}
+
     def _locate(self, p: int, q: int) -> int:
         """Index of the piece holding x = p/q (q > 0); ValueError outside the domain."""
         den, grid = self._grid
@@ -337,6 +344,40 @@ def nth_root_bounds(f: Fraction, m: int, scale: int) -> tuple[Fraction, Fraction
     return Fraction(r, scale), Fraction(r + 1, scale)
 
 
+def _bernstein(cs: Sequence[int]) -> list[int]:
+    """C(d, j) b_j = sum_k C(d - k, j - k) cs[k]: the Bernstein coefficients on [0, 1], times C(d, j)."""
+    d = len(cs) - 1
+    return [sum(math.comb(d - k, j - k) * cs[k] for k in range(j + 1)) for j in range(d + 1)]
+
+
+def root_concave_certificate(fn: PiecewisePolynomial, m: int) -> bool:
+    """True only if fn > 0 inside its domain and fn^(1/m) is concave on it (m >= 1).
+
+    Piece i is P(s) = e D^d fn((B_i + sL)/D), s in [0, 1], L = B_(i+1) - B_i,
+    in integers.  Its Bernstein coefficients (Lorentz, 1953) must be >= 0,
+    not all 0, so P > 0 inside; those of G = m P P'' - (m - 1) P'^2 <= 0, so
+    (P^(1/m))'' = G P^(1/m - 2) / m^2 <= 0.  At each interior knot fn > 0
+    and fn'- >= fn'+, with fn' = P'(s) D / (e D^d L) cross-multiplied.
+    """
+    den, grid = fn._grid
+    last = None  # the previous piece's P'(1) and e D^d L
+    for (e, cs), left, right in zip(fn._int_pieces, grid, grid[1:]):
+        d, width = len(cs) - 1, right - left
+        a = taylor_shift([c * den ** (d - k) for k, c in enumerate(cs)], -left)
+        a = [c * width**k for k, c in enumerate(a)]
+        g = [0] * max(2 * d - 1, 1)
+        for i, ai in enumerate(a):
+            for j in range(max(2 - i, 0), d + 1):
+                g[i + j - 2] += (m * (j - 1) - (m - 1) * i) * j * ai * a[j]
+        if min(b := _bernstein(a)) < 0 or not any(b) or max(_bernstein(g)) > 0:
+            return False
+        scale = e * den**d * width
+        if last is not None and (a[0] <= 0 or last[0] * scale < (a[1] if d else 0) * last[1]):
+            return False
+        last = (sum(k * c for k, c in enumerate(a)), scale)
+    return True
+
+
 def midpoint_root_concave(fn: PiecewisePolynomial, m: int, x: Fraction, y: Fraction) -> bool:
     """Exact test of fn(mid)^(1/m) >= (fn(x)^(1/m) + fn(y)^(1/m)) / 2, for m >= 1.
 
@@ -368,11 +409,20 @@ def midpoint_root_concave(fn: PiecewisePolynomial, m: int, x: Fraction, y: Fract
     exactly) reuses those values and evaluates only y.  `fn` is immutable
     and a value depends only on the rational point, so no call order can
     make a reused value differ from a fresh one.
+
+    Before all this, x and y in the domain give True at once when
+    `root_concave_certificate(fn, m)`, kept per m on `fn`, holds.
     """
     if m < 1:
         raise ValueError(f"root order must be at least 1, got {m}")
     x, y = _fraction(x), _fraction(y)
     xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
+    certified = fn._certified.get(m)
+    if certified is None:
+        certified = fn._certified[m] = root_concave_certificate(fn, m)
+    den, grid = fn._grid
+    if certified and grid[0] * xd <= xn * den <= grid[-1] * xd and grid[0] * yd <= yn * den <= grid[-1] * yd:
+        return True
     mn, md = xn * yd + yn * xd, 2 * xd * yd
     last = fn._carry[0]
     if last is not None and xn * last[1] == last[0] * xd and mn * last[3] == last[2] * md:

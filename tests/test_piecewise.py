@@ -26,6 +26,7 @@ from toricstab.piecewise import (
     midpoint_root_concave,
     nth_root_bounds,
     poly_trim,
+    root_concave_certificate,
     root_floor,
     spline_cdf_jumps,
     taylor_shift,
@@ -688,7 +689,14 @@ def verdict(check, fn, m, x, y):
         return f"{type(exc).__name__}: {exc}"
 
 
-def test_midpoint_root_concave_matches_oracle_on_criterion_6():
+@pytest.fixture
+def per_triple(monkeypatch):
+    """Refuse every root-concavity certificate, so each `midpoint_root_concave`
+    call takes the per-triple path: values, closed forms, tie test, brackets."""
+    monkeypatch.setattr("toricstab.piecewise.root_concave_certificate", lambda fn, m: False)
+
+
+def test_midpoint_root_concave_matches_oracle_on_criterion_6(per_triple):
     from toricstab.corpus import builtin_fan_specs
     from toricstab.valuations import restricted_volume
     from toricstab.verification import concavity_battery
@@ -859,7 +867,7 @@ def piecewise_through(values):
 
 
 @pytest.mark.parametrize("m, ends", [(1, (1, 3)), (2, (1, 3)), (2, (0, 5)), (3, (1, 3)), (3, (2, 0))])
-def test_midpoint_root_concave_closed_form_at_exact_ties(m, ends):
+def test_midpoint_root_concave_closed_form_at_exact_ties(m, ends, per_triple):
     """Values s p^m, s ((p + r) / 2)^m + d, s r^m at 0, 1, 2 with s = 10^6: the
     m-th roots are in exact progression for d = 0, and d = -1 or d = 1 moves
     the midpoint root just below or above it; t^m sits within 10^-5 of its
@@ -907,7 +915,7 @@ def test_midpoint_root_concave_brackets_for_m4():
         assert verdicts == {True, False}
 
 
-def test_midpoint_root_concave_decides_ties_before_the_brackets(monkeypatch):
+def test_midpoint_root_concave_decides_ties_before_the_brackets(monkeypatch, per_triple):
     """For m >= 4 every zero midpoint and every exact tie is decided before any
     bracket, the ties by the rational-ratio test: with `root_floor` patched to
     raise, each verdict still equals the oracle's (computed before the patch)."""
@@ -946,7 +954,7 @@ def test_midpoint_root_concave_decides_ties_before_the_brackets(monkeypatch):
         assert midpoint_root_concave(fn, m, x, y) is expected, (fn, m, x, y)
 
 
-def test_midpoint_root_concave_takes_no_root_for_m_up_to_3(monkeypatch):
+def test_midpoint_root_concave_takes_no_root_for_m_up_to_3(monkeypatch, per_triple):
     """m = 1, 2, 3 never reach the brackets, the rational roots or any integer
     root: with all three patched to raise, every verdict still equals the
     oracle's (computed before the patch, since the oracle brackets too)."""
@@ -991,8 +999,9 @@ def test_midpoint_root_concave_takes_no_root_for_m_up_to_3(monkeypatch):
 def test_midpoint_root_concave_m4_unseparated_roots_raise(monkeypatch):
     """With `root_floor` patched to 0 no bracket separates, so x on [0, 4] at
     (1, 3) with m = 4, roots of 1, 2, 3 with irrational ratios, is not
-    separable; m = 3 is decided without the brackets."""
-    fn = PiecewisePolynomial((F(0), F(4)), ((F(0), F(1)),))
+    separable; m = 3 is decided without the brackets.  A convex kink at 4,
+    outside [1, 3], keeps the root-concavity certificate from concluding."""
+    fn = PiecewisePolynomial((F(0), F(4), F(5)), ((F(0), F(1)), (F(-4), F(2))))
     monkeypatch.setattr("toricstab.piecewise.root_floor", lambda num, den, m, scale: 0)
     with pytest.raises(ArithmeticError, match=r"^m-th roots of 1, 2, 3 not separable at width 1e-96$"):
         midpoint_root_concave(fn, 4, F(1), F(3))
@@ -1002,9 +1011,10 @@ def test_midpoint_root_concave_m4_unseparated_roots_raise(monkeypatch):
 def bracket_boundary_case(monkeypatch, floors):
     """1 + x on [0, 2] at (0, 2) with m = 4: the values 1, 2, 3 have ratios
     that are no 4th powers, so only the brackets decide; `root_floor` is
-    patched to floors[v] at value v, at every width."""
+    patched to floors[v] at value v, at every width.  The convex kink at 2,
+    into 2x - 1 on [2, 3], keeps the root-concavity certificate from concluding."""
     monkeypatch.setattr("toricstab.piecewise.root_floor", lambda num, den, m, scale: floors[num // den])
-    return PiecewisePolynomial((F(0), F(2)), ((F(1), F(1)),)), 4, F(0), F(2)
+    return PiecewisePolynomial((F(0), F(2), F(3)), ((F(1), F(1)), (F(-1), F(2)))), 4, F(0), F(2)
 
 
 def test_midpoint_root_concave_concave_at_the_bracket_boundary(monkeypatch):
@@ -1041,10 +1051,12 @@ def criterion_6_qs(name):
 
 
 def test_concavity_sweep_evaluates_each_point_once(monkeypatch):
-    """A 100-triple criterion-6 sweep evaluates its 102 points once each: three
-    on the first call, then only y; a second sweep over the same Q again 102."""
+    """A certified Q's criterion-6 sweep evaluates no point.  With the
+    certificate refused, a 100-triple sweep evaluates its 102 points once
+    each: three on the first call, then only y; a second sweep over the same
+    Q again 102."""
     q_fn, m = criterion_6_qs("P(1,2,3)")[0]
-    q_fn = PiecewisePolynomial(q_fn.breakpoints, q_fn.pieces)
+    certified = PiecewisePolynomial(q_fn.breakpoints, q_fn.pieces)
     calls = []
     value = PiecewisePolynomial._value
 
@@ -1053,6 +1065,10 @@ def test_concavity_sweep_evaluates_each_point_once(monkeypatch):
         return value(self, p, q)
 
     monkeypatch.setattr(PiecewisePolynomial, "_value", counted)
+    assert all(midpoint_root_concave(certified, m, x, y) for x, y in criterion_6_triples(certified))
+    assert calls == [] and certified._certified == {m: True}
+    monkeypatch.setattr("toricstab.piecewise.root_concave_certificate", lambda fn, m: False)
+    q_fn = PiecewisePolynomial(q_fn.breakpoints, q_fn.pieces)
     for sweep in range(2):
         del calls[:]
         assert all(midpoint_root_concave(q_fn, m, x, y) for x, y in criterion_6_triples(q_fn))
@@ -1060,7 +1076,7 @@ def test_concavity_sweep_evaluates_each_point_once(monkeypatch):
         assert calls == [q_fn.breakpoints[-1] * F(i, 101) for i in range(102)]
 
 
-def test_midpoint_root_concave_carry_never_changes_a_result():
+def test_midpoint_root_concave_carry_never_changes_a_result(per_triple):
     """On the first three criterion-6 Q of P2, dP6, P(1,2,3), P3 and P4, and
     on each Q shifted down to take negative values, every verdict, exception
     type and message equals the stateless oracle's when the triples come in
@@ -1105,11 +1121,13 @@ def test_midpoint_root_concave_carry_never_changes_a_result():
     assert {m for _, m in qs} == {1, 2, 3}
 
 
-def test_midpoint_root_concave_m4_sweep_with_unseparated_roots(monkeypatch):
-    """With `root_floor` patched to 0 as in the test above, the m = 4 sweep of
-    P5's equality-case Q (c x^4, every triple an exact tie) is still decided
-    by the rational roots, and the sweep of x on [0, 4] raises at every
-    triple with the oracle's message, built from the values reduced."""
+def test_midpoint_root_concave_m4_sweep_with_unseparated_roots(monkeypatch, per_triple):
+    """With `root_floor` patched to 0 as in the test above, and the
+    root-concavity certificate refused so that every triple takes the
+    per-triple path, the m = 4 sweep of P5's equality-case Q (c x^4, every
+    triple an exact tie) is still decided by the rational roots, and the
+    sweep of x on [0, 4] raises at every triple with the oracle's message,
+    built from the values reduced."""
     from toricstab.valuations import ToricValuation, restricted_volume
     from toricstab.workbench import load_builtin_fan
 
@@ -1121,3 +1139,95 @@ def test_midpoint_root_concave_m4_sweep_with_unseparated_roots(monkeypatch):
     assert got == [verdict(oracle_midpoint_root_concave, line, 4, x, y) for x, y in criterion_6_triples(line)]
     assert got[0] == "ArithmeticError: m-th roots of 0, 4/101, 8/101 not separable at width 1e-96"
     assert got[50] == "ArithmeticError: m-th roots of 200/101, 204/101, 208/101 not separable at width 1e-96"
+
+
+# -- the root-concavity certificate -----------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "breakpoints, pieces, m, certified",
+    [
+        ((0, 1), [(1, 0, 1)], 1, False),  # 1 + x^2: convex
+        ((-1, 0, 1), [(1, -1), (1, 1)], 1, False),  # 1 + |x|: a kink up
+        ((0, 3), [(1, -2, 1)], 2, False),  # (1 - x)^2: square root |1 - x|, zero inside
+        ((0, 1), [(0, 0, 0, 0, 0, 1)], 4, False),  # x^5: fourth root x^(5/4)
+        ((0, 1, 2), [(0,), (-1, 1)], 1, False),  # 0, then x - 1: a piece with Q = 0
+        ((-1, 0, 1), [(0, 0, 1), (0, 0, 1, -1)], 2, False),  # zero at the knot, both slopes 0
+        ((0, 1), [(0, 0, 0, 0, 1)], 4, True),  # x^4: fourth root x
+        ((0, 2), [(1, 3)], 3, True),  # 1 + 3x: linear
+        ((-1, 0, 1), [(1, 1), (1, -1)], 1, True),  # 1 - |x|: a kink down
+        ((0, 1), [(0, 1, 0, -1)], 2, True),  # x - x^3, zero at both ends
+    ],
+)
+def test_root_concave_certificate_controls(breakpoints, pieces, m, certified):
+    """Each refusal fails one condition of the certificate and has a triple of
+    a 24-point grid where the oracle finds the midpoint inequality false;
+    on each accepted function the oracle finds it true at every triple."""
+    fn = PiecewisePolynomial(tuple(map(F, breakpoints)), tuple(tuple(map(F, p)) for p in pieces))
+    assert root_concave_certificate(fn, m) is certified
+    lo, hi = fn.domain
+    grid = [lo + (hi - lo) * F(k, 23) for k in range(24)]
+    verdicts = {oracle_midpoint_root_concave(fn, m, x, y) for i, x in enumerate(grid) for y in grid[i:]}
+    assert verdicts == ({True} if certified else {True, False})
+
+
+def test_root_concave_certificate_refuses_a_zero_function():
+    """Q = 0 is root-concave, but the certificate asks for Q > 0 inside."""
+    assert not root_concave_certificate(PiecewisePolynomial((F(0), F(1)), ((F(0),),)), 3)
+
+
+def test_root_concave_certificate_covers_criterion_6(monkeypatch):
+    """All 150 criterion-6 Q certify at m = n - 1, so their 15,000 triples
+    are decided True with no value computed."""
+    from toricstab.corpus import builtin_fan_specs
+    from toricstab.valuations import restricted_volume
+    from toricstab.verification import concavity_battery
+    from toricstab.workbench import load_builtin_fan
+
+    qs = []
+    for name in builtin_fan_specs():
+        fan = load_builtin_fan(name)
+        if fan.dimension >= 2:
+            qs += [(restricted_volume(val), fan.dimension - 1) for val in concavity_battery(fan)]
+    assert len(qs) == 150
+    assert all(root_concave_certificate(q_fn, m) for q_fn, m in qs)
+
+    def boom(*args):
+        raise AssertionError("computed a value")
+
+    monkeypatch.setattr(PiecewisePolynomial, "_value", boom)
+    assert all(midpoint_root_concave(q_fn, m, x, y) is True for q_fn, m in qs for x, y in criterion_6_triples(q_fn))
+
+
+def test_root_concave_certificate_is_sound_on_random_functions():
+    """Whenever the certificate holds on a seeded random piecewise polynomial
+    at m in 1..6, the oracle finds the midpoint inequality true at every
+    triple of a 24-point grid, and `midpoint_root_concave` agrees."""
+    rng = random.Random(47)
+    certified, count = set(), 0
+    for _ in range(400):
+        fn = random_piecewise(rng, max_degree=4)
+        m = rng.randint(1, 6)
+        if not root_concave_certificate(fn, m):
+            continue
+        lo, hi = fn.domain
+        grid = [lo + (hi - lo) * F(k, 23) for k in range(24)]
+        for i, x in enumerate(grid):
+            for y in grid[i:]:
+                assert oracle_midpoint_root_concave(fn, m, x, y) is True, (fn, m, x, y)
+                assert midpoint_root_concave(fn, m, x, y) is True
+        certified.add((len(fn.pieces) > 1, max(map(len, fn.pieces)) > 2))
+        count += 1
+    # one piece and several, of degree 2 and above among them
+    assert count >= 20 and {(False, True), (True, True)} <= certified
+
+
+def test_certified_function_keeps_the_domain_error():
+    """On a certified function a point outside the domain, at x or at y,
+    still raises the per-triple path's ValueError."""
+    fn = PiecewisePolynomial((F(0), F(2)), ((F(1), F(3)),))
+    assert midpoint_root_concave(fn, 3, F(0), F(2)) is True and fn._certified == {3: True}
+    assert midpoint_root_concave(fn, 3, F(2), F(1, 10**9)) is True
+    for x, y, point in ((F(-1, 3), F(1), "-1/3"), (F(1), F(7, 3), "7/3")):
+        with pytest.raises(ValueError, match=rf"^{point} outside domain \[0, 2\]$"):
+            midpoint_root_concave(fn, 3, x, y)

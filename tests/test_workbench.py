@@ -1170,7 +1170,9 @@ def test_cli_piecewise_errors_exit_code(monkeypatch, tmp_path, capsys):
 
 
 def test_cli_root_concavity_errors_exit_code(monkeypatch, capsys):
-    """A negative Q and inseparable m-th roots in criterion 6 both exit 5."""
+    """A negative Q and inseparable m-th roots in criterion 6 both exit 5; the
+    latter arise only where the root-concavity certificate does not conclude,
+    so it is refused here."""
     import toricstab.verification as verification
     from toricstab.piecewise import PiecewisePolynomial
 
@@ -1188,6 +1190,7 @@ def test_cli_root_concavity_errors_exit_code(monkeypatch, capsys):
     monkeypatch.undo()
     monkeypatch.setattr(verification, "ALL_CHECKS", (("6", verification.check_concavity),))
     monkeypatch.setattr("toricstab.piecewise.root_floor", lambda num, den, m, scale: 0)
+    monkeypatch.setattr("toricstab.piecewise.root_concave_certificate", lambda fn, m: False)
     assert main(["verify"]) == 5
     err = capsys.readouterr().err
     assert err.startswith("internal error: m-th roots of ") and err.count("\n") == 1
