@@ -29,10 +29,10 @@ last call's values at mid and y when they are exactly this call's x and
 mid, so a sweep of adjacent triples evaluates each point once.
 
 Continuity compares the two pieces' Horner sums at each interior
-breakpoint by cross-multiplication.  `is_c1` is the construction of the
-derivative (numerators k c_k), cached for callers that scale it.  The
-integral sums integer antiderivatives, scaled by lcm(1, ..., d + 1), at
-the breakpoints over one common denominator: one Fraction in all.
+breakpoint by cross-multiplication; `is_c1` asks it of the slopes, as
+`derivative` builds them.  The integral sums integer antiderivatives,
+scaled by lcm(1, ..., d + 1), at the breakpoints over one common
+denominator: one Fraction in all.
 
 The B-spline jumps behind the closed-form volume functions
 (`spline_cdf_jumps`) take integer knots and return integer numerators over
@@ -119,7 +119,9 @@ def spline_cdf_jumps(knots: Sequence[int]) -> dict[int, tuple[int, list[int]]]:
     jumps = {}
     for tau, m in counts.items():
         if m == 1:
-            den = math.prod((tau - sigma) ** mu for sigma, mu in counts.items() if sigma != tau)
+            den = 1
+            for t in knots:
+                den *= tau - t or 1  # tau itself gives 1
             jumps[tau] = (abs(den), [0] * n + [-1 if (n % 2 == 1) != (den < 0) else 1])
             continue
         # series[l] / den: coefficient of h^l in the product over the other knots
@@ -195,12 +197,17 @@ class PiecewisePolynomial:
         g = math.gcd(den, *bps)
         den, bps = den // g, [b // g for b in bps]
         self._grid, self._int_pieces = (den, bps), tuple(ps)
-        for i in range(1, len(bps) - 1):
-            (e, cs), (f, ds) = ps[i - 1], ps[i]
-            (a, qa), (b, qb) = _homogeneous(cs, bps[i], den), _homogeneous(ds, bps[i], den)
+        self._check_continuity()
+
+    def _check_continuity(self) -> None:
+        """ValueError unless neighbouring pieces agree at each interior breakpoint."""
+        den, grid = self._grid
+        for i in range(1, len(grid) - 1):
+            (e, cs), (f, ds) = self._int_pieces[i - 1], self._int_pieces[i]
+            (a, qa), (b, qb) = _homogeneous(cs, grid[i], den), _homogeneous(ds, grid[i], den)
             if a * f * qb != b * e * qa:
                 left, right = Fraction(a, e * qa), Fraction(b, f * qb)
-                raise ValueError(f"discontinuity at breakpoint {Fraction(bps[i], den)}: {left} != {right}")
+                raise ValueError(f"discontinuity at breakpoint {Fraction(grid[i], den)}: {left} != {right}")
 
     @cached_property
     def breakpoints(self) -> tuple[Fraction, ...]:
@@ -275,28 +282,31 @@ class PiecewisePolynomial:
         """Exact integral over the domain, computed once."""
         return self._integral
 
-    @cached_property
-    def _derivative(self) -> "PiecewisePolynomial":
-        """The derivative, (e, [k c_k]) per piece; building it raises where slopes jump."""
-        slopes = [(e, [k * c for k, c in enumerate(cs)][1:] or [0]) for e, cs in self._int_pieces]
-        return PiecewisePolynomial._from_int_form(*self._grid, slopes)
+    def derivative(self, num: int = 1, den: int = 1) -> "PiecewisePolynomial":
+        """(num / den) f' on f's grid (num != 0 < den), kept per (num, den) in `_derivatives`.
+        Each piece is reduced by one gcd, then continuity is checked (ValueError where slopes
+        jump).  f is reduced, merged and continuous, so no merge or grid gcd is needed: equal
+        neighbouring slopes, equal at their knot, would mean equal neighbouring pieces of f."""
+        memo = vars(self).setdefault("_derivatives", {})
+        if (num, den) in memo:
+            return memo[num, den]
+        fn, pieces = object.__new__(PiecewisePolynomial), []
+        for e, cs in self._int_pieces:
+            ks = [k * c * num for k, c in enumerate(cs)][1:] or [0]
+            g = math.gcd(e * den, *ks)
+            pieces.append((e * den // g, tuple(k // g for k in ks)))
+        fn._grid, fn._int_pieces = self._grid, tuple(pieces)
+        fn._check_continuity()
+        memo[num, den] = fn
+        return fn
 
     def is_c1(self) -> bool:
         """Exact one-sided derivative agreement at every interior breakpoint."""
         try:
-            self._derivative
+            self.derivative()
         except ValueError:
             return False
         return True
-
-    def _scaled(self, num: int, den: int) -> "PiecewisePolynomial":
-        """num / den (num != 0 < den) times the function: only each piece needs reducing."""
-        fn, pieces = object.__new__(PiecewisePolynomial), []
-        for e, cs in self._int_pieces:
-            g = math.gcd(e * den, *(c * num for c in cs))
-            pieces.append((e * den // g, tuple(c * num // g for c in cs)))
-        fn._grid, fn._int_pieces = self._grid, tuple(pieces)
-        return fn
 
 
 # -- exact m-th root comparison -------------------------------------------------

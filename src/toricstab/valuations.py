@@ -51,9 +51,9 @@ breakpoint, expanded in powers of y by `piecewise.taylor_shift` and
 accumulated into the pieces, numerators c_j D^j over D^dim L on the grid
 k / D.  `PiecewisePolynomial._from_int_form` reduces them and checks
 continuity, and the endpoint values are checked, all in integers.  C^1 is
-checked once, by building vol's derivative (`PiecewisePolynomial.is_c1`),
-which Q = -vol'/n scales.  No Fraction is built for the pieces.  The
-profile of -w gives w's with no spline (`mirrored_profile`).
+checked once, by building Q = -vol'/n, which vol keeps, in one pass
+(`PiecewisePolynomial.derivative`).  No Fraction is built for the pieces.
+The profile of -w gives w's with no spline (`mirrored_profile`).
 """
 
 from __future__ import annotations
@@ -193,7 +193,8 @@ def volume_function(val: ToricValuation) -> PiecewisePolynomial:
 
     Each simplex S of the cached triangulation of P contributes
     dim! vol(S) * (1 - F_S(x)), with F_S the spline distribution function of
-    its knots A(w) + <v, w>.  The knots are breakpoints, so each piece is the
+    its sorted knots A(w) + <v, w>: one spline per knot tuple, times its
+    simplices' summed mass.  The knots are breakpoints, so each piece is the
     degree minus the jumps of every F_S at the breakpoints up to its left end.
     All of it runs in integers on the knot scale y = D x (module docstring).
     """
@@ -204,11 +205,15 @@ def volume_function(val: ToricValuation) -> PiecewisePolynomial:
     knots = [s - low for s in row]
     values = sorted(set(knots))
     top = values[-1]
-    # each simplex's jumps below the top, listed once, then summed per breakpoint t
-    # over one common denominator: sum_j J_j (y - t)^j
+    # the masses per sorted knot tuple; each tuple's jumps below the top, listed once,
+    # then summed per breakpoint t over one common denominator: sum_j J_j (y - t)^j
     mass_den, simplices = poly.indexed_triangulation
-    listed = [(t, mass, den, jump) for simplex, mass in simplices
-              for t, (den, jump) in spline_cdf_jumps([knots[i] for i in simplex]).items() if t != top]
+    masses: dict[tuple[int, ...], int] = {}
+    for simplex, mass in simplices:
+        key = tuple(sorted(map(knots.__getitem__, simplex)))
+        masses[key] = masses.get(key, 0) + mass
+    listed = [(t, mass, den, jump) for key, mass in masses.items()
+              for t, (den, jump) in spline_cdf_jumps(key).items() if t != top]
     common = math.lcm(*(den for _, _, den, _ in listed))
     sums = {t: [0] * (n + 1) for t in values[:-1]}
     for t, mass, den, jump in listed:
@@ -225,18 +230,20 @@ def volume_function(val: ToricValuation) -> PiecewisePolynomial:
         current = list(map(operator.sub, current, taylor_shift(sums[t], t)))
         pieces.append((mass_den * common, list(map(operator.mul, current, powers))))
     vol = PiecewisePolynomial._from_int_form(scale, values, pieces)
-    return _checked_volume(vol, Fraction(degree, mass_den))
+    return _checked_volume(vol, Fraction(degree, mass_den), n)
 
 
-def _checked_volume(vol: PiecewisePolynomial, degree: Fraction) -> PiecewisePolynomial:
-    """vol, once vol(0) = degree, vol(tau) = 0 and vol is C^1, all in integers."""
+def _checked_volume(vol: PiecewisePolynomial, degree: Fraction, n: int) -> PiecewisePolynomial:
+    """vol, once vol(0) = degree, vol(tau) = 0 and vol is C^1 (building the Q = -vol'/n it keeps)."""
     # the grid starts at 0, so vol(0) is the first piece's constant term
     e, first = vol._int_pieces[0]
     den, grid = vol._grid
     if first[0] * degree.denominator != degree.numerator * e or vol._value(grid[-1], den)[0] != 0:
         raise AssertionError("volume function endpoint values are wrong")
-    if not vol.is_c1():
-        raise AssertionError("volume function is not C^1 at a breakpoint")
+    try:
+        vol.derivative(-1, n)
+    except ValueError:
+        raise AssertionError("volume function is not C^1 at a breakpoint") from None
     return vol
 
 
@@ -275,10 +282,10 @@ def restricted_volume(val: ToricValuation) -> PiecewisePolynomial:
     """Q(x) = -(1/n) d/dx vol(x), extended to the closed interval [0, tau].
 
     Built in integers on vol's breakpoints: vol's piece sum_k (c_k / e) x^k
-    gives numerators -k c_k (k >= 1) over n e: vol's C^1 check built that
-    derivative, which is scaled with no second continuity check.
+    gives numerators -k c_k (k >= 1) over n e, reduced once: vol's C^1 check
+    built Q, which vol keeps, so no continuity is checked again.
     """
-    return volume_function(val)._derivative._scaled(-1, val.fan.dimension)
+    return volume_function(val).derivative(-1, val.fan.dimension)
 
 
 def center_codim(val: ToricValuation) -> int:
@@ -343,10 +350,10 @@ class ValuationProfile:
 
     def __post_init__(self):
         if not 0 < self.nef_threshold <= self.pseff_threshold:
-            raise AssertionError(
-                f"nef threshold {self.nef_threshold} outside (0, {self.pseff_threshold}]"
-            )
-        object.__setattr__(self, "beta", self.log_discrepancy * self.degree - self.integrated_volume)
+            raise AssertionError(f"nef threshold {self.nef_threshold} outside (0, {self.pseff_threshold}]")
+        a, v, i = self.log_discrepancy, self.degree, self.integrated_volume  # beta as one Fraction
+        num = a.numerator * v.numerator * i.denominator - i.numerator * a.denominator * v.denominator
+        object.__setattr__(self, "beta", Fraction(num, a.denominator * v.denominator * i.denominator))
         self._check_beta()
 
     def _check_beta(self) -> None:
@@ -382,7 +389,7 @@ def mirrored_profile(val: ToricValuation, other: ValuationProfile) -> ValuationP
         nums[0] += degree.numerator * e * den**d
         pieces.append((degree.denominator * e * den**d, nums))
     vol = PiecewisePolynomial._from_int_form(den, [top - b for b in reversed(grid)], pieces)
-    _checked_volume(vol, degree)
+    _checked_volume(vol, degree, val.fan.dimension)
     tau = other.pseff_threshold
     return _profile(val, vol, degree * tau - other.integrated_volume, tau)
 
@@ -390,13 +397,13 @@ def mirrored_profile(val: ToricValuation, other: ValuationProfile) -> ValuationP
 def _profile(val: ToricValuation, vol: PiecewisePolynomial, integral: Fraction, tau: Fraction):
     return ValuationProfile(
         w=val.w,
-        degree=val.fan.degree(),
+        degree=Fraction(vol._int_pieces[0][1][0], vol._int_pieces[0][0]),  # vol(0), checked to be the degree
         log_discrepancy=log_discrepancy(val),
         pseff_threshold=tau,
         nef_threshold=nef_threshold(val),
         integrated_volume=integral,
         volume_fn=vol,
-        restricted_volume_fn=vol._derivative._scaled(-1, val.fan.dimension),
+        restricted_volume_fn=vol.derivative(-1, val.fan.dimension),
         center_codim=center_codim(val),
         is_primitive=val.is_primitive,
         beta_form=val.fan.anticanonical_polytope().moment_form(),

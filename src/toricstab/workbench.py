@@ -250,22 +250,26 @@ def orbit_profiles(fan: Fan, battery: Sequence[ToricValuation]) -> tuple[Valuati
     <u, -w> + A(-w) = tau - f as A(w) + A(-w) = max <u, w> - min <u, w>.
     So tau(-w) = tau, {tau - f >= tau - x} is the complement of {f > x} in
     P, and vol_w(x) = V - vol_{-w}(tau - x); integrating, beta(w) = -beta(-w).
+    The generators are linear, so the orbit of a mirrored w is -1 times -w's.
     """
     generators = fan.automorphism_generators()
     members = {val.w for val in battery}
-    profiles: dict[tuple[int, ...], ValuationProfile] = {}
+    profiles: dict[tuple[int, ...], tuple[ValuationProfile, set]] = {}
     for val in battery:
         if val.w in profiles:
             continue
-        minus = profiles.get(tuple(-x for x in val.w))
-        profile = valuation_profile(val) if minus is None else mirrored_profile(val, minus)
-        orbit = {val.w}  # the group need not preserve the battery's box
-        for w in (queue := [val.w]):
-            fresh = {tuple(sum(map(operator.mul, row, w)) for row in a) for a in generators} - orbit
-            orbit |= fresh
-            queue += fresh
-        profiles.update({image: profile if image == val.w else profile.moved(image) for image in members & orbit})
-    return tuple(profiles[val.w] for val in battery)
+        minus, minus_orbit = profiles.get(tuple(map(operator.neg, val.w)), (None, None))
+        if minus is None:
+            profile, orbit = valuation_profile(val), {val.w}  # the group need not preserve the box
+            for w in (queue := [val.w]):
+                fresh = {tuple(sum(map(operator.mul, row, w)) for row in a) for a in generators} - orbit
+                orbit |= fresh
+                queue += fresh
+        else:
+            profile, orbit = mirrored_profile(val, minus), {tuple(map(operator.neg, w)) for w in minus_orbit}
+        for image in members & orbit:
+            profiles[image] = (profile if image == val.w else profile.moved(image), orbit)
+    return tuple(profiles[val.w][0] for val in battery)
 
 
 def analyze(fan: Fan, radius: int = 4) -> StabilityReport:
@@ -343,32 +347,39 @@ def _ratio_json(p: int, q: int) -> str:
     return f'"{p // g}/{q // g}"'
 
 
-def _piecewise_json(fn: PiecewisePolynomial) -> str:
+def _piecewise_json(fn: PiecewisePolynomial, breakpoints: Optional[str] = None) -> str:
     """A piecewise polynomial's report text, as the value of a member six spaces
-    in, written from its integer form."""
+    in, written from its integer form; `breakpoints` is its grid's text, if written."""
     den, grid = fn._grid
-    breakpoints = _json_lines([_ratio_json(b, den) for b in grid], 10)
+    if breakpoints is None:
+        breakpoints = _json_lines([_ratio_json(b, den) for b in grid], 10)
     pieces = _json_lines([_json_lines([_ratio_json(c, e) for c in cs], 12) for e, cs in fn._int_pieces], 10)
     return '{\n        "breakpoints": ' + breakpoints + ',\n        "pieces": ' + pieces + "\n      }"
 
 
-def _profile_json(p: ValuationProfile, rendered: dict[int, str]) -> str:
-    """The profile's report entry; `rendered` holds each piecewise text by object id."""
-    for fn in (p.volume_fn, p.restricted_volume_fn):
-        if id(fn) not in rendered:
-            rendered[id(fn)] = _piecewise_json(fn)
-    return _json_lines([
-        '"w": ' + _json_lines([str(x) for x in p.w], 8),
-        '"log_discrepancy": ' + _rat_json(p.log_discrepancy),
-        '"pseff_threshold": ' + _rat_json(p.pseff_threshold),
-        '"nef_threshold": ' + _rat_json(p.nef_threshold),
-        '"integrated_volume": ' + _rat_json(p.integrated_volume),
-        '"beta": ' + _rat_json(p.beta),
-        '"center_codim": ' + str(p.center_codim),
-        '"primitive": ' + ("true" if p.is_primitive else "false"),
-        '"volume_fn": ' + rendered[id(p.volume_fn)],
-        '"restricted_volume_fn": ' + rendered[id(p.restricted_volume_fn)],
-    ], 6, "{}")
+def _profile_json(p: ValuationProfile, rendered: dict[int, tuple]) -> str:
+    """The profile's report entry.  `rendered` maps id(volume_fn) to the last entry's members after
+    "w" and their text, reused when each member is the same object, as in the copies of
+    `ValuationProfile.moved`.  Q shares vol's grid, so it shares vol's breakpoint text."""
+    members = (p.log_discrepancy, p.pseff_threshold, p.nef_threshold, p.integrated_volume, p.beta,
+               p.center_codim, p.is_primitive, p.volume_fn, p.restricted_volume_fn)
+    last = rendered.get(id(p.volume_fn))
+    if last is None or not all(map(operator.is_, members, last[0])):
+        vol, q_fn = p.volume_fn, p.restricted_volume_fn
+        points = _json_lines([_ratio_json(b, vol._grid[0]) for b in vol._grid[1]], 10)
+        text = _json_lines([
+            '"log_discrepancy": ' + _rat_json(p.log_discrepancy),
+            '"pseff_threshold": ' + _rat_json(p.pseff_threshold),
+            '"nef_threshold": ' + _rat_json(p.nef_threshold),
+            '"integrated_volume": ' + _rat_json(p.integrated_volume),
+            '"beta": ' + _rat_json(p.beta),
+            '"center_codim": ' + str(p.center_codim),
+            '"primitive": ' + ("true" if p.is_primitive else "false"),
+            '"volume_fn": ' + _piecewise_json(vol, points),
+            '"restricted_volume_fn": ' + _piecewise_json(q_fn, points if q_fn._grid is vol._grid else None),
+        ], 6, "{}")
+        last = rendered[id(vol)] = (members, "," + text[1:])
+    return '{\n      "w": ' + _json_lines([str(x) for x in p.w], 8) + last[1]
 
 
 def _witness_json(w: Optional[ScreenWitness], indent: int) -> str:
@@ -398,9 +409,9 @@ def screen_json(s: ScreenResult, indent: int = 0) -> str:
 
 
 def report_json(r: StabilityReport) -> str:
-    """The report's JSON text and a newline, in the bytes of `json.dumps(..., indent=2)`, from
-    `_json_lines`, `_rat_json`, `_profile_json`, `screen_json` and `json.dumps` of single values."""
-    rendered: dict[int, str] = {}
+    """The report's JSON text and a newline, in the bytes of `json.dumps(..., indent=2)`, from `_json_lines`,
+    `_rat_json`, `_profile_json` (once per distinct profile), `screen_json` and `json.dumps` of single values."""
+    rendered: dict[int, tuple] = {}
     return _json_lines([
         '"fan": ' + json.dumps(r.fan_name),
         '"dimension": ' + json.dumps(r.dimension),

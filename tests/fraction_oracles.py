@@ -11,7 +11,9 @@ its bounding box that the package's integer scan replaced.  A fan's
 anticanonical polytope is built from sorted Fraction vertex tuples, as
 `Fan.anticanonical_polytope` built it before it worked on integer rows.  The integer
 form a piecewise polynomial holds is read back off its Fractions by lowest
-common denominators, as the package once derived it.
+common denominators, as the package once derived it.  The integer volume
+function is kept as it was before one spline served each sorted knot
+tuple: one `spline_cdf_jumps` call per simplex (`per_simplex_volume_function`).
 """
 
 import math
@@ -22,7 +24,7 @@ from itertools import combinations, product
 
 from toricstab.errors import InvariantViolation
 from toricstab.lattice import dot, solve_linear
-from toricstab.piecewise import poly_trim
+from toricstab.piecewise import PiecewisePolynomial, poly_trim, spline_cdf_jumps as int_spline_cdf_jumps, taylor_shift
 from toricstab.polytopes import RationalPolytope
 
 
@@ -201,3 +203,32 @@ def spline_cdf_jumps(knots):
             jump[n - k] = sign * math.comb(n, k) * series[m - 1 - k]
         jumps[tau] = jump
     return jumps
+
+
+def per_simplex_volume_function(val):
+    """vol of `valuations.volume_function`, with each simplex's spline jumps
+    computed on its own and weighted by its own mass, summed per breakpoint
+    over one common denominator, then accumulated into integer pieces."""
+    n = val.fan.dimension
+    poly = val.fan.anticanonical_polytope()
+    scale, row = val._values
+    knots = [s - min(row) for s in row]
+    values = sorted(set(knots))
+    mass_den, simplices = poly.indexed_triangulation
+    listed = [
+        (t, mass, den, jump)
+        for simplex, mass in simplices
+        for t, (den, jump) in int_spline_cdf_jumps([knots[i] for i in simplex]).items()
+        if t != values[-1]
+    ]
+    common = math.lcm(*(den for _, _, den, _ in listed))
+    sums = {t: [0] * (n + 1) for t in values[:-1]}
+    for t, mass, den, jump in listed:
+        for j, c in enumerate(jump):
+            sums[t][j] += mass * (common // den) * c
+    current = [sum(mass for _, mass in simplices) * common] + [0] * n
+    pieces = []
+    for t in values[:-1]:
+        current = list(map(operator.sub, current, taylor_shift(sums[t], t)))
+        pieces.append((mass_den * common, [c * scale**j for j, c in enumerate(current)]))
+    return PiecewisePolynomial._from_int_form(scale, values, pieces)

@@ -456,6 +456,32 @@ def test_integer_checks_match_fraction_checks():
     assert c1 == {True, False}
 
 
+def test_derivative_equals_the_fraction_constructor():
+    """(num / den) f', built in one pass with no merge and no grid gcd, equals
+    the Fraction constructor's function from f's breakpoints and the scaled
+    derivative pieces, in its integer form, on seeded random functions; where
+    the slopes jump both raise the same ValueError, and `is_c1` says so."""
+    rng = random.Random(48)
+    outcomes = set()
+    for _ in range(300):
+        fn = random_piecewise(rng)
+        num, den = rng.choice([-1, 1]) * rng.randint(1, 6), rng.randint(1, 6)
+        pieces = tuple(tuple(F(num, den) * c for c in poly_derivative(p)) for p in fn.pieces)
+        try:
+            want = PiecewisePolynomial(fn.breakpoints, pieces)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                fn.derivative(num, den)
+            assert str(got.value) == str(exc) and not fn.is_c1()
+            outcomes.add(False)
+            continue
+        got = fn.derivative(num, den)
+        assert (got._grid, got._int_pieces) == (want._grid, want._int_pieces)
+        assert got._grid is fn._grid and fn.derivative(num, den) is got and fn.is_c1()
+        outcomes.add(True)
+    assert outcomes == {True, False}
+
+
 def test_integer_checks_on_denominators_unlike_the_pieces():
     with pytest.raises(ValueError) as exc:
         PiecewisePolynomial((F(0), F(1, 3), F(2)), ((F(1, 2), F(1)), (F(5, 7),)))
@@ -692,8 +718,15 @@ def verdict(check, fn, m, x, y):
 @pytest.fixture
 def per_triple(monkeypatch):
     """Refuse every root-concavity certificate, so each `midpoint_root_concave`
-    call takes the per-triple path: values, closed forms, tie test, brackets."""
+    call takes the per-triple path: values, closed forms, tie test, brackets.
+    A volume function keeps its Q, and Q its verdicts, so the cache is
+    cleared before (every Q here is fresh) and after (none leaves refused)."""
+    from toricstab.valuations import volume_function
+
     monkeypatch.setattr("toricstab.piecewise.root_concave_certificate", lambda fn, m: False)
+    volume_function.cache_clear()
+    yield
+    volume_function.cache_clear()
 
 
 def test_midpoint_root_concave_matches_oracle_on_criterion_6(per_triple):

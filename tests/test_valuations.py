@@ -9,9 +9,10 @@ from itertools import product
 import pytest
 
 from fraction_oracles import cone_coordinates, poly_antiderivative, poly_derivative, poly_eval
-from fraction_oracles import int_form, poly_from_shifted, walls
+from fraction_oracles import int_form, per_simplex_volume_function, poly_from_shifted, walls
 from fraction_oracles import spline_cdf_jumps as oracle_spline_cdf_jumps
 from screen_reference import qualifying_vertices
+from test_fans import bench_workloads
 import toricstab.valuations as valuations
 from toricstab.errors import InvariantViolation
 from toricstab.corpus import builtin_fan_specs
@@ -741,9 +742,8 @@ def test_valuation_profile_builds_q_from_its_own_vol(monkeypatch, p123, cube):
 
 
 def test_c1_is_checked_once_per_volume_function(monkeypatch, p123, cube):
-    """vol's C^1 check builds its derivative once, and Q scales that
-    derivative: building Q checks no continuity again, directly or in a
-    profile."""
+    """vol's C^1 check builds Q = -vol'/n once and vol keeps it: building Q
+    checks no continuity again, directly or in a profile."""
     built = []
     original = PiecewisePolynomial._from_int_form.__func__
 
@@ -753,14 +753,89 @@ def test_c1_is_checked_once_per_volume_function(monkeypatch, p123, cube):
 
     for v in (val(p123, (2, 1)), val(cube, (1, -1, 1)), val(cube, (-1, 0, 0))):
         vol = volume_function(v)
-        assert "_derivative" in vars(vol) and vol.is_c1()
-        monkeypatch.setattr(PiecewisePolynomial, "_from_int_form", classmethod(counted))
-        q_fn = restricted_volume(v)
-        assert valuation_profile(v).restricted_volume_fn == q_fn and built == []
-        monkeypatch.undo()
         n = v.fan.dimension
+        assert (-1, n) in vars(vol)["_derivatives"] and vol.is_c1()
+        kept = vol._derivatives[-1, n]
+        monkeypatch.setattr(PiecewisePolynomial, "_from_int_form", classmethod(counted))
+        monkeypatch.setattr(PiecewisePolynomial, "_check_continuity", lambda fn: built.append(fn))
+        q_fn = restricted_volume(v)
+        assert q_fn is kept and valuation_profile(v).restricted_volume_fn is kept and built == []
+        monkeypatch.undo()
         derivative = tuple(tuple(-c / n for c in poly_derivative(p)) for p in vol.pieces)
         assert q_fn == PiecewisePolynomial(vol.breakpoints, derivative)
+
+
+def test_restricted_volume_equals_the_fraction_derivative(q_fano_fans):
+    """Q, built in one pass on vol's own grid with no merge and no grid gcd,
+    equals the Fraction constructor's PiecewisePolynomial(vol.breakpoints,
+    -p'/n per piece) in its integer form, on every radius-2 battery
+    valuation of the corpus fans and the 54 Q-Fano star subdivisions."""
+    count = 0
+    for fan in q_fano_fans:
+        n = fan.dimension
+        for v in valuation_battery(fan, 2):
+            vol, q_fn = volume_function(v), restricted_volume(v)
+            want = PiecewisePolynomial(vol.breakpoints, tuple(tuple(-c / n for c in poly_derivative(p)) for p in vol.pieces))
+            assert (q_fn._grid, q_fn._int_pieces) == (want._grid, want._int_pieces), (fan.name, v.w)
+            assert q_fn._grid is vol._grid
+            count += 1
+    assert count == 7158
+
+
+def test_a_kinked_volume_function_is_refused():
+    """A vol with the right end values, continuous but with a slope jump at 1,
+    fails the C^1 check with its own message and keeps no Q."""
+    kinked = PiecewisePolynomial((F(0), F(1), F(2)), ((F(2), F(-3, 2)), (F(1), F(-1, 2))))
+    with pytest.raises(AssertionError, match=r"^volume function is not C\^1 at a breakpoint$"):
+        valuations._checked_volume(kinked, F(2), 2)
+    assert not kinked.is_c1() and kinked._derivatives == {}
+
+
+def p1_4_fan(monkeypatch):
+    """P1^4, the product of the corpus P1xP1xP1 and P1 (24 simplices)."""
+    specs = builtin_fan_specs()
+    spec = bench_workloads(monkeypatch).product_spec(specs["P1xP1xP1"], specs["P1"])
+    return Fan(spec["dim"], spec["rays"], spec["cones"], name=spec["name"])
+
+
+def test_volume_function_takes_one_spline_per_knot_tuple(monkeypatch):
+    """On P1^4, `spline_cdf_jumps` runs once per distinct sorted knot tuple of
+    the valuation's 24 simplices, for each radius-1 battery valuation, and
+    equal tuples are common enough that the calls are fewer in all."""
+    fan = p1_4_fan(monkeypatch)
+    mass_den, simplices = fan.anticanonical_polytope().indexed_triangulation
+    assert len(simplices) == 24
+    calls = []
+    original = valuations.spline_cdf_jumps
+
+    def counted(knots):
+        calls.append(tuple(knots))
+        return original(knots)
+
+    monkeypatch.setattr(valuations, "spline_cdf_jumps", counted)
+    battery = valuation_battery(fan, 1)
+    total = 0
+    for v in battery:
+        row = v._values[1]
+        distinct = {tuple(sorted(row[i] - min(row) for i in simplex)) for simplex, _ in simplices}
+        del calls[:]
+        volume_function.__wrapped__(v)
+        assert sorted(calls) == sorted(distinct), v.w
+        total += len(calls)
+    assert len(battery) == 80 and total < 24 * len(battery) // 2
+
+
+def test_volume_function_equals_the_per_simplex_loop(monkeypatch, q_fano_fans):
+    """One spline per knot tuple, times the summed mass, gives exactly the
+    vol of one spline per simplex, on the radius-1 batteries of the corpus
+    fans, the 54 Q-Fano star subdivisions and P1^4."""
+    count = 0
+    for fan in [*q_fano_fans, p1_4_fan(monkeypatch)]:
+        for v in valuation_battery(fan, 1):
+            got, want = volume_function(v), per_simplex_volume_function(v)
+            assert (got._grid, got._int_pieces) == (want._grid, want._int_pieces), (fan.name, v.w)
+            count += 1
+    assert count == 1510
 
 
 def test_profile_battery_consistency(square, dp8):

@@ -94,6 +94,48 @@ def test_builtin_suite_reports_mismatch(monkeypatch, number, name, wrong, messag
     assert lines[-1] == "verification: 1 criteria FAILED"
 
 
+def test_concavity_reads_q_values_only_where_the_certificate_fails(monkeypatch):
+    """Criterion 6 reads no Q value for a Q the sweep's certificate proves
+    positive inside [0, tau]; with the certificate refused it reads all 102
+    sample values of each of its 150 Q.  The outcome is the same PASS."""
+    from toricstab.piecewise import PiecewisePolynomial
+    from toricstab.valuations import volume_function
+
+    reads = []
+    value = PiecewisePolynomial.__call__
+
+    def counted(fn, x):
+        reads.append(x)
+        return value(fn, x)
+
+    monkeypatch.setattr(PiecewisePolynomial, "__call__", counted)
+    outcomes = []
+    for refused in (False, True):
+        if refused:
+            monkeypatch.setattr("toricstab.piecewise.root_concave_certificate", lambda fn, m: False)
+        volume_function.cache_clear()  # each Q is kept on its vol with its verdicts
+        del reads[:]
+        outcomes.append(verification.check_concavity())
+        outcomes.append(len(reads))
+    volume_function.cache_clear()
+    passed = verification.CheckOutcome(
+        "concavity", True, "Q^(1/(n-1)) midpoint-concave at 15000 sample triples, zero violations"
+    )
+    assert outcomes == [passed, 0, passed, 150 * 102]
+
+
+def test_concavity_reports_a_q_that_vanishes_inside(monkeypatch):
+    """Q = 0 on [0, 1] passes every sweep triple (0 >= 0) but not the
+    certificate, so the nonnegativity pass runs and reports its zeros
+    inside the domain, from the first valuation of P2 on."""
+    from toricstab.piecewise import PiecewisePolynomial
+
+    monkeypatch.setattr(verification, "restricted_volume", lambda val: PiecewisePolynomial((F(0), F(1)), ((F(0),),)))
+    outcome = verification.check_concavity()
+    assert not outcome.ok
+    assert outcome.detail == "; ".join(f"P2 w=(-1, -1): Q({i}/101) = 0" for i in range(1, 9))
+
+
 # SHA-256 of `toricstab verify` stdout, recorded before the alpha gate and the
 # one-caller solve layers of `lattice` were deleted
 VERIFY_DIGEST = "062f1279c8a207742c7f92b9a33c9359aee75402aed60f55a962589973947e9d"

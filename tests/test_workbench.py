@@ -775,6 +775,34 @@ def test_report_json_refuses_inexact_rationals(p2):
         report_json(replace(report, profiles=tuple(profiles)))
 
 
+def test_report_json_renders_each_changed_member(p123):
+    """An entry's text after "w" is reused only when every member is the
+    object the entry rendered last with that vol had.  After the source
+    profile comes a `replace` of it with another center_codim, then copies
+    that change one member each and share every other one, each after the
+    source again: every entry still equals `reference_json`'s."""
+    report = analyze(p123, 2)
+    source = report.profiles[0]
+    other_q = next(p.restricted_volume_fn for p in report.profiles if p.volume_fn._grid != source.volume_fn._grid)
+    added = [source, replace(source, center_codim=source.center_codim + 1)]
+    for name, value in (
+        ("log_discrepancy", source.log_discrepancy + 1),
+        ("pseff_threshold", source.pseff_threshold + 1),
+        ("nef_threshold", source.nef_threshold / 2),
+        ("integrated_volume", source.integrated_volume + 1),
+        ("beta", source.beta + 1),
+        ("center_codim", source.center_codim - 1),
+        ("is_primitive", not source.is_primitive),
+        ("restricted_volume_fn", other_q),
+    ):
+        changed = copy.copy(source)
+        object.__setattr__(changed, name, value)
+        added += [source, changed]
+    assert all(p.volume_fn is source.volume_fn for p in added)
+    tampered = replace(report, profiles=report.profiles + tuple(added))
+    assert report_json(tampered) == reference_json(tampered)
+
+
 # SHA-256 of whole reports, recorded from the slice-and-interpolate volume
 # function; any change to a report byte is a change of behaviour
 REPORT_DIGESTS = {
@@ -1191,7 +1219,10 @@ def test_cli_root_concavity_errors_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(verification, "ALL_CHECKS", (("6", verification.check_concavity),))
     monkeypatch.setattr("toricstab.piecewise.root_floor", lambda num, den, m, scale: 0)
     monkeypatch.setattr("toricstab.piecewise.root_concave_certificate", lambda fn, m: False)
+    # each Q is kept on its cached vol with its verdicts: start fresh, and leave no refused one
+    valuations.volume_function.cache_clear()
     assert main(["verify"]) == 5
+    valuations.volume_function.cache_clear()
     err = capsys.readouterr().err
     assert err.startswith("internal error: m-th roots of ") and err.count("\n") == 1
     assert err.endswith(" not separable at width 1e-96\n")
