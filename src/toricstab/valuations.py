@@ -397,7 +397,7 @@ def mirrored_profile(val: ToricValuation, other: ValuationProfile) -> ValuationP
 def _profile(val: ToricValuation, vol: PiecewisePolynomial, integral: Fraction, tau: Fraction):
     return ValuationProfile(
         w=val.w,
-        degree=Fraction(vol._int_pieces[0][1][0], vol._int_pieces[0][0]),  # vol(0), checked to be the degree
+        degree=val.fan.degree(),
         log_discrepancy=log_discrepancy(val),
         pseff_threshold=tau,
         nef_threshold=nef_threshold(val),

@@ -291,6 +291,52 @@ def test_orbit_partition_equals_the_reference_group(monkeypatch, corpus_fans):
         assert partition == reference, (fan.name, radius)
 
 
+def test_each_orbit_gets_one_profile_direct_or_mirrored(monkeypatch, corpus_fans):
+    """`orbit_profiles` computes or mirrors one profile per orbit of the
+    bench's reference group (without -1) in the battery, no more: a mirrored
+    w takes -1 times the orbit of -w, and the mirror runs exactly for the
+    orbits whose negative came first.  The corpus at radius 1 and the corpus
+    surfaces at radius 4."""
+    import toricstab.workbench as workbench
+
+    calls = []
+
+    class Tag:
+        """Stands in for a profile and records how it was made."""
+
+        def __init__(self, kind, w):
+            calls.append((kind, w))
+
+        def moved(self, image):
+            return self
+
+    monkeypatch.setattr(workbench, "valuation_profile", lambda val: Tag("direct", val.w))
+    monkeypatch.setattr(workbench, "mirrored_profile", lambda val, minus: Tag("mirror", val.w))
+    workloads = bench_workloads(monkeypatch)
+    specs = builtin_fan_specs()
+    cases = [(fan, 1) for fan in corpus_fans] + [(fan, 4) for fan in corpus_fans if fan.dimension == 2]
+    mirrored = 0
+    for fan, radius in cases:
+        battery = valuation_battery(fan, radius)
+        del calls[:]
+        orbit_profiles(fan, battery)
+        group = workloads.automorphisms(specs[fan.name])
+        members = {val.w for val in battery}
+        classes = {
+            frozenset(members.intersection(tuple(sum(map(operator.mul, row, val.w)) for row in a) for a in group))
+            for val in battery
+        }
+        order = {val.w: i for i, val in enumerate(battery)}
+        first = {min(c, key=order.__getitem__): c for c in classes}
+        seen, expected = set(), []
+        for w in (val.w for val in battery if val.w in first):
+            expected.append(("mirror" if tuple(-x for x in w) in seen else "direct", w))
+            seen |= first[w]
+        assert calls == expected, (fan.name, radius)
+        mirrored += sum(kind == "mirror" for kind, _ in calls)
+    assert mirrored >= 48
+
+
 def test_a_wrong_automorphism_breaks_the_barycenter_check(monkeypatch, tmp_path, capsys):
     """The coordinate swap is no automorphism of dP7.  Each orbit copy checks
     its own beta against -degree <b, w>, so `analyze` raises and the CLI
