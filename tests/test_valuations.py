@@ -775,7 +775,8 @@ def test_restricted_volume_equals_the_fraction_derivative(q_fano_fans):
         n = fan.dimension
         for v in valuation_battery(fan, 2):
             vol, q_fn = volume_function(v), restricted_volume(v)
-            want = PiecewisePolynomial(vol.breakpoints, tuple(tuple(-c / n for c in poly_derivative(p)) for p in vol.pieces))
+            derivative = tuple(tuple(-c / n for c in poly_derivative(p)) for p in vol.pieces)
+            want = PiecewisePolynomial(vol.breakpoints, derivative)
             assert (q_fn._grid, q_fn._int_pieces) == (want._grid, want._int_pieces), (fan.name, v.w)
             assert q_fn._grid is vol._grid
             count += 1
